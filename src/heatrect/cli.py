@@ -16,8 +16,7 @@ import json
 import sys
 
 from .scenarios import (
-    SCENARIO_NAMES,
-    _SCENARIO_SUMMARIES,
+    SCENARIO_SUMMARIES,
     ConfigError,
     load_config,
     run_scenario,
@@ -54,8 +53,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "scenarios":
-        for name in SCENARIO_NAMES:
-            print(f"{name:24s} {_SCENARIO_SUMMARIES[name]}")
+        for name, summary in SCENARIO_SUMMARIES.items():
+            print(f"{name:24s} {summary}")
         return 0
 
     if args.command == "validate":

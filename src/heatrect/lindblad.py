@@ -249,10 +249,6 @@ class Liouvillian:
             out += weight * (a @ np.ascontiguousarray((a_conj @ rho_t).T))
         return out
 
-    def apply_vec(self, vec: np.ndarray, t: float = 0.0) -> np.ndarray:
-        d = self.dim
-        return vectorize(self.apply(unvectorize(vec, d), t))
-
 
 def build_generator(spec: CircuitSpec) -> Liouvillian:
     """Liouvillian of a circuit spec.

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,16 +53,7 @@ from .steady import (
 
 OUTPUT_DIR_ENV = "HEATRECT_OUT_DIR"
 
-SCENARIO_NAMES = (
-    "parallel-sweep",
-    "series-sweep",
-    "bridge-anharmonicity",
-    "bridge-decoherence",
-    "convergence-study",
-    "single-diode-validation",
-)
-
-_SCENARIO_SUMMARIES = {
+SCENARIO_SUMMARIES = {
     "parallel-sweep": "two diodes in parallel: currents and rectification over both anharmonicities",
     "series-sweep": "two diodes in series: currents, rectification, and ground-state populations",
     "bridge-anharmonicity": "bridge rectifier: output temperatures and fidelities vs anharmonicity",
@@ -69,6 +61,8 @@ _SCENARIO_SUMMARIES = {
     "convergence-study": "block-averaged current convergence of the series and bridge circuits",
     "single-diode-validation": "full three-mode diode model against the reduced rate model",
 }
+
+SCENARIO_NAMES = tuple(SCENARIO_SUMMARIES)
 
 
 class ConfigError(ValueError):
@@ -167,6 +161,14 @@ def load_config(source) -> dict:
         raise ConfigError("(file)", f"config is not valid JSON: {err}") from err
 
 
+def _axis_bounds(raw, path: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(x) for x in raw)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(path, f"need [lo, hi] ({err})") from err
+    return lo, hi
+
+
 def _axis_values(raw, path: str) -> list[float]:
     if isinstance(raw, (list, tuple)):
         if not raw:
@@ -180,13 +182,13 @@ def _axis_values(raw, path: str) -> list[float]:
         if not isinstance(points, int) or points < 1:
             raise ConfigError(f"{path}.points", "need a positive integer point count")
         if "log_range" in raw:
-            lo, hi = raw["log_range"]
+            lo, hi = _axis_bounds(raw["log_range"], f"{path}.log_range")
             if not 0 < lo < hi:
                 raise ConfigError(f"{path}.log_range", "need 0 < lo < hi")
-            return _log_grid(float(lo), float(hi), points)
+            return _log_grid(lo, hi, points)
         if "range" in raw:
-            lo, hi = raw["range"]
-            return [float(x) for x in np.linspace(float(lo), float(hi), points)]
+            lo, hi = _axis_bounds(raw["range"], f"{path}.range")
+            return [float(x) for x in np.linspace(lo, hi, points)]
         raise ConfigError(path, "axis dict needs 'log_range' or 'range'")
     raise ConfigError(path, f"cannot interpret axis value {raw!r}")
 
@@ -279,19 +281,18 @@ def validate_config(cfg: dict) -> ResolvedConfig:
 # per-scenario computations
 # ---------------------------------------------------------------------------
 
-def _spec_for(resolved: ResolvedConfig, topology: str, bias: BiasSetting, delta_omega) -> CircuitSpec:
-    c = resolved.circuit
+def _spec_for(circuit: dict, topology: str, bias: BiasSetting, delta_omega) -> CircuitSpec:
     return CircuitSpec.build(
         topology,
         n_left=bias.n_left,
         n_right=bias.n_right,
-        Gamma=c["Gamma"],
+        Gamma=circuit["Gamma"],
         delta_omega=delta_omega,
-        J=c["J"],
-        J_prime=c["J_prime"],
-        gamma_dec=c["gamma_dec"],
-        ho_truncation=c["ho_truncation"],
-        bridge_rate_mode=c["bridge_rate_mode"],
+        J=circuit["J"],
+        J_prime=circuit["J_prime"],
+        gamma_dec=circuit["gamma_dec"],
+        ho_truncation=circuit["ho_truncation"],
+        bridge_rate_mode=circuit["bridge_rate_mode"],
     )
 
 
@@ -308,11 +309,11 @@ def _parallel_point(resolved: ResolvedConfig, dw1: float, dw2: float) -> dict:
     dw = {"D1": dw1, "D2": dw2}
     row = {"delta_omega_d1": dw1, "delta_omega_d2": dw2, "solver": "direct",
            "rate_mode": resolved.circuit["bridge_rate_mode"]}
-    spec_f = _spec_for(resolved, "parallel", resolved.biases["forward"], dw)
+    spec_f = _spec_for(resolved.circuit, "parallel", resolved.biases["forward"], dw)
     rho_f = steady_state_direct(build_generator(spec_f))
     row["current_forward"] = markov_current_parallel(rho_f, _two_diode_tables(spec_f)["right"], "forward")
 
-    spec_r = _spec_for(resolved, "parallel", resolved.biases["reverse"], dw)
+    spec_r = _spec_for(resolved.circuit, "parallel", resolved.biases["reverse"], dw)
     rho_r = steady_state_direct(build_generator(spec_r))
     report = CurrentReport.from_currents(
         row["current_forward"],
@@ -334,7 +335,7 @@ def _series_point(resolved: ResolvedConfig, dw1: float, dw2: float) -> dict:
            "rate_mode": resolved.circuit["bridge_rate_mode"]}
     flagged = False
 
-    spec_f = _spec_for(resolved, "series", resolved.biases["forward"], dw)
+    spec_f = _spec_for(resolved.circuit, "series", resolved.biases["forward"], dw)
     gen_f = build_generator(spec_f)
     obs_f = emission_current_functional(gen_f.layout, ["D2"], _two_diode_tables(spec_f)["right"])
     try:
@@ -348,7 +349,7 @@ def _series_point(resolved: ResolvedConfig, dw1: float, dw2: float) -> dict:
         row["blocks_forward"] = resolved.protocol.max_blocks
         flagged = True
 
-    spec_r = _spec_for(resolved, "series", resolved.biases["reverse"], dw)
+    spec_r = _spec_for(resolved.circuit, "series", resolved.biases["reverse"], dw)
     gen_r = build_generator(spec_r)
     obs_r = emission_current_functional(gen_r.layout, ["D1"], _two_diode_tables(spec_r)["left"])
     try:
@@ -377,13 +378,7 @@ def _series_point(resolved: ResolvedConfig, dw1: float, dw2: float) -> dict:
 
 def _bridge_point(resolved: ResolvedConfig, delta_omega: float, gamma_dec: float) -> dict:
     bias = resolved.biases["temperatures"]
-    c = dict(resolved.circuit)
-    c["gamma_dec"] = gamma_dec
-    local = ResolvedConfig(
-        name=resolved.name, circuit=c, protocol=resolved.protocol, axes={},
-        biases=resolved.biases, threads=1, plot=False, extras={},
-    )
-    spec = _spec_for(local, "bridge", bias, delta_omega)
+    spec = _spec_for({**resolved.circuit, "gamma_dec": gamma_dec}, "bridge", bias, delta_omega)
     upper, lower = build_bridge_half_generators(spec)
     tables = bridge_rate_tables(spec)
     n_mid = spec.ho_truncation
@@ -473,7 +468,7 @@ def _convergence_rows(resolved: ResolvedConfig, out_dir: Path | None) -> list[di
 
     for bias_label in ("forward", "reverse"):
         bias = resolved.biases[bias_label]
-        spec = _spec_for(resolved, "series", bias, {"D1": dw1, "D2": dw2})
+        spec = _spec_for(resolved.circuit, "series", bias, {"D1": dw1, "D2": dw2})
         gen = build_generator(spec)
         tables = _two_diode_tables(spec)
         if bias_label == "forward":
@@ -492,7 +487,7 @@ def _convergence_rows(resolved: ResolvedConfig, out_dir: Path | None) -> list[di
 
     temp_bias = resolved.biases["temperatures"]
     for bias_label, bias in (("forward", temp_bias), ("reverse", temp_bias.swapped("reverse"))):
-        spec = _spec_for(resolved, "bridge", bias, dw_bridge)
+        spec = _spec_for(resolved.circuit, "bridge", bias, dw_bridge)
         _, lower = build_bridge_half_generators(spec)
         tables = bridge_rate_tables(spec)
         obs = net_bath_current_functional(lower.layout, ["D4"], tables)
@@ -523,7 +518,7 @@ def validate_single_diode(config) -> dict:
 
     report = {"delta_omega": delta_omega, "Gamma": gamma, "truncation": truncation, "rows": []}
     for label, bias in resolved.biases.items():
-        spec = _spec_for(resolved, "single-diode", bias, delta_omega)
+        spec = _spec_for(resolved.circuit, "single-diode", bias, delta_omega)
         gen = build_generator(spec)
         obs = bath_exchange_functional(gen.layout, "R", spec.right_bath)
         res = steady_state_averaged(gen, protocol=resolved.protocol, observable=obs)
@@ -627,11 +622,11 @@ def run_scenario(
     cfg = load_config(config)
     if circuit_overrides:
         cfg.setdefault("circuit", {}).update(circuit_overrides)
-    resolved = validate_config(cfg)
     if threads is not None:
-        resolved.threads = threads
+        cfg["threads"] = threads
     if plot is not None:
-        resolved.plot = plot
+        cfg["plot"] = plot
+    resolved = validate_config(cfg)
 
     if out_dir is None:
         out_dir = cfg.get("out_dir") or os.environ.get(OUTPUT_DIR_ENV) or "heatrect-out"
@@ -716,14 +711,18 @@ def run_scenario(
         "runtime_seconds": round(time.perf_counter() - t0, 3),
         "files": files,
     }
+    plot_file = None
+    if resolved.plot:
+        try:
+            plot_file = _quick_plot(name, columns, rows, out_path)
+        except ImportError as err:
+            metadata["plot_skipped"] = f"matplotlib unavailable: {err}"
+            warnings.warn(f"quick-look plot skipped ({metadata['plot_skipped']})", stacklevel=2)
     meta_path = out_path / "metadata.json"
     meta_path.write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
     files.append(meta_path.name)
-
-    if resolved.plot:
-        plot_file = _quick_plot(name, columns, rows, out_path)
-        if plot_file:
-            files.append(plot_file)
+    if plot_file:
+        files.append(plot_file)
 
     return SweepResult(
         scenario=name, columns=columns, rows=rows, flagged_rows=flagged,
@@ -731,13 +730,11 @@ def run_scenario(
     )
 
 
-def _quick_plot(name: str, columns: list[str], rows: list[dict], out_path: Path) -> str | None:
-    try:
-        import matplotlib
-        matplotlib.use("svg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return None
+def _quick_plot(name: str, columns: list[str], rows: list[dict], out_path: Path) -> str:
+    """Write ``<name>.svg``; raises ImportError when matplotlib is missing."""
+    import matplotlib
+    matplotlib.use("svg")
+    import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(6, 4))
     try:

@@ -1,8 +1,10 @@
 """Time evolution and steady-state extraction.
 
 Two steady-state routes are provided.  ``steady_state_direct`` solves the
-null space of a time-independent generator.  ``steady_state_averaged``
-runs the windowed-average convergence protocol for driven generators: the
+null space of a time-independent generator by sparse LU, with the trace
+constraint in place of one row; a second solve with another row replaced
+detects a degenerate null space.  ``steady_state_averaged`` runs the
+windowed-average convergence protocol for driven generators: the
 state is evolved in blocks of length T, after each block the observable is
 averaged over the trailing window T_av, and the run stops once the
 relative change of consecutive block averages falls below the threshold.
@@ -36,8 +38,6 @@ logger = logging.getLogger("heatrect")
 DEFAULT_DT = 1e-2
 DRIVE_STEPS_PER_PERIOD = 20
 TRACE_DRIFT_TOL = 1e-10
-DIRECT_SOLVE_MAX_DIM = 512
-_DENSE_NULLSPACE_MAX = 2500  # superoperator size up to which the SVD route is used
 # currents smaller than this are treated as zero by the stopping rule, so
 # unbiased (zero-current) runs terminate instead of dividing noise by noise
 CONVERGENCE_ABS_FLOOR = 1e-8
@@ -258,31 +258,17 @@ def _normalize_steady_vec(layout, L, v) -> DensityMatrix:
 def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     """Steady state of a time-independent generator via its null space.
 
-    Small problems use a dense SVD, which also counts the null-space
-    dimension and reports degeneracy.  Larger problems use a sparse LU
-    solve with the trace constraint replacing one row, cross-checked
-    against a second solve with a different replaced row so a degenerate
-    manifold cannot slip through.
+    Sparse LU solves the superoperator with the trace constraint in place
+    of its first row, and again in place of its last row.  A degenerate
+    stationary manifold makes a factor singular or the two solutions
+    disagree; either raises :class:`DegenerateSteadyStateError`.  Above
+    ``SUPEROP_MATERIALIZE_DIM`` the superoperator is not built and
+    ``ValueError`` is raised.
     """
     if generator.drive_frequencies:
         raise ValueError("direct solve requires a generator without drive terms")
     d = generator.dim
-    if d > DIRECT_SOLVE_MAX_DIM:
-        raise ValueError(f"direct solve limited to dim <= {DIRECT_SOLVE_MAX_DIM}, got {d}")
     L = generator.static_superop
-
-    if d * d <= _DENSE_NULLSPACE_MAX:
-        dense = L.toarray()
-        _, svals, vh = np.linalg.svd(dense)
-        scale = max(float(svals[0]), 1.0)
-        null_dim = int(np.sum(svals < 1e-12 * scale))
-        if null_dim == 0:
-            raise ArithmeticError("generator has no null vector at tolerance 1e-12")
-        if null_dim > 1:
-            raise DegenerateSteadyStateError(
-                f"steady state is not unique: null space has dimension {null_dim}"
-            )
-        return _normalize_steady_vec(generator.layout, L, vh[-1].conj())
 
     lil = L.tolil(copy=True)
     solutions = []

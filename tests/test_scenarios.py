@@ -53,6 +53,15 @@ def test_config_errors_carry_key_paths():
         validate_config(tiny_parallel_config(circuit={"frobnicate": 1}))
     with pytest.raises(ConfigError, match="circuit.bridge_rate_mode"):
         validate_config(tiny_parallel_config(circuit={"bridge_rate_mode": "banana"}))
+    with pytest.raises(ConfigError, match=r"axes\.delta_omega_d2\.log_range"):
+        validate_config(tiny_parallel_config(
+            axes={"delta_omega_d2": {"log_range": [50, 100, 200], "points": 3}}))
+    with pytest.raises(ConfigError, match=r"axes\.delta_omega_d2\.range"):
+        validate_config(tiny_parallel_config(
+            axes={"delta_omega_d2": {"range": [1.0], "points": 3}}))
+    with pytest.raises(ConfigError, match=r"axes\.delta_omega_d2\.log_range"):
+        validate_config(tiny_parallel_config(
+            axes={"delta_omega_d2": {"log_range": ["a", 2], "points": 3}}))
     with pytest.raises(ConfigError, match="threads"):
         validate_config(tiny_parallel_config(threads=0))
     with pytest.raises(ConfigError, match="protocol"):
@@ -206,6 +215,9 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "axes.delta_omega_d1" in err
 
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out3"), "--threads", "0"]) == 2
+    assert "config error at threads" in capsys.readouterr().err
+
 
 def test_cli_truncation_and_rate_mode_overrides(tmp_path, capsys):
     cfg = {
@@ -234,6 +246,15 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
 
 
 def test_quick_plot_svg(tmp_path):
+    try:
+        import matplotlib  # noqa: F401
+    except ImportError:
+        with pytest.warns(UserWarning, match="plot skipped"):
+            result = run_scenario(tiny_parallel_config(), out_dir=tmp_path, plot=True)
+        assert "parallel-sweep.svg" not in result.files
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert "matplotlib" in meta["plot_skipped"]
+        return
     result = run_scenario(tiny_parallel_config(), out_dir=tmp_path, plot=True)
     assert "parallel-sweep.svg" in result.files
     assert (tmp_path / "parallel-sweep.svg").stat().st_size > 0

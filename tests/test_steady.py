@@ -6,6 +6,7 @@ import pytest
 from heatrect.circuits import CircuitSpec, DiodeParams
 from heatrect.lindblad import (
     Liouvillian,
+    RateTable,
     build_generator,
     qutrit_rate_table,
     single_qutrit_rate_generator,
@@ -143,15 +144,38 @@ def test_direct_rejects_driven_generator():
         steady_state_direct(gen)
 
 
-def test_direct_reports_degenerate_null_space():
-    # purely coherent generator: every energy eigenstate projector is stationary
-    layout = SpaceLayout.of(("A", HarmonicOscillator(2)))
-    h = SparseOperator.wrap(layout, np.diag([0.0, 1.0]).astype(complex))
+def coherent_generator(h: np.ndarray) -> Liouvillian:
     from heatrect.circuits import TimeDependentOperator
 
-    gen = Liouvillian(layout, TimeDependentOperator(h), ())
+    layout = SpaceLayout.of(("A", HarmonicOscillator(h.shape[0])))
+    return Liouvillian(layout, TimeDependentOperator(SparseOperator.wrap(layout, h)), ())
+
+
+def random_hermitian(d: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (a + a.conj().T)
+
+
+@pytest.mark.parametrize(
+    "make_generator",
+    [
+        # purely coherent: every energy eigenstate projector is stationary
+        lambda: coherent_generator(np.diag([0.0, 1.0]).astype(complex)),
+        # dense random H: no factor is exactly singular, the two trace
+        # slices must disagree
+        lambda: coherent_generator(random_hermitian(3, seed=3)),
+        lambda: coherent_generator(random_hermitian(5, seed=5)),
+        lambda: coherent_generator(random_hermitian(8, seed=8)),
+        # qutrit with two absorbing states, |0> and |2>
+        lambda: single_qutrit_rate_generator([RateTable({(1, 0): 1.0, (1, 2): 2.0})]),
+    ],
+    ids=["coherent-diag-2", "coherent-random-3", "coherent-random-5", "coherent-random-8",
+         "qutrit-two-absorbing"],
+)
+def test_direct_reports_degenerate_null_space(make_generator):
     with pytest.raises(DegenerateSteadyStateError):
-        steady_state_direct(gen)
+        steady_state_direct(make_generator())
 
 
 def test_direct_agrees_with_long_time_evolution():
