@@ -1,7 +1,7 @@
 """Command-line front end.
 
-    heatrect run <config.json|scenario-name> [--out DIR] [--threads K]
-                 [--truncation N] [--rate-mode physical|paper] [--plot]
+    heatrect run <config.json|scenario-name> [--out DIR] [--truncation N]
+                 [--rate-mode physical|paper] [--plot]
     heatrect validate <config.json|scenario-name>
     heatrect scenarios
 
@@ -16,7 +16,7 @@ import json
 import sys
 
 from .scenarios import (
-    SCENARIO_SUMMARIES,
+    SCENARIOS,
     ConfigError,
     load_config,
     run_scenario,
@@ -36,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a scenario config and write CSV output")
     run.add_argument("config", help="path to a JSON config, or a built-in scenario name")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--threads", type=int, help="worker threads over grid points")
     run.add_argument("--truncation", type=int, help="harmonic-oscillator truncation override")
     run.add_argument("--rate-mode", choices=sorted(_RATE_MODES),
                      help="rate form of the right-coupled bridge diode")
@@ -53,8 +52,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "scenarios":
-        for name, summary in SCENARIO_SUMMARIES.items():
-            print(f"{name:24s} {summary}")
+        for name, scenario in SCENARIOS.items():
+            print(f"{name:24s} {scenario.summary}")
         return 0
 
     if args.command == "validate":
@@ -67,9 +66,8 @@ def main(argv=None) -> int:
             "name": resolved.name,
             "circuit": resolved.circuit,
             "axes": {k: len(v) for k, v in resolved.axes.items()},
-            "grid_points": _grid_size(resolved),
+            "grid_points": len(SCENARIOS[resolved.name].points(resolved)),
             "biases": {k: [b.n_left, b.n_right] for k, b in resolved.biases.items()},
-            "threads": resolved.threads,
         }
         print(json.dumps(summary, indent=2, sort_keys=True))
         print("config ok")
@@ -84,7 +82,6 @@ def main(argv=None) -> int:
         result = run_scenario(
             args.config,
             out_dir=args.out,
-            threads=args.threads,
             circuit_overrides=overrides or None,
             plot=True if args.plot else None,
         )
@@ -102,13 +99,6 @@ def main(argv=None) -> int:
         )
         return 1
     return 0
-
-
-def _grid_size(resolved) -> int:
-    size = 1
-    for values in resolved.axes.values():
-        size *= len(values)
-    return size
 
 
 if __name__ == "__main__":

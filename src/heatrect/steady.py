@@ -44,11 +44,12 @@ CONVERGENCE_ABS_FLOOR = 1e-8
 
 
 class ConvergenceError(RuntimeError):
-    """Windowed-average protocol ran out of blocks before converging."""
+    """Windowed-average protocol ran out of blocks; carries every block average."""
 
-    def __init__(self, message: str, last_averages: tuple[float, float]):
+    def __init__(self, message: str, block_averages: list[float]):
         super().__init__(message)
-        self.last_averages = last_averages
+        self.block_averages = list(block_averages)
+        self.last_averages = tuple(self.block_averages[-2:])
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -638,7 +639,7 @@ def steady_state_averaged(
     window of each block, and stops at the first block n whose average
     differs from block n-1 by less than rel_tol in relative terms (with an
     absolute floor so exactly-zero currents converge too).  Raises
-    :class:`ConvergenceError` carrying the last two block averages when
+    :class:`ConvergenceError` carrying the block averages when
     ``max_blocks`` is exhausted.
 
     With ``compiled=True`` (and a generator small enough to materialize)
@@ -700,7 +701,7 @@ def steady_state_averaged(
         raise ConvergenceError(
             f"current did not converge within {protocol.max_blocks} blocks "
             f"(last averages {averages[-2]:.6e}, {averages[-1]:.6e})",
-            (averages[-2], averages[-1]),
+            averages,
         )
 
     rho = 0.5 * (rho + rho.conj().T)

@@ -62,8 +62,27 @@ def test_config_errors_carry_key_paths():
     with pytest.raises(ConfigError, match=r"axes\.delta_omega_d2\.log_range"):
         validate_config(tiny_parallel_config(
             axes={"delta_omega_d2": {"log_range": ["a", 2], "points": 3}}))
+    with pytest.raises(ConfigError, match=r"axes\.delta_omega_d2\.points"):
+        validate_config(tiny_parallel_config(
+            axes={"delta_omega_d2": {"log_range": [50, 100], "points": True}}))
+    with pytest.raises(ConfigError, match="plot"):
+        validate_config(tiny_parallel_config(plot="false"))
     with pytest.raises(ConfigError, match="threads"):
         validate_config(tiny_parallel_config(threads=0))
+    with pytest.raises(ConfigError, match="bogus"):
+        validate_config(tiny_parallel_config(bogus=1))
+    with pytest.raises(ConfigError, match=r"bias\.temperatures"):
+        validate_config(tiny_parallel_config(bias={"temperatures": [1.0, 0.1]}))
+    with pytest.raises(ConfigError, match="series_point"):
+        validate_config(tiny_parallel_config(series_point={"delta_omega_d1": 300.0}))
+    with pytest.raises(ConfigError, match=r"series_point\.delta_omega_d2"):
+        validate_config({"name": "convergence-study", "series_point": {"delta_omega_d2": "x"}})
+    with pytest.raises(ConfigError, match=r"series_point\.bogus"):
+        validate_config({"name": "convergence-study", "series_point": {"bogus": 1.0}})
+    with pytest.raises(ConfigError, match="bridge_point"):
+        validate_config({"name": "convergence-study", "bridge_point": [300.0]})
+    with pytest.raises(ConfigError, match=r"circuit\.ho_truncation"):
+        validate_config({"name": "single-diode-validation", "circuit": {"ho_truncation": 5}})
     with pytest.raises(ConfigError, match="protocol"):
         validate_config(tiny_parallel_config(protocol={"rel_tol": -1.0}))
     with pytest.raises(ConfigError, match="no such config"):
@@ -98,12 +117,15 @@ def test_parallel_sweep_runs_and_is_deterministic(tmp_path):
     assert len(meta["resolved_config"]["axes"]["delta_omega_d2"]) == 3
 
 
-def test_parallel_sweep_thread_parity(tmp_path):
-    serial = run_scenario(tiny_parallel_config(), out_dir=tmp_path / "serial", threads=1)
-    pooled = run_scenario(tiny_parallel_config(), out_dir=tmp_path / "pooled", threads=3)
-    body_s = (serial.out_dir / "parallel-sweep.csv").read_bytes()
-    body_p = (pooled.out_dir / "parallel-sweep.csv").read_bytes()
-    assert body_s == body_p
+def test_row_order_follows_declared_axes(tmp_path):
+    declared = tiny_parallel_config()
+    reordered = tiny_parallel_config(axes=dict(reversed(list(declared["axes"].items()))))
+    assert list(reordered["axes"]) == ["delta_omega_d2", "delta_omega_d1"]
+    run_scenario(declared, out_dir=tmp_path / "declared")
+    run_scenario(reordered, out_dir=tmp_path / "reordered")
+    body_d = (tmp_path / "declared" / "parallel-sweep.csv").read_bytes()
+    body_r = (tmp_path / "reordered" / "parallel-sweep.csv").read_bytes()
+    assert body_d == body_r
 
 
 def test_parallel_rows_monotone_rectification(tmp_path):
@@ -201,11 +223,17 @@ def test_cli_scenarios_and_validate(capsys):
     out = capsys.readouterr().out
     assert "config ok" in out
 
+    for name, points in (("parallel-sweep", 120), ("convergence-study", 4),
+                         ("single-diode-validation", 3)):
+        assert main(["validate", name]) == 0
+        summary = json.loads(capsys.readouterr().out.rsplit("config ok", 1)[0])
+        assert summary["grid_points"] == points, name
+
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_parallel_config()))
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--threads", "2"]) == 0
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "parallel-sweep.csv").exists()
     capsys.readouterr()
 
@@ -215,7 +243,9 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "axes.delta_omega_d1" in err
 
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out3"), "--threads", "0"]) == 2
+    leftover = tmp_path / "threads.json"
+    leftover.write_text(json.dumps(tiny_parallel_config(threads=2)))
+    assert main(["run", str(leftover), "--out", str(tmp_path / "out3")]) == 2
     assert "config error at threads" in capsys.readouterr().err
 
 
@@ -260,20 +290,31 @@ def test_quick_plot_svg(tmp_path):
     assert (tmp_path / "parallel-sweep.svg").stat().st_size > 0
 
 
-def test_nonconvergent_rows_are_flagged(tmp_path, capsys):
-    cfg = {
-        "name": "series-sweep",
-        "axes": {"delta_omega_d1": [300.0], "delta_omega_d2": [500.0]},
-        "protocol": {
-            "block_length": 60 * T_DRIVE,
-            "average_window": 15 * T_DRIVE,
-            "rel_tol": 1e-10,
-            "max_blocks": 2,
-        },
-    }
+NONCONVERGENT_PROTOCOL = {
+    "block_length": 60 * T_DRIVE,
+    "average_window": 15 * T_DRIVE,
+    "rel_tol": 1e-12,
+    "max_blocks": 2,
+}
+
+
+@pytest.mark.parametrize("cfg, flagged", [
+    ({"name": "series-sweep",
+      "axes": {"delta_omega_d1": [300.0], "delta_omega_d2": [500.0]}}, [0]),
+    ({"name": "bridge-anharmonicity", "axes": {"delta_omega": [300.0]},
+      "circuit": {"ho_truncation": 2}}, [0]),
+    # every block average of the four runs is kept: 2 blocks each
+    ({"name": "convergence-study", "circuit": {"ho_truncation": 2}}, list(range(8))),
+    ({"name": "single-diode-validation", "circuit": {"ho_truncation": 2}}, [0, 1, 2]),
+], ids=["series-sweep", "bridge-anharmonicity", "convergence-study", "single-diode-validation"])
+def test_nonconvergent_rows_are_flagged(tmp_path, capsys, cfg, flagged):
+    cfg = {**cfg, "protocol": NONCONVERGENT_PROTOCOL}
     result = run_scenario(cfg, out_dir=tmp_path)
-    assert result.flagged_rows == [0]
-    assert result.rows[0]["converged"] is False
+    assert result.flagged_rows == flagged
+    for i in flagged:
+        assert result.rows[i]["converged"] is False
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["flagged_rows"] == flagged
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

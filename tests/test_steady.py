@@ -229,6 +229,8 @@ def test_averaged_nonconvergence_carries_last_averages():
         steady_state_averaged(gen, protocol=protocol, observable=obs)
     assert len(err.value.last_averages) == 2
     assert all(np.isfinite(v) for v in err.value.last_averages)
+    assert len(err.value.block_averages) == protocol.max_blocks
+    assert tuple(err.value.block_averages[-2:]) == err.value.last_averages
 
 
 def test_averaged_matches_direct_for_time_independent_generator():
