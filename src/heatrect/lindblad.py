@@ -1,14 +1,14 @@
 """Dissipators, qutrit rate tables, and Liouvillian generators.
 
 Vectorization is column-stacking throughout: vec(rho)[i + d*j] = rho[i, j],
-so vec(A rho B) = (B^T kron A) vec(rho).  Superoperator matrices are only
-materialized for moderate dimensions; large generators (the six-mode
-bridge) are applied matrix-free to the density matrix.
+so vec(A rho B) = (B^T kron A) vec(rho).  The generator acts only through
+its sparse superoperator matrices, which are built up to dimension
+``SUPEROP_MATERIALIZE_DIM``; larger layouts (the six-mode bridge at N >= 3)
+are refused.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,10 +155,9 @@ def rate_jump_terms(layout: SpaceLayout, label: str, table: RateTable) -> list[t
 class Liouvillian:
     """Generator of a Lindblad master equation on a layout.
 
-    Holds the coherent part and the weighted jump operators; superoperator
-    matrices (static part plus one cosine-modulated part per drive
-    frequency) are materialized lazily and only below the size guard.
-    ``apply`` works matrix-free on the d x d density matrix at any size.
+    Holds the coherent part and the weighted jump operators; the sparse
+    superoperator matrices (static part plus one cosine-modulated part per
+    drive frequency) are materialized lazily and only below the size guard.
     """
 
     layout: SpaceLayout
@@ -166,7 +165,6 @@ class Liouvillian:
     jumps: tuple[tuple[float, SparseOperator], ...]
     _static: sp.csr_array | None = field(default=None, repr=False)
     _drives: tuple[tuple[float, sp.csr_array], ...] | None = field(default=None, repr=False)
-    _apply_cache: list | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -182,7 +180,7 @@ class Liouvillian:
         if self.dim > SUPEROP_MATERIALIZE_DIM:
             raise ValueError(
                 f"refusing to materialize a {self.dim ** 2} x {self.dim ** 2} superoperator "
-                f"(dim {self.dim} > {SUPEROP_MATERIALIZE_DIM}); use the matrix-free apply()"
+                f"(dim {self.dim} > SUPEROP_MATERIALIZE_DIM = {SUPEROP_MATERIALIZE_DIM})"
             )
 
     @property
@@ -212,42 +210,6 @@ class Liouvillian:
                     terms.append((nu, _commutator_superop(v.matrix)))
             self._drives = tuple(terms)
         return self._drives
-
-    def superop_at(self, t: float) -> sp.csr_array:
-        total = self.static_superop
-        for nu, s in self.drive_superops:
-            total = total + math.cos(nu * t) * s
-        return total.tocsr()
-
-    def _apply_terms(self):
-        if self._apply_cache is None:
-            jumps = []
-            d = self.dim
-            damping = sp.csr_array((d, d), dtype=np.complex128)
-            for weight, op in self.jumps:
-                a = op.matrix
-                # right multiplication rho @ X is evaluated as (X.T @ rho.T).T,
-                # keeping every sparse factor on the fast (left) side
-                jumps.append((weight, a, a.conj().tocsr()))
-                damping = damping + weight * (a.conj().T @ a)
-            damping = (0.5 * damping).tocsr()
-            self._apply_cache = (jumps, damping, damping.T.tocsr())
-        return self._apply_cache
-
-    def apply(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Right-hand side d(rho)/dt for a density matrix, matrix-free."""
-        jumps, damping, damping_t = self._apply_terms()
-        rho = np.ascontiguousarray(rho)
-        rho_t = np.ascontiguousarray(rho.T)
-        out = -(damping @ rho) - (damping_t @ rho_t).T  # -{K, rho}/2
-        if self.hamiltonian is not None:
-            h = self.hamiltonian.static_part.matrix
-            for nu, v in self.hamiltonian.drive_terms:
-                h = h + math.cos(nu * t) * v.matrix
-            out += -1j * (h @ rho) + 1j * (h.T @ rho_t).T
-        for weight, a, a_conj in jumps:
-            out += weight * (a @ np.ascontiguousarray((a_conj @ rho_t).T))
-        return out
 
 
 def build_generator(spec: CircuitSpec) -> Liouvillian:

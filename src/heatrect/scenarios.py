@@ -149,7 +149,7 @@ def _p0_reverse(rho: DensityMatrix | None) -> dict:
     }
 
 
-def _parallel_rows(resolved: ResolvedConfig, out_dir, delta_omega_d1: float,
+def _parallel_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
                    delta_omega_d2: float) -> list[dict]:
     dw = {"D1": delta_omega_d1, "D2": delta_omega_d2}
     row = {"delta_omega_d1": delta_omega_d1, "delta_omega_d2": delta_omega_d2, "solver": "direct",
@@ -182,7 +182,7 @@ def _series_setup(resolved: ResolvedConfig, bias: str, dw1: float, dw2: float):
     return gen, emission_current_functional(gen.layout, ["D1"], tables["left"]), -1.0
 
 
-def _series_rows(resolved: ResolvedConfig, out_dir, delta_omega_d1: float,
+def _series_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
                  delta_omega_d2: float) -> list[dict]:
     row = {"delta_omega_d1": delta_omega_d1, "delta_omega_d2": delta_omega_d2,
            "solver": "windowed-average", "rate_mode": resolved.circuit["bridge_rate_mode"]}
@@ -200,7 +200,7 @@ def _series_rows(resolved: ResolvedConfig, out_dir, delta_omega_d1: float,
     return [row]
 
 
-def _bridge_rows(resolved: ResolvedConfig, out_dir, delta_omega: float,
+def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
                  gamma_dec: float | None = None) -> list[dict]:
     if gamma_dec is None:
         gamma_dec = resolved.circuit["gamma_dec"]
@@ -256,7 +256,7 @@ def _bridge_rows(resolved: ResolvedConfig, out_dir, delta_omega: float,
     return [row]
 
 
-def _convergence_rows(resolved: ResolvedConfig, out_dir: Path, circuit: str,
+def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
                       bias: str) -> list[dict]:
     """Every block average of one run; writes its trajectory file when one is kept.
     Only a run that missed the threshold adds a ``converged`` column."""
@@ -290,12 +290,12 @@ def _convergence_rows(resolved: ResolvedConfig, out_dir: Path, circuit: str,
             row["converged"] = False
     traj = run.trajectory
     if traj is not None:
-        _write_csv(out_dir / f"trajectory_{circuit}_{bias}.csv", ["time", traj.name],
-                   [{"time": t, traj.name: sign * v} for t, v in zip(traj.times, traj.values)])
+        out.write_csv(f"trajectory_{circuit}_{bias}.csv", ["time", traj.name],
+                      [{"time": t, traj.name: sign * v} for t, v in zip(traj.times, traj.values)])
     return rows
 
 
-def _single_diode_rows(resolved: ResolvedConfig, out_dir, bias: str) -> list[dict]:
+def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
     """Full three-mode model against the reduced single-qutrit rate model at one bias."""
     setting = resolved.biases[bias]
     delta_omega = resolved.extras["delta_omega"]
@@ -382,9 +382,9 @@ class Scenario:
     """One built-in scenario.  ``bias``, ``axes`` (outer-to-inner grid order),
     ``extras`` (its own top-level keys) and ``circuit`` (departures from the
     common circuit) hold defaults; with ``open_bias`` any further bias label
-    is one more point.  ``rows(resolved, out_dir, **point)`` computes the CSV
-    rows of each of ``points(resolved)`` and may write ``side_files`` into
-    ``out_dir``; ``plot(ax, rows)`` draws the quick-look figure."""
+    is one more point.  ``rows(resolved, out, **point)`` computes the CSV
+    rows of each of ``points(resolved)`` and may write side files through
+    ``out.write_csv``; ``plot(ax, rows)`` draws the quick-look figure."""
 
     summary: str
     bias: dict
@@ -396,7 +396,6 @@ class Scenario:
     circuit: dict = field(default_factory=dict)
     max_truncation: int | None = None
     open_bias: bool = False
-    side_files: str | None = None
 
 
 _TWO_WAY_BIAS = {"forward": [0.5, 0.0], "reverse": [0.0, 0.5]}
@@ -436,7 +435,6 @@ SCENARIOS = {
         extras={"series_point": {"delta_omega_d1": 300.0, "delta_omega_d2": 450.0},
                 "bridge_point": {"delta_omega": 300.0},
                 "trajectory_points_per_block": 50},
-        side_files="trajectory_*.csv",
     ),
     "single-diode-validation": Scenario(
         summary="full three-mode diode model against the reduced rate model",
@@ -460,6 +458,9 @@ _COMMON_CIRCUIT = {
     "gamma_dec": 1e-3,
     "bridge_rate_mode": "physical-modulated",
 }
+
+# circuit values checked as finite reals: True for positive, False for nonnegative
+_CIRCUIT_REALS = {"Gamma": True, "J": True, "J_prime": False, "gamma_dec": False}
 
 _COMMON_KEYS = ("name", "plot", "out_dir", "circuit", "protocol", "bias", "axes")
 
@@ -506,8 +507,17 @@ def _positive_int(raw, path: str) -> int:
     return raw
 
 
+def _real(raw, path: str, positive: bool = True) -> float:
+    """A finite, non-bool number that is positive (or, if not ``positive``, nonnegative)."""
+    if (isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw)
+            or raw < 0 or (positive and raw == 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ConfigError(path, f"need a finite {sign} number, got {raw!r}")
+    return float(raw)
+
+
 def _section(cfg: dict, key: str) -> dict:
-    raw = cfg.get(key) or {}
+    raw = cfg.get(key, {})
     if not isinstance(raw, dict):
         raise ConfigError(key, "need a JSON object")
     return raw
@@ -557,9 +567,7 @@ def _extra_value(raw, default, path: str):
                 for key, value in default.items()}
     if isinstance(default, int):
         return None if raw is None else _positive_int(raw, path)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not 0 < raw < math.inf:
-        raise ConfigError(path, f"need a positive number, got {raw!r}")
-    return float(raw)
+    return _real(raw, path)
 
 
 def validate_config(cfg: dict) -> ResolvedConfig:
@@ -580,14 +588,24 @@ def validate_config(cfg: dict) -> ResolvedConfig:
         RateMode(circuit["bridge_rate_mode"])
     except ValueError as err:
         raise ConfigError("circuit.bridge_rate_mode", str(err)) from err
+    for key, positive in _CIRCUIT_REALS.items():
+        circuit[key] = _real(circuit[key], f"circuit.{key}", positive)
     truncation = _positive_int(circuit["ho_truncation"], "circuit.ho_truncation")
     if scenario.max_truncation is not None and truncation > scenario.max_truncation:
         raise ConfigError("circuit.ho_truncation",
                           f"scenario {name!r} is limited to N <= {scenario.max_truncation}")
 
+    protocol_defaults = dataclasses.asdict(ConvergenceProtocol())
+    protocol_values = {}
+    for key, raw in _section(cfg, "protocol").items():
+        path = f"protocol.{key}"
+        if key not in protocol_defaults:
+            raise ConfigError(path, f"unknown protocol parameter; known: {sorted(protocol_defaults)}")
+        check = _positive_int if isinstance(protocol_defaults[key], int) else _real
+        protocol_values[key] = check(raw, path)
     try:
-        protocol = ConvergenceProtocol(**_section(cfg, "protocol"))
-    except (TypeError, ValueError) as err:
+        protocol = ConvergenceProtocol(**protocol_values)
+    except ValueError as err:
         raise ConfigError("protocol", str(err)) from err
 
     axes_cfg = _section(cfg, "axes")
@@ -675,6 +693,18 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]):
     path.write_text("\n".join(lines) + "\n")
 
 
+@dataclass
+class _Output:
+    """Output directory of one run and the side files the run wrote into it."""
+
+    path: Path
+    files: list[str] = field(default_factory=list)
+
+    def write_csv(self, name: str, columns: list[str], rows: list[dict]):
+        _write_csv(self.path / name, columns, rows)
+        self.files.append(name)
+
+
 def _columns_from_rows(rows: list[dict]) -> list[str]:
     columns: list[str] = []
     for row in rows:
@@ -714,16 +744,15 @@ def run_scenario(
     t0 = time.perf_counter()
 
     name = resolved.name
+    out = _Output(out_path)
     rows = [row for point in scenario.points(resolved)
-            for row in scenario.rows(resolved, out_path, **point)]
+            for row in scenario.rows(resolved, out, **point)]
 
     flagged = [i for i, row in enumerate(rows) if row.get("converged") is False]
     columns = _columns_from_rows(rows)
     csv_path = out_path / f"{name}.csv"
     _write_csv(csv_path, columns, rows)
-    files = [csv_path.name]
-    if scenario.side_files:
-        files += sorted(p.name for p in out_path.glob(scenario.side_files))
+    files = [csv_path.name, *out.files]
 
     metadata = {
         "scenario": name,

@@ -15,8 +15,10 @@ multiples of the drive period so the one-period integrator map can be
 composed exactly (repeated squaring of the dense period map in a real
 Hermitian operator basis); this reproduces the plain step-by-step
 integration bit-for-bit up to float reassociation, at a tiny fraction of
-the cost.  A plain stepping path is kept both as a fallback for very
-large or incommensurately driven generators and as an independent check.
+the cost.  A plain stepping path is kept as the fallback for
+incommensurate drives and as an independent check.  Both act through the
+generator's sparse superoperators, so a generator above
+``SUPEROP_MATERIALIZE_DIM`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lindblad import Liouvillian, SUPEROP_MATERIALIZE_DIM, unvectorize, vectorize
+from .lindblad import Liouvillian, unvectorize, vectorize
 from .observables import CurrentFunctional
 from .spaces import DensityMatrix, SparseOperator
 
@@ -153,33 +155,19 @@ def _rk4_step(rhs, state: np.ndarray, t: float, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-_DENSE_SUPEROP_MAX = 10_000  # densify the superoperator only up to this many entries per axis
-
-
 def _make_rhs(generator: Liouvillian):
-    """Fastest admissible right-hand side: dense or sparse superoperator
-    acting on vec(rho) when materializable, matrix-free otherwise.
+    """Right-hand side d vec(rho)/dt = L0 vec(rho) + sum cos(nu t) L_nu vec(rho)
+    on the sparse superoperators."""
+    static = generator.static_superop
+    drives = generator.drive_superops
 
-    Returns (mode, rhs) with mode one of "vec" or "matrix"; all variants
-    compute the same generator action.
-    """
-    if generator.dim <= SUPEROP_MATERIALIZE_DIM:
-        static = generator.static_superop
-        drives = generator.drive_superops
-        if generator.dim ** 2 <= _DENSE_SUPEROP_MAX:
-            static = static.toarray()
-            drives = tuple((nu, s.toarray()) for nu, s in drives)
-        if drives:
-            def rhs(v, t):
-                out = static @ v
-                for nu, s in drives:
-                    out += math.cos(nu * t) * (s @ v)
-                return out
-        else:
-            def rhs(v, t):
-                return static @ v
-        return "vec", rhs
-    return "matrix", generator.apply
+    def rhs(v, t):
+        out = static @ v
+        for nu, s in drives:
+            out += math.cos(nu * t) * (s @ v)
+        return out
+
+    return rhs
 
 
 def evolve(
@@ -213,8 +201,8 @@ def evolve(
 
     n_steps = max(1, math.ceil((t1 - t0) / dt))
     h = (t1 - t0) / n_steps
-    mode, rhs = _make_rhs(generator)
-    state = rho0.vec() if mode == "vec" else rho0.data.copy()
+    rhs = _make_rhs(generator)
+    state = rho0.vec()
     for k in range(n_steps):
         state = _rk4_step(rhs, state, t0 + k * h, h)
         if k % 1000 == 999 and not np.all(np.isfinite(state)):
@@ -222,7 +210,7 @@ def evolve(
     if not np.all(np.isfinite(state)):
         raise ArithmeticError("state became non-finite during evolution")
 
-    rho = unvectorize(state, generator.dim) if mode == "vec" else state
+    rho = unvectorize(state, generator.dim)
     trace = float(np.real(np.trace(rho)))
     if abs(trace - 1.0) > TRACE_DRIFT_TOL:
         logger.info("trace drift %.3e after evolve; renormalizing once", trace - 1.0)
@@ -271,15 +259,15 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     d = generator.dim
     L = generator.static_superop
 
-    lil = L.tolil(copy=True)
+    trace_row = _trace_row(d)
+    trace_sparse = sp.csr_array(trace_row[None, :])
+    slices = ((0, [trace_sparse, L[1:]]), (d * d - 1, [L[:-1], trace_sparse]))
     solutions = []
-    for row in (0, d * d - 1):
-        system = lil.copy()
-        system[row, :] = _trace_row(d)
+    for row, blocks in slices:
         rhs = np.zeros(d * d, dtype=np.complex128)
         rhs[row] = 1.0
         try:
-            lu = spla.splu(system.tocsc())
+            lu = spla.splu(sp.vstack(blocks, format="csr").tocsc())
             x = lu.solve(rhs)
         except RuntimeError as err:
             raise DegenerateSteadyStateError(
@@ -287,7 +275,7 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
             ) from err
         if not np.all(np.isfinite(x)):
             raise DegenerateSteadyStateError("sparse solve produced non-finite entries")
-        solutions.append(x / (_trace_row(d) @ x))
+        solutions.append(x / (trace_row @ x))
     if np.max(np.abs(solutions[0] - solutions[1])) > 1e-8:
         raise DegenerateSteadyStateError(
             "two independent trace slices disagree; steady state is not unique"
@@ -489,11 +477,13 @@ def _compiled_protocol(
     trajectory_points_per_block: int | None,
 ):
     d = generator.dim
+    # materialize first: above the size guard this raises before the d^2 basis is built
+    static, drive_superops = generator.static_superop, generator.drive_superops
     transform = hermitian_basis_transform(d)
-    l0 = _to_real_superop(transform, generator.static_superop, "static generator")
+    l0 = _to_real_superop(transform, static, "static generator")
     drives = tuple(
         (nu, _to_real_superop(transform, s, f"drive at frequency {nu}"))
-        for nu, s in generator.drive_superops
+        for nu, s in drive_superops
     )
     c_row = _real_observable(transform, observable.observable)
     unit, c_avg = _build_unit_map(l0, drives, c_row, grid)
@@ -572,25 +562,12 @@ def _stepping_protocol(
         sample_stride = max(1, steps_per_block // int(trajectory_points_per_block))
 
     d = generator.dim
-    mode, rhs = _make_rhs(generator)
-    if mode == "vec":
-        state = rho0.vec()
-        w_row = vectorize(observable.observable.to_dense().T)
+    rhs = _make_rhs(generator)
+    state = rho0.vec()
+    w_row = vectorize(observable.observable.to_dense().T)
 
-        def value(s: np.ndarray) -> float:
-            return float(np.real(w_row @ s))
-
-        def trace_of(s: np.ndarray) -> float:
-            return float(np.real(s[:: d + 1].sum()))
-    else:
-        state = rho0.data.copy()
-        w_op = observable.observable
-
-        def value(s: np.ndarray) -> float:
-            return float(np.real((w_op.matrix.multiply(s.T)).sum()))
-
-        def trace_of(s: np.ndarray) -> float:
-            return float(np.real(np.trace(s)))
+    def value(s: np.ndarray) -> float:
+        return float(np.real(w_row @ s))
 
     averages: list[float] = []
     times: list[float] = []
@@ -612,15 +589,14 @@ def _stepping_protocol(
         averages.append(acc / window_steps)
         if not np.all(np.isfinite(state)):
             raise ArithmeticError(f"state became non-finite in block {block}")
-        trace = trace_of(state)
+        trace = float(np.real(state[:: d + 1].sum()))
         if abs(trace - 1.0) > TRACE_DRIFT_TOL:
             logger.info("trace drift %.3e at block %d; renormalizing", trace - 1.0, block)
             state /= trace
         if block >= 1 and _stop(averages[-2], averages[-1], protocol.rel_tol):
             converged = block
             break
-    rho = unvectorize(state, d) if mode == "vec" else state
-    return rho, averages, converged, times, samples
+    return unvectorize(state, d), averages, converged, times, samples
 
 
 def steady_state_averaged(
@@ -642,9 +618,10 @@ def steady_state_averaged(
     :class:`ConvergenceError` carrying the block averages when
     ``max_blocks`` is exhausted.
 
-    With ``compiled=True`` (and a generator small enough to materialize)
-    the blocks are advanced with a precomputed dense map over one drive
-    period; block and window lengths are then snapped to whole periods.
+    With ``compiled=True`` the blocks are advanced with a precomputed dense
+    map over one drive period; block and window lengths are then snapped to
+    whole periods.  ``compiled=False``, or drives without a common period,
+    steps the integrator directly.
     """
     if observable is None:
         raise ValueError("steady_state_averaged needs a current observable")
@@ -664,16 +641,14 @@ def steady_state_averaged(
             )
 
     dt_eff = dt if dt is not None else stability_limited_dt(generator)
-    use_compiled = compiled and generator.dim <= SUPEROP_MATERIALIZE_DIM
     grid = None
-    if use_compiled:
+    if compiled:
         try:
             grid = _unit_grid(generator, protocol, dt)
         except ValueError as err:
             logger.warning("falling back to stepping protocol: %s", err)
-            use_compiled = False
 
-    if use_compiled:
+    if grid is not None:
         u, transform, averages, converged, times, samples = _compiled_protocol(
             generator, rho0, protocol, observable, grid, trajectory_points_per_block
         )
@@ -683,11 +658,6 @@ def steady_state_averaged(
         window_eff = grid.window_units * grid.duration
         dt_used = grid.dt
     else:
-        if generator.dim > SUPEROP_MATERIALIZE_DIM:
-            logger.warning(
-                "generator dim %d exceeds the materialization limit; stepping directly "
-                "(this can be very slow)", generator.dim,
-            )
         rho, averages, converged, times, samples = _stepping_protocol(
             generator, rho0, protocol, observable, dt_eff, trajectory_points_per_block
         )

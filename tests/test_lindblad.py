@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,8 @@ from heatrect.spaces import (
     SparseOperator,
     lowering_op,
 )
-from heatrect.steady import steady_state_direct
+from heatrect.observables import net_bath_current_functional
+from heatrect.steady import evolve, steady_state_averaged, steady_state_direct
 
 
 def random_density(rng, d):
@@ -42,6 +45,28 @@ def random_operator(rng, layout):
 def dense_lindblad_term(a, rho):
     ad = a.conj().T
     return a @ rho @ ad - 0.5 * (ad @ a @ rho + rho @ ad @ a)
+
+
+def generator_action(gen, rho, t=0.0):
+    """d(rho)/dt through the materialized superoperators: (L0 + sum cos(nu t) L_nu) vec(rho)."""
+    v = vectorize(rho)
+    out = gen.static_superop @ v
+    for nu, s in gen.drive_superops:
+        out = out + math.cos(nu * t) * (s @ v)
+    return unvectorize(out, gen.dim)
+
+
+def dense_generator_action(gen, rho, t):
+    """-i[H(t), rho] + sum w (A rho A† - {A†A, rho}/2), written out with dense matrices."""
+    out = np.zeros_like(rho, dtype=complex)
+    if gen.hamiltonian is not None:
+        h = gen.hamiltonian.static_part.to_dense()
+        for nu, v in gen.hamiltonian.drive_terms:
+            h = h + math.cos(nu * t) * v.to_dense()
+        out += -1j * (h @ rho - rho @ h)
+    for weight, op in gen.jumps:
+        out += weight * dense_lindblad_term(op.to_dense(), rho)
+    return out
 
 
 def test_dissipator_two_level_example():
@@ -189,7 +214,7 @@ def test_generator_preserves_hermiticity_and_trace_pointwise():
     for gen in _generators_for_property_tests():
         rho = random_density(rng, gen.dim)
         for t in (0.0, 0.37):
-            out = gen.apply(rho, t)
+            out = generator_action(gen, rho, t)
             assert np.max(np.abs(out - out.conj().T)) < 1e-10
             assert abs(np.trace(out)) < 1e-10
 
@@ -197,15 +222,13 @@ def test_generator_preserves_hermiticity_and_trace_pointwise():
 def test_generator_action_matches_materialized_superoperator():
     rng = np.random.default_rng(31)
     for gen in _generators_for_property_tests():
-        if gen.dim > 81:
-            continue
         d = gen.dim
         arbitrary = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         for rho in (random_density(rng, d), arbitrary):
             for t in (0.0, 0.61):
-                via_action = vectorize(gen.apply(rho, t))
-                via_matrix = gen.superop_at(t) @ vectorize(rho)
-                np.testing.assert_allclose(via_action, via_matrix, atol=1e-12)
+                np.testing.assert_allclose(
+                    generator_action(gen, rho, t), dense_generator_action(gen, rho, t), atol=1e-12
+                )
 
 
 def test_parallel_generator_acts_factor_by_factor():
@@ -224,10 +247,10 @@ def test_parallel_generator_acts_factor_by_factor():
     rng = np.random.default_rng(4)
     rho_a, rho_b = random_density(rng, 3), random_density(rng, 3)
     product = np.kron(rho_a, rho_b)
-    left = one_qutrit("D1").apply(rho_a)
-    right = one_qutrit("D2").apply(rho_b)
+    left = generator_action(one_qutrit("D1"), rho_a)
+    right = generator_action(one_qutrit("D2"), rho_b)
     expected = np.kron(left, rho_b) + np.kron(rho_a, right)
-    np.testing.assert_allclose(gen.apply(product), expected, atol=1e-13)
+    np.testing.assert_allclose(generator_action(gen, product), expected, atol=1e-13)
 
 
 def test_bridge_generator_factorizes_over_halves():
@@ -239,8 +262,9 @@ def test_bridge_generator_factorizes_over_halves():
     rho_l = random_density(rng, lower.dim)
     product = np.kron(rho_u, rho_l)
     for t in (0.0, 0.19):
-        expected = np.kron(upper.apply(rho_u, t), rho_l) + np.kron(rho_u, lower.apply(rho_l, t))
-        np.testing.assert_allclose(full.apply(product, t), expected, atol=1e-12)
+        expected = (np.kron(generator_action(upper, rho_u, t), rho_l)
+                    + np.kron(rho_u, generator_action(lower, rho_l, t)))
+        np.testing.assert_allclose(generator_action(full, product, t), expected, atol=1e-12)
 
 
 def test_bridge_rate_mode_changes_only_d2():
@@ -272,8 +296,18 @@ def test_full_bridge_superoperator_is_not_materialized():
     spec = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=8)
     gen = build_generator(spec)
     assert gen.dim == 5184
-    with pytest.raises(ValueError, match="matrix-free"):
+    refused = "refusing to materialize"
+    with pytest.raises(ValueError, match=refused):
         _ = gen.static_superop
+    with pytest.raises(ValueError, match=refused):
+        _ = gen.drive_superops
+    rho0 = DensityMatrix.ground_state(gen.layout)
+    with pytest.raises(ValueError, match=refused):
+        evolve(gen, rho0, 0.0, 1e-3)
+    obs = net_bath_current_functional(gen.layout, ["D4"], bridge_rate_tables(spec))
+    for compiled in (True, False):
+        with pytest.raises(ValueError, match=refused):
+            steady_state_averaged(gen, rho0, observable=obs, compiled=compiled)
 
 
 def test_single_diode_equilibrium_state_is_stationary():
@@ -288,7 +322,7 @@ def test_single_diode_equilibrium_state_is_stationary():
         modes.append(np.diag(g / g.sum()).astype(complex))
     rho = DensityMatrix.from_mode_states(gen.layout, modes)
     for t in (0.0, 0.83):
-        assert np.max(np.abs(gen.apply(rho.data, t))) < 1e-12
+        assert np.max(np.abs(generator_action(gen, rho.data, t))) < 1e-12
 
 
 def test_transition_op_and_jump_terms():

@@ -85,6 +85,26 @@ def test_config_errors_carry_key_paths():
         validate_config({"name": "single-diode-validation", "circuit": {"ho_truncation": 5}})
     with pytest.raises(ConfigError, match="protocol"):
         validate_config(tiny_parallel_config(protocol={"rel_tol": -1.0}))
+    with pytest.raises(ConfigError, match=r"circuit\.Gamma"):
+        validate_config(tiny_parallel_config(circuit={"Gamma": "10"}))
+    with pytest.raises(ConfigError, match=r"circuit\.Gamma"):
+        validate_config(tiny_parallel_config(circuit={"Gamma": -1}))
+    with pytest.raises(ConfigError, match=r"circuit\.J:"):
+        validate_config(tiny_parallel_config(circuit={"J": True}))
+    with pytest.raises(ConfigError, match=r"circuit\.J_prime"):
+        validate_config(tiny_parallel_config(circuit={"J_prime": -0.5}))
+    with pytest.raises(ConfigError, match=r"circuit\.gamma_dec"):
+        validate_config(tiny_parallel_config(circuit={"gamma_dec": math.nan}))
+    with pytest.raises(ConfigError, match="^circuit: need a JSON object"):
+        validate_config(tiny_parallel_config(circuit=[]))
+    with pytest.raises(ConfigError, match="^protocol: need a JSON object"):
+        validate_config(tiny_parallel_config(protocol=0))
+    with pytest.raises(ConfigError, match=r"protocol\.max_blocks"):
+        validate_config(tiny_parallel_config(protocol={"max_blocks": 2.5}))
+    with pytest.raises(ConfigError, match=r"protocol\.block_length"):
+        validate_config(tiny_parallel_config(protocol={"block_length": math.inf}))
+    with pytest.raises(ConfigError, match=r"protocol\.bogus"):
+        validate_config(tiny_parallel_config(protocol={"bogus": 1.0}))
     with pytest.raises(ConfigError, match="no such config"):
         load_config("does-not-exist.json")
 
@@ -191,9 +211,26 @@ def test_convergence_study_writes_trajectories(tmp_path):
         "trajectory_bridge-lower_reverse.csv",
     ):
         assert (tmp_path / name).exists(), name
+    assert sorted(result.files) == sorted([
+        "convergence-study.csv", "metadata.json",
+        "trajectory_series_forward.csv", "trajectory_series_reverse.csv",
+        "trajectory_bridge-lower_forward.csv", "trajectory_bridge-lower_reverse.csv",
+    ])
     # block indices are contiguous from zero for each run
     series_fwd = [r for r in result.rows if r["circuit"] == "series" and r["bias"] == "forward"]
     assert [r["block_index"] for r in series_fwd] == list(range(len(series_fwd)))
+
+
+def test_files_list_only_what_the_run_wrote(tmp_path):
+    stale = tmp_path / "trajectory_series_forward.csv"
+    stale.write_text("time,emission_current\n")
+    cfg = {"name": "convergence-study", "circuit": {"ho_truncation": 2},
+           "protocol": FAST_PROTOCOL, "trajectory_points_per_block": None}
+    result = run_scenario(cfg, out_dir=tmp_path)
+    assert result.files == ["convergence-study.csv", "metadata.json"]
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["files"] == ["convergence-study.csv"]
+    assert stale.read_text() == "time,emission_current\n"
 
 
 def test_single_diode_validation_report():
