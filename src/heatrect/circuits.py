@@ -97,9 +97,6 @@ class BathParams:
             return self.occupation
         return bose_occupation(1.0 / self.temperature)
 
-    def with_occupation(self, n: float) -> "BathParams":
-        return BathParams(Gamma=self.Gamma, occupation=n)
-
 
 class Topology(str, enum.Enum):
     SINGLE_DIODE = "single-diode"
@@ -197,17 +194,6 @@ class CircuitSpec:
             gamma_dec=gamma_dec,
             ho_truncation=ho_truncation,
             bridge_rate_mode=RateMode(bridge_rate_mode),
-        )
-
-    def with_bias(self, n_left: float, n_right: float) -> "CircuitSpec":
-        return CircuitSpec(
-            topology=self.topology,
-            diodes=self.diodes,
-            left_bath=self.left_bath.with_occupation(n_left),
-            right_bath=self.right_bath.with_occupation(n_right),
-            gamma_dec=self.gamma_dec,
-            ho_truncation=self.ho_truncation,
-            bridge_rate_mode=self.bridge_rate_mode,
         )
 
     def to_dict(self) -> dict:

@@ -523,31 +523,29 @@ def _section(cfg: dict, key: str) -> dict:
     return raw
 
 
-def _pair(raw, path: str, shape: str = "[lo, hi]") -> tuple[float, float]:
-    try:
-        lo, hi = (float(x) for x in raw)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(path, f"need {shape} ({err})") from err
-    return lo, hi
+def _pair(raw, path: str, shape: str = "[lo, hi]", positive: bool = True) -> tuple[float, float]:
+    """Two ``_real`` values, both positive (or, if not ``positive``, nonnegative)."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ConfigError(path, f"need {shape}, got {raw!r}")
+    return _real(raw[0], path, positive), _real(raw[1], path, positive)
 
 
-def _axis_values(raw, path: str) -> list[float]:
+def _axis_values(raw, path: str, positive: bool) -> list[float]:
+    """An axis grid of ``_real`` values: an explicit list, or ``points``
+    over a ``range`` or ``log_range``."""
     if isinstance(raw, (list, tuple)):
         if not raw:
             raise ConfigError(path, "axis grid is empty")
-        try:
-            return [float(x) for x in raw]
-        except (TypeError, ValueError) as err:
-            raise ConfigError(path, f"axis entries must be numbers ({err})") from err
+        return [_real(x, path, positive) for x in raw]
     if isinstance(raw, dict):
         points = _positive_int(raw.get("points"), f"{path}.points")
         if "log_range" in raw:
-            lo, hi = _pair(raw["log_range"], f"{path}.log_range")
+            lo, hi = _pair(raw["log_range"], f"{path}.log_range", positive=positive)
             if not 0 < lo < hi:
                 raise ConfigError(f"{path}.log_range", "need 0 < lo < hi")
             return _log_grid(lo, hi, points)
         if "range" in raw:
-            lo, hi = _pair(raw["range"], f"{path}.range")
+            lo, hi = _pair(raw["range"], f"{path}.range", positive=positive)
             return [float(x) for x in np.linspace(lo, hi, points)]
         raise ConfigError(path, "axis dict needs 'log_range' or 'range'")
     raise ConfigError(path, f"cannot interpret axis value {raw!r}")
@@ -613,7 +611,8 @@ def validate_config(cfg: dict) -> ResolvedConfig:
         if key not in scenario.axes:
             raise ConfigError(f"axes.{key}", f"scenario {name!r} supports axes {sorted(scenario.axes)}")
     # declared order, whatever the config's key order: it fixes the row order
-    axes = {key: _axis_values(axes_cfg.get(key, default), f"axes.{key}")
+    axes = {key: _axis_values(axes_cfg.get(key, default), f"axes.{key}",
+                              _CIRCUIT_REALS.get(key, True))
             for key, default in scenario.axes.items()}
 
     biases: dict[str, BiasSetting] = {}
@@ -624,7 +623,8 @@ def validate_config(cfg: dict) -> ResolvedConfig:
             t_left, t_right = _pair(raw, f"bias.{label}", "[T_left, T_right]")
             biases[label] = BiasSetting.from_temperatures("forward", t_left, t_right)
         else:
-            biases[label] = BiasSetting(label, *_pair(raw, f"bias.{label}", "[n_left, n_right]"))
+            n_left, n_right = _pair(raw, f"bias.{label}", "[n_left, n_right]", positive=False)
+            biases[label] = BiasSetting(label, n_left, n_right)
 
     plot = cfg.get("plot", False)
     if not isinstance(plot, bool):

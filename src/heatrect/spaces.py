@@ -128,9 +128,6 @@ class SparseOperator:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    def dag(self) -> "SparseOperator":
-        return SparseOperator(self.layout, _canonical_csr(self.matrix.conj().T))
-
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 

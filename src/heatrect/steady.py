@@ -9,16 +9,15 @@ state is evolved in blocks of length T, after each block the observable is
 averaged over the trailing window T_av, and the run stops once the
 relative change of consecutive block averages falls below the threshold.
 
-The protocol is integrated with a fixed-step classical 4th-order scheme.
-For periodic drives the block and window lengths are snapped to integer
-multiples of the drive period so the one-period integrator map can be
-composed exactly (repeated squaring of the dense period map in a real
-Hermitian operator basis); this reproduces the plain step-by-step
-integration bit-for-bit up to float reassociation, at a tiny fraction of
-the cost.  A plain stepping path is kept as the fallback for
-incommensurate drives and as an independent check.  Both act through the
-generator's sparse superoperators, so a generator above
-``SUPEROP_MATERIALIZE_DIM`` raises ``ValueError``.
+Both ``evolve`` and the protocol integrate with a fixed-step classical
+4th-order scheme.  The protocol composes the one-period integrator map:
+block and window lengths are snapped to whole periods of the lowest drive
+frequency, the dense period map is built once in a real Hermitian
+operator basis, and repeated squaring gives the block map.  Every drive
+frequency must be an integer multiple of the lowest one, or the protocol
+raises ``ValueError``.  Both routes act through the generator's sparse
+superoperators, so a generator above ``SUPEROP_MATERIALIZE_DIM`` raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -155,11 +154,10 @@ def _rk4_step(rhs, state: np.ndarray, t: float, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _make_rhs(generator: Liouvillian):
-    """Right-hand side d vec(rho)/dt = L0 vec(rho) + sum cos(nu t) L_nu vec(rho)
-    on the sparse superoperators."""
-    static = generator.static_superop
-    drives = generator.drive_superops
+def _make_rhs(static: sp.csr_array, drives: tuple[tuple[float, sp.csr_array], ...]):
+    """Right-hand side d v/dt = L0 v + sum cos(nu t) L_nu v for the sparse
+    superoperators L0 = ``static`` and (nu, L_nu) in ``drives``; v may be a
+    state vector or a matrix of them."""
 
     def rhs(v, t):
         out = static @ v
@@ -168,6 +166,21 @@ def _make_rhs(generator: Liouvillian):
         return out
 
     return rhs
+
+
+def _resolved_dt(generator: Liouvillian, dt: float | None) -> float:
+    """The explicit step, checked to be positive and to resolve the fastest
+    drive (at least 20 steps per period), or ``stability_limited_dt``."""
+    if dt is None:
+        return stability_limited_dt(generator)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    limit = drive_limited_dt(generator.drive_frequencies, default=math.inf)
+    if dt > limit * (1.0 + 1e-12):
+        raise ValueError(
+            f"dt = {dt} does not resolve the fastest drive; need dt <= {limit:.6g}"
+        )
+    return dt
 
 
 def evolve(
@@ -187,21 +200,13 @@ def evolve(
         raise ValueError("initial state layout does not match generator layout")
     if t1 < t0:
         raise ValueError(f"t1 = {t1} must not precede t0 = {t0}")
-    limit = drive_limited_dt(generator.drive_frequencies, default=math.inf)
-    if dt is None:
-        dt = stability_limited_dt(generator)
-    elif dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    elif dt > limit * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt = {dt} does not resolve the fastest drive; need dt <= {limit:.6g}"
-        )
+    dt = _resolved_dt(generator, dt)
     if t1 == t0:
         return rho0.copy()
 
     n_steps = max(1, math.ceil((t1 - t0) / dt))
     h = (t1 - t0) / n_steps
-    rhs = _make_rhs(generator)
+    rhs = _make_rhs(generator.static_superop, generator.drive_superops)
     state = rho0.vec()
     for k in range(n_steps):
         state = _rk4_step(rhs, state, t0 + k * h, h)
@@ -369,22 +374,24 @@ class _UnitGrid:
     window_units: int
 
 
-def _unit_grid(generator: Liouvillian, protocol: ConvergenceProtocol, dt: float | None) -> _UnitGrid:
+def _unit_grid(generator: Liouvillian, protocol: ConvergenceProtocol, dt: float) -> _UnitGrid:
     freqs = sorted(set(generator.drive_frequencies))
-    base_dt = dt if dt is not None else stability_limited_dt(generator)
     if freqs:
         base = freqs[0]
         ratios = [f / base for f in freqs]
         if any(abs(r - round(r)) > 1e-9 for r in ratios):
-            raise ValueError(f"drive frequencies {freqs} are not commensurate")
+            raise ValueError(
+                f"drive frequencies {freqs} are not integer multiples of the "
+                f"lowest drive frequency {base}"
+            )
         period = 2.0 * math.pi / base
         n_steps = max(
-            math.ceil(period / base_dt - 1e-12),
+            math.ceil(period / dt - 1e-12),
             DRIVE_STEPS_PER_PERIOD * int(round(max(ratios))),
         )
         duration = period
     else:
-        duration = base_dt
+        duration = dt
         n_steps = 1
     units_per_block = max(1, round(protocol.block_length / duration))
     window_units = min(units_per_block, max(1, round(protocol.average_window / duration)))
@@ -403,27 +410,15 @@ def _build_unit_map(
     at drive phase zero, which block boundaries always hit) and accumulates
     the trapezoid average of the observable over the unit.
     """
-    d2 = l0.shape[0]
     h = grid.dt
-
-    def rhs(t: float, m: np.ndarray) -> np.ndarray:
-        out = l0 @ m
-        for nu, l1 in drives:
-            out += math.cos(nu * t) * (l1 @ m)
-        return out
-
-    unit = np.eye(d2)
+    rhs = _make_rhs(l0, drives)
+    unit = np.eye(l0.shape[0])
     weights = np.full(grid.n_steps + 1, 1.0 / grid.n_steps)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     c_avg = weights[0] * c_row.copy()
     for k in range(grid.n_steps):
-        t = k * h
-        k1 = rhs(t, unit)
-        k2 = rhs(t + 0.5 * h, unit + (0.5 * h) * k1)
-        k3 = rhs(t + 0.5 * h, unit + (0.5 * h) * k2)
-        k4 = rhs(t + h, unit + h * k3)
-        unit += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        unit = _rk4_step(rhs, unit, k * h, h)
         c_avg += weights[k + 1] * (c_row @ unit)
     if not np.all(np.isfinite(unit)):
         raise ArithmeticError("unit propagator is non-finite; decrease dt")
@@ -525,7 +520,7 @@ def _compiled_protocol(
             u = u / trace
         if converged is not None:
             break
-    return u, transform, averages, converged, times, samples
+    return _complex_state(transform, u, d), averages, converged, times, samples
 
 
 def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
@@ -544,61 +539,6 @@ def _stop(prev: float, current: float, rel_tol: float) -> bool:
     return abs(current - prev) <= rel_tol * max(abs(prev), CONVERGENCE_ABS_FLOOR)
 
 
-def _stepping_protocol(
-    generator: Liouvillian,
-    rho0: DensityMatrix,
-    protocol: ConvergenceProtocol,
-    observable: CurrentFunctional,
-    dt: float,
-    trajectory_points_per_block: int | None,
-):
-    """Plain step-by-step version of the protocol (fallback and cross-check)."""
-    steps_per_block = max(1, round(protocol.block_length / dt))
-    h = protocol.block_length / steps_per_block
-    window_steps = min(steps_per_block, max(1, round(protocol.average_window / h)))
-    window_start = steps_per_block - window_steps
-    sample_stride = None
-    if trajectory_points_per_block:
-        sample_stride = max(1, steps_per_block // int(trajectory_points_per_block))
-
-    d = generator.dim
-    rhs = _make_rhs(generator)
-    state = rho0.vec()
-    w_row = vectorize(observable.observable.to_dense().T)
-
-    def value(s: np.ndarray) -> float:
-        return float(np.real(w_row @ s))
-
-    averages: list[float] = []
-    times: list[float] = []
-    samples: list[float] = []
-    converged = None
-
-    for block in range(protocol.max_blocks):
-        t_block = block * protocol.block_length
-        acc = 0.0
-        for k in range(steps_per_block):
-            if k >= window_start:
-                weight = 0.5 if k == window_start else 1.0
-                acc += weight * value(state)
-            state = _rk4_step(rhs, state, t_block + k * h, h)
-            if sample_stride and (k + 1) % sample_stride == 0:
-                times.append(t_block + (k + 1) * h)
-                samples.append(value(state))
-        acc += 0.5 * value(state)
-        averages.append(acc / window_steps)
-        if not np.all(np.isfinite(state)):
-            raise ArithmeticError(f"state became non-finite in block {block}")
-        trace = float(np.real(state[:: d + 1].sum()))
-        if abs(trace - 1.0) > TRACE_DRIFT_TOL:
-            logger.info("trace drift %.3e at block %d; renormalizing", trace - 1.0, block)
-            state /= trace
-        if block >= 1 and _stop(averages[-2], averages[-1], protocol.rel_tol):
-            converged = block
-            break
-    return unvectorize(state, d), averages, converged, times, samples
-
-
 def steady_state_averaged(
     generator: Liouvillian,
     rho0: DensityMatrix | None = None,
@@ -606,7 +546,6 @@ def steady_state_averaged(
     observable: CurrentFunctional | None = None,
     *,
     dt: float | None = None,
-    compiled: bool = True,
     trajectory_points_per_block: int | None = None,
 ) -> EvolutionResult:
     """Windowed-average steady state of a (possibly driven) generator.
@@ -618,10 +557,13 @@ def steady_state_averaged(
     :class:`ConvergenceError` carrying the block averages when
     ``max_blocks`` is exhausted.
 
-    With ``compiled=True`` the blocks are advanced with a precomputed dense
-    map over one drive period; block and window lengths are then snapped to
-    whole periods.  ``compiled=False``, or drives without a common period,
-    steps the integrator directly.
+    The blocks are advanced with a precomputed dense map over one period of
+    the lowest drive frequency (over one step ``dt`` without drives), and
+    block and window lengths are snapped to whole periods.  Every drive
+    frequency must be an integer multiple of the lowest one; otherwise
+    ``ValueError`` is raised.  An explicit ``dt`` is checked as in
+    :func:`evolve`; the step used divides the period into whole steps, at
+    least 20 per period of the fastest drive.
     """
     if observable is None:
         raise ValueError("steady_state_averaged needs a current observable")
@@ -631,41 +573,10 @@ def steady_state_averaged(
         rho0 = DensityMatrix.ground_state(generator.layout)
     if rho0.layout != generator.layout:
         raise ValueError("initial state layout does not match generator layout")
-    if dt is not None:
-        limit = drive_limited_dt(generator.drive_frequencies, default=math.inf)
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if dt > limit * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt = {dt} does not resolve the fastest drive; need dt <= {limit:.6g}"
-            )
-
-    dt_eff = dt if dt is not None else stability_limited_dt(generator)
-    grid = None
-    if compiled:
-        try:
-            grid = _unit_grid(generator, protocol, dt)
-        except ValueError as err:
-            logger.warning("falling back to stepping protocol: %s", err)
-
-    if grid is not None:
-        u, transform, averages, converged, times, samples = _compiled_protocol(
-            generator, rho0, protocol, observable, grid, trajectory_points_per_block
-        )
-        rho = _complex_state(transform, u, generator.dim)
-        method = "compiled-block-map"
-        block_eff = grid.units_per_block * grid.duration
-        window_eff = grid.window_units * grid.duration
-        dt_used = grid.dt
-    else:
-        rho, averages, converged, times, samples = _stepping_protocol(
-            generator, rho0, protocol, observable, dt_eff, trajectory_points_per_block
-        )
-        method = "stepping"
-        steps_per_block = max(1, round(protocol.block_length / dt_eff))
-        dt_used = protocol.block_length / steps_per_block
-        block_eff = protocol.block_length
-        window_eff = min(steps_per_block, max(1, round(protocol.average_window / dt_used))) * dt_used
+    grid = _unit_grid(generator, protocol, _resolved_dt(generator, dt))
+    rho, averages, converged, times, samples = _compiled_protocol(
+        generator, rho0, protocol, observable, grid, trajectory_points_per_block
+    )
 
     if converged is None:
         raise ConvergenceError(
@@ -693,9 +604,9 @@ def steady_state_averaged(
         blocks_used=converged + 1,
         block_averages=averages,
         observable_name=observable.name,
-        method=method,
-        block_length_effective=block_eff,
-        window_effective=window_eff,
-        dt=dt_used,
+        method="compiled-block-map",
+        block_length_effective=grid.units_per_block * grid.duration,
+        window_effective=grid.window_units * grid.duration,
+        dt=grid.dt,
         trajectory=trajectory,
     )

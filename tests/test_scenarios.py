@@ -105,6 +105,26 @@ def test_config_errors_carry_key_paths():
         validate_config(tiny_parallel_config(protocol={"block_length": math.inf}))
     with pytest.raises(ConfigError, match=r"protocol\.bogus"):
         validate_config(tiny_parallel_config(protocol={"bogus": 1.0}))
+    # bias entries: occupations finite and nonnegative, temperatures finite and positive
+    for bias in ({"forward": [True, 0.0]}, {"forward": [0.5, "0.5"]},
+                 {"reverse": [-0.5, 0.0]}, {"forward": [0.5, math.inf]}):
+        label = next(iter(bias))
+        with pytest.raises(ConfigError, match=rf"^bias\.{label}: need a finite nonnegative"):
+            validate_config(tiny_parallel_config(bias=bias))
+    for temperatures in ([0, 0.1], [-1, 0.1], [1.0, math.nan], [1.0, "0.1"], [1.0]):
+        with pytest.raises(ConfigError, match=r"^bias\.temperatures"):
+            validate_config({"name": "bridge-anharmonicity", "bias": {"temperatures": temperatures}})
+    # axis entries and range bounds: anharmonicities positive, gamma_dec nonnegative
+    for values in (["300", True], [math.nan], [-300.0], [0.0]):
+        with pytest.raises(ConfigError, match=r"^axes\.delta_omega_d1: need a finite positive"):
+            validate_config(tiny_parallel_config(axes={"delta_omega_d1": values}))
+    with pytest.raises(ConfigError, match=r"^axes\.delta_omega_d2\.range: need a finite positive"):
+        validate_config(tiny_parallel_config(
+            axes={"delta_omega_d2": {"range": [-300, 100], "points": 3}}))
+    with pytest.raises(ConfigError, match=r"^axes\.gamma_dec: need a finite nonnegative"):
+        validate_config({"name": "bridge-decoherence", "axes": {"gamma_dec": [-1e-3]}})
+    assert validate_config(
+        {"name": "bridge-decoherence", "axes": {"gamma_dec": [0, 1e-3]}}).axes["gamma_dec"] == [0.0, 1e-3]
     with pytest.raises(ConfigError, match="no such config"):
         load_config("does-not-exist.json")
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatrect.circuits import CircuitSpec, DiodeParams
+from heatrect.circuits import CircuitSpec, DiodeParams, TimeDependentOperator
 from heatrect.lindblad import (
     Liouvillian,
     RateTable,
@@ -145,8 +145,6 @@ def test_direct_rejects_driven_generator():
 
 
 def coherent_generator(h: np.ndarray) -> Liouvillian:
-    from heatrect.circuits import TimeDependentOperator
-
     layout = SpaceLayout.of(("A", HarmonicOscillator(h.shape[0])))
     return Liouvillian(layout, TimeDependentOperator(SparseOperator.wrap(layout, h)), ())
 
@@ -200,21 +198,61 @@ def test_averaged_synthetic_exponential_observable():
     assert res.converged_value == pytest.approx(1.0, abs=1e-12)
 
 
+def stepped_protocol_reference(gen, protocol, obs, h, period):
+    """The windowed-average protocol by one ``evolve`` step at a time.
+
+    Each step starts at its drive-phase-local time (t mod period), as every
+    unit of the compiled map does; the window is averaged with the trapezoid
+    rule.  ``dt`` sits a hair above ``h`` so that ``evolve`` takes exactly
+    one step.  Returns the converged block, its average and the state after it.
+    """
+    steps_per_period = round(period / h)
+    steps_per_block = round(protocol.block_length / period) * steps_per_period
+    window_steps = round(protocol.average_window / period) * steps_per_period
+    rho = DensityMatrix.ground_state(gen.layout)
+    averages = []
+    for block in range(protocol.max_blocks):
+        values = []
+        for k in range(steps_per_block):
+            if k >= steps_per_block - window_steps:
+                values.append(obs.value(rho))
+            t = (k % steps_per_period) * h
+            rho = evolve(gen, rho, t, t + h, dt=h * (1.0 + 1e-13))
+        values.append(obs.value(rho))
+        averages.append((sum(values) - 0.5 * (values[0] + values[-1])) / window_steps)
+        if block >= 1 and abs(averages[-1] - averages[-2]) <= protocol.rel_tol * max(
+            abs(averages[-2]), 1e-8
+        ):
+            return block, averages[-1], rho
+    raise AssertionError("reference protocol did not converge")
+
+
 def test_averaged_compiled_matches_stepping():
-    _, gen = series_generator()
+    spec, gen = series_generator()
     protocol = ConvergenceProtocol(
         block_length=95 * T_DRIVE, average_window=20 * T_DRIVE, rel_tol=0.05, max_blocks=30
     )
-    spec, _ = series_generator()
     tables = {"D2": qutrit_rate_table(spec.diodes["D2"], 0.0, 10.0, modulated=False)}
     obs = emission_current_functional(gen.layout, ["D2"], tables)
-    compiled = steady_state_averaged(gen, protocol=protocol, observable=obs, compiled=True)
-    stepping = steady_state_averaged(gen, protocol=protocol, observable=obs, compiled=False)
+    compiled = steady_state_averaged(gen, protocol=protocol, observable=obs)
     assert compiled.method == "compiled-block-map"
-    assert stepping.method == "stepping"
-    assert compiled.converged_block == stepping.converged_block
-    assert compiled.converged_value == pytest.approx(stepping.converged_value, abs=1e-12)
-    assert np.max(np.abs(compiled.final_state.data - stepping.final_state.data)) < 1e-10
+    block, value, state = stepped_protocol_reference(gen, protocol, obs, compiled.dt, T_DRIVE)
+    assert compiled.converged_block == block
+    assert compiled.converged_value == pytest.approx(value, abs=1e-12)
+    assert np.max(np.abs(compiled.final_state.data - state.data)) < 1e-10
+
+
+def test_averaged_rejects_drives_that_are_not_integer_multiples():
+    # a qutrit driven at 300 and 450: commensurate, but 450 is not an integer
+    # multiple of 300, so no one-period map of the lowest drive exists
+    layout = SpaceLayout.of(("D1", Qutrit()))
+    drive = projector(layout, "D1", 1)
+    hamiltonian = TimeDependentOperator(projector(layout, "D1", 2), ((300.0, drive), (450.0, drive)))
+    gen = Liouvillian(layout, hamiltonian, ((1.0, lowering_op(layout, "D1")),))
+    obs = CurrentFunctional("p1", projector(layout, "D1", 1))
+    protocol = ConvergenceProtocol(block_length=1.0, average_window=0.5, max_blocks=2)
+    with pytest.raises(ValueError, match="not integer multiples of the lowest drive frequency"):
+        steady_state_averaged(gen, protocol=protocol, observable=obs)
 
 
 def test_averaged_nonconvergence_carries_last_averages():
