@@ -128,14 +128,17 @@ class _Averaged:
         return self.state is not None
 
 
-def _averaged(generator, observable, protocol: ConvergenceProtocol,
+def _averaged(out: _Output | None, generator, observable, protocol: ConvergenceProtocol,
               trajectory_points_per_block: int | None = None) -> _Averaged:
-    """``steady_state_averaged``, with non-convergence returned as a flagged run."""
+    """``steady_state_averaged``, with non-convergence returned as a flagged run;
+    ``out`` (when given) records the block dimension of a converged run."""
     try:
         res = steady_state_averaged(generator, protocol=protocol, observable=observable,
                                     trajectory_points_per_block=trajectory_points_per_block)
     except ConvergenceError as err:
         return _Averaged(err.last_averages[-1], -1, protocol.max_blocks, None, err.block_averages)
+    if out is not None:
+        out.block_dims.add(res.block_dim)
     return _Averaged(res.converged_value, res.converged_block, res.blocks_used, res.final_state,
                      res.block_averages, res.method, res.trajectory)
 
@@ -189,7 +192,7 @@ def _series_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
     runs = {}
     for bias in ("forward", "reverse"):
         gen, obs, sign = _series_setup(resolved, bias, delta_omega_d1, delta_omega_d2)
-        run = runs[bias] = _averaged(gen, obs, resolved.protocol)
+        run = runs[bias] = _averaged(out, gen, obs, resolved.protocol)
         row[f"current_{bias}"] = sign * run.value
         row[f"converged_block_{bias}"] = run.converged_block
         row[f"blocks_{bias}"] = run.blocks_used
@@ -233,7 +236,7 @@ def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
         upper.layout, ["D2"], tables
     ).value(rho_upper)
 
-    run = _averaged(lower, net_bath_current_functional(lower.layout, ["D4"], tables),
+    run = _averaged(out, lower, net_bath_current_functional(lower.layout, ["D4"], tables),
                     resolved.protocol)
     row["current_lower_right"] = run.value
     row["converged_block"] = run.converged_block
@@ -272,7 +275,8 @@ def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
         _, gen = build_bridge_half_generators(spec)
         obs = net_bath_current_functional(gen.layout, ["D4"], bridge_rate_tables(spec))
         sign = 1.0
-    run = _averaged(gen, obs, resolved.protocol, resolved.extras["trajectory_points_per_block"])
+    run = _averaged(out, gen, obs, resolved.protocol,
+                    resolved.extras["trajectory_points_per_block"])
     rows = [{
         "circuit": circuit,
         "bias": bias,
@@ -302,7 +306,7 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
     gamma = resolved.circuit["Gamma"]
     spec = _spec_for(resolved.circuit, "single-diode", setting, delta_omega)
     gen = build_generator(spec)
-    run = _averaged(gen, bath_exchange_functional(gen.layout, "R", spec.right_bath),
+    run = _averaged(out, gen, bath_exchange_functional(gen.layout, "R", spec.right_bath),
                     resolved.protocol)
     full_current = -run.value  # positive when flowing into the right bath
 
@@ -695,10 +699,12 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]):
 
 @dataclass
 class _Output:
-    """Output directory of one run and the side files the run wrote into it."""
+    """Output directory of one run, the side files the run wrote into it and
+    the block dimensions its windowed averages ran on."""
 
     path: Path
     files: list[str] = field(default_factory=list)
+    block_dims: set[int] = field(default_factory=set)
 
     def write_csv(self, name: str, columns: list[str], rows: list[dict]):
         _write_csv(self.path / name, columns, rows)
@@ -773,6 +779,7 @@ def run_scenario(
         ),
         "row_count": len(rows),
         "flagged_rows": flagged,
+        "block_dims": sorted(out.block_dims),
         "started": started,
         "runtime_seconds": round(time.perf_counter() - t0, 3),
         "files": files,

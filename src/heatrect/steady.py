@@ -9,15 +9,25 @@ state is evolved in blocks of length T, after each block the observable is
 averaged over the trailing window T_av, and the run stops once the
 relative change of consecutive block averages falls below the threshold.
 
+Both steady-state routes work on the invariant block that carries the
+trace (``_trace_block``): the weakly connected components of the
+generator's sparsity pattern, static and drive superoperators together,
+that hold a diagonal entry of rho (and, for the protocol, an entry of the
+initial state).  No generator entry leaves that block.  Every generator
+here conserves the total excitation number up to a fixed shift per jump,
+so the block is its coherence-order-0 sector (544 of the 5184 entries of
+vec(rho) for a bridge half at N=8); a generator without such a symmetry
+gets the whole space through the same code.
+
 Both ``evolve`` and the protocol integrate with a fixed-step classical
 4th-order scheme.  The protocol composes the one-period integrator map:
 block and window lengths are snapped to whole periods of the lowest drive
 frequency, the dense period map is built once in a real Hermitian
-operator basis, and repeated squaring gives the block map.  Every drive
-frequency must be an integer multiple of the lowest one, or the protocol
-raises ``ValueError``.  Both routes act through the generator's sparse
-superoperators, so a generator above ``SUPEROP_MATERIALIZE_DIM`` raises
-``ValueError``.
+operator basis of the block, and repeated squaring gives the block map.
+Every drive frequency must be an integer multiple of the lowest one, or
+the protocol raises ``ValueError``.  Both routes act through the
+generator's sparse superoperators, so a generator above
+``SUPEROP_MATERIALIZE_DIM`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .lindblad import Liouvillian, unvectorize, vectorize
 from .observables import CurrentFunctional
@@ -98,6 +109,7 @@ class EvolutionResult:
     block_length_effective: float
     window_effective: float
     dt: float
+    block_dim: int  # real dimension of the invariant block the protocol ran on
     trajectory: Trajectory | None = None
 
 
@@ -233,6 +245,26 @@ def _trace_row(d: int) -> np.ndarray:
     return row
 
 
+def _trace_block(generator: Liouvillian, rho0: DensityMatrix | None = None) -> np.ndarray:
+    """Mask over vec(rho) of the invariant block that carries the trace.
+
+    The block is the union of the weakly connected components of the
+    sparsity pattern of the static and drive superoperators that hold a
+    diagonal index i + d*i or, with ``rho0``, an index in its support.  No
+    generator entry joins it to the rest of the space, so it is invariant
+    by construction; a generator without symmetry gets the whole space.
+    """
+    d = generator.dim
+    pattern = abs(generator.static_superop)
+    for _, s in generator.drive_superops:
+        pattern = pattern + abs(s)
+    _, labels = connected_components(pattern, directed=True, connection="weak")
+    seeds = np.arange(d) * (d + 1)
+    if rho0 is not None:
+        seeds = np.union1d(seeds, np.flatnonzero(rho0.vec()))
+    return np.isin(labels, labels[seeds])
+
+
 def _normalize_steady_vec(layout, L, v) -> DensityMatrix:
     d = layout.total_dim
     rho = unvectorize(v, d)
@@ -252,10 +284,15 @@ def _normalize_steady_vec(layout, L, v) -> DensityMatrix:
 def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     """Steady state of a time-independent generator via its null space.
 
-    Sparse LU solves the superoperator with the trace constraint in place
-    of its first row, and again in place of its last row.  A degenerate
-    stationary manifold makes a factor singular or the two solutions
-    disagree; either raises :class:`DegenerateSteadyStateError`.  Above
+    The solve runs on the invariant block that carries the trace
+    (``_trace_block``).  Sparse LU solves the block of the superoperator
+    with the trace constraint in place of its first row, and again in
+    place of its last row.  A degenerate stationary manifold within the
+    block makes a factor singular or the two solutions disagree; either
+    raises :class:`DegenerateSteadyStateError`.  Uniqueness is certified
+    only within that block: stationary coherences outside it carry no
+    trace and are not states.  The lifted state must pass a 1e-10 residual
+    check against the full superoperator.  Above
     ``SUPEROP_MATERIALIZE_DIM`` the superoperator is not built and
     ``ValueError`` is raised.
     """
@@ -263,13 +300,16 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
         raise ValueError("direct solve requires a generator without drive terms")
     d = generator.dim
     L = generator.static_superop
+    block = np.flatnonzero(_trace_block(generator))
+    lb = L[block][:, block]
+    n = len(block)
 
-    trace_row = _trace_row(d)
+    trace_row = _trace_row(d)[block]
     trace_sparse = sp.csr_array(trace_row[None, :])
-    slices = ((0, [trace_sparse, L[1:]]), (d * d - 1, [L[:-1], trace_sparse]))
+    slices = ((0, [trace_sparse, lb[1:]]), (n - 1, [lb[:-1], trace_sparse]))
     solutions = []
     for row, blocks in slices:
-        rhs = np.zeros(d * d, dtype=np.complex128)
+        rhs = np.zeros(n, dtype=np.complex128)
         rhs[row] = 1.0
         try:
             lu = spla.splu(sp.vstack(blocks, format="csr").tocsc())
@@ -285,42 +325,47 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
         raise DegenerateSteadyStateError(
             "two independent trace slices disagree; steady state is not unique"
         )
-    return _normalize_steady_vec(generator.layout, L, solutions[0])
+    v = np.zeros(d * d, dtype=np.complex128)
+    v[block] = solutions[0]
+    return _normalize_steady_vec(generator.layout, L, v)
 
 
 # ---------------------------------------------------------------------------
 # real Hermitian-basis representation
 # ---------------------------------------------------------------------------
 
-def hermitian_basis_transform(d: int) -> sp.csr_array:
-    """Unitary T mapping vec(rho) to real coordinates in a Hermitian basis.
+def hermitian_basis_transform(d: int, pairs: np.ndarray | None = None) -> sp.csr_array:
+    """Isometry T mapping vec(rho) to real coordinates in a Hermitian basis.
 
-    Basis order: the d diagonal projectors first, then for each pair k < l
-    the symmetric and antisymmetric (i-weighted) combinations, both
+    ``pairs`` is a symmetric d x d boolean mask of the entries (k, l) the
+    basis spans; by default every entry, which makes T unitary.  Basis
+    order: the kept diagonal projectors first, then for each kept pair
+    k < l the symmetric and antisymmetric (i-weighted) combinations, both
     normalized under the Hilbert-Schmidt inner product.  For Hermitian rho
-    the coordinates T @ vec(rho) are real.
+    supported on the mask the coordinates T @ vec(rho) are real and
+    T^dagger T vec(rho) = vec(rho).
     """
-    rows, cols, data = [], [], []
-    m = 0
-    for k in range(d):
-        rows.append(m)
-        cols.append(k + d * k)
-        data.append(1.0 + 0.0j)
-        m += 1
+    if pairs is None:
+        pairs = np.ones((d, d), dtype=bool)
+    pairs = np.asarray(pairs, dtype=bool)
+    if pairs.shape != (d, d) or not np.array_equal(pairs, pairs.T):
+        raise ValueError(f"pair mask must be a symmetric {d} x {d} boolean array")
+    diag = np.flatnonzero(np.diagonal(pairs))
+    k, l = np.nonzero(np.triu(pairs, 1))
+    n_diag, n_pairs = len(diag), len(k)
+    re_rows = n_diag + 2 * np.arange(n_pairs)
+    upper, lower = k + d * l, l + d * k
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k in range(d):
-        for l in range(k + 1, d):
-            # u = sqrt(2) Re rho_kl
-            rows += [m, m]
-            cols += [k + d * l, l + d * k]
-            data += [inv_sqrt2, inv_sqrt2]
-            m += 1
-            # u = sqrt(2) Im rho_kl
-            rows += [m, m]
-            cols += [k + d * l, l + d * k]
-            data += [-1j * inv_sqrt2, 1j * inv_sqrt2]
-            m += 1
-    t = sp.csr_array((np.array(data), (np.array(rows), np.array(cols))), shape=(d * d, d * d))
+    rows = np.concatenate([np.arange(n_diag), re_rows, re_rows, re_rows + 1, re_rows + 1])
+    cols = np.concatenate([diag * (d + 1), upper, lower, upper, lower])
+    data = np.concatenate([
+        np.ones(n_diag, dtype=np.complex128),
+        # u = sqrt(2) Re rho_kl, then u = sqrt(2) Im rho_kl
+        np.full(2 * n_pairs, inv_sqrt2, dtype=np.complex128),
+        np.full(n_pairs, -1j * inv_sqrt2),
+        np.full(n_pairs, 1j * inv_sqrt2),
+    ])
+    t = sp.csr_array((data, (rows, cols)), shape=(n_diag + 2 * n_pairs, d * d))
     t.sort_indices()
     return t
 
@@ -472,9 +517,9 @@ def _compiled_protocol(
     trajectory_points_per_block: int | None,
 ):
     d = generator.dim
-    # materialize first: above the size guard this raises before the d^2 basis is built
+    # materialize first: above the size guard this raises before any basis is built
     static, drive_superops = generator.static_superop, generator.drive_superops
-    transform = hermitian_basis_transform(d)
+    transform = hermitian_basis_transform(d, unvectorize(_trace_block(generator, rho0), d))
     l0 = _to_real_superop(transform, static, "static generator")
     drives = tuple(
         (nu, _to_real_superop(transform, s, f"drive at frequency {nu}"))
@@ -492,7 +537,7 @@ def _compiled_protocol(
         sample_stride = max(1, grid.units_per_block // int(trajectory_points_per_block))
         sample_map = _matrix_power(unit, sample_stride)
 
-    trace_idx = np.arange(d)
+    trace_idx = np.arange(d)  # the block holds every diagonal, and they come first
     u = _real_state(transform, rho0.data)
     averages: list[float] = []
     times: list[float] = []
@@ -520,7 +565,8 @@ def _compiled_protocol(
             u = u / trace
         if converged is not None:
             break
-    return _complex_state(transform, u, d), averages, converged, times, samples
+    state = _complex_state(transform, u, d)
+    return state, transform.shape[0], averages, converged, times, samples
 
 
 def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
@@ -559,7 +605,10 @@ def steady_state_averaged(
 
     The blocks are advanced with a precomputed dense map over one period of
     the lowest drive frequency (over one step ``dt`` without drives), and
-    block and window lengths are snapped to whole periods.  Every drive
+    block and window lengths are snapped to whole periods.  The map acts on
+    the invariant block that carries the trace and the support of
+    ``rho0`` (``_trace_block``), in a real Hermitian basis of that block;
+    ``block_dim`` of the result is its real dimension.  Every drive
     frequency must be an integer multiple of the lowest one; otherwise
     ``ValueError`` is raised.  An explicit ``dt`` is checked as in
     :func:`evolve`; the step used divides the period into whole steps, at
@@ -574,7 +623,7 @@ def steady_state_averaged(
     if rho0.layout != generator.layout:
         raise ValueError("initial state layout does not match generator layout")
     grid = _unit_grid(generator, protocol, _resolved_dt(generator, dt))
-    rho, averages, converged, times, samples = _compiled_protocol(
+    rho, block_dim, averages, converged, times, samples = _compiled_protocol(
         generator, rho0, protocol, observable, grid, trajectory_points_per_block
     )
 
@@ -608,5 +657,6 @@ def steady_state_averaged(
         block_length_effective=grid.units_per_block * grid.duration,
         window_effective=grid.window_units * grid.duration,
         dt=grid.dt,
+        block_dim=block_dim,
         trajectory=trajectory,
     )

@@ -2,17 +2,26 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from heatrect.circuits import CircuitSpec, DiodeParams, TimeDependentOperator
 from heatrect.lindblad import (
     Liouvillian,
     RateTable,
+    bridge_rate_tables,
+    build_bridge_half_generators,
     build_generator,
     qutrit_rate_table,
     single_qutrit_rate_generator,
     vectorize,
 )
-from heatrect.observables import CurrentFunctional, emission_current_functional, fidelity
+from heatrect.observables import (
+    CurrentFunctional,
+    emission_current_functional,
+    fidelity,
+    net_bath_current_functional,
+)
 from heatrect.spaces import (
     DensityMatrix,
     HarmonicOscillator,
@@ -29,6 +38,7 @@ from heatrect.steady import (
     ConvergenceError,
     ConvergenceProtocol,
     DegenerateSteadyStateError,
+    _trace_block,
     evolve,
     hermitian_basis_transform,
     steady_state_averaged,
@@ -198,18 +208,19 @@ def test_averaged_synthetic_exponential_observable():
     assert res.converged_value == pytest.approx(1.0, abs=1e-12)
 
 
-def stepped_protocol_reference(gen, protocol, obs, h, period):
+def stepped_protocol_reference(gen, protocol, obs, h, period, rho0=None):
     """The windowed-average protocol by one ``evolve`` step at a time.
 
     Each step starts at its drive-phase-local time (t mod period), as every
     unit of the compiled map does; the window is averaged with the trapezoid
     rule.  ``dt`` sits a hair above ``h`` so that ``evolve`` takes exactly
-    one step.  Returns the converged block, its average and the state after it.
+    one step.  Starts from ``rho0`` (default: the ground state) and returns
+    the converged block, its average and the state after it.
     """
     steps_per_period = round(period / h)
     steps_per_block = round(protocol.block_length / period) * steps_per_period
     window_steps = round(protocol.average_window / period) * steps_per_period
-    rho = DensityMatrix.ground_state(gen.layout)
+    rho = DensityMatrix.ground_state(gen.layout) if rho0 is None else rho0
     averages = []
     for block in range(protocol.max_blocks):
         values = []
@@ -240,6 +251,97 @@ def test_averaged_compiled_matches_stepping():
     assert compiled.converged_block == block
     assert compiled.converged_value == pytest.approx(value, abs=1e-12)
     assert np.max(np.abs(compiled.final_state.data - state.data)) < 1e-10
+
+
+def bridge_halves(truncation):
+    spec = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=truncation)
+    return spec, build_bridge_half_generators(spec)
+
+
+def order_zero_pairs(layout) -> np.ndarray:
+    """d x d mask of the entries (k, l) whose product states carry the same
+    total excitation number (mode level indices summed)."""
+    n = np.sum(np.unravel_index(np.arange(layout.total_dim), layout.dims), axis=0)
+    return n[:, None] == n[None, :]
+
+
+def order_zero_cases():
+    _, (upper3, lower3) = bridge_halves(3)
+    _, (upper4, lower4) = bridge_halves(4)
+    single = build_generator(CircuitSpec.build(
+        "single-diode", n_left=0.5, n_right=0.0, delta_omega=300.0, ho_truncation=2))
+    return [(upper3, 141), (lower3, 141), (upper4, 220), (lower4, 220), (single, 36)]
+
+
+def test_trace_block_is_the_coherence_order_zero_sector():
+    for gen, size in order_zero_cases():
+        d = gen.dim
+        pairs = order_zero_pairs(gen.layout)
+        block = _trace_block(gen)
+        np.testing.assert_array_equal(block, vectorize(pairs))
+        t_block = hermitian_basis_transform(d, pairs)
+        assert t_block.shape == (size, d * d)
+        np.testing.assert_allclose((t_block @ t_block.conj().T).toarray(), np.eye(size), atol=1e-12)
+        # no generator entry leads from the block to any coordinate outside it
+        t_full = hermitian_basis_transform(d)
+        outside = (abs(t_full) @ vectorize(pairs).astype(float)) == 0
+        assert outside.sum() == d * d - size
+        for superop in (gen.static_superop, *(s for _, s in gen.drive_superops)):
+            leak = (t_full @ superop @ t_block.conj().T).toarray()[outside]
+            assert np.all(leak == 0)
+
+
+def test_averaged_block_takes_in_rho0_support():
+    # (|0> + |1>)/sqrt(2) on D3 carries coherence order +-1, outside the
+    # order-0 block the ground state starts in
+    spec, (_, lower) = bridge_halves(2)
+    obs = net_bath_current_functional(lower.layout, ["D4"], bridge_rate_tables(spec))
+    plus = np.zeros((3, 3), dtype=complex)
+    plus[:2, :2] = 0.5
+    ground_m2, ground_d4 = np.diag([1.0, 0.0]), np.diag([1.0, 0.0, 0.0])
+    rho0 = DensityMatrix.from_mode_states(lower.layout, [plus, ground_m2, ground_d4])
+    protocol = ConvergenceProtocol(
+        block_length=95 * T_DRIVE, average_window=20 * T_DRIVE, rel_tol=0.05, max_blocks=30
+    )
+    order_zero = int(order_zero_pairs(lower.layout).sum())
+    res = steady_state_averaged(lower, rho0, protocol=protocol, observable=obs)
+    assert res.block_dim > order_zero
+    assert np.all(_trace_block(lower, rho0)[np.flatnonzero(rho0.vec())])
+    assert steady_state_averaged(lower, protocol=protocol, observable=obs).block_dim == order_zero
+    block, value, state = stepped_protocol_reference(lower, protocol, obs, res.dt, T_DRIVE, rho0)
+    assert res.converged_block == block
+    assert res.converged_value == pytest.approx(value, abs=1e-12)
+    assert np.max(np.abs(res.final_state.data - state.data)) < 1e-10
+
+
+def full_space_steady_state(gen) -> np.ndarray:
+    """Oracle: sparse LU on the full static superoperator, trace row in place of row 0."""
+    d = gen.dim
+    trace_row = np.zeros(d * d, dtype=complex)
+    trace_row[np.arange(d) * (d + 1)] = 1.0
+    system = sp.vstack([sp.csr_array(trace_row[None, :]), gen.static_superop[1:]], format="csc")
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    rho = spla.splu(system).solve(rhs).reshape((d, d), order="F")
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize(
+    "make_generator",
+    [
+        lambda: bridge_halves(4)[1][0],
+        lambda: build_generator(CircuitSpec.build(
+            "single-diode", n_left=0.5, n_right=0.0, delta_omega=300.0, ho_truncation=2,
+            J_prime=0.0)),
+        lambda: build_generator(CircuitSpec.build("series", n_left=0.5, n_right=0.0, J_prime=0.0)),
+    ],
+    ids=["bridge-upper-N4", "single-diode-N2", "series"],
+)
+def test_direct_block_solve_matches_full_space_oracle(make_generator):
+    gen = make_generator()
+    assert int(_trace_block(gen).sum()) < gen.dim ** 2
+    rho = steady_state_direct(gen)
+    np.testing.assert_allclose(rho.data, full_space_steady_state(gen), rtol=0, atol=1e-12)
 
 
 def test_averaged_rejects_drives_that_are_not_integer_multiples():
