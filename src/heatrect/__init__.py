@@ -2,37 +2,29 @@
 
 from .circuits import (
     BathParams,
-    CircuitBuild,
     CircuitSpec,
     DiodeParams,
     RateMode,
     TimeDependentOperator,
     Topology,
     bose_occupation,
-    build_bridge_halves,
-    build_circuit,
-    build_diode_hamiltonian,
 )
 from .lindblad import (
     Liouvillian,
     RateTable,
-    bath_dissipator,
     bridge_rate_tables,
     build_bridge_half_generators,
     build_generator,
-    dissipator,
     qutrit_rate_table,
+    rate_tables,
 )
 from .observables import (
     BiasSetting,
     CurrentFunctional,
     CurrentReport,
     ModeReport,
-    bath_exchange_current,
     effective_temperature,
     fidelity,
-    markov_current_parallel,
-    markov_current_series,
     mode_report,
     rectification,
     thermal_population,

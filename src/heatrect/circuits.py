@@ -1,4 +1,4 @@
-"""Circuit specifications and Hamiltonian assembly.
+"""Circuit specifications and the wiring table of every circuit topology.
 
 All energies are quoted in units of the static inter-mode coupling J and
 times in 1/J.  Hamiltonians are built in the rotating frame of the common
@@ -6,8 +6,13 @@ filter frequency: every coupling conserves the total excitation number and
 every dissipator is invariant under that frame change, so the uniform
 omega * (sum of number operators) term is dropped.  What remains per diode
 is the anharmonicity term -delta_omega |0><0| plus the static couplings,
-and a cosine drive at frequency delta_omega on the bath-side coupling with
+and a cosine drive at frequency delta_omega on a modulated coupling with
 amplitude J_prime.
+
+``TOPOLOGIES`` declares each circuit once: its modes grouped into
+independent blocks, its retained couplings, its bath contacts and whether
+it decoheres.  ``lindblad`` builds every Hamiltonian, rate table and
+generator from that table.
 """
 
 from __future__ import annotations
@@ -17,15 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .spaces import (
-    HarmonicOscillator,
-    Qutrit,
-    SpaceLayout,
-    SparseOperator,
-    lowering_op,
-    projector,
-    raising_op,
-)
+from .spaces import HarmonicOscillator, Qutrit, SpaceLayout, SparseOperator
 
 ANHARMONICITY_WARN_RATIO = 20.0
 
@@ -106,23 +103,135 @@ class Topology(str, enum.Enum):
 
 
 class RateMode(str, enum.Enum):
-    """Which rate form the right-coupled bridge diode D2 uses.
+    """Which rate form a right-side bath contact with a modulated coupling uses.
 
-    PHYSICAL_MODULATED applies the J'-containing rates to every diode whose
-    bath-facing coupling is modulated (D2 couples to the right filter
-    through a modulated coupling).  PAPER_LITERAL drops the J' term there,
-    reading the right-bath rate symbol at face value.
+    PHYSICAL_MODULATED applies the J'-containing rates to every contact whose
+    bath-facing coupling is modulated.  PAPER_LITERAL drops the J' term on
+    the right side, reading the right-bath rate symbol at face value.  Of
+    the built-in circuits only the bridge's D2 has such a contact.
     """
 
     PHYSICAL_MODULATED = "physical-modulated"
     PAPER_LITERAL = "paper-literal"
 
 
-_REQUIRED_DIODES = {
-    Topology.SINGLE_DIODE: ("D1",),
-    Topology.PARALLEL: ("D1", "D2"),
-    Topology.SERIES: ("D1", "D2"),
-    Topology.BRIDGE: ("D1", "D2", "D3", "D4"),
+QUTRIT = "qutrit"
+OSCILLATOR = "oscillator"
+
+
+@dataclass(frozen=True)
+class Coupling:
+    """Retained exchange J (a_a a_b† + a_a† a_b) between modes ``a`` and ``b``.
+
+    ``diode`` is the qutrit whose J, J' and delta_omega set the coupling; a
+    ``modulated`` coupling also carries the drive J' cos(delta_omega t).
+    """
+
+    a: str
+    b: str
+    diode: str
+    modulated: bool
+
+
+@dataclass(frozen=True)
+class Contact:
+    """A diode's bath contact in a reduced model: the rate dissipator of the
+    ``side`` bath, with the drive-induced J'^2/Gamma rates when ``modulated``."""
+
+    diode: str
+    side: str
+    modulated: bool
+
+
+@dataclass(frozen=True)
+class CircuitTopology:
+    """Wiring of one circuit.
+
+    ``blocks`` lists the modes, (label, QUTRIT or OSCILLATOR), grouped into
+    blocks that no coupling or dissipator connects.  ``couplings`` are the
+    retained coherent couplings.  A reduced model lists its rate ``contacts``;
+    a full model instead keeps filter oscillators, each damped by its bath as
+    ``filters`` (oscillator, side) says.  ``decoherence`` adds gamma_dec decay
+    and dephasing on every mode.
+    """
+
+    blocks: tuple[tuple[tuple[str, str], ...], ...]
+    couplings: tuple[Coupling, ...] = ()
+    contacts: tuple[Contact, ...] = ()
+    filters: tuple[tuple[str, str], ...] = ()
+    decoherence: bool = False
+
+    def __post_init__(self):
+        blocks = [dict(block) for block in self.blocks]
+        kinds = {label: kind for block in blocks for label, kind in block.items()}
+        if set(kinds.values()) - {QUTRIT, OSCILLATOR}:
+            raise ValueError(f"mode kinds must be {QUTRIT!r} or {OSCILLATOR!r}")
+        for c in self.couplings:
+            if not any({c.a, c.b} <= block.keys() for block in blocks):
+                raise ValueError(f"coupling {c.a}-{c.b} must join two modes of one block")
+            if c.diode not in (c.a, c.b) or kinds[c.diode] != QUTRIT:
+                raise ValueError(f"coupling {c.a}-{c.b} must be set by its qutrit end")
+        if any(kinds.get(c.diode) != QUTRIT for c in self.contacts):
+            raise ValueError("every bath contact needs a qutrit diode")
+        if any(kinds.get(label) != OSCILLATOR for label, _ in self.filters):
+            raise ValueError("every filter needs a harmonic oscillator")
+
+    @property
+    def diodes(self) -> tuple[str, ...]:
+        return tuple(label for block in self.blocks for label, kind in block if kind == QUTRIT)
+
+    @property
+    def reduced_contacts(self) -> tuple[Contact, ...]:
+        """The rate contacts of the reduced model.  A full model's filter
+        passes its side to every diode it couples to, modulated as that
+        coupling is."""
+        derived = tuple(Contact(c.diode, side, c.modulated)
+                        for label, side in self.filters
+                        for c in self.couplings if label in (c.a, c.b))
+        return self.contacts + derived
+
+    def block_layouts(self, ho_truncation: int) -> tuple[SpaceLayout, ...]:
+        """One layout per block; oscillators keep ``ho_truncation`` levels."""
+        def kind(name):
+            return Qutrit() if name == QUTRIT else HarmonicOscillator(ho_truncation)
+
+        return tuple(SpaceLayout(tuple((label, kind(k)) for label, k in block))
+                     for block in self.blocks)
+
+
+TOPOLOGIES = {
+    # the full model: both filter oscillators kept; D1 reaches the left
+    # filter through its modulated coupling and the right one statically
+    Topology.SINGLE_DIODE: CircuitTopology(
+        blocks=((("L", OSCILLATOR), ("D1", QUTRIT), ("R", OSCILLATOR)),),
+        couplings=(Coupling("L", "D1", "D1", modulated=True),
+                   Coupling("D1", "R", "D1", modulated=False)),
+        filters=(("L", "left"), ("R", "right")),
+    ),
+    # the reduced models: each bath-facing coupling becomes a rate contact
+    Topology.PARALLEL: CircuitTopology(
+        blocks=((("D1", QUTRIT), ("D2", QUTRIT)),),
+        contacts=(Contact("D1", "left", modulated=True), Contact("D1", "right", modulated=False),
+                  Contact("D2", "left", modulated=True), Contact("D2", "right", modulated=False)),
+    ),
+    Topology.SERIES: CircuitTopology(
+        blocks=((("D1", QUTRIT), ("D2", QUTRIT)),),
+        couplings=(Coupling("D1", "D2", "D2", modulated=True),),
+        contacts=(Contact("D1", "left", modulated=True), Contact("D2", "right", modulated=False)),
+    ),
+    # the upper trio D1-M1-D2 keeps the static couplings of D1 and D2 to
+    # M1, the lower trio D3-M2-D4 the modulated couplings of D3 and D4 to M2
+    Topology.BRIDGE: CircuitTopology(
+        blocks=((("D1", QUTRIT), ("M1", OSCILLATOR), ("D2", QUTRIT)),
+                (("D3", QUTRIT), ("M2", OSCILLATOR), ("D4", QUTRIT))),
+        couplings=(Coupling("D1", "M1", "D1", modulated=False),
+                   Coupling("D2", "M1", "D2", modulated=False),
+                   Coupling("M2", "D3", "D3", modulated=True),
+                   Coupling("M2", "D4", "D4", modulated=True)),
+        contacts=(Contact("D1", "left", modulated=True), Contact("D2", "right", modulated=True),
+                  Contact("D3", "left", modulated=False), Contact("D4", "right", modulated=False)),
+        decoherence=True,
+    ),
 }
 
 
@@ -141,8 +250,8 @@ class CircuitSpec:
     def __post_init__(self):
         object.__setattr__(self, "topology", Topology(self.topology))
         object.__setattr__(self, "bridge_rate_mode", RateMode(self.bridge_rate_mode))
-        required = _REQUIRED_DIODES[self.topology]
-        if tuple(sorted(self.diodes)) != tuple(sorted(required)):
+        required = TOPOLOGIES[self.topology].diodes
+        if sorted(self.diodes) != sorted(required):
             raise ValueError(
                 f"topology {self.topology.value!r} needs diodes {list(required)}, "
                 f"got {sorted(self.diodes)}"
@@ -172,7 +281,7 @@ class CircuitSpec:
         """Convenience constructor; ``delta_omega`` may be a scalar or a
         per-diode mapping like {"D1": 300.0, "D2": 150.0}."""
         topology = Topology(topology)
-        labels = _REQUIRED_DIODES[topology]
+        labels = TOPOLOGIES[topology].diodes
         if isinstance(delta_omega, dict):
             per_diode = dict(delta_omega)
         else:
@@ -180,6 +289,10 @@ class CircuitSpec:
         missing = set(labels) - set(per_diode)
         if missing:
             raise ValueError(f"missing delta_omega for diodes {sorted(missing)}")
+        unknown = set(per_diode) - set(labels)
+        if unknown:
+            raise ValueError(f"delta_omega for unknown diodes {sorted(unknown)}; "
+                             f"topology {topology.value!r} has {list(labels)}")
         diodes = {
             label: DiodeParams(delta_omega=per_diode[label], J=J, J_prime=J_prime)
             for label in labels
@@ -195,6 +308,10 @@ class CircuitSpec:
             ho_truncation=ho_truncation,
             bridge_rate_mode=RateMode(bridge_rate_mode),
         )
+
+    def bath(self, side: str) -> BathParams:
+        """The bath on ``side`` ("left" or "right")."""
+        return {"left": self.left_bath, "right": self.right_bath}[side]
 
     def to_dict(self) -> dict:
         def bath(b: BathParams) -> dict:
@@ -261,153 +378,3 @@ class TimeDependentOperator:
         for nu, v in self.drive_terms:
             op = op + math.cos(nu * t) * v
         return op
-
-
-def _hop(layout: SpaceLayout, a_label: str, b_label: str) -> SparseOperator:
-    """Excitation-conserving exchange a_A a_B† + a_A† a_B."""
-    a_A = lowering_op(layout, a_label)
-    a_B = lowering_op(layout, b_label)
-    return a_A @ raising_op(layout, b_label) + raising_op(layout, a_label) @ a_B
-
-
-def build_diode_hamiltonian(
-    layout: SpaceLayout,
-    diode_label: str,
-    a_label: str,
-    b_label: str,
-    params: DiodeParams,
-) -> TimeDependentOperator:
-    """Hamiltonian of one qutrit diode connecting modes A -> B.
-
-    Static part: -delta_omega |0><0| on the diode, plus static couplings of
-    strength J to both neighbours.  The A-side coupling additionally carries
-    a cosine drive at frequency delta_omega with amplitude J_prime.
-    """
-    if not isinstance(layout.kind_of(diode_label), Qutrit):
-        raise ValueError(f"diode mode {diode_label!r} must be a qutrit")
-    if len({diode_label, a_label, b_label}) != 3:
-        raise ValueError("diode and neighbour labels must be distinct")
-    bath_side = _hop(layout, a_label, diode_label)
-    out_side = _hop(layout, diode_label, b_label)
-    static = (
-        (-params.delta_omega) * projector(layout, diode_label, 0)
-        + params.J * bath_side
-        + params.J * out_side
-    )
-    drives = ()
-    if params.J_prime > 0:
-        drives = ((params.delta_omega, params.J_prime * bath_side),)
-    return TimeDependentOperator(static, drives)
-
-
-@dataclass(frozen=True)
-class CircuitBuild:
-    """Layout plus retained coherent generator of one circuit."""
-
-    layout: SpaceLayout
-    coherent: TimeDependentOperator | None
-
-
-def _merge_time_dependent(parts) -> TimeDependentOperator:
-    static = parts[0].static_part
-    drives: list[tuple[float, SparseOperator]] = list(parts[0].drive_terms)
-    for p in parts[1:]:
-        static = static + p.static_part
-        drives.extend(p.drive_terms)
-    # combine drive terms sharing a frequency so each frequency appears once
-    merged: dict[float, SparseOperator] = {}
-    for nu, v in drives:
-        merged[nu] = merged[nu] + v if nu in merged else v
-    terms = tuple((nu, merged[nu]) for nu in sorted(merged))
-    return TimeDependentOperator(static, terms)
-
-
-def _anharmonicity_term(layout: SpaceLayout, label: str, params: DiodeParams) -> TimeDependentOperator:
-    return TimeDependentOperator((-params.delta_omega) * projector(layout, label, 0))
-
-
-def _coupling(
-    layout: SpaceLayout, a_label: str, b_label: str, params: DiodeParams, modulated: bool
-) -> TimeDependentOperator:
-    hop = _hop(layout, a_label, b_label)
-    drives = ()
-    if modulated and params.J_prime > 0:
-        drives = ((params.delta_omega, params.J_prime * hop),)
-    return TimeDependentOperator(params.J * hop, drives)
-
-
-def build_circuit(spec: CircuitSpec) -> CircuitBuild:
-    """Assemble the layout and retained coherent part of a circuit.
-
-    single-diode: the full three-mode model [L, D1, R] with both filter
-    oscillators kept.  parallel: two decoupled qutrits, no coherent part
-    (the reduced equation is purely dissipative).  series/bridge: the
-    reduced models on qutrits (and middle oscillators for the bridge) with
-    the bath-facing couplings removed, since those are absorbed into the
-    effective rate dissipators.
-    """
-    t = Topology(spec.topology)
-    if t is Topology.SINGLE_DIODE:
-        ho = HarmonicOscillator(spec.ho_truncation)
-        layout = SpaceLayout.of(("L", ho), ("D1", Qutrit()), ("R", ho))
-        return CircuitBuild(layout, build_diode_hamiltonian(layout, "D1", "L", "R", spec.diodes["D1"]))
-
-    if t is Topology.PARALLEL:
-        layout = SpaceLayout.of(("D1", Qutrit()), ("D2", Qutrit()))
-        return CircuitBuild(layout, None)
-
-    if t is Topology.SERIES:
-        layout = SpaceLayout.of(("D1", Qutrit()), ("D2", Qutrit()))
-        d1, d2 = spec.diodes["D1"], spec.diodes["D2"]
-        coherent = _merge_time_dependent([
-            _anharmonicity_term(layout, "D1", d1),
-            _anharmonicity_term(layout, "D2", d2),
-            _coupling(layout, "D1", "D2", d2, modulated=True),
-        ])
-        return CircuitBuild(layout, coherent)
-
-    # bridge: upper trio D1-M1-D2 keeps its static couplings, lower trio
-    # D3-M2-D4 keeps the modulated couplings of D3 and D4 to M2
-    ho = HarmonicOscillator(spec.ho_truncation)
-    layout = SpaceLayout.of(
-        ("D1", Qutrit()), ("M1", ho), ("D2", Qutrit()),
-        ("D3", Qutrit()), ("M2", ho), ("D4", Qutrit()),
-    )
-    coherent = _merge_time_dependent(_bridge_parts(layout, spec, upper=True) + _bridge_parts(layout, spec, upper=False))
-    return CircuitBuild(layout, coherent)
-
-
-def _bridge_parts(layout: SpaceLayout, spec: CircuitSpec, upper: bool) -> list[TimeDependentOperator]:
-    if upper:
-        d1, d2 = spec.diodes["D1"], spec.diodes["D2"]
-        return [
-            _anharmonicity_term(layout, "D1", d1),
-            _anharmonicity_term(layout, "D2", d2),
-            _coupling(layout, "D1", "M1", d1, modulated=False),
-            _coupling(layout, "D2", "M1", d2, modulated=False),
-        ]
-    d3, d4 = spec.diodes["D3"], spec.diodes["D4"]
-    return [
-        _anharmonicity_term(layout, "D3", d3),
-        _anharmonicity_term(layout, "D4", d4),
-        _coupling(layout, "M2", "D3", d3, modulated=True),
-        _coupling(layout, "M2", "D4", d4, modulated=True),
-    ]
-
-
-def build_bridge_halves(spec: CircuitSpec) -> tuple[CircuitBuild, CircuitBuild]:
-    """The two decoupled halves of the reduced bridge.
-
-    The retained coherent part and every dissipator act within either the
-    upper trio (D1, M1, D2) or the lower trio (D3, M2, D4), so the reduced
-    bridge dynamics factorizes exactly over the two trios.  The upper half
-    is time-independent; the lower half carries the drives.
-    """
-    if Topology(spec.topology) is not Topology.BRIDGE:
-        raise ValueError("bridge halves are only defined for the bridge topology")
-    ho = HarmonicOscillator(spec.ho_truncation)
-    upper_layout = SpaceLayout.of(("D1", Qutrit()), ("M1", ho), ("D2", Qutrit()))
-    lower_layout = SpaceLayout.of(("D3", Qutrit()), ("M2", ho), ("D4", Qutrit()))
-    upper = _merge_time_dependent(_bridge_parts(upper_layout, spec, upper=True))
-    lower = _merge_time_dependent(_bridge_parts(lower_layout, spec, upper=False))
-    return CircuitBuild(upper_layout, upper), CircuitBuild(lower_layout, lower)

@@ -1,4 +1,7 @@
-"""Dissipators, qutrit rate tables, and Liouvillian generators.
+"""Qutrit rate tables and the Liouvillian generators of every circuit.
+
+One builder makes every Hamiltonian, rate table and generator from the
+wiring table ``circuits.TOPOLOGIES``.
 
 Vectorization is column-stacking throughout: vec(rho)[i + d*j] = rho[i, j],
 so vec(A rho B) = (B^T kron A) vec(rho).  The generator acts only through
@@ -9,26 +12,29 @@ are refused.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .circuits import (
-    BathParams,
+    TOPOLOGIES,
     CircuitSpec,
+    Contact,
     DiodeParams,
     RateMode,
     TimeDependentOperator,
     Topology,
-    build_circuit,
 )
 from .spaces import (
-    HarmonicOscillator,
+    Qutrit,
     SpaceLayout,
     SparseOperator,
+    embed,
     lowering_op,
     number_op,
+    projector,
     raising_op,
 )
 
@@ -90,45 +96,21 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vec).reshape((dim, dim), order="F")
 
 
-def _spre(a: sp.csr_array) -> sp.csr_array:
-    d = a.shape[0]
-    return sp.kron(sp.eye_array(d, format="csr"), a, format="csr")
-
-
-def _spost(a: sp.csr_array) -> sp.csr_array:
-    d = a.shape[0]
-    return sp.kron(a.T, sp.eye_array(d, format="csr"), format="csr")
-
-
-def dissipator(op: SparseOperator) -> sp.csr_array:
-    """Superoperator of M[A, rho] = A rho A† - {A†A, rho}/2 on vec(rho)."""
-    a = op.matrix
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"jump operator must be square, got shape {a.shape}")
-    ad = a.conj().T.tocsr()
-    ada = (ad @ a).tocsr()
-    out = sp.kron(a.conj(), a, format="csr") - 0.5 * (_spre(ada) + _spost(ada))
+def _superop(pairs) -> sp.csr_array:
+    """Canonical CSR superoperator of rho -> sum_k A_k rho B_k^T from (B_k, A_k) pairs."""
+    parts = [sp.kron(b, a, format="coo") for b, a in pairs]
+    out = sp.csr_array((np.concatenate([p.data for p in parts]),
+                        (np.concatenate([p.row for p in parts]), np.concatenate([p.col for p in parts]))),
+                       shape=parts[0].shape)
     out.sum_duplicates()
     out.eliminate_zeros()
     return out
 
 
-def _commutator_superop(h: sp.csr_array) -> sp.csr_array:
-    """Superoperator of -i [H, rho]."""
-    out = -1j * (_spre(h) - _spost(h))
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    return out
-
-
-def bath_dissipator(layout: SpaceLayout, label: str, bath: BathParams) -> sp.csr_array:
-    """Thermal-bath superoperator Gamma(n+1) M[a] + Gamma n M[a†] for an oscillator mode."""
-    if not isinstance(layout.kind_of(label), HarmonicOscillator):
-        raise ValueError(f"mode {label!r} is not a harmonic oscillator")
-    out = bath.Gamma * (bath.n + 1.0) * dissipator(lowering_op(layout, label))
-    if bath.n > 0:
-        out = out + bath.Gamma * bath.n * dissipator(raising_op(layout, label))
-    return out.tocsr()
+def _coherent_superop(h: sp.csr_array) -> sp.csr_array:
+    """Superoperator of -i (H rho - rho H†); the commutator -i[H, rho] for Hermitian H."""
+    eye = sp.eye_array(h.shape[0], format="csr")
+    return _superop([(eye, -1j * h), (1j * h.conj(), eye)])
 
 
 def transition_op(layout: SpaceLayout, label: str, from_level: int, to_level: int) -> SparseOperator:
@@ -136,8 +118,6 @@ def transition_op(layout: SpaceLayout, label: str, from_level: int, to_level: in
     dim = layout.dim_of(label)
     local = np.zeros((dim, dim), dtype=np.complex128)
     local[to_level, from_level] = 1.0
-    from .spaces import embed
-
     return embed(layout, label, local)
 
 
@@ -185,18 +165,19 @@ class Liouvillian:
 
     @property
     def static_superop(self) -> sp.csr_array:
-        """Static superoperator: coherent static part plus all dissipators."""
+        """Static superoperator -i (H_eff rho - rho H_eff†) + sum_k w_k A_k rho A_k†,
+        with the effective Hamiltonian H_eff = H - (i/2) sum_k w_k A_k† A_k."""
         if self._static is None:
             self._check_materializable()
             d = self.dim
-            total = sp.csr_array((d * d, d * d), dtype=np.complex128)
-            if self.hamiltonian is not None:
-                total = total + _commutator_superop(self.hamiltonian.static_part.matrix)
+            h_eff = (sp.csr_array((d, d), dtype=np.complex128) if self.hamiltonian is None
+                     else self.hamiltonian.static_part.matrix)
             for weight, op in self.jumps:
-                total = total + weight * dissipator(op)
-            total.sum_duplicates()
-            total.eliminate_zeros()
-            self._static = total.tocsr()
+                h_eff = h_eff - (0.5j * weight) * (op.matrix.conj().T @ op.matrix)
+            eye = sp.eye_array(d, format="csr")
+            pairs = [(eye, -1j * h_eff), (1j * h_eff.conj(), eye)]
+            pairs += [(weight * op.matrix.conj(), op.matrix) for weight, op in self.jumps]
+            self._static = _superop(pairs)
         return self._static
 
     @property
@@ -204,127 +185,110 @@ class Liouvillian:
         """(frequency, superoperator) per cosine drive of the coherent part."""
         if self._drives is None:
             self._check_materializable()
-            terms = []
-            if self.hamiltonian is not None:
-                for nu, v in self.hamiltonian.drive_terms:
-                    terms.append((nu, _commutator_superop(v.matrix)))
-            self._drives = tuple(terms)
+            terms = () if self.hamiltonian is None else self.hamiltonian.drive_terms
+            self._drives = tuple((nu, _coherent_superop(v.matrix)) for nu, v in terms)
         return self._drives
 
 
-def build_generator(spec: CircuitSpec) -> Liouvillian:
-    """Liouvillian of a circuit spec.
+def _contact_table(spec: CircuitSpec, contact: Contact) -> RateTable:
+    # paper-literal reads the right-bath rate symbol at face value: no J' term
+    modulated = contact.modulated and not (
+        contact.side == "right" and spec.bridge_rate_mode is RateMode.PAPER_LITERAL)
+    bath = spec.bath(contact.side)
+    return qutrit_rate_table(spec.diodes[contact.diode], bath.n, bath.Gamma, modulated)
 
-    parallel/series/bridge produce the reduced generators in which the
-    bath-facing couplings act as qutrit rate dissipators; single-diode
-    produces the full model with thermal-bath dissipators on both filter
-    oscillators.
-    """
-    build = build_circuit(spec)
-    layout = build.layout
-    n_left = spec.left_bath.n
-    n_right = spec.right_bath.n
-    G_left = spec.left_bath.Gamma
-    G_right = spec.right_bath.Gamma
-    topology = Topology(spec.topology)
 
-    jumps: list[tuple[float, SparseOperator]] = []
-
-    if topology is Topology.SINGLE_DIODE:
-        for label, bath in (("L", spec.left_bath), ("R", spec.right_bath)):
-            jumps.append((bath.Gamma * (bath.n + 1.0), lowering_op(layout, label)))
-            if bath.n > 0:
-                jumps.append((bath.Gamma * bath.n, raising_op(layout, label)))
-        return Liouvillian(layout, build.coherent, tuple(jumps))
-
-    if topology is Topology.PARALLEL:
-        for label in ("D1", "D2"):
-            params = spec.diodes[label]
-            jumps += rate_jump_terms(layout, label, qutrit_rate_table(params, n_left, G_left, modulated=True))
-            jumps += rate_jump_terms(layout, label, qutrit_rate_table(params, n_right, G_right, modulated=False))
-        return Liouvillian(layout, None, tuple(jumps))
-
-    if topology is Topology.SERIES:
-        jumps += rate_jump_terms(
-            layout, "D1", qutrit_rate_table(spec.diodes["D1"], n_left, G_left, modulated=True)
-        )
-        jumps += rate_jump_terms(
-            layout, "D2", qutrit_rate_table(spec.diodes["D2"], n_right, G_right, modulated=False)
-        )
-        return Liouvillian(layout, build.coherent, tuple(jumps))
-
-    # bridge
-    for label, table in bridge_rate_tables(spec).items():
-        jumps += rate_jump_terms(layout, label, table)
-    jumps += decoherence_jump_terms(layout, spec.gamma_dec, layout.labels)
-    return Liouvillian(layout, build.coherent, tuple(jumps))
+def rate_tables(spec: CircuitSpec) -> dict[str, dict[str, RateTable]]:
+    """Rate table of every bath contact of the spec's reduced model, as
+    {side: {diode: table}}.  Under PAPER_LITERAL a right-side contact takes
+    the static (J'-free) rate form."""
+    tables: dict[str, dict[str, RateTable]] = {"left": {}, "right": {}}
+    for contact in TOPOLOGIES[spec.topology].reduced_contacts:
+        tables[contact.side][contact.diode] = _contact_table(spec, contact)
+    return tables
 
 
 def bridge_rate_tables(spec: CircuitSpec) -> dict[str, RateTable]:
-    """Per-diode rate tables of the bridge.
+    """Per-diode view of ``rate_tables`` for the bridge, each of whose diodes
+    faces one bath."""
+    if spec.topology is not Topology.BRIDGE:
+        raise ValueError("bridge rate tables are only defined for the bridge topology")
+    tables = rate_tables(spec)
+    return {**tables["left"], **tables["right"]}
 
-    D1 faces the left bath through a modulated coupling, D3/D4 face their
-    baths through static couplings.  D2 also couples to the right bath
-    through a modulated coupling; whether its rates carry the J'^2 term is
-    selected by ``spec.bridge_rate_mode``.
+
+def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
+    """Generator of the modes of ``layout``, wired as the spec's topology declares.
+
+    The Hamiltonian holds the retained couplings among these modes, with
+    drives grouped by frequency, and the anharmonicity of every diode they
+    touch; a diode with no retained coupling sits in its own rotating frame,
+    which leaves its rate dissipators unchanged.  The jumps are the rate
+    contacts, the thermal filter baths and the gamma_dec decoherence.
     """
-    n_left, n_right = spec.left_bath.n, spec.right_bath.n
-    G_left, G_right = spec.left_bath.Gamma, spec.right_bath.Gamma
-    d2_modulated = RateMode(spec.bridge_rate_mode) is RateMode.PHYSICAL_MODULATED
-    return {
-        "D1": qutrit_rate_table(spec.diodes["D1"], n_left, G_left, modulated=True),
-        "D2": qutrit_rate_table(spec.diodes["D2"], n_right, G_right, modulated=d2_modulated),
-        "D3": qutrit_rate_table(spec.diodes["D3"], n_left, G_left, modulated=False),
-        "D4": qutrit_rate_table(spec.diodes["D4"], n_right, G_right, modulated=False),
-    }
+    topology = TOPOLOGIES[spec.topology]
+    labels = layout.labels
+
+    @functools.cache
+    def op(make, label: str, *args) -> SparseOperator:
+        return make(layout, label, *args)
+
+    couplings = [c for c in topology.couplings if c.a in labels and c.b in labels]
+    coupled = {mode for c in couplings for mode in (c.a, c.b)}
+    static = [(-spec.diodes[label].delta_omega) * op(projector, label, 0)
+              for label in labels if label in coupled and label in spec.diodes]
+    drives: dict[float, SparseOperator] = {}
+    for c in couplings:
+        params = spec.diodes[c.diode]
+        hop = op(lowering_op, c.a) @ op(raising_op, c.b) + op(raising_op, c.a) @ op(lowering_op, c.b)
+        static.append(params.J * hop)
+        if c.modulated and params.J_prime > 0:
+            nu, v = params.delta_omega, params.J_prime * hop
+            drives[nu] = drives[nu] + v if nu in drives else v
+    hamiltonian = None
+    if static:
+        hamiltonian = TimeDependentOperator(functools.reduce(SparseOperator.__add__, static),
+                                            tuple(sorted(drives.items())))
+
+    jumps: list[tuple[float, SparseOperator]] = []
+    for contact in topology.contacts:
+        if contact.diode in labels:
+            jumps += rate_jump_terms(layout, contact.diode, _contact_table(spec, contact))
+    for label, side in topology.filters:
+        if label in labels:
+            bath = spec.bath(side)
+            jumps.append((bath.Gamma * (bath.n + 1.0), op(lowering_op, label)))
+            if bath.n > 0:
+                jumps.append((bath.Gamma * bath.n, op(raising_op, label)))
+    if topology.decoherence and spec.gamma_dec > 0:
+        for label in labels:
+            jumps += [(spec.gamma_dec, op(lowering_op, label)), (spec.gamma_dec, op(number_op, label))]
+    return Liouvillian(layout, hamiltonian, tuple(jumps))
 
 
-def decoherence_jump_terms(
-    layout: SpaceLayout, gamma_dec: float, labels
-) -> list[tuple[float, SparseOperator]]:
-    """Decay plus number-operator dephasing, gamma_dec * (M[a] + M[a†a]), per mode."""
-    terms = []
-    if gamma_dec <= 0:
-        return terms
-    for label in labels:
-        terms.append((gamma_dec, lowering_op(layout, label)))
-        terms.append((gamma_dec, number_op(layout, label)))
-    return terms
+def build_generator(spec: CircuitSpec) -> Liouvillian:
+    """Liouvillian of the whole circuit, every block of its topology on one layout."""
+    blocks = TOPOLOGIES[spec.topology].block_layouts(spec.ho_truncation)
+    return _generator(spec, SpaceLayout(tuple(mode for layout in blocks for mode in layout.modes)))
 
 
 def build_bridge_half_generators(spec: CircuitSpec) -> tuple[Liouvillian, Liouvillian]:
-    """Generators of the two decoupled trios of the reduced bridge.
+    """Generators of the two blocks of the reduced bridge, (upper, lower).
 
-    Returns (upper, lower): the upper trio [D1, M1, D2] is time-independent
-    and carries the D1/D2 rate dissipators; the lower trio [D3, M2, D4] is
-    driven and carries the D3/D4 rate dissipators.  Both include the
-    gamma_dec terms of their own modes.  The tensor product of the two
-    trio steady states is the steady state of the full bridge generator.
+    The upper trio [D1, M1, D2] is time-independent, the lower trio
+    [D3, M2, D4] is driven.  No coupling or dissipator joins the trios, so
+    the tensor product of their steady states is the steady state of the
+    full bridge generator.
     """
-    from .circuits import build_bridge_halves
-
-    upper_build, lower_build = build_bridge_halves(spec)
-    tables = bridge_rate_tables(spec)
-
-    upper_jumps: list[tuple[float, SparseOperator]] = []
-    upper_jumps += rate_jump_terms(upper_build.layout, "D1", tables["D1"])
-    upper_jumps += rate_jump_terms(upper_build.layout, "D2", tables["D2"])
-    upper_jumps += decoherence_jump_terms(upper_build.layout, spec.gamma_dec, upper_build.layout.labels)
-
-    lower_jumps: list[tuple[float, SparseOperator]] = []
-    lower_jumps += rate_jump_terms(lower_build.layout, "D3", tables["D3"])
-    lower_jumps += rate_jump_terms(lower_build.layout, "D4", tables["D4"])
-    lower_jumps += decoherence_jump_terms(lower_build.layout, spec.gamma_dec, lower_build.layout.labels)
-
-    upper = Liouvillian(upper_build.layout, upper_build.coherent, tuple(upper_jumps))
-    lower = Liouvillian(lower_build.layout, lower_build.coherent, tuple(lower_jumps))
+    if spec.topology is not Topology.BRIDGE:
+        raise ValueError("bridge halves are only defined for the bridge topology")
+    upper, lower = (_generator(spec, layout)
+                    for layout in TOPOLOGIES[spec.topology].block_layouts(spec.ho_truncation))
     return upper, lower
 
 
 def single_qutrit_rate_generator(tables: list[RateTable]) -> Liouvillian:
     """Purely dissipative generator of one qutrit under summed rate tables."""
-    from .spaces import Qutrit
-
     layout = SpaceLayout.of(("D1", Qutrit()))
     jumps: list[tuple[float, SparseOperator]] = []
     for table in tables:

@@ -76,18 +76,12 @@ class CurrentReport:
         return cls(forward, reverse, rectification(forward, reverse))
 
 
-def bath_exchange_current(rho_ss: DensityMatrix, label: str, bath: BathParams) -> float:
+def bath_exchange_functional(layout: SpaceLayout, label: str, bath: BathParams) -> CurrentFunctional:
     """Net excitation current bath -> filter oscillator in the full model.
 
-    Gamma n <a a†> - Gamma (n+1) <a† a> on the steady state; positive means
-    the bath pumps the system.  The heat current is this times the filter
-    frequency.
+    Gamma n <a a†> - Gamma (n+1) <a† a>; positive means the bath pumps the
+    system.  The heat current is this times the filter frequency.
     """
-    op = bath_exchange_functional(rho_ss.layout, label, bath).observable
-    return float(np.real(rho_ss.expectation(op)))
-
-
-def bath_exchange_functional(layout: SpaceLayout, label: str, bath: BathParams) -> CurrentFunctional:
     if not isinstance(layout.kind_of(label), HarmonicOscillator):
         raise ValueError(f"mode {label!r} is not a harmonic oscillator")
     a = lowering_op(layout, label)
@@ -126,30 +120,6 @@ def net_bath_current_functional(layout: SpaceLayout, labels, tables) -> CurrentF
         term = _emission_weight(layout, label, tables[label]) - _absorption_weight(layout, label, tables[label])
         w = term if w is None else w + term
     return CurrentFunctional("net_bath_current_" + "_".join(labels), w)
-
-
-def markov_current_parallel(rho_ss: DensityMatrix, tables: dict[str, RateTable], direction: str) -> float:
-    """Bias current of the parallel circuit from level populations.
-
-    ``direction="forward"`` sums the right-bath decay over both qutrits;
-    ``direction="reverse"`` returns minus the left-bath decay sum, so the
-    reverse current is reported as a nonpositive number.
-    """
-    if direction == "forward":
-        return emission_current_functional(rho_ss.layout, ("D1", "D2"), tables).value(rho_ss)
-    if direction == "reverse":
-        return -emission_current_functional(rho_ss.layout, ("D1", "D2"), tables).value(rho_ss)
-    raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-
-
-def markov_current_series(rho_ss: DensityMatrix, tables: dict[str, RateTable], direction: str) -> float:
-    """Bias current of the series circuit: D2 feeds the right bath in
-    forward bias, D1 feeds the left bath (with negative sign) in reverse."""
-    if direction == "forward":
-        return emission_current_functional(rho_ss.layout, ("D2",), tables).value(rho_ss)
-    if direction == "reverse":
-        return -emission_current_functional(rho_ss.layout, ("D1",), tables).value(rho_ss)
-    raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
 
 
 def rectification(j_forward: float, j_reverse: float) -> float:

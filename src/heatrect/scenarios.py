@@ -26,13 +26,13 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .circuits import CircuitSpec, RateMode
+from .circuits import TOPOLOGIES, CircuitSpec, RateMode, Topology
 from .lindblad import (
-    RateTable,
+    SUPEROP_MATERIALIZE_DIM,
     bridge_rate_tables,
     build_bridge_half_generators,
     build_generator,
-    qutrit_rate_table,
+    rate_tables,
     single_qutrit_rate_generator,
 )
 from .observables import (
@@ -41,7 +41,6 @@ from .observables import (
     bath_exchange_functional,
     emission_current_functional,
     fidelity,
-    markov_current_parallel,
     mode_report,
     net_bath_current_functional,
     thermal_state_matrix,
@@ -102,15 +101,6 @@ def _spec_for(circuit: dict, topology: str, bias: BiasSetting, delta_omega) -> C
                              delta_omega=delta_omega, **circuit)
 
 
-def _two_diode_tables(spec: CircuitSpec) -> dict[str, dict[str, RateTable]]:
-    """Left- and right-side rate tables of a two-diode reduced circuit."""
-    g_l, g_r = spec.left_bath.Gamma, spec.right_bath.Gamma
-    n_l, n_r = spec.left_bath.n, spec.right_bath.n
-    left = {a: qutrit_rate_table(spec.diodes[a], n_l, g_l, modulated=True) for a in spec.diodes}
-    right = {a: qutrit_rate_table(spec.diodes[a], n_r, g_r, modulated=False) for a in spec.diodes}
-    return {"left": left, "right": right}
-
-
 @dataclass(frozen=True)
 class _Averaged:
     """One windowed-average run; one that missed the threshold has no state."""
@@ -157,15 +147,17 @@ def _parallel_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
     dw = {"D1": delta_omega_d1, "D2": delta_omega_d2}
     row = {"delta_omega_d1": delta_omega_d1, "delta_omega_d2": delta_omega_d2, "solver": "direct",
            "rate_mode": resolved.circuit["bridge_rate_mode"]}
+    # both diodes decay into the right bath in forward bias, into the left one in reverse
     spec_f = _spec_for(resolved.circuit, "parallel", resolved.biases["forward"], dw)
     rho_f = steady_state_direct(build_generator(spec_f))
-    row["current_forward"] = markov_current_parallel(rho_f, _two_diode_tables(spec_f)["right"], "forward")
+    row["current_forward"] = emission_current_functional(
+        rho_f.layout, ("D1", "D2"), rate_tables(spec_f)["right"]).value(rho_f)
 
     spec_r = _spec_for(resolved.circuit, "parallel", resolved.biases["reverse"], dw)
     rho_r = steady_state_direct(build_generator(spec_r))
     report = CurrentReport.from_currents(
         row["current_forward"],
-        markov_current_parallel(rho_r, _two_diode_tables(spec_r)["left"], "reverse"),
+        -emission_current_functional(rho_r.layout, ("D1", "D2"), rate_tables(spec_r)["left"]).value(rho_r),
     )
     row["current_reverse"] = report.reverse
     row["rectification"] = report.rectification
@@ -179,7 +171,7 @@ def _series_setup(resolved: ResolvedConfig, bias: str, dw1: float, dw2: float):
     D2 into the right bath (forward) or D1 into the left bath, negated."""
     spec = _spec_for(resolved.circuit, "series", resolved.biases[bias], {"D1": dw1, "D2": dw2})
     gen = build_generator(spec)
-    tables = _two_diode_tables(spec)
+    tables = rate_tables(spec)
     if bias == "forward":
         return gen, emission_current_functional(gen.layout, ["D2"], tables["right"]), 1.0
     return gen, emission_current_functional(gen.layout, ["D1"], tables["left"]), -1.0
@@ -310,13 +302,11 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
                     resolved.protocol)
     full_current = -run.value  # positive when flowing into the right bath
 
-    params = spec.diodes["D1"]
-    table_left = qutrit_rate_table(params, setting.n_left, gamma, modulated=True)
-    table_right = qutrit_rate_table(params, setting.n_right, gamma, modulated=False)
-    reduced_gen = single_qutrit_rate_generator([table_left, table_right])
+    tables = rate_tables(spec)
+    reduced_gen = single_qutrit_rate_generator([tables["left"]["D1"], tables["right"]["D1"]])
     rho_red = steady_state_direct(reduced_gen)
     reduced_current = net_bath_current_functional(
-        reduced_gen.layout, ["D1"], {"D1": table_right}
+        reduced_gen.layout, ["D1"], tables["right"]
     ).value(rho_red)
 
     scale = max(abs(full_current), 1e-300)
@@ -383,14 +373,16 @@ def _grid_points(resolved: ResolvedConfig) -> list[dict]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One built-in scenario.  ``bias``, ``axes`` (outer-to-inner grid order),
-    ``extras`` (its own top-level keys) and ``circuit`` (departures from the
-    common circuit) hold defaults; with ``open_bias`` any further bias label
-    is one more point.  ``rows(resolved, out, **point)`` computes the CSV
-    rows of each of ``points(resolved)`` and may write side files through
-    ``out.write_csv``; ``plot(ax, rows)`` draws the quick-look figure."""
+    """One built-in scenario, building the circuits ``topologies``.  ``bias``,
+    ``axes`` (outer-to-inner grid order), ``extras`` (its own top-level keys)
+    and ``circuit`` (departures from the common circuit) hold defaults; with
+    ``open_bias`` any further bias label is one more point.
+    ``rows(resolved, out, **point)`` computes the CSV rows of each of
+    ``points(resolved)`` and may write side files through ``out.write_csv``;
+    ``plot(ax, rows)`` draws the quick-look figure."""
 
     summary: str
+    topologies: tuple[Topology, ...]
     bias: dict
     rows: Callable[..., list[dict]]
     plot: Callable
@@ -408,23 +400,27 @@ _BRIDGE_BIAS = {"temperatures": [1.0, 0.1]}
 SCENARIOS = {
     "parallel-sweep": Scenario(
         summary="two diodes in parallel: currents and rectification over both anharmonicities",
+        topologies=(Topology.PARALLEL,),
         bias=_TWO_WAY_BIAS, rows=_parallel_rows, plot=_plot_rectification,
         axes={"delta_omega_d1": [100.0, 200.0, 300.0],
               "delta_omega_d2": {"log_range": [50.0, 500.0], "points": 40}},
     ),
     "series-sweep": Scenario(
         summary="two diodes in series: currents, rectification, and ground-state populations",
+        topologies=(Topology.SERIES,),
         bias=_TWO_WAY_BIAS, rows=_series_rows, plot=_plot_rectification,
         axes={"delta_omega_d1": [100.0, 200.0, 300.0], "delta_omega_d2": _series_default_grid()},
     ),
     "bridge-anharmonicity": Scenario(
         summary="bridge rectifier: output temperatures and fidelities vs anharmonicity",
+        topologies=(Topology.BRIDGE,),
         bias=_BRIDGE_BIAS, rows=_bridge_rows,
         plot=functools.partial(_plot_bridge_temperatures, x_key="delta_omega"),
         axes={"delta_omega": {"log_range": [50.0, 500.0], "points": 40}},
     ),
     "bridge-decoherence": Scenario(
         summary="bridge rectifier: output temperatures and fidelities vs decoherence rate",
+        topologies=(Topology.BRIDGE,),
         bias=_BRIDGE_BIAS, rows=_bridge_rows,
         plot=functools.partial(_plot_bridge_temperatures, x_key="gamma_dec"),
         axes={"delta_omega": [100.0, 200.0, 300.0],
@@ -432,6 +428,7 @@ SCENARIOS = {
     ),
     "convergence-study": Scenario(
         summary="block-averaged current convergence of the series and bridge circuits",
+        topologies=(Topology.SERIES, Topology.BRIDGE),
         bias={**_TWO_WAY_BIAS, **_BRIDGE_BIAS}, rows=_convergence_rows, plot=_plot_block_averages,
         points=lambda resolved: [{"circuit": circuit, "bias": bias}
                                  for circuit in ("series", "bridge-lower")
@@ -442,6 +439,7 @@ SCENARIOS = {
     ),
     "single-diode-validation": Scenario(
         summary="full three-mode diode model against the reduced rate model",
+        topologies=(Topology.SINGLE_DIODE,),
         bias={**_TWO_WAY_BIAS, "equilibrium": [0.5, 0.5]}, open_bias=True,
         rows=_single_diode_rows, plot=_plot_full_vs_reduced,
         points=lambda resolved: [{"bias": label} for label in resolved.biases],
@@ -596,6 +594,12 @@ def validate_config(cfg: dict) -> ResolvedConfig:
     if scenario.max_truncation is not None and truncation > scenario.max_truncation:
         raise ConfigError("circuit.ho_truncation",
                           f"scenario {name!r} is limited to N <= {scenario.max_truncation}")
+    for topology in scenario.topologies:
+        dim = max(layout.total_dim for layout in TOPOLOGIES[topology].block_layouts(truncation))
+        if dim > SUPEROP_MATERIALIZE_DIM:
+            raise ConfigError("circuit.ho_truncation",
+                              f"N = {truncation} gives the {topology.value} circuit a block of "
+                              f"dimension {dim} > SUPEROP_MATERIALIZE_DIM = {SUPEROP_MATERIALIZE_DIM}")
 
     protocol_defaults = dataclasses.asdict(ConvergenceProtocol())
     protocol_values = {}

@@ -6,13 +6,14 @@ import pytest
 from heatrect.circuits import (
     BathParams,
     CircuitSpec,
+    CircuitTopology,
+    Contact,
+    Coupling,
     DiodeParams,
     Topology,
     bose_occupation,
-    build_bridge_halves,
-    build_circuit,
-    build_diode_hamiltonian,
 )
+from heatrect.lindblad import build_bridge_half_generators, build_generator
 from heatrect.spaces import (
     HarmonicOscillator,
     Qutrit,
@@ -61,18 +62,20 @@ def test_bath_params_occupation_or_temperature():
         BathParams(Gamma=0.0, occupation=0.5)
 
 
-def diode_layout():
-    return SpaceLayout.of(("A", HarmonicOscillator(3)), ("D", Qutrit()), ("B", HarmonicOscillator(3)))
+def single_diode(**kwargs):
+    """Full single-diode model with 3-level filters: H(t) on [L, D1, R]."""
+    spec = CircuitSpec.build("single-diode", n_left=0.5, n_right=0.0, ho_truncation=3, **kwargs)
+    return build_generator(spec)
 
 
 def test_diode_hamiltonian_matrix_element():
-    # <0_A, 2_D | H(t) | 1_A, 1_D> = sqrt(2) * (J + J' cos(dw t)), B in its ground state
-    layout = diode_layout()
+    # <0_L, 2_D | H(t) | 1_L, 1_D> = sqrt(2) * (J + J' cos(dw t)), R in its ground state
+    gen = single_diode()
     params = DiodeParams()
-    h = build_diode_hamiltonian(layout, "D", "A", "B", params)
-    d_b = 3
-    bra = (0 * 3 + 2) * d_b + 0   # |0_A, 2_D, 0_B>
-    ket = (1 * 3 + 1) * d_b + 0   # |1_A, 1_D, 0_B>
+    h = gen.hamiltonian
+    d_r = 3
+    bra = (0 * 3 + 2) * d_r + 0   # |0_L, 2_D, 0_R>
+    ket = (1 * 3 + 1) * d_r + 0   # |1_L, 1_D, 0_R>
     for t in (0.0, 0.3, 1.7):
         dense = h.at(t).to_dense()
         expected = SQ2 * params.coupling_at(t)
@@ -80,9 +83,9 @@ def test_diode_hamiltonian_matrix_element():
 
 
 def test_diode_hamiltonian_hermitian_and_conserving():
-    layout = diode_layout()
-    h = build_diode_hamiltonian(layout, "D", "A", "B", DiodeParams())
-    n_total = sum((number_op(layout, lbl) for lbl in ("A", "D", "B")), start=0 * number_op(layout, "A"))
+    gen = single_diode()
+    layout, h = gen.layout, gen.hamiltonian
+    n_total = sum((number_op(layout, lbl) for lbl in ("L", "D1", "R")), start=0 * number_op(layout, "L"))
     for t in (0.0, 0.3, 1.7):
         dense = h.at(t).to_dense()
         assert np.max(np.abs(dense - dense.conj().T)) < 1e-12
@@ -91,15 +94,21 @@ def test_diode_hamiltonian_hermitian_and_conserving():
 
 
 def test_diode_hamiltonian_requires_qutrit():
-    layout = SpaceLayout.of(("A", HarmonicOscillator(2)), ("D", HarmonicOscillator(2)), ("B", HarmonicOscillator(2)))
+    blocks = ((("A", "oscillator"), ("D", "oscillator"), ("B", "oscillator")),)
     with pytest.raises(ValueError, match="qutrit"):
-        build_diode_hamiltonian(layout, "D", "A", "B", DiodeParams())
+        CircuitTopology(blocks=blocks, couplings=(Coupling("A", "D", "D", modulated=True),))
+    with pytest.raises(ValueError, match="qutrit"):
+        CircuitTopology(blocks=blocks, contacts=(Contact("D", "left", modulated=True),))
+    # a coupling is set by one of its own ends and stays within one block
+    two = ((("A", "qutrit"),), (("B", "qutrit"), ("C", "qutrit")))
+    with pytest.raises(ValueError, match="its qutrit end"):
+        CircuitTopology(blocks=two, couplings=(Coupling("B", "C", "A", modulated=False),))
+    with pytest.raises(ValueError, match="one block"):
+        CircuitTopology(blocks=two, couplings=(Coupling("A", "B", "A", modulated=False),))
 
 
 def test_no_drive_term_for_zero_modulation():
-    layout = diode_layout()
-    h = build_diode_hamiltonian(layout, "D", "A", "B", DiodeParams(J_prime=0.0))
-    assert h.drive_terms == ()
+    assert single_diode(J_prime=0.0).hamiltonian.drive_terms == ()
 
 
 def test_circuit_spec_validation_and_roundtrip():
@@ -117,11 +126,20 @@ def test_circuit_spec_validation_and_roundtrip():
         )
 
 
+def test_delta_omega_for_unknown_diode_is_rejected():
+    with pytest.raises(ValueError, match=r"unknown diodes \['D7'\]"):
+        CircuitSpec.build("parallel", n_left=0.5, n_right=0.0,
+                          delta_omega={"D1": 300.0, "D2": 200.0, "D7": 5.0})
+    with pytest.raises(ValueError, match=r"unknown diodes \['D3', 'D4'\]"):
+        CircuitSpec.build("series", n_left=0.5, n_right=0.0,
+                          delta_omega={f"D{k}": 300.0 for k in range(1, 5)})
+
+
 def test_parallel_circuit_has_no_coherent_part():
     spec = CircuitSpec.build("parallel", n_left=0.5, n_right=0.0)
-    build = build_circuit(spec)
-    assert build.coherent is None
-    assert build.layout.labels == ("D1", "D2")
+    gen = build_generator(spec)
+    assert gen.hamiltonian is None
+    assert gen.layout.labels == ("D1", "D2")
 
 
 def _hop(layout, a, b):
@@ -136,7 +154,7 @@ def test_series_retained_coherent_term_against_full_construction():
     # couplings (in the rotating frame) and compare with the reduced build
     spec = CircuitSpec.build("series", n_left=0.0, n_right=0.5,
                              delta_omega={"D1": 300.0, "D2": 170.0})
-    reduced = build_circuit(spec)
+    reduced = build_generator(spec).hamiltonian
 
     full = SpaceLayout.of(
         ("L", HarmonicOscillator(2)), ("D1", Qutrit()), ("D2", Qutrit()), ("R", HarmonicOscillator(2))
@@ -157,17 +175,18 @@ def test_series_retained_coherent_term_against_full_construction():
             + (d2.J_prime * math.cos(d2.delta_omega * t)) * _hop(full, "D1", "D2")
         )
         reduced_embedded = np.kron(
-            np.kron(np.eye(2), reduced.coherent.at(t).to_dense()), np.eye(2)
+            np.kron(np.eye(2), reduced.at(t).to_dense()), np.eye(2)
         )
         np.testing.assert_allclose(kept.to_dense(), reduced_embedded, atol=1e-12)
 
 
 def test_bridge_retained_couplings_against_full_construction():
     spec = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=2)
-    reduced = build_circuit(spec)
-    assert reduced.layout.labels == ("D1", "M1", "D2", "D3", "M2", "D4")
+    gen = build_generator(spec)
+    reduced = gen.hamiltonian
+    assert gen.layout.labels == ("D1", "M1", "D2", "D3", "M2", "D4")
     # equal anharmonicities: the two drives merge into one term
-    assert len(reduced.coherent.drive_terms) == 1
+    assert len(reduced.drive_terms) == 1
 
     full = SpaceLayout.of(
         ("L", HarmonicOscillator(2)),
@@ -201,28 +220,28 @@ def test_bridge_retained_couplings_against_full_construction():
             + (d["D3"].J_prime * cos) * _hop(full, "M2", "D3")
             + (d["D4"].J_prime * cos) * _hop(full, "M2", "D4")
         )
-        reduced_embedded = np.kron(np.kron(np.eye(2), reduced.coherent.at(t).to_dense()), np.eye(2))
+        reduced_embedded = np.kron(np.kron(np.eye(2), reduced.at(t).to_dense()), np.eye(2))
         np.testing.assert_allclose(kept.to_dense(), reduced_embedded, atol=1e-12)
 
 
 def test_bridge_halves_match_full_reduced_hamiltonian():
     spec = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=3)
-    upper, lower = build_bridge_halves(spec)
-    assert upper.coherent.drive_terms == ()
-    assert len(lower.coherent.drive_terms) == 1
-    full = build_circuit(spec)
+    upper, lower = build_bridge_half_generators(spec)
+    assert upper.hamiltonian.drive_terms == ()
+    assert len(lower.hamiltonian.drive_terms) == 1
+    full = build_generator(spec)
     for t in (0.0, 0.3):
-        embedded = np.kron(upper.coherent.at(t).to_dense(), np.eye(lower.layout.total_dim)) \
-            + np.kron(np.eye(upper.layout.total_dim), lower.coherent.at(t).to_dense())
-        np.testing.assert_allclose(full.coherent.at(t).to_dense(), embedded, atol=1e-12)
+        embedded = np.kron(upper.hamiltonian.at(t).to_dense(), np.eye(lower.layout.total_dim)) \
+            + np.kron(np.eye(upper.layout.total_dim), lower.hamiltonian.at(t).to_dense())
+        np.testing.assert_allclose(full.hamiltonian.at(t).to_dense(), embedded, atol=1e-12)
 
 
 def test_single_diode_full_model_layout():
     spec = CircuitSpec.build("single-diode", n_left=0.5, n_right=0.0, ho_truncation=4)
-    build = build_circuit(spec)
-    assert build.layout.labels == ("L", "D1", "R")
-    assert build.layout.dims == (4, 3, 4)
-    assert len(build.coherent.drive_terms) == 1
+    gen = build_generator(spec)
+    assert gen.layout.labels == ("L", "D1", "R")
+    assert gen.layout.dims == (4, 3, 4)
+    assert len(gen.hamiltonian.drive_terms) == 1
 
 
 def test_excitation_conservation_all_topologies():
@@ -232,12 +251,12 @@ def test_excitation_conservation_all_topologies():
                           delta_omega={"D1": 300.0, "D2": 120.0}),
         CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=2),
     ):
-        build = build_circuit(spec)
+        gen = build_generator(spec)
         n_total = sum(
-            (number_op(build.layout, lbl) for lbl in build.layout.labels[1:]),
-            start=number_op(build.layout, build.layout.labels[0]),
+            (number_op(gen.layout, lbl) for lbl in gen.layout.labels[1:]),
+            start=number_op(gen.layout, gen.layout.labels[0]),
         )
         for t in (0.0, 0.2):
-            h = build.coherent.at(t).matrix
+            h = gen.hamiltonian.at(t).matrix
             comm = h @ n_total.matrix - n_total.matrix @ h
             assert np.max(np.abs(comm.toarray())) < 1e-12

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from heatrect.circuits import BathParams, CircuitSpec, DiodeParams
+from heatrect.circuits import BathParams, CircuitSpec, CircuitTopology, DiodeParams
 from heatrect.lindblad import (
+    Liouvillian,
     RateTable,
-    bath_dissipator,
     bridge_rate_tables,
     build_bridge_half_generators,
     build_generator,
-    dissipator,
     qutrit_rate_table,
     rate_jump_terms,
+    rate_tables,
     single_qutrit_rate_generator,
     transition_op,
     unvectorize,
@@ -25,6 +25,7 @@ from heatrect.spaces import (
     SpaceLayout,
     SparseOperator,
     lowering_op,
+    raising_op,
 )
 from heatrect.observables import net_bath_current_functional
 from heatrect.steady import evolve, steady_state_averaged, steady_state_direct
@@ -67,6 +68,11 @@ def dense_generator_action(gen, rho, t):
     for weight, op in gen.jumps:
         out += weight * dense_lindblad_term(op.to_dense(), rho)
     return out
+
+
+def dissipator(op, weight=1.0):
+    """Superoperator of weight * M[A] through a one-jump generator."""
+    return Liouvillian(op.layout, None, ((weight, op),)).static_superop
 
 
 def test_dissipator_two_level_example():
@@ -135,32 +141,38 @@ def test_rate_table_validation():
 
 
 def test_bath_dissipator_pure_decay_at_zero_occupation():
+    # an empty bath only damps its filter: one decay jump of rate Gamma each
+    spec = CircuitSpec.build("single-diode", n_left=0.0, n_right=0.0, Gamma=2.0, ho_truncation=4)
+    gen = build_generator(spec)
+    assert [w for w, _ in gen.jumps] == [2.0, 2.0]
+    for (_, op), label in zip(gen.jumps, ("L", "R")):
+        assert (op.matrix != lowering_op(gen.layout, label).matrix).nnz == 0
+
     layout = SpaceLayout.of(("L", HarmonicOscillator(4)))
-    bath = BathParams(Gamma=2.0, occupation=0.0)
-    d = bath_dissipator(layout, "L", bath)
-    expected = 2.0 * dissipator(lowering_op(layout, "L"))
-    assert np.max(np.abs((d - expected).toarray())) == 0.0
+    a = lowering_op(layout, "L")
+    rho = random_density(np.random.default_rng(3), 4)
+    out = unvectorize(dissipator(a, 2.0) @ vectorize(rho), 4)
+    np.testing.assert_allclose(out, 2.0 * dense_lindblad_term(a.to_dense(), rho), atol=1e-13)
 
 
 def test_bath_dissipator_requires_oscillator():
-    layout = SpaceLayout.of(("Q", Qutrit()))
     with pytest.raises(ValueError, match="harmonic oscillator"):
-        bath_dissipator(layout, "Q", BathParams(occupation=0.5))
+        CircuitTopology(blocks=((("Q", "qutrit"),),), filters=(("Q", "left"),))
 
 
 def test_bath_dissipator_thermal_fixed_point():
     # the truncated ladder satisfies detailed balance exactly, so its fixed
     # point is the truncated (renormalized) geometric distribution
-    from heatrect.lindblad import Liouvillian
-    from heatrect.spaces import raising_op
-
     layout = SpaceLayout.of(("L", HarmonicOscillator(8)))
     bath = BathParams(Gamma=10.0, occupation=0.5)
-    gen = Liouvillian(layout, None, (
-        (bath.Gamma * (bath.n + 1.0), lowering_op(layout, "L")),
-        (bath.Gamma * bath.n, raising_op(layout, "L")),
-    ))
-    rho = steady_state_direct(gen)
+
+    def thermal_bath(layout):
+        return Liouvillian(layout, None, (
+            (bath.Gamma * (bath.n + 1.0), lowering_op(layout, "L")),
+            (bath.Gamma * bath.n, raising_op(layout, "L")),
+        ))
+
+    rho = steady_state_direct(thermal_bath(layout))
     r = bath.n / (1.0 + bath.n)
     geometric = r ** np.arange(8)
     geometric /= geometric.sum()
@@ -170,8 +182,7 @@ def test_bath_dissipator_thermal_fixed_point():
     assert abs(mean_n - 0.5) < 2e-3  # truncation tail of the N=8 ladder
 
     # untruncated two-level case: the thermal state is annihilated exactly
-    layout2 = SpaceLayout.of(("L", HarmonicOscillator(2)))
-    d2 = bath_dissipator(layout2, "L", bath)
+    d2 = thermal_bath(SpaceLayout.of(("L", HarmonicOscillator(2)))).static_superop
     th = np.diag([1.0, r]).astype(complex)
     th /= np.trace(th)
     assert np.max(np.abs(d2 @ vectorize(th))) < 1e-15
@@ -282,6 +293,23 @@ def test_bridge_rate_mode_changes_only_d2():
     assert phys["D2"].get(0, 1) - lit["D2"].get(0, 1) == pytest.approx(
         n_r * 0.25 / 10.0, rel=1e-12
     )
+
+
+def test_rate_mode_leaves_other_circuits_unchanged():
+    # no right-side contact outside the bridge has a modulated coupling
+    for topology, kwargs in (
+        ("parallel", dict(n_left=0.5, n_right=0.3)),
+        ("series", dict(n_left=0.3, n_right=0.5)),
+        ("single-diode", dict(n_left=0.5, n_right=0.2, ho_truncation=3)),
+    ):
+        phys, lit = (CircuitSpec.build(topology, bridge_rate_mode=mode, **kwargs)
+                     for mode in ("physical-modulated", "paper-literal"))
+        assert rate_tables(phys) == rate_tables(lit)
+        gen_p, gen_l = build_generator(phys), build_generator(lit)
+        assert (gen_p.static_superop != gen_l.static_superop).nnz == 0
+        assert [nu for nu, _ in gen_p.drive_superops] == [nu for nu, _ in gen_l.drive_superops]
+        for (_, a), (_, b) in zip(gen_p.drive_superops, gen_l.drive_superops):
+            assert (a != b).nnz == 0
 
 
 def test_bridge_gamma_dec_jumps_cover_all_modes():

@@ -8,11 +8,10 @@ from heatrect.lindblad import qutrit_rate_table
 from heatrect.observables import (
     BiasSetting,
     CurrentReport,
-    bath_exchange_current,
+    bath_exchange_functional,
     effective_temperature,
+    emission_current_functional,
     fidelity,
-    markov_current_parallel,
-    markov_current_series,
     mode_report,
     rectification,
     thermal_population,
@@ -34,6 +33,10 @@ def random_density(rng, d):
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = x @ x.conj().T
     return rho / np.trace(rho)
+
+
+def bath_exchange_current(rho, label, bath):
+    return bath_exchange_functional(rho.layout, label, bath).value(rho)
 
 
 def test_bath_exchange_current_vacuum():
@@ -66,7 +69,7 @@ def test_bath_exchange_current_requires_oscillator():
     layout = SpaceLayout.of(("Q", Qutrit()))
     rho = DensityMatrix.ground_state(layout)
     with pytest.raises(ValueError, match="harmonic oscillator"):
-        bath_exchange_current(rho, "Q", BathParams(occupation=0.5))
+        bath_exchange_functional(rho.layout, "Q", BathParams(occupation=0.5))
 
 
 def _tables(n, modulated):
@@ -76,27 +79,30 @@ def _tables(n, modulated):
     }
 
 
-def test_markov_current_parallel_values():
+def test_emission_current_parallel_values():
+    # the parallel circuit's forward current: right-bath decay of both qutrits
     layout = two_qutrits()
     ground = DensityMatrix.ground_state(layout)
     tables = _tables(0.0, modulated=False)
-    assert markov_current_parallel(ground, tables, "forward") == 0.0
+    emission = emission_current_functional(layout, ("D1", "D2"), tables)
+    assert emission.value(ground) == 0.0
 
     mixed = DensityMatrix.from_matrix(layout, np.eye(9, dtype=complex) / 9)
     expected = 2 * ((1 / 3) * tables["D1"].get(1, 0) + (1 / 3) * tables["D1"].get(2, 1))
-    assert markov_current_parallel(mixed, tables, "forward") == pytest.approx(expected, rel=1e-12)
+    assert emission.value(mixed) == pytest.approx(expected, rel=1e-12)
 
 
-def test_markov_current_series_sign():
+def test_emission_current_series_sign():
+    # the series circuit reports D2's decay forward and minus D1's in reverse
     layout = two_qutrits()
     rng = np.random.default_rng(2)
     tables = _tables(0.5, modulated=True)
+    forward = emission_current_functional(layout, ("D2",), tables)
+    reverse = emission_current_functional(layout, ("D1",), tables)
     for _ in range(10):
         rho = DensityMatrix.from_matrix(layout, random_density(rng, 9))
-        assert markov_current_series(rho, tables, "reverse") <= 0.0
-        assert markov_current_series(rho, tables, "forward") >= 0.0
-    with pytest.raises(ValueError, match="direction"):
-        markov_current_series(rho, tables, "sideways")
+        assert -reverse.value(rho) <= 0.0
+        assert forward.value(rho) >= 0.0
 
 
 def test_rectification_values():

@@ -129,6 +129,18 @@ def test_config_errors_carry_key_paths():
         load_config("does-not-exist.json")
 
 
+def test_truncation_above_the_superoperator_guard_is_a_config_error(tmp_path, capsys):
+    # a bridge trio at N has dimension 9 N; the guard admits dimension 512
+    for name in ("bridge-anharmonicity", "bridge-decoherence", "convergence-study"):
+        assert validate_config({"name": name, "circuit": {"ho_truncation": 56}}).circuit["ho_truncation"] == 56
+        with pytest.raises(ConfigError, match=r"^circuit\.ho_truncation: .*dimension 513 > "):
+            validate_config({"name": name, "circuit": {"ho_truncation": 57}})
+    # refused before anything runs
+    assert main(["run", "bridge-anharmonicity", "--truncation", "57", "--out", str(tmp_path / "out")]) == 2
+    assert "config error at circuit.ho_truncation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_axis_forms():
     cfg = tiny_parallel_config(axes={
         "delta_omega_d1": {"log_range": [100.0, 400.0], "points": 3},
