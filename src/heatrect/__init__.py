@@ -21,8 +21,8 @@ from .lindblad import (
 from .observables import (
     BiasSetting,
     CurrentFunctional,
-    CurrentReport,
     ModeReport,
+    bath_current_functional,
     effective_temperature,
     fidelity,
     mode_report,

@@ -253,7 +253,10 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
     jumps: list[tuple[float, SparseOperator]] = []
     for contact in topology.contacts:
         if contact.diode in labels:
-            jumps += rate_jump_terms(layout, contact.diode, _contact_table(spec, contact))
+            # as rate_jump_terms, with each |to><from| embedded once for all contacts
+            table = _contact_table(spec, contact)
+            jumps += [(table.get(*t), op(transition_op, contact.diode, *t))
+                      for t in _ALLOWED_TRANSITIONS if table.get(*t) > 0]
     for label, side in topology.filters:
         if label in labels:
             bath = spec.bath(side)

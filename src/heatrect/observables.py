@@ -1,5 +1,11 @@
-"""Scalar diagnostics: currents, rectification, effective temperature,
-thermal populations, fidelity, and per-mode reports."""
+"""Scalar diagnostics: bath currents, rectification, effective temperature,
+thermal populations, fidelity, and per-mode reports.
+
+Every current is the net excitation current into one bath (emission minus
+absorption), read by ``bath_current_functional`` from the wiring table
+``circuits.TOPOLOGIES``; ``net_bath_current_functional`` is its form for
+explicit rate tables.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import BathParams
-from .lindblad import RateTable
+from .circuits import TOPOLOGIES, CircuitSpec
+from .lindblad import rate_tables
 from .spaces import (
     DensityMatrix,
-    HarmonicOscillator,
     SpaceLayout,
     SparseOperator,
+    embed,
     lowering_op,
     number_op,
     partial_trace,
-    projector,
     raising_op,
 )
 
@@ -63,63 +68,44 @@ class CurrentFunctional:
         return float(np.real(rho.expectation(self.observable)))
 
 
-@dataclass(frozen=True)
-class CurrentReport:
-    """Forward/reverse bias currents and their rectification factor."""
-
-    forward: float
-    reverse: float
-    rectification: float
-
-    @classmethod
-    def from_currents(cls, forward: float, reverse: float) -> "CurrentReport":
-        return cls(forward, reverse, rectification(forward, reverse))
-
-
-def bath_exchange_functional(layout: SpaceLayout, label: str, bath: BathParams) -> CurrentFunctional:
-    """Net excitation current bath -> filter oscillator in the full model.
-
-    Gamma n <a a†> - Gamma (n+1) <a† a>; positive means the bath pumps the
-    system.  The heat current is this times the filter frequency.
-    """
-    if not isinstance(layout.kind_of(label), HarmonicOscillator):
-        raise ValueError(f"mode {label!r} is not a harmonic oscillator")
-    a = lowering_op(layout, label)
-    ad = raising_op(layout, label)
-    w = bath.Gamma * bath.n * (a @ ad) - bath.Gamma * (bath.n + 1.0) * (ad @ a)
-    return CurrentFunctional(f"exchange_current_{label}", w)
-
-
-def _emission_weight(layout: SpaceLayout, label: str, table: RateTable) -> SparseOperator:
-    """Diagonal weight for excitations decaying into the bath of one qutrit."""
-    return table.get(1, 0) * projector(layout, label, 1) + table.get(2, 1) * projector(layout, label, 2)
-
-
-def _absorption_weight(layout: SpaceLayout, label: str, table: RateTable) -> SparseOperator:
-    return table.get(0, 1) * projector(layout, label, 0) + table.get(1, 2) * projector(layout, label, 1)
-
-
-def emission_current_functional(layout: SpaceLayout, labels, tables) -> CurrentFunctional:
-    """Excitations per unit time decaying to the bath through the given qutrits.
-
-    This is the decay-only current used at the standard bias points, where
-    the receiving bath is empty and absorption vanishes identically.
-    """
-    labels = list(labels)
-    w = _emission_weight(layout, labels[0], tables[labels[0]])
-    for label in labels[1:]:
-        w = w + _emission_weight(layout, label, tables[label])
-    return CurrentFunctional("emission_current_" + "_".join(labels), w)
-
-
 def net_bath_current_functional(layout: SpaceLayout, labels, tables) -> CurrentFunctional:
-    """Net excitation current into the bath (emission minus absorption)."""
+    """Net excitation current into a bath through the rate contacts of the
+    qutrits ``labels``, whose rate tables ``tables`` holds by label.
+
+    Emission minus absorption, one diagonal weight per qutrit:
+    r10 P1 + r21 P2 - r01 P0 - r12 P1 = diag(-r01, r10 - r12, r21).
+    """
     labels = list(labels)
     w = None
     for label in labels:
-        term = _emission_weight(layout, label, tables[label]) - _absorption_weight(layout, label, tables[label])
+        t = tables[label]
+        term = embed(layout, label, np.diag([-t.get(0, 1), t.get(1, 0) - t.get(1, 2), t.get(2, 1)]))
         w = term if w is None else w + term
     return CurrentFunctional("net_bath_current_" + "_".join(labels), w)
+
+
+def bath_current_functional(spec: CircuitSpec, layout: SpaceLayout, side: str) -> CurrentFunctional:
+    """Net excitation current into the ``side`` bath, wired as
+    ``TOPOLOGIES[spec.topology]`` declares; positive when the system heats
+    that bath.  The heat current is this times the filter frequency.
+
+    A bath's current is the work of its own contacts.  When ``layout`` keeps
+    that side's filter oscillator (the full single-diode model) it is
+    Gamma (n+1) a†a - Gamma n a a† on the filter; otherwise it is the rate
+    contacts on that side of the diodes in ``layout``.
+    """
+    for label, filter_side in TOPOLOGIES[spec.topology].filters:
+        if filter_side == side and label in layout.labels:
+            bath = spec.bath(side)
+            a, ad = lowering_op(layout, label), raising_op(layout, label)
+            w = bath.Gamma * (bath.n + 1.0) * (ad @ a) - bath.Gamma * bath.n * (a @ ad)
+            return CurrentFunctional(f"net_bath_current_{label}", w)
+    tables = rate_tables(spec)[side]
+    labels = [label for label in tables if label in layout.labels]
+    if not labels:
+        raise ValueError(f"layout {list(layout.labels)} holds no contact of the {side} bath "
+                         f"of the {spec.topology.value} circuit")
+    return net_bath_current_functional(layout, labels, tables)
 
 
 def rectification(j_forward: float, j_reverse: float) -> float:

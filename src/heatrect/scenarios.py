@@ -29,7 +29,6 @@ from . import __version__
 from .circuits import TOPOLOGIES, CircuitSpec, RateMode, Topology
 from .lindblad import (
     SUPEROP_MATERIALIZE_DIM,
-    bridge_rate_tables,
     build_bridge_half_generators,
     build_generator,
     rate_tables,
@@ -37,12 +36,10 @@ from .lindblad import (
 )
 from .observables import (
     BiasSetting,
-    CurrentReport,
-    bath_exchange_functional,
-    emission_current_functional,
+    bath_current_functional,
     fidelity,
     mode_report,
-    net_bath_current_functional,
+    rectification,
     thermal_state_matrix,
 )
 from .spaces import DensityMatrix, projector
@@ -118,17 +115,16 @@ class _Averaged:
         return self.state is not None
 
 
-def _averaged(out: _Output | None, generator, observable, protocol: ConvergenceProtocol,
+def _averaged(out: _Output, generator, observable, protocol: ConvergenceProtocol,
               trajectory_points_per_block: int | None = None) -> _Averaged:
     """``steady_state_averaged``, with non-convergence returned as a flagged run;
-    ``out`` (when given) records the block dimension of a converged run."""
+    ``out`` records the block dimension of a converged run."""
     try:
         res = steady_state_averaged(generator, protocol=protocol, observable=observable,
                                     trajectory_points_per_block=trajectory_points_per_block)
     except ConvergenceError as err:
         return _Averaged(err.last_averages[-1], -1, protocol.max_blocks, None, err.block_averages)
-    if out is not None:
-        out.block_dims.add(res.block_dim)
+    out.block_dims.add(res.block_dim)
     return _Averaged(res.converged_value, res.converged_block, res.blocks_used, res.final_state,
                      res.block_averages, res.method, res.trajectory)
 
@@ -142,39 +138,33 @@ def _p0_reverse(rho: DensityMatrix | None) -> dict:
     }
 
 
+# forward bias reports the net current into the right bath, reverse minus
+# the net current into the left bath
+_BIAS_SIDES = {"forward": ("right", 1.0), "reverse": ("left", -1.0)}
+
+
 def _parallel_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
                    delta_omega_d2: float) -> list[dict]:
     dw = {"D1": delta_omega_d1, "D2": delta_omega_d2}
     row = {"delta_omega_d1": delta_omega_d1, "delta_omega_d2": delta_omega_d2, "solver": "direct",
            "rate_mode": resolved.circuit["bridge_rate_mode"]}
-    # both diodes decay into the right bath in forward bias, into the left one in reverse
-    spec_f = _spec_for(resolved.circuit, "parallel", resolved.biases["forward"], dw)
-    rho_f = steady_state_direct(build_generator(spec_f))
-    row["current_forward"] = emission_current_functional(
-        rho_f.layout, ("D1", "D2"), rate_tables(spec_f)["right"]).value(rho_f)
-
-    spec_r = _spec_for(resolved.circuit, "parallel", resolved.biases["reverse"], dw)
-    rho_r = steady_state_direct(build_generator(spec_r))
-    report = CurrentReport.from_currents(
-        row["current_forward"],
-        -emission_current_functional(rho_r.layout, ("D1", "D2"), rate_tables(spec_r)["left"]).value(rho_r),
-    )
-    row["current_reverse"] = report.reverse
-    row["rectification"] = report.rectification
-    row.update(_p0_reverse(rho_r))
+    states = {}
+    for bias, (side, sign) in _BIAS_SIDES.items():
+        spec = _spec_for(resolved.circuit, "parallel", resolved.biases[bias], dw)
+        rho = states[bias] = steady_state_direct(build_generator(spec))
+        row[f"current_{bias}"] = sign * bath_current_functional(spec, rho.layout, side).value(rho)
+    row["rectification"] = rectification(row["current_forward"], row["current_reverse"])
+    row.update(_p0_reverse(states["reverse"]))
     row["converged"] = True
     return [row]
 
 
 def _series_setup(resolved: ResolvedConfig, bias: str, dw1: float, dw2: float):
-    """Generator, emission-current observable and its sign at one series bias:
-    D2 into the right bath (forward) or D1 into the left bath, negated."""
+    """Generator, bath-current observable and its sign at one series bias."""
     spec = _spec_for(resolved.circuit, "series", resolved.biases[bias], {"D1": dw1, "D2": dw2})
     gen = build_generator(spec)
-    tables = rate_tables(spec)
-    if bias == "forward":
-        return gen, emission_current_functional(gen.layout, ["D2"], tables["right"]), 1.0
-    return gen, emission_current_functional(gen.layout, ["D1"], tables["left"]), -1.0
+    side, sign = _BIAS_SIDES[bias]
+    return gen, bath_current_functional(spec, gen.layout, side), sign
 
 
 def _series_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
@@ -189,8 +179,7 @@ def _series_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
         row[f"converged_block_{bias}"] = run.converged_block
         row[f"blocks_{bias}"] = run.blocks_used
     row.update(_p0_reverse(runs["reverse"].state))
-    report = CurrentReport.from_currents(row["current_forward"], row["current_reverse"])
-    row["rectification"] = report.rectification
+    row["rectification"] = rectification(row["current_forward"], row["current_reverse"])
     row["converged"] = all(run.converged for run in runs.values())
     return [row]
 
@@ -202,7 +191,6 @@ def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
     bias = resolved.biases["temperatures"]
     spec = _spec_for({**resolved.circuit, "gamma_dec": gamma_dec}, "bridge", bias, delta_omega)
     upper, lower = build_bridge_half_generators(spec)
-    tables = bridge_rate_tables(spec)
     n_mid = spec.ho_truncation
 
     row = {
@@ -224,12 +212,9 @@ def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
     row["nbar_m1"] = rep_m1.mean_n
     row["temp_m1"] = rep_m1.effective_T
     row["fid_left_m1"] = fidelity(ref_left, rep_m1.reduced)
-    row["current_upper_right"] = net_bath_current_functional(
-        upper.layout, ["D2"], tables
-    ).value(rho_upper)
+    row["current_upper_right"] = bath_current_functional(spec, upper.layout, "right").value(rho_upper)
 
-    run = _averaged(out, lower, net_bath_current_functional(lower.layout, ["D4"], tables),
-                    resolved.protocol)
+    run = _averaged(out, lower, bath_current_functional(spec, lower.layout, "right"), resolved.protocol)
     row["current_lower_right"] = run.value
     row["converged_block"] = run.converged_block
     row["blocks_used"] = run.blocks_used
@@ -265,7 +250,7 @@ def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
         spec = _spec_for(resolved.circuit, "bridge",
                          temps if bias == "forward" else temps.swapped(bias), dw1)
         _, gen = build_bridge_half_generators(spec)
-        obs = net_bath_current_functional(gen.layout, ["D4"], bridge_rate_tables(spec))
+        obs = bath_current_functional(spec, gen.layout, "right")
         sign = 1.0
     run = _averaged(out, gen, obs, resolved.protocol,
                     resolved.extras["trajectory_points_per_block"])
@@ -298,16 +283,13 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
     gamma = resolved.circuit["Gamma"]
     spec = _spec_for(resolved.circuit, "single-diode", setting, delta_omega)
     gen = build_generator(spec)
-    run = _averaged(out, gen, bath_exchange_functional(gen.layout, "R", spec.right_bath),
-                    resolved.protocol)
-    full_current = -run.value  # positive when flowing into the right bath
+    run = _averaged(out, gen, bath_current_functional(spec, gen.layout, "right"), resolved.protocol)
+    full_current = run.value
 
-    tables = rate_tables(spec)
-    reduced_gen = single_qutrit_rate_generator([tables["left"]["D1"], tables["right"]["D1"]])
+    reduced_gen = single_qutrit_rate_generator(
+        [table for side in rate_tables(spec).values() for table in side.values()])
     rho_red = steady_state_direct(reduced_gen)
-    reduced_current = net_bath_current_functional(
-        reduced_gen.layout, ["D1"], tables["right"]
-    ).value(rho_red)
+    reduced_current = bath_current_functional(spec, reduced_gen.layout, "right").value(rho_red)
 
     scale = max(abs(full_current), 1e-300)
     return [{
@@ -643,26 +625,6 @@ def validate_config(cfg: dict) -> ResolvedConfig:
 
     return ResolvedConfig(name=name, circuit=circuit, protocol=protocol, axes=axes,
                           biases=biases, plot=plot, extras=extras)
-
-
-def validate_single_diode(config) -> dict:
-    """Full three-mode model against the reduced single-qutrit rate model.
-
-    Runs both at matched parameters for each configured bias and reports
-    currents plus their relative deviation; the full model is the oracle.
-    """
-    resolved = config if isinstance(config, ResolvedConfig) else validate_config(load_config(config))
-    if SCENARIOS[resolved.name].rows is not _single_diode_rows:
-        raise ConfigError("name", "validate_single_diode needs a single-diode-validation config")
-    rows = [row for label in resolved.biases for row in _single_diode_rows(resolved, None, label)]
-    report = {"delta_omega": resolved.extras["delta_omega"], "Gamma": resolved.circuit["Gamma"],
-              "truncation": resolved.circuit["ho_truncation"], "rows": rows}
-    by_bias = {r["bias"]: r for r in rows}
-    if "forward" in by_bias and "reverse" in by_bias:
-        reverse = by_bias["reverse"]["current_full"]
-        report["forward_reverse_ratio"] = abs(
-            by_bias["forward"]["current_full"] / reverse) if reverse else math.inf
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -334,19 +334,17 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
 # real Hermitian-basis representation
 # ---------------------------------------------------------------------------
 
-def hermitian_basis_transform(d: int, pairs: np.ndarray | None = None) -> sp.csr_array:
+def hermitian_basis_transform(d: int, pairs: np.ndarray) -> sp.csr_array:
     """Isometry T mapping vec(rho) to real coordinates in a Hermitian basis.
 
     ``pairs`` is a symmetric d x d boolean mask of the entries (k, l) the
-    basis spans; by default every entry, which makes T unitary.  Basis
+    basis spans; the all-true mask makes T unitary.  Basis
     order: the kept diagonal projectors first, then for each kept pair
     k < l the symmetric and antisymmetric (i-weighted) combinations, both
     normalized under the Hilbert-Schmidt inner product.  For Hermitian rho
     supported on the mask the coordinates T @ vec(rho) are real and
     T^dagger T vec(rho) = vec(rho).
     """
-    if pairs is None:
-        pairs = np.ones((d, d), dtype=bool)
     pairs = np.asarray(pairs, dtype=bool)
     if pairs.shape != (d, d) or not np.array_equal(pairs, pairs.T):
         raise ValueError(f"pair mask must be a symmetric {d} x {d} boolean array")

@@ -27,7 +27,7 @@ from heatrect.observables import (
     rectification,
     thermal_state_matrix,
 )
-from heatrect.scenarios import default_config, run_scenario, validate_single_diode
+from heatrect.scenarios import default_config, run_scenario
 from heatrect.spaces import DensityMatrix, partial_trace
 from heatrect.steady import evolve, steady_state_averaged, steady_state_direct
 
@@ -233,20 +233,21 @@ def test_criterion_8_convergence_asymmetry(series_sweep):
           f"reverse block n={row['converged_block_reverse']} at T=5000/J, T_av=1000/J)")
 
 
-def test_criterion_9_full_vs_reduced_oracle():
-    report = validate_single_diode({
+def test_criterion_9_full_vs_reduced_oracle(tmp_path):
+    result = run_scenario({
         "name": "single-diode-validation",
         "circuit": {"ho_truncation": 4, "Gamma": 20.0},
-    })
-    rows = {r["bias"]: r for r in report["rows"]}
+    }, out_dir=tmp_path)
+    rows = {r["bias"]: r for r in result.rows}
     fwd = rows["forward"]
+    ratio = abs(fwd["current_full"] / rows["reverse"]["current_full"])
     assert fwd["rel_deviation"] <= 0.20
     eq = rows["equilibrium"]
     assert abs(eq["current_full"]) < 1e-8
     assert abs(eq["current_reduced"]) < 1e-8
     print(f"\nACCEPTANCE  9 full-vs-reduced oracle: PASS (forward deviation "
           f"{fwd['rel_deviation']:.1%}; equilibrium currents {eq['current_full']:.2e} / "
-          f"{eq['current_reduced']:.2e}; fwd/rev ratio {report['forward_reverse_ratio']:.1f})")
+          f"{eq['current_reduced']:.2e}; fwd/rev ratio {ratio:.1f})")
 
 
 def test_criterion_10_structural_invariants():

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from heatrect.circuits import BathParams, DiodeParams, bose_occupation
-from heatrect.lindblad import qutrit_rate_table
+from heatrect.circuits import CircuitSpec, DiodeParams, bose_occupation
+from heatrect.lindblad import build_generator, qutrit_rate_table
 from heatrect.observables import (
     BiasSetting,
-    CurrentReport,
-    bath_exchange_functional,
+    bath_current_functional,
     effective_temperature,
-    emission_current_functional,
     fidelity,
     mode_report,
+    net_bath_current_functional,
     rectification,
     thermal_population,
     thermal_state_matrix,
@@ -35,41 +34,50 @@ def random_density(rng, d):
     return rho / np.trace(rho)
 
 
-def bath_exchange_current(rho, label, bath):
-    return bath_exchange_functional(rho.layout, label, bath).value(rho)
+def single_diode(n_left, truncation):
+    """Full single-diode spec and its layout [L, D1, R]."""
+    spec = CircuitSpec.build("single-diode", n_left=n_left, n_right=0.0, Gamma=10.0,
+                             ho_truncation=truncation)
+    return spec, build_generator(spec).layout
+
+
+def filter_state(layout, left_filter):
+    """Product state: ``left_filter`` on L, D1 and R in their ground states."""
+    ground = [np.diag(np.eye(dim)[0]).astype(complex) for dim in layout.dims]
+    return DensityMatrix.from_mode_states(layout, [left_filter, *ground[1:]])
 
 
 def test_bath_exchange_current_vacuum():
-    layout = SpaceLayout.of(("L", HarmonicOscillator(6)))
+    spec, layout = single_diode(0.5, 6)
     rho = DensityMatrix.ground_state(layout)
-    bath = BathParams(Gamma=10.0, occupation=0.5)
-    # <a a†> = 1 and <a† a> = 0 in vacuum
-    assert bath_exchange_current(rho, "L", bath) == pytest.approx(5.0, abs=1e-13)
+    # <a a†> = 1 and <a† a> = 0 in vacuum: the bath pumps Gamma n = 5 into L
+    left = bath_current_functional(spec, layout, "left")
+    assert left.value(rho) == pytest.approx(-5.0, abs=1e-13)
 
 
 def test_bath_exchange_current_detailed_balance_zero():
-    layout = SpaceLayout.of(("L", HarmonicOscillator(8)))
-    bath = BathParams(Gamma=10.0, occupation=0.5)
+    spec, layout = single_diode(0.5, 8)
     r = 0.5 / 1.5
     g = r ** np.arange(8)
-    rho = DensityMatrix.from_matrix(layout, np.diag(g / g.sum()).astype(complex))
-    assert abs(bath_exchange_current(rho, "L", bath)) < 1e-12
+    rho = filter_state(layout, np.diag(g / g.sum()).astype(complex))
+    assert abs(bath_current_functional(spec, layout, "left").value(rho)) < 1e-12
 
 
 def test_bath_exchange_current_sign():
-    layout = SpaceLayout.of(("L", HarmonicOscillator(4)))
+    spec, layout = single_diode(0.0, 4)
     excited = np.zeros((4, 4), dtype=complex)
     excited[1, 1] = 1.0
-    rho = DensityMatrix.from_matrix(layout, excited)
-    bath = BathParams(Gamma=10.0, occupation=0.0)
-    assert bath_exchange_current(rho, "L", bath) < 0  # system hotter than bath
+    rho = filter_state(layout, excited)
+    # system hotter than the bath: the current flows into it
+    assert bath_current_functional(spec, layout, "left").value(rho) > 0
 
 
-def test_bath_exchange_current_requires_oscillator():
-    layout = SpaceLayout.of(("Q", Qutrit()))
-    rho = DensityMatrix.ground_state(layout)
-    with pytest.raises(ValueError, match="harmonic oscillator"):
-        bath_exchange_functional(rho.layout, "Q", BathParams(occupation=0.5))
+def test_bath_current_needs_a_contact_of_the_bath():
+    spec = CircuitSpec.build("series", n_left=0.5, n_right=0.0)
+    d1_only = SpaceLayout.of(("D1", Qutrit()))
+    assert bath_current_functional(spec, d1_only, "left").name == "net_bath_current_D1"
+    with pytest.raises(ValueError, match="no contact of the right bath"):
+        bath_current_functional(spec, d1_only, "right")
 
 
 def _tables(n, modulated):
@@ -80,25 +88,33 @@ def _tables(n, modulated):
 
 
 def test_emission_current_parallel_values():
-    # the parallel circuit's forward current: right-bath decay of both qutrits
+    # the parallel circuit's forward current into the empty right bath:
+    # decay of both qutrits
     layout = two_qutrits()
     ground = DensityMatrix.ground_state(layout)
     tables = _tables(0.0, modulated=False)
-    emission = emission_current_functional(layout, ("D1", "D2"), tables)
+    emission = net_bath_current_functional(layout, ("D1", "D2"), tables)
     assert emission.value(ground) == 0.0
 
     mixed = DensityMatrix.from_matrix(layout, np.eye(9, dtype=complex) / 9)
     expected = 2 * ((1 / 3) * tables["D1"].get(1, 0) + (1 / 3) * tables["D1"].get(2, 1))
     assert emission.value(mixed) == pytest.approx(expected, rel=1e-12)
 
+    # a warm bath also feeds the ground state: minus the absorption rates
+    warm = _tables(0.5, modulated=False)
+    expected = -(warm["D1"].get(0, 1) + warm["D2"].get(0, 1))
+    assert net_bath_current_functional(layout, ("D1", "D2"), warm).value(ground) == pytest.approx(
+        expected, rel=1e-12)
+
 
 def test_emission_current_series_sign():
-    # the series circuit reports D2's decay forward and minus D1's in reverse
+    # the series circuit reports D2's current into the empty right bath
+    # forward and minus D1's into the empty left bath in reverse
     layout = two_qutrits()
     rng = np.random.default_rng(2)
-    tables = _tables(0.5, modulated=True)
-    forward = emission_current_functional(layout, ("D2",), tables)
-    reverse = emission_current_functional(layout, ("D1",), tables)
+    tables = _tables(0.0, modulated=True)
+    forward = net_bath_current_functional(layout, ("D2",), tables)
+    reverse = net_bath_current_functional(layout, ("D1",), tables)
     for _ in range(10):
         rho = DensityMatrix.from_matrix(layout, random_density(rng, 9))
         assert -reverse.value(rho) <= 0.0
@@ -111,10 +127,6 @@ def test_rectification_values():
     assert rectification(1.0, 0.0) == math.inf
     for j in (0.1, 2.0, 17.0):
         assert rectification(j, -j) == pytest.approx(1.0, rel=1e-15)
-
-    report = CurrentReport.from_currents(5.0, -0.005)
-    assert (report.forward, report.reverse) == (5.0, -0.005)
-    assert report.rectification == pytest.approx(1000.0)
 
 
 def test_effective_temperature_round_trip():

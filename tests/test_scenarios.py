@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from heatrect.circuits import CircuitSpec
 from heatrect.cli import main
+from heatrect.lindblad import build_generator, rate_tables
 from heatrect.scenarios import (
     ConfigError,
     SCENARIO_NAMES,
@@ -11,8 +14,9 @@ from heatrect.scenarios import (
     load_config,
     run_scenario,
     validate_config,
-    validate_single_diode,
 )
+from heatrect.spaces import partial_trace
+from heatrect.steady import steady_state_direct
 
 T_DRIVE = 2.0 * math.pi / 300.0
 
@@ -265,21 +269,48 @@ def test_files_list_only_what_the_run_wrote(tmp_path):
     assert stale.read_text() == "time,emission_current\n"
 
 
-def test_single_diode_validation_report():
+def test_single_diode_validation_report(tmp_path):
     cfg = {
         "name": "single-diode-validation",
         "circuit": {"ho_truncation": 2, "Gamma": 20.0},
     }
-    report = validate_single_diode(cfg)
-    assert report["truncation"] == 2
-    biases = {row["bias"] for row in report["rows"]}
-    assert biases == {"forward", "reverse", "equilibrium"}
-    assert report["forward_reverse_ratio"] > 1.0
+    rows = {row["bias"]: row for row in run_scenario(cfg, out_dir=tmp_path).rows}
+    assert set(rows) == {"forward", "reverse", "equilibrium"}
+    assert all(row["truncation"] == 2 for row in rows.values())
+    assert abs(rows["forward"]["current_full"] / rows["reverse"]["current_full"]) > 1.0
     with pytest.raises(ConfigError, match="ho_truncation"):
-        validate_single_diode({
+        validate_config({
             "name": "single-diode-validation",
             "circuit": {"ho_truncation": 6},
         })
+
+
+def _current_from_bath(rho, tables) -> float:
+    """Test-side net excitation current from a bath into the system through
+    its rate contacts: absorption r01 P0 + r12 P1 minus emission r10 P1 + r21 P2."""
+    total = 0.0
+    for label, t in tables.items():
+        p = np.real(np.diag(partial_trace(rho, [label]).data))
+        total += t.get(0, 1) * p[0] + t.get(1, 2) * p[1] - t.get(1, 0) * p[1] - t.get(2, 1) * p[2]
+    return total
+
+
+def test_parallel_currents_are_net_at_a_warm_receiving_bath(tmp_path):
+    # forward reports the net current into the right bath, reverse minus the
+    # net current into the left one; the direct solve conserves excitations,
+    # so each equals the current the other bath feeds in.  A decay-only
+    # current misses the warm receiving bath's absorption (9.5e-2 vs 5.8e-2)
+    bias = {"forward": [0.5, 0.1], "reverse": [0.1, 0.5]}
+    dw = {"D1": 100.0, "D2": 150.0}
+    cfg = tiny_parallel_config(bias=bias, axes={"delta_omega_d1": [dw["D1"]],
+                                                "delta_omega_d2": [dw["D2"]]})
+    row = run_scenario(cfg, out_dir=tmp_path).rows[0]
+    for label, source, sign in (("forward", "left", 1.0), ("reverse", "right", -1.0)):
+        n_left, n_right = bias[label]
+        spec = CircuitSpec.build("parallel", n_left=n_left, n_right=n_right, delta_omega=dw)
+        rho = steady_state_direct(build_generator(spec))
+        fed = _current_from_bath(rho, rate_tables(spec)[source])
+        assert row[f"current_{label}"] == pytest.approx(sign * fed, rel=1e-12)
 
 
 def test_cli_scenarios_and_validate(capsys):

@@ -18,7 +18,7 @@ from heatrect.lindblad import (
 )
 from heatrect.observables import (
     CurrentFunctional,
-    emission_current_functional,
+    bath_current_functional,
     fidelity,
     net_bath_current_functional,
 )
@@ -243,8 +243,7 @@ def test_averaged_compiled_matches_stepping():
     protocol = ConvergenceProtocol(
         block_length=95 * T_DRIVE, average_window=20 * T_DRIVE, rel_tol=0.05, max_blocks=30
     )
-    tables = {"D2": qutrit_rate_table(spec.diodes["D2"], 0.0, 10.0, modulated=False)}
-    obs = emission_current_functional(gen.layout, ["D2"], tables)
+    obs = bath_current_functional(spec, gen.layout, "right")
     compiled = steady_state_averaged(gen, protocol=protocol, observable=obs)
     assert compiled.method == "compiled-block-map"
     block, value, state = stepped_protocol_reference(gen, protocol, obs, compiled.dt, T_DRIVE)
@@ -283,7 +282,7 @@ def test_trace_block_is_the_coherence_order_zero_sector():
         assert t_block.shape == (size, d * d)
         np.testing.assert_allclose((t_block @ t_block.conj().T).toarray(), np.eye(size), atol=1e-12)
         # no generator entry leads from the block to any coordinate outside it
-        t_full = hermitian_basis_transform(d)
+        t_full = hermitian_basis_transform(d, np.ones((d, d), bool))
         outside = (abs(t_full) @ vectorize(pairs).astype(float)) == 0
         assert outside.sum() == d * d - size
         for superop in (gen.static_superop, *(s for _, s in gen.drive_superops)):
@@ -363,8 +362,7 @@ def test_averaged_nonconvergence_carries_last_averages():
         block_length=40 * T_DRIVE, average_window=10 * T_DRIVE, rel_tol=1e-12, max_blocks=3
     )
     spec, _ = series_generator()
-    tables = {"D2": qutrit_rate_table(spec.diodes["D2"], 0.0, 10.0, modulated=False)}
-    obs = emission_current_functional(gen.layout, ["D2"], tables)
+    obs = bath_current_functional(spec, gen.layout, "right")
     with pytest.raises(ConvergenceError) as err:
         steady_state_averaged(gen, protocol=protocol, observable=obs)
     assert len(err.value.last_averages) == 2
@@ -390,8 +388,7 @@ def test_averaged_trajectory_sampling():
         block_length=60 * T_DRIVE, average_window=15 * T_DRIVE, rel_tol=0.5, max_blocks=10
     )
     spec, _ = series_generator()
-    tables = {"D2": qutrit_rate_table(spec.diodes["D2"], 0.0, 10.0, modulated=False)}
-    obs = emission_current_functional(gen.layout, ["D2"], tables)
+    obs = bath_current_functional(spec, gen.layout, "right")
     res = steady_state_averaged(
         gen, protocol=protocol, observable=obs, trajectory_points_per_block=6
     )
@@ -404,7 +401,7 @@ def test_averaged_trajectory_sampling():
 def test_hermitian_basis_transform_is_unitary_and_real():
     rng = np.random.default_rng(17)
     for d in (2, 3, 5):
-        t = hermitian_basis_transform(d)
+        t = hermitian_basis_transform(d, np.ones((d, d), bool))
         dense = t.toarray()
         np.testing.assert_allclose(dense @ dense.conj().T, np.eye(d * d), atol=1e-12)
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -421,8 +418,7 @@ def test_averaged_needs_observable():
 
 def test_averaged_rejects_coarse_dt_with_drives():
     spec, gen = series_generator()
-    tables = {"D2": qutrit_rate_table(spec.diodes["D2"], 0.0, 10.0, modulated=False)}
-    obs = emission_current_functional(gen.layout, ["D2"], tables)
+    obs = bath_current_functional(spec, gen.layout, "right")
     with pytest.raises(ValueError, match="resolve"):
         steady_state_averaged(gen, observable=obs, dt=T_DRIVE / 5.0)
 
