@@ -44,6 +44,8 @@ from .observables import (
 )
 from .spaces import DensityMatrix, projector
 from .steady import (
+    AVERAGED_METHOD,
+    CONVERGENCE_ABS_FLOOR,
     ConvergenceError,
     ConvergenceProtocol,
     Trajectory,
@@ -107,7 +109,6 @@ class _Averaged:
     blocks_used: int
     state: DensityMatrix | None
     block_averages: list[float]
-    method: str = ""
     trajectory: Trajectory | None = None
 
     @property
@@ -126,7 +127,7 @@ def _averaged(out: _Output, generator, observable, protocol: ConvergenceProtocol
         return _Averaged(err.last_averages[-1], -1, protocol.max_blocks, None, err.block_averages)
     out.block_dims.add(res.block_dim)
     return _Averaged(res.converged_value, res.converged_block, res.blocks_used, res.final_state,
-                     res.block_averages, res.method, res.trajectory)
+                     res.block_averages, res.trajectory)
 
 
 def _p0_reverse(rho: DensityMatrix | None) -> dict:
@@ -261,7 +262,7 @@ def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
         "block_average_current": sign * avg,
         "converged_block": run.converged_block,
         "blocks_used": run.blocks_used,
-        "method": run.method,
+        "method": AVERAGED_METHOD,
         "delta_omega_d1": dw1,
         "delta_omega_d2": dw2,
         "rate_mode": resolved.circuit["bridge_rate_mode"],
@@ -291,7 +292,9 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
     rho_red = steady_state_direct(reduced_gen)
     reduced_current = bath_current_functional(spec, reduced_gen.layout, "right").value(rho_red)
 
-    scale = max(abs(full_current), 1e-300)
+    # both currents vanish at equilibrium; the stopping rule's floor keeps
+    # their round-off from reading as a 100% deviation
+    scale = max(abs(full_current), CONVERGENCE_ABS_FLOOR)
     return [{
         "bias": bias,
         "n_left": setting.n_left,

@@ -23,7 +23,10 @@ Both ``evolve`` and the protocol integrate with a fixed-step classical
 4th-order scheme.  The protocol composes the one-period integrator map:
 block and window lengths are snapped to whole periods of the lowest drive
 frequency, the dense period map is built once in a real Hermitian
-operator basis of the block, and repeated squaring gives the block map.
+operator basis of the block, and one squaring ladder gives the block map
+and the window row: the unit-averaged observable rides along as an extra
+row of the period map, whose powers then carry the running sum of unit
+averages.
 Every drive frequency must be an integer multiple of the lowest one, or
 the protocol raises ``ValueError``.  Both routes act through the
 generator's sparse superoperators, so a generator above
@@ -53,6 +56,8 @@ TRACE_DRIFT_TOL = 1e-10
 # currents smaller than this are treated as zero by the stopping rule, so
 # unbiased (zero-current) runs terminate instead of dividing noise by noise
 CONVERGENCE_ABS_FLOOR = 1e-8
+# the one windowed-average method, reported as EvolutionResult.method
+AVERAGED_METHOD = "compiled-block-map"
 
 
 class ConvergenceError(RuntimeError):
@@ -471,39 +476,17 @@ def _build_unit_map(
 def _block_map_and_window_row(unit: np.ndarray, c_avg: np.ndarray, n_p: int, n_w: int):
     """P^n_p and the row y with y @ u = window average of a block from u.
 
-    Single pass over the bits of the involved counts, sharing the squaring
-    stream: base powers P^(2^k) and partial geometric sums S_(2^k) are
-    advanced together, while accumulators pick up the set bits of the
-    block count n_p, the window count n_w, and (as a cheap row vector) the
-    window offset n_p - n_w.
+    The augmented map A = [[P, 0], [c_avg, 1]] carries the running sum of
+    unit averages in its last row: A^n = [[P^n, 0], [s_n, 1]] with
+    s_n = sum_(i<n) c_avg P^i.  One squaring ladder forms A^n_p and, on the
+    same squares, the last row of A^(n_p - n_w); y = (s_n_p - s_(n_p-n_w)) / n_w.
+    The difference loses round-off relative to n_p |c_avg|, not to the
+    window sum: harmless here because P keeps the trace, so no term decays.
     """
-    j0 = n_p - n_w
-    base_q = unit.copy()
-    base_s = np.eye(unit.shape[0])
-    row = c_avg.copy()
-    acc_wq = None
-    acc_ws = None
-    acc_p = None
-    top = n_p.bit_length()
-    s_top = n_w.bit_length()
-    for k in range(top):
-        if (j0 >> k) & 1:
-            row = row @ base_q
-        if (n_w >> k) & 1:
-            if acc_ws is None:
-                acc_ws = base_s.copy()
-                acc_wq = base_q.copy()
-            else:
-                acc_ws = acc_ws + acc_wq @ base_s
-                acc_wq = acc_wq @ base_q
-        if (n_p >> k) & 1:
-            acc_p = base_q.copy() if acc_p is None else acc_p @ base_q
-        if k + 1 < top:
-            if k + 1 < s_top:
-                base_s = base_s + base_q @ base_s
-            base_q = base_q @ base_q
-    y = (row @ acc_ws) / n_w
-    return acc_p, y
+    side = unit.shape[0]
+    augmented = np.block([[unit, np.zeros((side, 1))], [c_avg, 1.0]])
+    power, head = _matrix_power(augmented, n_p, row_exponent=n_p - n_w)
+    return power[:side, :side], (power[side, :side] - head[:side]) / n_w
 
 
 def _compiled_protocol(
@@ -529,11 +512,10 @@ def _compiled_protocol(
         unit, c_avg, grid.units_per_block, grid.window_units
     )
 
-    sample_stride = None
     sample_map = None
     if trajectory_points_per_block:
         sample_stride = max(1, grid.units_per_block // int(trajectory_points_per_block))
-        sample_map = _matrix_power(unit, sample_stride)
+        sample_map, _ = _matrix_power(unit, sample_stride)
 
     trace_idx = np.arange(d)  # the block holds every diagonal, and they come first
     u = _real_state(transform, rho0.data)
@@ -548,15 +530,11 @@ def _compiled_protocol(
         if sample_map is not None:
             t0 = block * grid.units_per_block * grid.duration
             v = u
-            done = 0
-            while done + sample_stride <= grid.units_per_block:
+            for done in range(sample_stride, grid.units_per_block + 1, sample_stride):
                 v = sample_map @ v
-                done += sample_stride
                 times.append(t0 + done * grid.duration)
                 samples.append(float(c_row @ v))
-            u = v if done == grid.units_per_block else block_map @ u
-        else:
-            u = block_map @ u
+        u = block_map @ u
         trace = float(u[trace_idx].sum())
         if abs(trace - 1.0) > TRACE_DRIFT_TOL:
             logger.info("trace drift %.3e at block %d; renormalizing", trace - 1.0, block)
@@ -567,16 +545,23 @@ def _compiled_protocol(
     return state, transform.shape[0], averages, converged, times, samples
 
 
-def _matrix_power(m: np.ndarray, n: int) -> np.ndarray:
+def _matrix_power(m: np.ndarray, n: int, row_exponent: int = 0):
+    """(m^n, last row of m^row_exponent) for 0 <= row_exponent <= n, n >= 1.
+
+    Repeated squaring; the row is formed as a row vector on the same squares.
+    """
     out = None
+    row = np.zeros(m.shape[0])
+    row[-1] = 1.0
     base = m
-    while n:
-        if n & 1:
-            out = base.copy() if out is None else out @ base
-        n >>= 1
-        if n:
+    for k in range(n.bit_length()):
+        if k:
             base = base @ base
-    return out
+        if (n >> k) & 1:
+            out = base.copy() if out is None else out @ base
+        if (row_exponent >> k) & 1:
+            row = row @ base
+    return out, row
 
 
 def _stop(prev: float, current: float, rel_tol: float) -> bool:
@@ -651,7 +636,7 @@ def steady_state_averaged(
         blocks_used=converged + 1,
         block_averages=averages,
         observable_name=observable.name,
-        method="compiled-block-map",
+        method=AVERAGED_METHOD,
         block_length_effective=grid.units_per_block * grid.duration,
         window_effective=grid.window_units * grid.duration,
         dt=grid.dt,

@@ -38,6 +38,7 @@ from heatrect.steady import (
     ConvergenceError,
     ConvergenceProtocol,
     DegenerateSteadyStateError,
+    _block_map_and_window_row,
     _trace_block,
     evolve,
     hermitian_basis_transform,
@@ -250,6 +251,33 @@ def test_averaged_compiled_matches_stepping():
     assert compiled.converged_block == block
     assert compiled.converged_value == pytest.approx(value, abs=1e-12)
     assert np.max(np.abs(compiled.final_state.data - state.data)) < 1e-10
+
+
+@pytest.mark.parametrize("n_p, n_w", [
+    (1, 1), (2, 1), (2, 2), (7, 3), (8, 8), (64, 1), (95, 20), (255, 128), (1000, 200),
+])
+def test_block_map_and_window_row_match_unit_by_unit_loop(n_p, n_w):
+    """The squaring kernel against n_p explicit unit steps.
+
+    The window row is a difference of two running sums, s_n_p - s_(n_p-n_w),
+    which loses round-off relative to n_p |c|, not to the window sum.  That
+    is harmless only because P keeps the trace, as every block map here
+    does; a column-stochastic P stands in for one.
+    """
+    rng = np.random.default_rng(7)
+    unit = rng.random((7, 7))
+    unit /= unit.sum(axis=0)
+    c_avg = rng.standard_normal(7)
+    block_map, window_row = _block_map_and_window_row(unit, c_avg, n_p, n_w)
+
+    power, row, window_sum = np.eye(7), c_avg.copy(), np.zeros(7)
+    for i in range(n_p):
+        if i >= n_p - n_w:
+            window_sum += row
+        power = unit @ power
+        row = row @ unit
+    assert np.max(np.abs(block_map - power)) < 1e-13
+    assert np.max(np.abs(window_row - window_sum / n_w)) < 1e-13
 
 
 def bridge_halves(truncation):
