@@ -101,42 +101,52 @@ def _spec_for(circuit: dict, topology: str, bias: BiasSetting, delta_omega) -> C
 
 
 @dataclass(frozen=True)
-class _Averaged:
-    """One windowed-average run; one that missed the threshold has no state."""
+class _Run:
+    """One steady-state run: its solver, the observable's value, the state (``None``
+    when a windowed average missed the threshold) and, for a windowed average, its blocks."""
 
+    solver: str
     value: float
-    converged_block: int
-    blocks_used: int
     state: DensityMatrix | None
-    block_averages: list[float]
+    converged_block: int | None = None
+    blocks_used: int | None = None
+    block_averages: list[float] = field(default_factory=list)
     trajectory: Trajectory | None = None
 
     @property
     def converged(self) -> bool:
         return self.state is not None
 
+    def block_columns(self, converged_block: str = "converged_block",
+                      blocks: str = "blocks_used") -> dict:
+        """The block fields under the given column names; none for a direct solve."""
+        if self.converged_block is None:
+            return {}
+        return {converged_block: self.converged_block, blocks: self.blocks_used}
+
 
 def _averaged(out: _Output, generator, observable, protocol: ConvergenceProtocol,
-              trajectory_points_per_block: int | None = None) -> _Averaged:
+              trajectory_points_per_block: int | None = None) -> _Run:
     """``steady_state_averaged``, with non-convergence returned as a flagged run;
     ``out`` records the block dimension of a converged run."""
     try:
         res = steady_state_averaged(generator, protocol=protocol, observable=observable,
                                     trajectory_points_per_block=trajectory_points_per_block)
     except ConvergenceError as err:
-        return _Averaged(err.last_averages[-1], -1, protocol.max_blocks, None, err.block_averages)
+        return _Run("windowed-average", err.last_averages[-1], None, -1, protocol.max_blocks,
+                    err.block_averages)
     out.block_dims.add(res.block_dim)
-    return _Averaged(res.converged_value, res.converged_block, res.blocks_used, res.final_state,
-                     res.block_averages, res.trajectory)
+    return _Run("windowed-average", res.converged_value, res.final_state, res.converged_block,
+                res.blocks_used, res.block_averages, res.trajectory)
 
 
-def _p0_reverse(rho: DensityMatrix | None) -> dict:
-    """Ground-state populations of both diodes under reverse bias (NaN without a state)."""
-    return {
-        f"p0_{diode.lower()}_reverse":
-            math.nan if rho is None else float(np.real(rho.expectation(projector(rho.layout, diode, 0))))
-        for diode in ("D1", "D2")
-    }
+def _steady(out: _Output, generator, observable, protocol: ConvergenceProtocol) -> _Run:
+    """The route rule: the direct null-space solve for a time-independent
+    generator, the windowed average for a driven one."""
+    if generator.drive_frequencies:
+        return _averaged(out, generator, observable, protocol)
+    rho = steady_state_direct(generator)
+    return _Run("direct", observable.value(rho), rho)
 
 
 # forward bias reports the net current into the right bath, reverse minus
@@ -144,45 +154,41 @@ def _p0_reverse(rho: DensityMatrix | None) -> dict:
 _BIAS_SIDES = {"forward": ("right", 1.0), "reverse": ("left", -1.0)}
 
 
-def _parallel_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
-                   delta_omega_d2: float) -> list[dict]:
-    dw = {"D1": delta_omega_d1, "D2": delta_omega_d2}
-    row = {"delta_omega_d1": delta_omega_d1, "delta_omega_d2": delta_omega_d2, "solver": "direct",
-           "rate_mode": resolved.circuit["bridge_rate_mode"]}
-    states = {}
-    for bias, (side, sign) in _BIAS_SIDES.items():
-        spec = _spec_for(resolved.circuit, "parallel", resolved.biases[bias], dw)
-        rho = states[bias] = steady_state_direct(build_generator(spec))
-        row[f"current_{bias}"] = sign * bath_current_functional(spec, rho.layout, side).value(rho)
-    row["rectification"] = rectification(row["current_forward"], row["current_reverse"])
-    row.update(_p0_reverse(states["reverse"]))
-    row["converged"] = True
-    return [row]
-
-
-def _series_setup(resolved: ResolvedConfig, bias: str, dw1: float, dw2: float):
-    """Generator, bath-current observable and its sign at one series bias."""
-    spec = _spec_for(resolved.circuit, "series", resolved.biases[bias], {"D1": dw1, "D2": dw2})
+def _two_way_setup(resolved: ResolvedConfig, topology: str, bias: str, dw1: float, dw2: float):
+    """Generator, bath-current observable and its sign at one two-diode bias."""
+    spec = _spec_for(resolved.circuit, topology, resolved.biases[bias], {"D1": dw1, "D2": dw2})
     gen = build_generator(spec)
     side, sign = _BIAS_SIDES[bias]
     return gen, bath_current_functional(spec, gen.layout, side), sign
 
 
-def _series_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
-                 delta_omega_d2: float) -> list[dict]:
-    row = {"delta_omega_d1": delta_omega_d1, "delta_omega_d2": delta_omega_d2,
-           "solver": "windowed-average", "rate_mode": resolved.circuit["bridge_rate_mode"]}
-    runs = {}
-    for bias in ("forward", "reverse"):
-        gen, obs, sign = _series_setup(resolved, bias, delta_omega_d1, delta_omega_d2)
-        run = runs[bias] = _averaged(out, gen, obs, resolved.protocol)
-        row[f"current_{bias}"] = sign * run.value
-        row[f"converged_block_{bias}"] = run.converged_block
-        row[f"blocks_{bias}"] = run.blocks_used
-    row.update(_p0_reverse(runs["reverse"].state))
+def _two_way_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
+                  delta_omega_d2: float, *, topology: str) -> list[dict]:
+    """Both bias currents of a two-diode circuit and its reverse-bias ground-state populations."""
+    runs, signs = {}, {}
+    for bias in _BIAS_SIDES:
+        gen, obs, signs[bias] = _two_way_setup(resolved, topology, bias,
+                                               delta_omega_d1, delta_omega_d2)
+        runs[bias] = _steady(out, gen, obs, resolved.protocol)
+    # both biases build the same generator terms, so they take one route
+    (solver,) = {run.solver for run in runs.values()}
+    row = {"delta_omega_d1": delta_omega_d1, "delta_omega_d2": delta_omega_d2, "solver": solver,
+           "rate_mode": resolved.circuit["bridge_rate_mode"]}
+    for bias, run in runs.items():
+        row[f"current_{bias}"] = signs[bias] * run.value
+        row.update(run.block_columns(f"converged_block_{bias}", f"blocks_{bias}"))
+    rho = runs["reverse"].state
+    for diode in ("D1", "D2"):
+        row[f"p0_{diode.lower()}_reverse"] = (
+            math.nan if rho is None else float(np.real(rho.expectation(projector(rho.layout, diode, 0)))))
     row["rectification"] = rectification(row["current_forward"], row["current_reverse"])
     row["converged"] = all(run.converged for run in runs.values())
     return [row]
+
+
+# each bridge trio: its half, its middle oscillator and the bath whose thermal
+# state that oscillator is compared with
+_BRIDGE_TRIOS = (("upper", "M1", "left"), ("lower", "M2", "right"))
 
 
 def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
@@ -191,9 +197,7 @@ def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
         gamma_dec = resolved.circuit["gamma_dec"]
     bias = resolved.biases["temperatures"]
     spec = _spec_for({**resolved.circuit, "gamma_dec": gamma_dec}, "bridge", bias, delta_omega)
-    upper, lower = build_bridge_half_generators(spec)
     n_mid = spec.ho_truncation
-
     row = {
         "delta_omega": delta_omega,
         "gamma_dec": gamma_dec,
@@ -201,39 +205,26 @@ def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
         "n_right": bias.n_right,
         "truncation": n_mid,
         "rate_mode": spec.bridge_rate_mode.value,
-        "solver_upper": "direct",
-        "solver_lower": "windowed-average",
     }
-
-    rho_upper = steady_state_direct(upper)
-    rep_m1 = mode_report(rho_upper, "M1")
-    ref_left = DensityMatrix.from_matrix(
-        rep_m1.reduced.layout, thermal_state_matrix(n_mid, bias.n_left)
-    )
-    row["nbar_m1"] = rep_m1.mean_n
-    row["temp_m1"] = rep_m1.effective_T
-    row["fid_left_m1"] = fidelity(ref_left, rep_m1.reduced)
-    row["current_upper_right"] = bath_current_functional(spec, upper.layout, "right").value(rho_upper)
-
-    run = _averaged(out, lower, bath_current_functional(spec, lower.layout, "right"), resolved.protocol)
-    row["current_lower_right"] = run.value
-    row["converged_block"] = run.converged_block
-    row["blocks_used"] = run.blocks_used
-    row["converged"] = run.converged
-    row["nbar_m2"] = row["temp_m2"] = row["fid_right_m2"] = math.nan
-    pops_m2 = [math.nan] * n_mid
-    if run.converged:
-        rep_m2 = mode_report(run.state, "M2")
-        ref_right = DensityMatrix.from_matrix(
-            rep_m2.reduced.layout, thermal_state_matrix(n_mid, bias.n_right)
-        )
-        row["nbar_m2"] = rep_m2.mean_n
-        row["temp_m2"] = rep_m2.effective_T
-        row["fid_right_m2"] = fidelity(ref_right, rep_m2.reduced)
-        pops_m2 = rep_m2.populations
-    for k in range(n_mid):
-        row[f"pop{k}_m1"] = float(rep_m1.populations[k])
-        row[f"pop{k}_m2"] = float(pops_m2[k])
+    runs = []
+    for gen, (half, mode, side) in zip(build_bridge_half_generators(spec), _BRIDGE_TRIOS):
+        run = _steady(out, gen, bath_current_functional(spec, gen.layout, "right"), resolved.protocol)
+        runs.append(run)
+        row[f"solver_{half}"] = run.solver
+        row[f"current_{half}_right"] = run.value
+        row.update(run.block_columns())
+        nbar = temp = fid = math.nan
+        pops = [math.nan] * n_mid
+        if run.converged:
+            rep = mode_report(run.state, mode)
+            thermal = DensityMatrix.from_matrix(
+                rep.reduced.layout, thermal_state_matrix(n_mid, getattr(bias, f"n_{side}")))
+            nbar, temp, pops = rep.mean_n, rep.effective_T, rep.populations
+            fid = fidelity(thermal, rep.reduced)
+        m = mode.lower()
+        row.update({f"nbar_{m}": nbar, f"temp_{m}": temp, f"fid_{side}_{m}": fid})
+        row.update({f"pop{k}_{m}": float(p) for k, p in enumerate(pops)})
+    row["converged"] = all(run.converged for run in runs)
     return [row]
 
 
@@ -244,7 +235,7 @@ def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
     if circuit == "series":
         point = resolved.extras["series_point"]
         dw1, dw2 = point["delta_omega_d1"], point["delta_omega_d2"]
-        gen, obs, sign = _series_setup(resolved, bias, dw1, dw2)
+        gen, obs, sign = _two_way_setup(resolved, "series", bias, dw1, dw2)
     else:  # the bridge's driven lower half, under the temperature bias and its swap
         dw1 = dw2 = resolved.extras["bridge_point"]["delta_omega"]
         temps = resolved.biases["temperatures"]
@@ -281,32 +272,27 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
     """Full three-mode model against the reduced single-qutrit rate model at one bias."""
     setting = resolved.biases[bias]
     delta_omega = resolved.extras["delta_omega"]
-    gamma = resolved.circuit["Gamma"]
     spec = _spec_for(resolved.circuit, "single-diode", setting, delta_omega)
-    gen = build_generator(spec)
-    run = _averaged(out, gen, bath_current_functional(spec, gen.layout, "right"), resolved.protocol)
-    full_current = run.value
-
     reduced_gen = single_qutrit_rate_generator(
         [table for side in rate_tables(spec).values() for table in side.values()])
-    rho_red = steady_state_direct(reduced_gen)
-    reduced_current = bath_current_functional(spec, reduced_gen.layout, "right").value(rho_red)
+    full, reduced = (_steady(out, gen, bath_current_functional(spec, gen.layout, "right"),
+                             resolved.protocol)
+                     for gen in (build_generator(spec), reduced_gen))
 
     # both currents vanish at equilibrium; the stopping rule's floor keeps
     # their round-off from reading as a 100% deviation
-    scale = max(abs(full_current), CONVERGENCE_ABS_FLOOR)
+    scale = max(abs(full.value), CONVERGENCE_ABS_FLOOR)
     return [{
         "bias": bias,
         "n_left": setting.n_left,
         "n_right": setting.n_right,
-        "current_full": full_current,
-        "current_reduced": reduced_current,
-        "rel_deviation": abs(reduced_current - full_current) / scale,
-        "converged_block": run.converged_block,
-        "blocks_used": run.blocks_used,
-        "converged": run.converged,
+        "current_full": full.value,
+        "current_reduced": reduced.value,
+        "rel_deviation": abs(reduced.value - full.value) / scale,
+        **full.block_columns(),
+        "converged": full.converged and reduced.converged,
         "delta_omega": delta_omega,
-        "Gamma": gamma,
+        "Gamma": resolved.circuit["Gamma"],
         "truncation": resolved.circuit["ho_truncation"],
     }]
 
@@ -386,14 +372,16 @@ SCENARIOS = {
     "parallel-sweep": Scenario(
         summary="two diodes in parallel: currents and rectification over both anharmonicities",
         topologies=(Topology.PARALLEL,),
-        bias=_TWO_WAY_BIAS, rows=_parallel_rows, plot=_plot_rectification,
+        bias=_TWO_WAY_BIAS, rows=functools.partial(_two_way_rows, topology="parallel"),
+        plot=_plot_rectification,
         axes={"delta_omega_d1": [100.0, 200.0, 300.0],
               "delta_omega_d2": {"log_range": [50.0, 500.0], "points": 40}},
     ),
     "series-sweep": Scenario(
         summary="two diodes in series: currents, rectification, and ground-state populations",
         topologies=(Topology.SERIES,),
-        bias=_TWO_WAY_BIAS, rows=_series_rows, plot=_plot_rectification,
+        bias=_TWO_WAY_BIAS, rows=functools.partial(_two_way_rows, topology="series"),
+        plot=_plot_rectification,
         axes={"delta_omega_d1": [100.0, 200.0, 300.0], "delta_omega_d2": _series_default_grid()},
     ),
     "bridge-anharmonicity": Scenario(
@@ -432,8 +420,6 @@ SCENARIOS = {
         circuit={"Gamma": 20.0, "ho_truncation": 4}, max_truncation=4,
     ),
 }
-
-SCENARIO_SUMMARIES = {name: scenario.summary for name, scenario in SCENARIOS.items()}
 
 SCENARIO_NAMES = tuple(SCENARIOS)
 
@@ -555,10 +541,14 @@ def _extra_value(raw, default, path: str):
     return _real(raw, path)
 
 
-def validate_config(cfg: dict) -> ResolvedConfig:
+def _root(cfg) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("(root)", "config must be a JSON object")
-    name = cfg.get("name")
+    return cfg
+
+
+def validate_config(cfg: dict) -> ResolvedConfig:
+    name = _root(cfg).get("name")
     scenario = _scenario(name)
     for key in cfg:
         if key not in _COMMON_KEYS and key not in scenario.extras:
@@ -702,9 +692,9 @@ def run_scenario(
     the convergence protocol are kept, flagged with ``converged=false``;
     their presence is reported in the result.
     """
-    cfg = load_config(config)
+    cfg = _root(load_config(config))
     if circuit_overrides:
-        cfg.setdefault("circuit", {}).update(circuit_overrides)
+        cfg["circuit"] = {**_section(cfg, "circuit"), **circuit_overrides}
     if plot is not None:
         cfg["plot"] = plot
     resolved = validate_config(cfg)

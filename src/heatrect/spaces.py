@@ -174,10 +174,17 @@ def embed(layout: SpaceLayout, label: str, local_matrix) -> SparseOperator:
             f"local matrix shape {np.shape(local_matrix)} does not match mode "
             f"{label!r} of dim {dims[idx]}"
         )
-    left = math.prod(dims[:idx]) if idx > 0 else 1
-    right = math.prod(dims[idx + 1:]) if idx + 1 < len(dims) else 1
-    m = sp.csr_array(np.asarray(local_matrix, dtype=np.complex128))
-    full = sp.kron(sp.kron(sp.eye_array(left, format="csr"), m), sp.eye_array(right, format="csr"))
+    # entry (a, b) of the local matrix sits at row (i, a, k) and column
+    # (i, b, k) for every outer index i and inner index k
+    local = np.asarray(local_matrix, dtype=np.complex128)
+    a, b = np.nonzero(local)
+    left, inner = math.prod(dims[:idx]), math.prod(dims[idx + 1:])
+    outer = np.arange(left)[:, None, None] * dims[idx]
+    # int32 indices, as ``sp.kron`` gives them at any dimension a dense state fits
+    rows, cols = (((outer + x[:, None]) * inner + np.arange(inner)).astype(np.int32).ravel()
+                  for x in (a, b))
+    data = np.broadcast_to(local[a, b][:, None], (left, len(a), inner)).ravel()
+    full = sp.coo_array((data, (rows, cols)), shape=(layout.total_dim,) * 2)
     return SparseOperator.wrap(layout, full)
 
 

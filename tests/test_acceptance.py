@@ -20,6 +20,7 @@ from heatrect.lindblad import (
 )
 from heatrect.observables import (
     BiasSetting,
+    bath_current_functional,
     effective_temperature,
     fidelity,
     mode_report,
@@ -316,3 +317,31 @@ def test_criterion_10_structural_invariants():
     print(f"\nACCEPTANCE 10 structural invariants: PASS (trace drift {trace_drift:.1e}, "
           f"hermiticity drift {herm_drift:.1e}, trace annihilation {annih:.1e}, "
           f"detailed balance exact, round trips 1e-12, fidelity symmetry {worst_sym:.1e})")
+
+
+def test_criterion_11_bridge_rectifies_both_polarities():
+    # the bridge's headline claim: M1 is the hot output and M2 the cold one
+    # whichever bath is hot; library route at N=4, static upper trio by the
+    # direct solve, driven lower trio by the windowed average
+    diode_sets = {
+        "equal": {label: 300.0 for label in ("D1", "D2", "D3", "D4")},
+        "D=(300,200,300,150)": {"D1": 300.0, "D2": 200.0, "D3": 300.0, "D4": 150.0},
+    }
+    lines = []
+    for name, delta_omega in diode_sets.items():
+        temps = {}
+        for t_left, t_right in ((1.0, 0.1), (0.1, 1.0)):
+            spec = CircuitSpec.build("bridge", T_left=t_left, T_right=t_right,
+                                     delta_omega=delta_omega, ho_truncation=4)
+            upper, lower = build_bridge_half_generators(spec)
+            res = steady_state_averaged(
+                lower, observable=bath_current_functional(spec, lower.layout, "right"))
+            t_m1 = mode_report(steady_state_direct(upper), "M1").effective_T
+            t_m2 = mode_report(res.final_state, "M2").effective_T
+            assert t_m1 > t_m2, (name, t_left, t_right, t_m1, t_m2)
+            temps[t_left, t_right] = (t_m1, t_m2)
+        (f1, f2), (r1, r2) = temps[1.0, 0.1], temps[0.1, 1.0]
+        lines.append(f"{name}: T_M1 {f1:.4f}/{r1:.4f}, T_M2 {f2:.4f}/{r2:.4f} "
+                     f"(reverse minus forward {r1 - f1:+.1e}, {r2 - f2:+.1e})")
+    print("\nACCEPTANCE 11 bridge rectifies both polarities: PASS (T_M1 > T_M2 under "
+          "(T_L, T_R) = (1.0, 0.1) / (0.1, 1.0); N=4; " + "; ".join(lines) + ")")

@@ -7,6 +7,7 @@ import pytest
 from heatrect.circuits import CircuitSpec
 from heatrect.cli import main
 from heatrect.lindblad import build_generator, rate_tables
+from heatrect.observables import bath_current_functional
 from heatrect.scenarios import (
     ConfigError,
     SCENARIO_NAMES,
@@ -16,7 +17,7 @@ from heatrect.scenarios import (
     validate_config,
 )
 from heatrect.spaces import partial_trace
-from heatrect.steady import steady_state_direct
+from heatrect.steady import ConvergenceProtocol, steady_state_averaged, steady_state_direct
 
 T_DRIVE = 2.0 * math.pi / 300.0
 
@@ -368,6 +369,55 @@ def test_cli_truncation_and_rate_mode_overrides(tmp_path, capsys):
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert meta["rate_mode"] == "paper-literal"
     assert meta["resolved_config"]["circuit"]["ho_truncation"] == 3
+
+
+@pytest.mark.parametrize("cfg, path", [
+    ({"name": "bridge-anharmonicity", "circuit": [1]}, "circuit"),
+    ({"name": "bridge-anharmonicity", "circuit": None}, "circuit"),
+    (["bridge-anharmonicity"], "(root)"),
+], ids=["circuit-list", "circuit-null", "root-list"])
+def test_cli_overrides_on_a_malformed_config_are_config_errors(tmp_path, capsys, cfg, path):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for flags in ([], ["--truncation", "3"], ["--rate-mode", "paper", "--plot"]):
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out"), *flags]) == 2
+        assert f"config error at {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_undriven_bridge_takes_the_direct_solve(tmp_path):
+    # at J' = 0 neither trio is driven, so both take the exact direct solve and
+    # mirror each other; a windowed average of the lower trio is 7e-8 off
+    cfg = {"name": "bridge-anharmonicity", "axes": {"delta_omega": [300.0]},
+           "circuit": {"ho_truncation": 3, "J_prime": 0}}
+    result = run_scenario(cfg, out_dir=tmp_path)
+    (row,) = result.rows
+    assert row["solver_upper"] == row["solver_lower"] == "direct"
+    assert "converged_block" not in result.columns and "blocks_used" not in result.columns
+    assert row["converged"] is True
+    assert row["current_lower_right"] == pytest.approx(row["current_upper_right"], rel=1e-12)
+    assert row["temp_m2"] == pytest.approx(row["temp_m1"], rel=1e-12)
+
+
+def test_undriven_series_takes_the_direct_solve(tmp_path):
+    point = {"D1": 300.0, "D2": 150.0}
+    cfg = {"name": "series-sweep", "circuit": {"J_prime": 0},
+           "axes": {"delta_omega_d1": [point["D1"]], "delta_omega_d2": [point["D2"]]}}
+    (row,) = run_scenario(cfg, out_dir=tmp_path).rows
+    assert row["solver"] == "direct"
+    assert "converged_block_forward" not in row and "blocks_reverse" not in row
+    # the windowed average of the same generators agrees within its own rel_tol
+    protocol = ConvergenceProtocol()
+    for label, (side, sign) in (("forward", ("right", 1.0)), ("reverse", ("left", -1.0))):
+        n_left, n_right = default_config("series-sweep")["bias"][label]
+        spec = CircuitSpec.build("series", n_left=n_left, n_right=n_right, delta_omega=point,
+                                 J_prime=0.0)
+        gen = build_generator(spec)
+        assert not gen.drive_frequencies
+        averaged = steady_state_averaged(
+            gen, protocol=protocol, observable=bath_current_functional(spec, gen.layout, side))
+        assert row[f"current_{label}"] == pytest.approx(sign * averaged.converged_value,
+                                                        rel=protocol.rel_tol)
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from heatrect.spaces import (
     DensityMatrix,
     HarmonicOscillator,
     Qutrit,
     SpaceLayout,
+    embed,
     lowering_op,
     number_op,
     partial_trace,
@@ -42,6 +46,38 @@ def test_embedding_matches_dense_kronecker():
     np.testing.assert_allclose(
         lowering_op(layout, "H").to_dense(), np.kron(a_h, np.eye(3)), atol=0
     )
+
+
+def test_embed_matches_sparse_kronecker_on_mixed_layouts():
+    # oracle: identity (x) local (x) identity through nested sp.kron, canonicalized
+    # the same way; the comparison is of the stored CSR arrays, dtypes included
+    rng = np.random.default_rng(7)
+    layouts = [
+        SpaceLayout.of(("Q", Qutrit())),
+        SpaceLayout.of(("L", HarmonicOscillator(4)), ("D", Qutrit()), ("R", HarmonicOscillator(2))),
+        SpaceLayout.of(("D1", Qutrit()), ("M", HarmonicOscillator(5)), ("D2", Qutrit()),
+                       ("X", HarmonicOscillator(3))),
+    ]
+    for layout in layouts:
+        dims = layout.dims
+        for idx, label in enumerate(layout.labels):
+            dim = dims[idx]
+            local = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            local[rng.random((dim, dim)) < 0.5] = 0.0
+            local[0, 0] = 0.0
+            oracle = sp.csr_array(sp.kron(
+                sp.kron(sp.eye_array(math.prod(dims[:idx])), sp.csr_array(local)),
+                sp.eye_array(math.prod(dims[idx + 1:]))), dtype=np.complex128)
+            oracle.sum_duplicates()
+            oracle.eliminate_zeros()
+            oracle.sort_indices()
+            got = embed(layout, label, local).matrix
+            for field in ("indptr", "indices", "data"):
+                want = getattr(oracle, field)
+                assert getattr(got, field).dtype == want.dtype, (label, field)
+                np.testing.assert_array_equal(getattr(got, field), want)
+        with pytest.raises(ValueError, match="does not match mode"):
+            embed(layout, layout.labels[0], np.eye(dims[0] + 1))
 
 
 def test_number_op_values():
