@@ -8,11 +8,27 @@ so vec(A rho B) = (B^T kron A) vec(rho).  The generator acts only through
 its sparse superoperator matrices, which are built up to dimension
 ``SUPEROP_MATERIALIZE_DIM``; larger layouts (the six-mode bridge at N >= 3)
 are refused.
+
+Every superoperator is one weighted sum of term superoperators: the
+commutator term -i[H_j, rho] of each Hamiltonian piece, weighted by its
+coefficient (-delta_omega on a coupled diode's |0><0|, J on an exchange, J'
+in a drive), and the dissipator of each jump operator, weighted by its
+rate.  The terms' union CSR pattern and a sparse (nnz x terms) coefficient
+matrix form a term table, so a superoperator is one sparse product of that
+matrix with the weights.  A generator built from the wiring table lists
+every jump its wiring allows, zero rates included, so every point of a
+sweep at one truncation shares one table.  Two LRU caches keep the
+embedded one-mode operators, keyed on (layout, constructor, arguments), and
+the tables, keyed on (layout, term keys); each is bounded to a few
+layouts' worth of entries.  A Liouvillian built directly from operators
+builds its terms on the spot and caches nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,21 +112,90 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vec).reshape((dim, dim), order="F")
 
 
-def _superop(pairs) -> sp.csr_array:
-    """Canonical CSR superoperator of rho -> sum_k A_k rho B_k^T from (B_k, A_k) pairs."""
-    parts = [sp.kron(b, a, format="coo") for b, a in pairs]
-    out = sp.csr_array((np.concatenate([p.data for p in parts]),
-                        (np.concatenate([p.row for p in parts]), np.concatenate([p.col for p in parts]))),
-                       shape=parts[0].shape)
-    out.sum_duplicates()
-    out.eliminate_zeros()
-    return out
+def _coherent_term(h: sp.csr_array) -> list:
+    """Kron pairs of -i (H rho - rho H†), the commutator -i[H, rho] for Hermitian H."""
+    eye = sp.eye_array(h.shape[0], format="coo")
+    return [(eye, -1j * h), (1j * h.conj(), eye)]
 
 
-def _coherent_superop(h: sp.csr_array) -> sp.csr_array:
-    """Superoperator of -i (H rho - rho H†); the commutator -i[H, rho] for Hermitian H."""
-    eye = sp.eye_array(h.shape[0], format="csr")
-    return _superop([(eye, -1j * h), (1j * h.conj(), eye)])
+def _dissipator_term(a: sp.csr_array) -> list:
+    """Kron pairs of A rho A† - (A†A rho + rho A†A) / 2."""
+    eye = sp.eye_array(a.shape[0], format="coo")
+    ada = a.conj().T @ a
+    return [(eye, -0.5 * ada), (-0.5 * ada.conj(), eye), (a.conj(), a)]
+
+
+@dataclass(frozen=True)
+class _TermTable:
+    """Term superoperators S_t on one shared CSR pattern (``indptr``,
+    ``indices``): entry e of the weighted sum sum_t w_t S_t is
+    (coefficients @ w)[e], with ``coefficients`` a sparse (nnz x terms) matrix."""
+
+    side: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    coefficients: sp.csc_array
+
+    @classmethod
+    def of(cls, terms: Iterable[list], side: int) -> "_TermTable":
+        """Table of the terms, each a list of kron pairs (B_k, A_k): S_t is
+        sum_k B_k kron A_k, which maps rho to sum_k A_k rho B_k^T.  The
+        terms are read one at a time."""
+        flats, datas = [], []
+        for pairs in terms:
+            flat, data = [np.zeros(0, np.int64)], [np.zeros(0, np.complex128)]
+            for b, a in pairs:
+                b, a, d = b.tocoo(), a.tocoo(), a.shape[0]
+                # row-major linear index of every entry of kron(b, a)
+                rows = (b.row[:, None] * d + a.row).astype(np.int64)
+                flat.append((rows * side + (b.col[:, None] * d + a.col)).ravel())
+                data.append((b.data[:, None] * a.data).ravel())
+            flat, data = np.concatenate(flat), np.concatenate(data)
+            # the entries of the canonical CSR term: duplicates summed in the
+            # order of the pairs, exact zeros dropped
+            order = np.argsort(flat, kind="stable")
+            flat, data = flat[order], data[order]
+            start = np.flatnonzero(np.diff(flat, prepend=-1))
+            data = np.add.reduceat(data, start)
+            keep = data != 0
+            flats.append(flat[start][keep])
+            datas.append(data[keep])
+        pattern = np.unique(np.concatenate([np.zeros(0, np.int64), *flats]))
+        # column t holds the entries of term t at their pattern positions
+        coefficients = sp.csc_array(
+            (np.concatenate([np.zeros(0, np.complex128), *datas]),
+             np.concatenate([np.zeros(0, np.int32), *(np.searchsorted(pattern, f).astype(np.int32) for f in flats)]),
+             np.cumsum([0, *(f.size for f in flats)]).astype(np.int32)),
+            shape=(pattern.size, len(flats)))
+        indptr = np.searchsorted(pattern // side, np.arange(side + 1)).astype(np.int32)
+        return cls(side, indptr, (pattern % side).astype(np.int32), coefficients)
+
+    def assemble(self, weights: np.ndarray) -> sp.csr_array:
+        """Canonical CSR matrix of sum_t weights[t] S_t; it shares no array with the table."""
+        out = sp.csr_array((self.coefficients @ weights, self.indices.copy(), self.indptr.copy()),
+                           shape=(self.side, self.side))
+        out.eliminate_zeros()
+        return out
+
+
+def _exchange_op(layout: SpaceLayout, a: str, b: str) -> SparseOperator:
+    """Excitation exchange a_a a_b† + a_a† a_b between two modes."""
+    return lowering_op(layout, a) @ raising_op(layout, b) + raising_op(layout, a) @ lowering_op(layout, b)
+
+
+# Both caches hold a few layouts' worth: a sweep runs one truncation at a
+# time, on one or two blocks and at most two circuits.
+@functools.lru_cache(maxsize=64)
+def _mode_operator(layout: SpaceLayout, make, *args) -> SparseOperator:
+    """make(layout, *args), built once for every generator on the layout."""
+    return make(layout, *args)
+
+
+@functools.lru_cache(maxsize=4)
+def _term_table(layout: SpaceLayout, keys: tuple) -> _TermTable:
+    """Table of the terms ``keys``, each (term constructor, operator key)."""
+    terms = (term(_mode_operator(layout, *op).matrix) for term, op in keys)
+    return _TermTable.of(terms, layout.total_dim ** 2)
 
 
 def transition_op(layout: SpaceLayout, label: str, from_level: int, to_level: int) -> SparseOperator:
@@ -131,18 +216,45 @@ def rate_jump_terms(layout: SpaceLayout, label: str, table: RateTable) -> list[t
     return terms
 
 
+@dataclass(frozen=True)
+class _WeightedTerms:
+    """A generator as weights on the cached term table of its layout: one
+    weight vector over ``keys`` for the static part and one per drive."""
+
+    keys: tuple
+    static: np.ndarray
+    drives: tuple[tuple[float, np.ndarray], ...]
+
+
+def _uncached_terms(side: int, hamiltonian: TimeDependentOperator | None, jumps):
+    """Term table and weights of a generator given by its operators: one term
+    for the static Hamiltonian, one per drive and one per jump."""
+    static_ops = [] if hamiltonian is None else [(1.0, hamiltonian.static_part)]
+    drive_ops = [] if hamiltonian is None else list(hamiltonian.drive_terms)
+    terms = ([_coherent_term(op.matrix) for _, op in static_ops + drive_ops]
+             + [_dissipator_term(op.matrix) for _, op in jumps])
+    unit = np.eye(len(terms))
+    static = np.array([w for w, _ in static_ops] + [0.0] * len(drive_ops) + [w for w, _ in jumps])
+    drives = tuple((nu, unit[len(static_ops) + k]) for k, (nu, _) in enumerate(drive_ops))
+    return _TermTable.of(terms, side), static, drives
+
+
 @dataclass
 class Liouvillian:
     """Generator of a Lindblad master equation on a layout.
 
     Holds the coherent part and the weighted jump operators; the sparse
     superoperator matrices (static part plus one cosine-modulated part per
-    drive frequency) are materialized lazily and only below the size guard.
+    drive frequency) are materialized lazily and only below the size guard,
+    each as one weighted sum of term superoperators.
     """
 
     layout: SpaceLayout
     hamiltonian: TimeDependentOperator | None
     jumps: tuple[tuple[float, SparseOperator], ...]
+    # set by the wiring-table builder; None builds the terms of hamiltonian
+    # and jumps on the spot
+    _terms: _WeightedTerms | None = field(default=None, repr=False, compare=False)
     _static: sp.csr_array | None = field(default=None, repr=False)
     _drives: tuple[tuple[float, sp.csr_array], ...] | None = field(default=None, repr=False)
 
@@ -156,37 +268,32 @@ class Liouvillian:
             return ()
         return self.hamiltonian.frequencies
 
-    def _check_materializable(self):
+    def _materialize(self):
         if self.dim > SUPEROP_MATERIALIZE_DIM:
             raise ValueError(
                 f"refusing to materialize a {self.dim ** 2} x {self.dim ** 2} superoperator "
                 f"(dim {self.dim} > SUPEROP_MATERIALIZE_DIM = {SUPEROP_MATERIALIZE_DIM})"
             )
+        if self._terms is not None:
+            table = _term_table(self.layout, self._terms.keys)
+            static, drives = self._terms.static, self._terms.drives
+        else:
+            table, static, drives = _uncached_terms(self.dim ** 2, self.hamiltonian, self.jumps)
+        self._static = table.assemble(static)
+        self._drives = tuple((nu, table.assemble(w)) for nu, w in drives)
 
     @property
     def static_superop(self) -> sp.csr_array:
-        """Static superoperator -i (H_eff rho - rho H_eff†) + sum_k w_k A_k rho A_k†,
-        with the effective Hamiltonian H_eff = H - (i/2) sum_k w_k A_k† A_k."""
+        """Static superoperator -i (H rho - rho H†) + sum_k w_k (A_k rho A_k† - {A_k†A_k, rho}/2)."""
         if self._static is None:
-            self._check_materializable()
-            d = self.dim
-            h_eff = (sp.csr_array((d, d), dtype=np.complex128) if self.hamiltonian is None
-                     else self.hamiltonian.static_part.matrix)
-            for weight, op in self.jumps:
-                h_eff = h_eff - (0.5j * weight) * (op.matrix.conj().T @ op.matrix)
-            eye = sp.eye_array(d, format="csr")
-            pairs = [(eye, -1j * h_eff), (1j * h_eff.conj(), eye)]
-            pairs += [(weight * op.matrix.conj(), op.matrix) for weight, op in self.jumps]
-            self._static = _superop(pairs)
+            self._materialize()
         return self._static
 
     @property
     def drive_superops(self) -> tuple[tuple[float, sp.csr_array], ...]:
         """(frequency, superoperator) per cosine drive of the coherent part."""
         if self._drives is None:
-            self._check_materializable()
-            terms = () if self.hamiltonian is None else self.hamiltonian.drive_terms
-            self._drives = tuple((nu, _coherent_superop(v.matrix)) for nu, v in terms)
+            self._materialize()
         return self._drives
 
 
@@ -229,44 +336,55 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
     topology = TOPOLOGIES[spec.topology]
     labels = layout.labels
 
-    @functools.cache
-    def op(make, label: str, *args) -> SparseOperator:
-        return make(layout, label, *args)
-
+    # (coefficient, operator key) of every Hamiltonian piece, and of every drive piece by frequency
     couplings = [c for c in topology.couplings if c.a in labels and c.b in labels]
     coupled = {mode for c in couplings for mode in (c.a, c.b)}
-    static = [(-spec.diodes[label].delta_omega) * op(projector, label, 0)
+    pieces = [(-spec.diodes[label].delta_omega, (projector, label, 0))
               for label in labels if label in coupled and label in spec.diodes]
-    drives: dict[float, SparseOperator] = {}
+    drives: dict[float, list] = {}
     for c in couplings:
         params = spec.diodes[c.diode]
-        hop = op(lowering_op, c.a) @ op(raising_op, c.b) + op(raising_op, c.a) @ op(lowering_op, c.b)
-        static.append(params.J * hop)
+        pieces.append((params.J, (_exchange_op, c.a, c.b)))
         if c.modulated and params.J_prime > 0:
-            nu, v = params.delta_omega, params.J_prime * hop
-            drives[nu] = drives[nu] + v if nu in drives else v
-    hamiltonian = None
-    if static:
-        hamiltonian = TimeDependentOperator(functools.reduce(SparseOperator.__add__, static),
-                                            tuple(sorted(drives.items())))
+            drives.setdefault(params.delta_omega, []).append((params.J_prime, (_exchange_op, c.a, c.b)))
 
-    jumps: list[tuple[float, SparseOperator]] = []
+    # (rate, operator key) of every jump the wiring allows, zero rates
+    # included, so that every point of a sweep shares one term table
+    rates = []
     for contact in topology.contacts:
         if contact.diode in labels:
-            # as rate_jump_terms, with each |to><from| embedded once for all contacts
             table = _contact_table(spec, contact)
-            jumps += [(table.get(*t), op(transition_op, contact.diode, *t))
-                      for t in _ALLOWED_TRANSITIONS if table.get(*t) > 0]
+            rates += [(table.get(*t), (transition_op, contact.diode, *t)) for t in _ALLOWED_TRANSITIONS]
     for label, side in topology.filters:
         if label in labels:
             bath = spec.bath(side)
-            jumps.append((bath.Gamma * (bath.n + 1.0), op(lowering_op, label)))
-            if bath.n > 0:
-                jumps.append((bath.Gamma * bath.n, op(raising_op, label)))
-    if topology.decoherence and spec.gamma_dec > 0:
+            rates += [(bath.Gamma * (bath.n + 1.0), (lowering_op, label)),
+                      (bath.Gamma * bath.n, (raising_op, label))]
+    if topology.decoherence:
         for label in labels:
-            jumps += [(spec.gamma_dec, op(lowering_op, label)), (spec.gamma_dec, op(number_op, label))]
-    return Liouvillian(layout, hamiltonian, tuple(jumps))
+            rates += [(spec.gamma_dec, (lowering_op, label)), (spec.gamma_dec, (number_op, label))]
+
+    def combine(parts) -> SparseOperator:
+        return SparseOperator.wrap(layout, functools.reduce(
+            operator.add, (c * _mode_operator(layout, *key).matrix for c, key in parts)))
+
+    hamiltonian = None
+    if pieces:
+        hamiltonian = TimeDependentOperator(
+            combine(pieces), tuple((nu, combine(parts)) for nu, parts in sorted(drives.items())))
+    jumps = tuple((rate, _mode_operator(layout, *key)) for rate, key in rates if rate > 0)
+
+    keys = (tuple((_coherent_term, key) for _, key in pieces)
+            + tuple((_dissipator_term, key) for _, key in rates))
+    column = {key: k for k, (_, key) in enumerate(pieces)}
+    drive_weights = []
+    for nu, parts in sorted(drives.items()):
+        weights = np.zeros(len(keys))
+        for c, key in parts:
+            weights[column[key]] += c
+        drive_weights.append((nu, weights))
+    static = np.array([c for c, _ in pieces] + [rate for rate, _ in rates])
+    return Liouvillian(layout, hamiltonian, jumps, _WeightedTerms(keys, static, tuple(drive_weights)))
 
 
 def build_generator(spec: CircuitSpec) -> Liouvillian:

@@ -361,7 +361,6 @@ class Scenario:
     points: Callable[[ResolvedConfig], list[dict]] = _grid_points
     extras: dict = field(default_factory=dict)
     circuit: dict = field(default_factory=dict)
-    max_truncation: int | None = None
     open_bias: bool = False
 
 
@@ -417,7 +416,7 @@ SCENARIOS = {
         rows=_single_diode_rows, plot=_plot_full_vs_reduced,
         points=lambda resolved: [{"bias": label} for label in resolved.biases],
         extras={"delta_omega": 300.0},
-        circuit={"Gamma": 20.0, "ho_truncation": 4}, max_truncation=4,
+        circuit={"Gamma": 20.0, "ho_truncation": 4},
     ),
 }
 
@@ -566,9 +565,6 @@ def validate_config(cfg: dict) -> ResolvedConfig:
     for key, positive in _CIRCUIT_REALS.items():
         circuit[key] = _real(circuit[key], f"circuit.{key}", positive)
     truncation = _positive_int(circuit["ho_truncation"], "circuit.ho_truncation")
-    if scenario.max_truncation is not None and truncation > scenario.max_truncation:
-        raise ConfigError("circuit.ho_truncation",
-                          f"scenario {name!r} is limited to N <= {scenario.max_truncation}")
     for topology in scenario.topologies:
         dim = max(layout.total_dim for layout in TOPOLOGIES[topology].block_layouts(truncation))
         if dim > SUPEROP_MATERIALIZE_DIM:

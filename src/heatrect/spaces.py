@@ -9,6 +9,7 @@ inputs always produce bit-identical sparse structures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,6 +128,14 @@ class SparseOperator:
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
+
+    @functools.cached_property
+    def row_sum_norms(self) -> tuple[float, float]:
+        """Largest row sum of |A| and of |A†|, the infinity- and 1-norms."""
+        def largest_row_sum(m) -> float:
+            return float(abs(m).sum(axis=1).max()) if m.nnz else 0.0
+
+        return largest_row_sum(self.matrix), largest_row_sum(self.matrix.conj().T.tocsr())
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()

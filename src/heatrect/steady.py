@@ -131,20 +131,19 @@ def drive_limited_dt(frequencies, default: float = DEFAULT_DT) -> float:
 
 
 def _generator_norm_bound(generator: Liouvillian) -> float:
-    """Upper bound on the sup-norm of L(t), for the integrator stability limit."""
-    def op_norm(matrix) -> float:
-        m = abs(matrix)
-        return float(m.sum(axis=1).max()) if m.nnz else 0.0
+    """Upper bound on the sup-norm of L(t), for the integrator stability limit.
 
+    An operator computes its norms once; the jumps of a wiring-table
+    generator come from the layout's operator cache, so their norms are
+    computed once per layout, not once per point."""
     total = 0.0
     if generator.hamiltonian is not None:
-        h = op_norm(generator.hamiltonian.static_part.matrix)
+        h = generator.hamiltonian.static_part.row_sum_norms[0]
         for _, v in generator.hamiltonian.drive_terms:
-            h += op_norm(v.matrix)
+            h += v.row_sum_norms[0]
         total += 2.0 * h
     for weight, op in generator.jumps:
-        na = op_norm(op.matrix)
-        nad = op_norm(op.matrix.conj().T.tocsr())
+        na, nad = op.row_sum_norms
         total += weight * 2.0 * na * nad
     return total
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from heatrect import lindblad
 from heatrect.circuits import BathParams, CircuitSpec, CircuitTopology, DiodeParams
 from heatrect.lindblad import (
     Liouvillian,
@@ -359,3 +361,127 @@ def test_transition_op_and_jump_terms():
     table = RateTable({(0, 1): 0.0, (1, 0): 2.0})
     terms = rate_jump_terms(layout, "D1", table)
     assert len(terms) == 1 and terms[0][0] == 2.0
+
+
+def kron_superops(gen):
+    """Reference assembly of (static, drives) by nested krons of the whole
+    effective Hamiltonian H - (i/2) sum_k w_k A_k†A_k and of every jump."""
+    def superop(pairs):
+        parts = [sp.kron(b, a, format="coo") for b, a in pairs]
+        out = sp.csr_array((np.concatenate([p.data for p in parts]),
+                            (np.concatenate([p.row for p in parts]), np.concatenate([p.col for p in parts]))),
+                           shape=parts[0].shape)
+        out.sum_duplicates()
+        out.eliminate_zeros()
+        return out
+
+    d = gen.dim
+    eye = sp.eye_array(d, format="csr")
+    h_eff = (sp.csr_array((d, d), dtype=np.complex128) if gen.hamiltonian is None
+             else gen.hamiltonian.static_part.matrix)
+    for weight, op in gen.jumps:
+        h_eff = h_eff - (0.5j * weight) * (op.matrix.conj().T @ op.matrix)
+    pairs = [(eye, -1j * h_eff), (1j * h_eff.conj(), eye)]
+    pairs += [(weight * op.matrix.conj(), op.matrix) for weight, op in gen.jumps]
+    drives = () if gen.hamiltonian is None else gen.hamiltonian.drive_terms
+    return superop(pairs), tuple((nu, superop([(eye, -1j * v.matrix), (1j * v.matrix.conj(), eye)]))
+                                 for nu, v in drives)
+
+
+def assert_same_superop(got, want):
+    """Same sparsity pattern and nnz, entries within 1e-14 relative."""
+    got = got.copy()
+    got.sort_indices()
+    assert got.nnz == want.nnz
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert np.all(np.abs(got.data - want.data) <= 1e-14 * np.abs(want.data))
+
+
+def assert_matches_kron_reference(gen):
+    static, drives = kron_superops(gen)
+    assert_same_superop(gen.static_superop, static)
+    assert [nu for nu, _ in gen.drive_superops] == [nu for nu, _ in drives]
+    for (_, got), (_, want) in zip(gen.drive_superops, drives):
+        assert_same_superop(got, want)
+
+
+def _single_diode_reduced(**kwargs):
+    tables = rate_tables(CircuitSpec.build("single-diode", **kwargs))
+    return single_qutrit_rate_generator([tables["left"]["D1"], tables["right"]["D1"]])
+
+
+# every topology, with the zero-weight corners: an empty receiving bath
+# (n = 0), gamma_dec = 0 and J' = 0
+_ORACLE_CASES = {
+    "parallel-forward": lambda **m: [build_generator(CircuitSpec.build("parallel", n_left=0.5, n_right=0.0, **m))],
+    "parallel-warm": lambda **m: [build_generator(CircuitSpec.build(
+        "parallel", n_left=0.2, n_right=0.7, delta_omega={"D1": 300.0, "D2": 120.0}, **m))],
+    "series-reverse": lambda **m: [build_generator(CircuitSpec.build("series", n_left=0.0, n_right=0.5, **m))],
+    "series-no-drive": lambda **m: [build_generator(CircuitSpec.build(
+        "series", n_left=0.5, n_right=0.1, J_prime=0.0, delta_omega={"D1": 300.0, "D2": 450.0}, **m))],
+    "single-diode-full": lambda **m: [build_generator(CircuitSpec.build(
+        "single-diode", n_left=0.5, n_right=0.0, Gamma=20.0, ho_truncation=3, **m))],
+    "single-diode-equilibrium": lambda **m: [build_generator(CircuitSpec.build(
+        "single-diode", n_left=0.5, n_right=0.5, ho_truncation=2, **m))],
+    "single-diode-reduced": lambda **m: [_single_diode_reduced(n_left=0.5, n_right=0.0, **m)],
+    "bridge-halves": lambda **m: list(build_bridge_half_generators(CircuitSpec.build(
+        "bridge", T_left=1.0, T_right=0.1, ho_truncation=3, **m))),
+    "bridge-halves-unequal": lambda **m: list(build_bridge_half_generators(CircuitSpec.build(
+        "bridge", T_left=0.1, T_right=1.0, ho_truncation=3, gamma_dec=0.02,
+        delta_omega={"D1": 300.0, "D2": 200.0, "D3": 300.0, "D4": 150.0}, **m))),
+    "bridge-halves-no-dec-no-drive": lambda **m: list(build_bridge_half_generators(CircuitSpec.build(
+        "bridge", T_left=1.0, T_right=0.1, ho_truncation=2, gamma_dec=0.0, J_prime=0.0, **m))),
+    "bridge-full": lambda **m: [build_generator(CircuitSpec.build(
+        "bridge", T_left=1.0, T_right=0.1, ho_truncation=2, **m))],
+}
+
+
+@pytest.mark.parametrize("mode", ["physical-modulated", "paper-literal"])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_weighted_sum_matches_kron_reference(case, mode):
+    for gen in _ORACLE_CASES[case](bridge_rate_mode=mode):
+        assert_matches_kron_reference(gen)
+
+
+def _bridge_point(delta_omega, gamma_dec, T_left, T_right, ho_truncation=3):
+    return build_bridge_half_generators(CircuitSpec.build(
+        "bridge", T_left=T_left, T_right=T_right, delta_omega=delta_omega,
+        gamma_dec=gamma_dec, ho_truncation=ho_truncation))
+
+
+def test_generators_on_one_layout_do_not_share_superoperators():
+    first = _bridge_point(300.0, 1e-3, 1.0, 0.1)
+    before = [(g.static_superop.copy(), [s.copy() for _, s in g.drive_superops]) for g in first]
+    second = _bridge_point(120.0, 5e-2, 0.1, 1.0)
+    for g in second:
+        assert_matches_kron_reference(g)
+    for g, (static, drives) in zip(first, before):
+        assert (g.static_superop != static).nnz == 0
+        assert all((s != d).nnz == 0 for (_, s), d in zip(g.drive_superops, drives))
+        assert_matches_kron_reference(g)
+
+    # an in-place edit of a returned superoperator reaches no later generator
+    for g in second:
+        g.static_superop.data[:] = 0.0
+        g.static_superop.indices[:] = 0
+        for _, s in g.drive_superops:
+            s.data[:] = 0.0
+    for g in _bridge_point(120.0, 5e-2, 0.1, 1.0):
+        assert_matches_kron_reference(g)
+
+
+def test_layout_cache_stays_bounded_over_truncations():
+    for n in range(2, 8):
+        for g in _bridge_point(300.0, 1e-3, 1.0, 0.1, ho_truncation=n):
+            _ = g.static_superop
+    for cache in (lindblad._mode_operator, lindblad._term_table):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
+    # the last truncation's two halves hit the cache
+    hits = lindblad._term_table.cache_info().hits
+    for g in _bridge_point(200.0, 1e-2, 1.0, 0.1, ho_truncation=7):
+        _ = g.static_superop
+        # a table keeps no structural zero of a term
+        assert np.all(lindblad._term_table(g.layout, g._terms.keys).coefficients.data != 0)
+    assert lindblad._term_table.cache_info().hits == hits + 4

@@ -87,7 +87,7 @@ def test_config_errors_carry_key_paths():
     with pytest.raises(ConfigError, match="bridge_point"):
         validate_config({"name": "convergence-study", "bridge_point": [300.0]})
     with pytest.raises(ConfigError, match=r"circuit\.ho_truncation"):
-        validate_config({"name": "single-diode-validation", "circuit": {"ho_truncation": 5}})
+        validate_config({"name": "single-diode-validation", "circuit": {"ho_truncation": 14}})
     with pytest.raises(ConfigError, match="protocol"):
         validate_config(tiny_parallel_config(protocol={"rel_tol": -1.0}))
     with pytest.raises(ConfigError, match=r"circuit\.Gamma"):
@@ -140,6 +140,12 @@ def test_truncation_above_the_superoperator_guard_is_a_config_error(tmp_path, ca
         assert validate_config({"name": name, "circuit": {"ho_truncation": 56}}).circuit["ho_truncation"] == 56
         with pytest.raises(ConfigError, match=r"^circuit\.ho_truncation: .*dimension 513 > "):
             validate_config({"name": name, "circuit": {"ho_truncation": 57}})
+    # the single diode has dimension 3 N^2: the guard is its only size rule
+    for n in (5, 13):
+        assert validate_config({"name": "single-diode-validation",
+                                "circuit": {"ho_truncation": n}}).circuit["ho_truncation"] == n
+    with pytest.raises(ConfigError, match=r"^circuit\.ho_truncation: .*dimension 588 > "):
+        validate_config({"name": "single-diode-validation", "circuit": {"ho_truncation": 14}})
     # refused before anything runs
     assert main(["run", "bridge-anharmonicity", "--truncation", "57", "--out", str(tmp_path / "out")]) == 2
     assert "config error at circuit.ho_truncation" in capsys.readouterr().err
@@ -281,10 +287,11 @@ def test_single_diode_validation_report(tmp_path):
     assert abs(rows["forward"]["current_full"] / rows["reverse"]["current_full"]) > 1.0
     # both equilibrium currents are round-off of zero, not a 100% deviation
     assert rows["equilibrium"]["rel_deviation"] < 1e-6
+    # N = 14 gives the full model dimension 588, above the superoperator guard
     with pytest.raises(ConfigError, match="ho_truncation"):
         validate_config({
             "name": "single-diode-validation",
-            "circuit": {"ho_truncation": 6},
+            "circuit": {"ho_truncation": 14},
         })
 
 

@@ -39,9 +39,11 @@ from heatrect.steady import (
     ConvergenceProtocol,
     DegenerateSteadyStateError,
     _block_map_and_window_row,
+    _generator_norm_bound,
     _trace_block,
     evolve,
     hermitian_basis_transform,
+    stability_limited_dt,
     steady_state_averaged,
     steady_state_direct,
 )
@@ -470,3 +472,23 @@ def test_evolve_full_bridge_matches_half_evolutions():
         out_full.data, np.kron(out_u.data, out_l.data), atol=1e-8
     )
     assert abs(np.trace(out_full.data) - 1.0) < 1e-9
+
+
+def test_norm_bound_and_step_are_bit_identical_with_cached_jump_norms():
+    # values from the bound that re-derived every jump norm at every point
+    bridge = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=4)
+    upper, lower = build_bridge_half_generators(bridge)
+    expected = [
+        (upper, 1212.1975791151945, 0.0011136798350854572),
+        (lower, 1219.5034785194462, 0.0010471975511965976),
+        (series_generator()[1], 1207.729093606279, 0.0010471975511965976),
+        (build_generator(CircuitSpec.build("single-diode", n_left=0.5, n_right=0.2, ho_truncation=3)),
+         744.4852813742386, 0.0010471975511965976),
+    ]
+    for _ in range(2):  # the second pass reads the cached norms
+        for gen, bound, dt in expected:
+            assert _generator_norm_bound(gen) == bound
+            assert stability_limited_dt(gen) == dt
+    # a second generator on the same layout shares the cached jump operators
+    again, _ = build_bridge_half_generators(bridge)
+    assert all(a is b for (_, a), (_, b) in zip(again.jumps, upper.jumps))
