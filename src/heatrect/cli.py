@@ -1,18 +1,21 @@
 """Command-line front end.
 
     heatrect run <config.json|scenario-name> [--out DIR] [--truncation N]
-                 [--rate-mode physical|paper] [--plot]
+                 [--rate-mode physical|paper] [--plot] [-v]
     heatrect validate <config.json|scenario-name>
     heatrect scenarios
 
 The default output directory is taken from --out, then the config file,
 then the HEATRECT_OUT_DIR environment variable, then ./heatrect-out.
+With -v, the run's log records (one line per grid point, trace-drift
+renormalizations) go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from .scenarios import (
@@ -40,6 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rate-mode", choices=sorted(_RATE_MODES),
                      help="rate form of the right-coupled bridge diode")
     run.add_argument("--plot", action="store_true", help="also write a quick-look SVG")
+    run.add_argument("-v", "--verbose", action="store_true",
+                     help="log progress and trace-drift renormalizations to stderr")
 
     val = sub.add_parser("validate", help="validate a config and print the resolved parameters")
     val.add_argument("config", help="path to a JSON config, or a built-in scenario name")
@@ -78,6 +83,12 @@ def main(argv=None) -> int:
         overrides["ho_truncation"] = args.truncation
     if args.rate_mode is not None:
         overrides["bridge_rate_mode"] = _RATE_MODES[args.rate_mode]
+    logger = logging.getLogger("heatrect")
+    level, handler = logger.level, logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    if args.verbose:
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
         result = run_scenario(
             args.config,
@@ -88,6 +99,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error at {err.path}: {err}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
     print(f"{result.scenario}: {len(result.rows)} rows -> {result.out_dir}")
     for name in result.files:
         print(f"  {name}")

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import logging
 import math
 import os
 import time
@@ -52,6 +53,8 @@ from .steady import (
     steady_state_averaged,
     steady_state_direct,
 )
+
+logger = logging.getLogger("heatrect")
 
 OUTPUT_DIR_ENV = "HEATRECT_OUT_DIR"
 
@@ -706,8 +709,11 @@ def run_scenario(
 
     name = resolved.name
     out = _Output(out_path)
-    rows = [row for point in scenario.points(resolved)
-            for row in scenario.rows(resolved, out, **point)]
+    points = scenario.points(resolved)
+    rows = []
+    for i, point in enumerate(points, 1):
+        rows.extend(scenario.rows(resolved, out, **point))
+        logger.info("%s: grid point %d/%d done", name, i, len(points))
 
     flagged = [i for i, row in enumerate(rows) if row.get("converged") is False]
     columns = _columns_from_rows(rows)

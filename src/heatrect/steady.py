@@ -20,7 +20,9 @@ vec(rho) for a bridge half at N=8); a generator without such a symmetry
 gets the whole space through the same code.
 
 Both ``evolve`` and the protocol integrate with a fixed-step classical
-4th-order scheme.  The protocol composes the one-period integrator map:
+4th-order scheme; each stage is one sparse product with
+L(t) = L0 + sum cos(nu t) L_nu on the union sparsity pattern of the static
+and drive superoperators.  The protocol composes the one-period integrator map:
 block and window lengths are snapped to whole periods of the lowest drive
 frequency, the dense period map is built once in a real Hermitian
 operator basis of the block, and one squaring ladder gives the block map
@@ -162,24 +164,67 @@ def stability_limited_dt(generator: Liouvillian, default: float = DEFAULT_DT) ->
     return dt
 
 
-def _rk4_step(rhs, state: np.ndarray, t: float, h: float) -> np.ndarray:
-    k1 = rhs(state, t)
-    k2 = rhs(state + (0.5 * h) * k1, t + 0.5 * h)
-    k3 = rhs(state + (0.5 * h) * k2, t + 0.5 * h)
-    k4 = rhs(state + h * k3, t + h)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_steps(rhs, state: np.ndarray, t0: float, h: float, n_steps: int):
+    """Yield the state after each of ``n_steps`` classical RK4 steps of size h.
+
+    The state is a private copy of ``state``, updated in place, so every
+    yield hands out the same array.  The stage input lives across steps,
+    and each stage k_i is dropped only when the next step's product
+    replaces it, so the heap keeps the stages' memory from step to step
+    instead of handing it back to the OS and faulting it in again.
+    """
+    state = np.array(state, copy=True)
+    stage = np.empty_like(state)
+    for k in range(n_steps):
+        t = t0 + k * h
+        k1 = rhs(state, t)
+        np.multiply(k1, 0.5 * h, out=stage)
+        stage += state
+        k2 = rhs(stage, t + 0.5 * h)
+        np.multiply(k2, 0.5 * h, out=stage)
+        stage += state
+        k3 = rhs(stage, t + 0.5 * h)
+        np.multiply(k3, h, out=stage)
+        stage += state
+        k4 = rhs(stage, t + h)
+        # state += (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= h / 6.0
+        state += k1
+        yield state
 
 
 def _make_rhs(static: sp.csr_array, drives: tuple[tuple[float, sp.csr_array], ...]):
-    """Right-hand side d v/dt = L0 v + sum cos(nu t) L_nu v for the sparse
-    superoperators L0 = ``static`` and (nu, L_nu) in ``drives``; v may be a
-    state vector or a matrix of them."""
+    """Right-hand side d v/dt = L(t) v, L(t) = L0 + sum cos(nu t) L_nu, for the
+    sparse superoperators L0 = ``static`` and (nu, L_nu) in ``drives``; v may
+    be a state vector or a matrix of them.
+
+    Every superoperator is laid on the union of their sparsity patterns once;
+    a call writes the entries of L(t) into one CSR matrix on that pattern and
+    makes one sparse product.
+    """
+    side = static.shape[0]
+    parts = [m.tocoo() for m in (static, *(s for _, s in drives))]
+    keys = [m.row.astype(np.int64) * side + m.col for m in parts]
+    union = np.unique(np.concatenate(keys))
+    data = np.zeros((len(parts), union.size), dtype=np.result_type(*(m.data for m in parts)))
+    for row, m, key in zip(data, parts, keys):
+        np.add.at(row, np.searchsorted(union, key), m.data)
+    indptr = np.searchsorted(union // side, np.arange(side + 1))
+    generator = sp.csr_array((data[0].copy(), union % side, indptr), shape=static.shape)
+    base, modulated = data[0], tuple(zip((nu for nu, _ in drives), data[1:]))
 
     def rhs(v, t):
-        out = static @ v
-        for nu, s in drives:
-            out += math.cos(nu * t) * (s @ v)
-        return out
+        if modulated:
+            entries = generator.data
+            entries[:] = base
+            for nu, drive in modulated:
+                entries += math.cos(nu * t) * drive
+        return generator @ v
 
     return rhs
 
@@ -223,9 +268,7 @@ def evolve(
     n_steps = max(1, math.ceil((t1 - t0) / dt))
     h = (t1 - t0) / n_steps
     rhs = _make_rhs(generator.static_superop, generator.drive_superops)
-    state = rho0.vec()
-    for k in range(n_steps):
-        state = _rk4_step(rhs, state, t0 + k * h, h)
+    for k, state in enumerate(_rk4_steps(rhs, rho0.vec(), t0, h, n_steps)):
         if k % 1000 == 999 and not np.all(np.isfinite(state)):
             raise ArithmeticError(f"state became non-finite at t = {t0 + (k + 1) * h}")
     if not np.all(np.isfinite(state)):
@@ -459,13 +502,11 @@ def _build_unit_map(
     """
     h = grid.dt
     rhs = _make_rhs(l0, drives)
-    unit = np.eye(l0.shape[0])
     weights = np.full(grid.n_steps + 1, 1.0 / grid.n_steps)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     c_avg = weights[0] * c_row.copy()
-    for k in range(grid.n_steps):
-        unit = _rk4_step(rhs, unit, k * h, h)
+    for k, unit in enumerate(_rk4_steps(rhs, np.eye(l0.shape[0]), 0.0, h, grid.n_steps)):
         c_avg += weights[k + 1] * (c_row @ unit)
     if not np.all(np.isfinite(unit)):
         raise ArithmeticError("unit propagator is non-finite; decrease dt")

@@ -345,7 +345,13 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg_path.write_text(json.dumps(tiny_parallel_config()))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "parallel-sweep.csv").exists()
-    capsys.readouterr()
+    assert "grid point" not in capsys.readouterr().err
+
+    # -v routes the log records to stderr for the run, and only for it
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out_v"), "-v"]) == 0
+    assert "INFO heatrect: parallel-sweep: grid point 6/6 done" in capsys.readouterr().err
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out_q")]) == 0
+    assert "grid point" not in capsys.readouterr().err
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "parallel-sweep", "axes": {"delta_omega_d1": []}}))

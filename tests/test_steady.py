@@ -39,8 +39,14 @@ from heatrect.steady import (
     ConvergenceProtocol,
     DegenerateSteadyStateError,
     _block_map_and_window_row,
+    _build_unit_map,
     _generator_norm_bound,
+    _make_rhs,
+    _real_observable,
+    _rk4_steps,
+    _to_real_superop,
     _trace_block,
+    _unit_grid,
     evolve,
     hermitian_basis_transform,
     stability_limited_dt,
@@ -128,6 +134,55 @@ def test_evolve_fourth_order_convergence():
         errors.append(np.max(np.abs(out - reference)))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     assert min(orders) > 3.5
+
+
+def test_evolve_and_rk4_steps_leave_their_input_unchanged():
+    _, gen = series_generator()
+    rng = np.random.default_rng(3)
+    weights = rng.random(gen.dim)
+    rho0 = DensityMatrix.from_matrix(gen.layout, np.diag(weights / weights.sum()).astype(complex))
+    before = rho0.data.copy()
+    out = evolve(gen, rho0, 0.0, 0.05)
+    np.testing.assert_array_equal(rho0.data, before)
+    assert not np.array_equal(out.data, before)
+
+    # the stepper updates a private copy in place and yields that copy
+    state = rho0.vec()
+    start = state.copy()
+    rhs = _make_rhs(gen.static_superop, gen.drive_superops)
+    stepped = list(_rk4_steps(rhs, state, 0.0, 1e-3, 3))
+    np.testing.assert_array_equal(state, start)
+    assert all(s is stepped[0] for s in stepped)
+
+
+def test_make_rhs_on_the_union_pattern_matches_separate_products():
+    # every wiring-table drive lies inside its static pattern; a drive on an
+    # exchange that the static Hamiltonian lacks does not
+    layout = SpaceLayout.of(("A", Qutrit()), ("B", HarmonicOscillator(2)))
+    exchange = (lowering_op(layout, "A") @ raising_op(layout, "B")
+                + raising_op(layout, "A") @ lowering_op(layout, "B"))
+    hamiltonian = TimeDependentOperator(
+        -300.0 * projector(layout, "A", 0),
+        ((300.0, 2.5 * exchange), (600.0, 0.7 * number_op(layout, "B"))),
+    )
+    gen = Liouvillian(layout, hamiltonian,
+                      ((1.0, lowering_op(layout, "A")), (0.5, lowering_op(layout, "B"))))
+    static, drives = gen.static_superop, gen.drive_superops
+    assert static.shape == (36, 36) and np.iscomplexobj(static.data)
+    outside = abs(drives[0][1]) - abs(drives[0][1]).multiply(abs(static) > 0)
+    assert outside.nnz > 0
+
+    rhs = _make_rhs(static, drives)
+    rng = np.random.default_rng(11)
+    for shape in ((36,), (36, 5)):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for t in (0.0, 1.3e-3, 7.9e-3, 0.41):
+            expected = static @ v
+            for nu, s in drives:
+                expected = expected + math.cos(nu * t) * (s @ v)
+            got = rhs(v, t)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_direct_thermal_populations():
@@ -492,3 +547,45 @@ def test_norm_bound_and_step_are_bit_identical_with_cached_jump_norms():
     # a second generator on the same layout shares the cached jump operators
     again, _ = build_bridge_half_generators(bridge)
     assert all(a is b for (_, a), (_, b) in zip(again.jumps, upper.jumps))
+
+
+def reference_unit_map(l0, drives, c_row, grid):
+    """Plain RK4 with fresh stage arrays and one sparse product per
+    superoperator, the reference for the in-place one-product stepper."""
+
+    def rhs(v, t):
+        out = l0 @ v
+        for nu, s in drives:
+            out += math.cos(nu * t) * (s @ v)
+        return out
+
+    h = grid.dt
+    unit = np.eye(l0.shape[0])
+    c_avg = 0.5 / grid.n_steps * c_row
+    for k in range(grid.n_steps):
+        t = k * h
+        k1 = rhs(unit, t)
+        k2 = rhs(unit + (0.5 * h) * k1, t + 0.5 * h)
+        k3 = rhs(unit + (0.5 * h) * k2, t + 0.5 * h)
+        k4 = rhs(unit + h * k3, t + h)
+        unit = unit + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c_avg += (0.5 if k == grid.n_steps - 1 else 1.0) / grid.n_steps * (c_row @ unit)
+    return unit, c_avg
+
+
+def test_unit_map_matches_allocating_two_product_rk4():
+    spec, (_, lower) = bridge_halves(3)
+    obs = net_bath_current_functional(lower.layout, ["D4"], bridge_rate_tables(spec))
+    d = lower.dim
+    transform = hermitian_basis_transform(d, order_zero_pairs(lower.layout))
+    l0 = _to_real_superop(transform, lower.static_superop, "static")
+    drives = tuple((nu, _to_real_superop(transform, s, "drive")) for nu, s in lower.drive_superops)
+    c_row = _real_observable(transform, obs.observable)
+    grid = _unit_grid(lower, ConvergenceProtocol(), stability_limited_dt(lower))
+    assert len(drives) == 1 and grid.n_steps == 20
+
+    unit, c_avg = _build_unit_map(l0, drives, c_row, grid)
+    ref_unit, ref_c = reference_unit_map(l0, drives, c_row, grid)
+    assert unit.shape == (141, 141)
+    assert np.max(np.abs(unit - ref_unit)) < 1e-12
+    assert np.max(np.abs(c_avg - ref_c)) < 1e-12 * max(1.0, np.max(np.abs(ref_c)))
