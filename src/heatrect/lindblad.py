@@ -20,19 +20,32 @@ every jump its wiring allows, zero rates included, so every point of a
 sweep at one truncation shares one table.  Two LRU caches keep the
 embedded one-mode operators, keyed on (layout, constructor, arguments), and
 the tables, keyed on (layout, term keys); each is bounded to a few
-layouts' worth of entries.  A Liouvillian built directly from operators
-builds its terms on the spot and caches nothing.
+layouts' worth of entries.
+
+Both steady-state routes solve on the invariant block that carries the
+trace, in a real Hermitian basis of that block.  The block, its basis
+transform T and every term's real superoperator T S_t T^dagger depend only
+on the layout, the terms and which of them have a nonzero weight, so a
+third LRU cache keeps them as a real table: the real terms on one shared
+real CSR pattern, each checked to preserve Hermiticity when the table is
+built.  A point's real static and drive superoperators are then one sparse
+product each of that table with the point's weights.  A Liouvillian built
+directly from operators builds its terms and its real table on the spot
+and caches nothing.  A wiring-table generator builds its Hamiltonian only
+when ``hamiltonian`` is first read.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .circuits import (
     TOPOLOGIES,
@@ -44,6 +57,7 @@ from .circuits import (
     Topology,
 )
 from .spaces import (
+    DensityMatrix,
     Qutrit,
     SpaceLayout,
     SparseOperator,
@@ -113,9 +127,10 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _coherent_term(h: sp.csr_array) -> list:
-    """Kron pairs of -i (H rho - rho H†), the commutator -i[H, rho] for Hermitian H."""
+    """Kron pairs of the commutator -i[H, rho] = -i (H rho - rho H); it
+    preserves Hermiticity only for Hermitian H."""
     eye = sp.eye_array(h.shape[0], format="coo")
-    return [(eye, -1j * h), (1j * h.conj(), eye)]
+    return [(eye, -1j * h), (1j * h.T, eye)]
 
 
 def _dissipator_term(a: sp.csr_array) -> list:
@@ -160,10 +175,16 @@ class _TermTable:
             keep = data != 0
             flats.append(flat[start][keep])
             datas.append(data[keep])
+        return cls.of_entries(flats, datas, side, np.complex128)
+
+    @classmethod
+    def of_entries(cls, flats: list, datas: list, side: int, dtype) -> "_TermTable":
+        """Table of terms given by their entries: term t holds ``datas[t]`` at
+        the sorted, distinct row-major linear indices ``flats[t]``."""
         pattern = np.unique(np.concatenate([np.zeros(0, np.int64), *flats]))
         # column t holds the entries of term t at their pattern positions
         coefficients = sp.csc_array(
-            (np.concatenate([np.zeros(0, np.complex128), *datas]),
+            (np.concatenate([np.zeros(0, dtype), *datas]),
              np.concatenate([np.zeros(0, np.int32), *(np.searchsorted(pattern, f).astype(np.int32) for f in flats)]),
              np.cumsum([0, *(f.size for f in flats)]).astype(np.int32)),
             shape=(pattern.size, len(flats)))
@@ -196,6 +217,103 @@ def _term_table(layout: SpaceLayout, keys: tuple) -> _TermTable:
     """Table of the terms ``keys``, each (term constructor, operator key)."""
     terms = (term(_mode_operator(layout, *op).matrix) for term, op in keys)
     return _TermTable.of(terms, layout.total_dim ** 2)
+
+
+def _trace_block(pattern: sp.csr_array, d: int, support=()) -> np.ndarray:
+    """Mask over vec(rho) of the invariant block that carries the trace.
+
+    ``pattern`` is the sparsity pattern of a generator's static and drive
+    superoperators together.  The block is the union of its weakly
+    connected components that hold a diagonal index i + d*i or an index in
+    ``support``.  No generator entry joins it to the rest of the space, so
+    it is invariant by construction; a generator without symmetry gets the
+    whole space.
+    """
+    _, labels = connected_components(pattern, directed=True, connection="weak")
+    seeds = np.union1d(np.arange(d) * (d + 1), np.asarray(support, dtype=np.int64))
+    return np.isin(labels, labels[seeds])
+
+
+def hermitian_basis_transform(d: int, pairs: np.ndarray) -> sp.csr_array:
+    """Isometry T mapping vec(rho) to real coordinates in a Hermitian basis.
+
+    ``pairs`` is a symmetric d x d boolean mask of the entries (k, l) the
+    basis spans; the all-true mask makes T unitary.  Basis
+    order: the kept diagonal projectors first, then for each kept pair
+    k < l the symmetric and antisymmetric (i-weighted) combinations, both
+    normalized under the Hilbert-Schmidt inner product.  For Hermitian rho
+    supported on the mask the coordinates T @ vec(rho) are real and
+    T^dagger T vec(rho) = vec(rho).
+    """
+    pairs = np.asarray(pairs, dtype=bool)
+    if pairs.shape != (d, d) or not np.array_equal(pairs, pairs.T):
+        raise ValueError(f"pair mask must be a symmetric {d} x {d} boolean array")
+    diag = np.flatnonzero(np.diagonal(pairs))
+    k, l = np.nonzero(np.triu(pairs, 1))
+    n_diag, n_pairs = len(diag), len(k)
+    re_rows = n_diag + 2 * np.arange(n_pairs)
+    upper, lower = k + d * l, l + d * k
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    rows = np.concatenate([np.arange(n_diag), re_rows, re_rows, re_rows + 1, re_rows + 1])
+    cols = np.concatenate([diag * (d + 1), upper, lower, upper, lower])
+    data = np.concatenate([
+        np.ones(n_diag, dtype=np.complex128),
+        # u = sqrt(2) Re rho_kl, then u = sqrt(2) Im rho_kl
+        np.full(2 * n_pairs, inv_sqrt2, dtype=np.complex128),
+        np.full(n_pairs, -1j * inv_sqrt2),
+        np.full(n_pairs, 1j * inv_sqrt2),
+    ])
+    t = sp.csr_array((data, (rows, cols)), shape=(n_diag + 2 * n_pairs, d * d))
+    t.sort_indices()
+    return t
+
+
+def _to_real_superop(transform: sp.csr_array, superop: sp.csr_array, what: str) -> sp.csr_array:
+    m = (transform @ superop @ transform.conj().T).tocsr()
+    m.sum_duplicates()
+    if m.nnz:
+        imag_max = float(np.max(np.abs(m.data.imag)))
+        scale = max(float(np.max(np.abs(m.data.real))), 1.0)
+        if imag_max > 1e-10 * scale:
+            raise ArithmeticError(
+                f"{what} is not Hermiticity-preserving (imaginary residue {imag_max:.3e})"
+            )
+    out = sp.csr_array((m.data.real.astype(np.float64), m.indices, m.indptr), shape=m.shape)
+    out.eliminate_zeros()
+    return out
+
+
+@dataclass(frozen=True)
+class _RealTable:
+    """A term table in the real Hermitian basis of the invariant block that
+    carries the trace: ``transform`` T maps vec(rho) to the block's real
+    coordinates, and ``terms`` holds every term's real superoperator
+    T S_t T^dagger on one shared real CSR pattern."""
+
+    transform: sp.csr_array
+    terms: _TermTable
+
+    @classmethod
+    def of(cls, table: _TermTable, d: int, live: tuple, support: tuple) -> "_RealTable":
+        """The block of the terms ``live`` (those with a nonzero weight) and
+        the vec indices ``support``, and the live terms on it, each checked
+        to preserve Hermiticity; the other terms keep empty columns."""
+        parts = [table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel()) for t in live]
+        pattern = sum((abs(s) for s in parts), sp.csr_array((table.side, table.side)))
+        transform = hermitian_basis_transform(d, unvectorize(_trace_block(pattern, d, support), d))
+        side = transform.shape[0]
+        flats = [np.zeros(0, np.int64)] * table.coefficients.shape[1]
+        datas = [np.zeros(0)] * len(flats)
+        for t, s in zip(live, parts):
+            real = _to_real_superop(transform, s, f"term {t} of the generator").tocoo()
+            flats[t], datas[t] = real.row.astype(np.int64) * side + real.col, real.data
+        return cls(transform, _TermTable.of_entries(flats, datas, side, np.float64))
+
+
+@functools.lru_cache(maxsize=4)
+def _real_table(layout: SpaceLayout, keys: tuple, live: tuple, support: tuple) -> _RealTable:
+    """Real table of the cached term table of ``keys`` (see ``_RealTable.of``)."""
+    return _RealTable.of(_term_table(layout, keys), layout.total_dim, live, support)
 
 
 def transition_op(layout: SpaceLayout, label: str, from_level: int, to_level: int) -> SparseOperator:
@@ -239,24 +357,52 @@ def _uncached_terms(side: int, hamiltonian: TimeDependentOperator | None, jumps)
     return _TermTable.of(terms, side), static, drives
 
 
-@dataclass
+def _coherent_part(layout: SpaceLayout, terms: _WeightedTerms) -> TimeDependentOperator | None:
+    """H(t) of a wiring-table generator: its coherent terms' operators summed
+    with the static weights and, per drive, with that drive's nonzero weights."""
+    coherent = [k for k, (term, _) in enumerate(terms.keys) if term is _coherent_term]
+    if not coherent:
+        return None
+
+    def combine(weights, columns) -> SparseOperator:
+        return SparseOperator.wrap(layout, functools.reduce(operator.add, (
+            float(weights[k]) * _mode_operator(layout, *terms.keys[k][1]).matrix for k in columns)))
+
+    return TimeDependentOperator(combine(terms.static, coherent), tuple(
+        (nu, combine(w, [k for k in coherent if w[k]])) for nu, w in terms.drives))
+
+
 class Liouvillian:
     """Generator of a Lindblad master equation on a layout.
 
-    Holds the coherent part and the weighted jump operators; the sparse
+    Holds the coherent part and the weighted jump operators.  Its sparse
     superoperator matrices (static part plus one cosine-modulated part per
-    drive frequency) are materialized lazily and only below the size guard,
-    each as one weighted sum of term superoperators.
+    drive frequency), and their real forms on the invariant block that
+    carries the trace, are built lazily and only below the size guard, each
+    as one weighted sum of term superoperators.
+
+    ``_terms``, set by the wiring-table builder, gives the generator as
+    weights on the cached term table of its layout; its Hamiltonian is then
+    built from those weights on the first read of ``hamiltonian``, and the
+    ``hamiltonian`` argument is None.  Without ``_terms`` the terms of
+    ``hamiltonian`` and ``jumps`` are built on the spot and nothing is cached.
     """
 
-    layout: SpaceLayout
-    hamiltonian: TimeDependentOperator | None
-    jumps: tuple[tuple[float, SparseOperator], ...]
-    # set by the wiring-table builder; None builds the terms of hamiltonian
-    # and jumps on the spot
-    _terms: _WeightedTerms | None = field(default=None, repr=False, compare=False)
-    _static: sp.csr_array | None = field(default=None, repr=False)
-    _drives: tuple[tuple[float, sp.csr_array], ...] | None = field(default=None, repr=False)
+    def __init__(self, layout: SpaceLayout, hamiltonian: TimeDependentOperator | None,
+                 jumps: tuple[tuple[float, SparseOperator], ...], _terms: _WeightedTerms | None = None):
+        self.layout = layout
+        self.jumps = jumps
+        self._terms = _terms
+        if _terms is None:
+            self.hamiltonian = hamiltonian
+        self._own_terms = None
+        self._static: sp.csr_array | None = None
+        self._drives: tuple[tuple[float, sp.csr_array], ...] | None = None
+
+    @functools.cached_property
+    def hamiltonian(self) -> TimeDependentOperator | None:
+        """Coherent part H(t) = static + sum_nu cos(nu t) V_nu, or None."""
+        return _coherent_part(self.layout, self._terms)
 
     @property
     def dim(self) -> int:
@@ -264,27 +410,31 @@ class Liouvillian:
 
     @property
     def drive_frequencies(self) -> tuple[float, ...]:
-        if self.hamiltonian is None:
-            return ()
-        return self.hamiltonian.frequencies
+        if self._terms is not None:
+            return tuple(nu for nu, _ in self._terms.drives)
+        return () if self.hamiltonian is None else self.hamiltonian.frequencies
 
-    def _materialize(self):
+    def _table(self) -> tuple[_TermTable, np.ndarray, tuple[tuple[float, np.ndarray], ...]]:
+        """(term table, static weights, (frequency, drive weights) per drive)."""
         if self.dim > SUPEROP_MATERIALIZE_DIM:
             raise ValueError(
                 f"refusing to materialize a {self.dim ** 2} x {self.dim ** 2} superoperator "
                 f"(dim {self.dim} > SUPEROP_MATERIALIZE_DIM = {SUPEROP_MATERIALIZE_DIM})"
             )
         if self._terms is not None:
-            table = _term_table(self.layout, self._terms.keys)
-            static, drives = self._terms.static, self._terms.drives
-        else:
-            table, static, drives = _uncached_terms(self.dim ** 2, self.hamiltonian, self.jumps)
+            return _term_table(self.layout, self._terms.keys), self._terms.static, self._terms.drives
+        if self._own_terms is None:
+            self._own_terms = _uncached_terms(self.dim ** 2, self.hamiltonian, self.jumps)
+        return self._own_terms
+
+    def _materialize(self):
+        table, static, drives = self._table()
         self._static = table.assemble(static)
         self._drives = tuple((nu, table.assemble(w)) for nu, w in drives)
 
     @property
     def static_superop(self) -> sp.csr_array:
-        """Static superoperator -i (H rho - rho H†) + sum_k w_k (A_k rho A_k† - {A_k†A_k, rho}/2)."""
+        """Static superoperator -i[H, rho] + sum_k w_k (A_k rho A_k† - {A_k†A_k, rho}/2)."""
         if self._static is None:
             self._materialize()
         return self._static
@@ -295,6 +445,34 @@ class Liouvillian:
         if self._drives is None:
             self._materialize()
         return self._drives
+
+    def real_superops(self, rho0: DensityMatrix | None = None):
+        """(T, L0, ((nu, L_nu), ...)): the isometry T onto the real Hermitian
+        basis of the invariant block that carries the trace and the support
+        of ``rho0`` (``_trace_block``), and the static and drive
+        superoperators in that basis, T L T^dagger, as real CSR matrices.
+
+        The block, T and every term's real superoperator depend only on the
+        layout, the terms and which of them have a nonzero weight; a
+        wiring-table generator takes them from an LRU cache of a few such
+        real tables, so a point assembles only the weighted sums.  The
+        returned matrices share no array with the cache.
+        """
+        table, static, drives = self._table()
+        d = self.dim
+        support = () if rho0 is None else np.flatnonzero(rho0.vec())
+        # the diagonal always seeds the block; only the off-diagonal support widens it
+        support = tuple(int(i) for i in support if i % (d + 1))
+        nonzero = static != 0
+        for _, w in drives:
+            nonzero = nonzero | (w != 0)
+        live = tuple(int(t) for t in np.flatnonzero(nonzero))
+        if self._terms is not None:
+            real = _real_table(self.layout, self._terms.keys, live, support)
+        else:
+            real = _RealTable.of(table, d, live, support)
+        return (real.transform.copy(), real.terms.assemble(static),
+                tuple((nu, real.terms.assemble(w)) for nu, w in drives))
 
 
 def _contact_table(spec: CircuitSpec, contact: Contact) -> RateTable:
@@ -364,14 +542,6 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
         for label in labels:
             rates += [(spec.gamma_dec, (lowering_op, label)), (spec.gamma_dec, (number_op, label))]
 
-    def combine(parts) -> SparseOperator:
-        return SparseOperator.wrap(layout, functools.reduce(
-            operator.add, (c * _mode_operator(layout, *key).matrix for c, key in parts)))
-
-    hamiltonian = None
-    if pieces:
-        hamiltonian = TimeDependentOperator(
-            combine(pieces), tuple((nu, combine(parts)) for nu, parts in sorted(drives.items())))
     jumps = tuple((rate, _mode_operator(layout, *key)) for rate, key in rates if rate > 0)
 
     keys = (tuple((_coherent_term, key) for _, key in pieces)
@@ -384,7 +554,7 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
             weights[column[key]] += c
         drive_weights.append((nu, weights))
     static = np.array([c for c, _ in pieces] + [rate for rate, _ in rates])
-    return Liouvillian(layout, hamiltonian, jumps, _WeightedTerms(keys, static, tuple(drive_weights)))
+    return Liouvillian(layout, None, jumps, _WeightedTerms(keys, static, tuple(drive_weights)))
 
 
 def build_generator(spec: CircuitSpec) -> Liouvillian:

@@ -13,17 +13,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .circuits import TOPOLOGIES, CircuitSpec
-from .lindblad import rate_tables
+from .lindblad import _mode_operator, rate_tables
 from .spaces import (
     DensityMatrix,
     SpaceLayout,
     SparseOperator,
-    embed,
     lowering_op,
     number_op,
     partial_trace,
+    projector,
     raising_op,
 )
 
@@ -73,15 +74,17 @@ def net_bath_current_functional(layout: SpaceLayout, labels, tables) -> CurrentF
     qutrits ``labels``, whose rate tables ``tables`` holds by label.
 
     Emission minus absorption, one diagonal weight per qutrit:
-    r10 P1 + r21 P2 - r01 P0 - r12 P1 = diag(-r01, r10 - r12, r21).
+    r10 P1 + r21 P2 - r01 P0 - r12 P1 = diag(-r01, r10 - r12, r21), summed
+    on the diagonals of the layout's cached level projectors.
     """
     labels = list(labels)
-    w = None
+    w = np.zeros(layout.total_dim)
     for label in labels:
         t = tables[label]
-        term = embed(layout, label, np.diag([-t.get(0, 1), t.get(1, 0) - t.get(1, 2), t.get(2, 1)]))
-        w = term if w is None else w + term
-    return CurrentFunctional("net_bath_current_" + "_".join(labels), w)
+        for level, rate in enumerate((-t.get(0, 1), t.get(1, 0) - t.get(1, 2), t.get(2, 1))):
+            w += rate * _mode_operator(layout, projector, label, level).matrix.diagonal().real
+    return CurrentFunctional("net_bath_current_" + "_".join(labels),
+                             SparseOperator.wrap(layout, sp.diags_array(w)))
 
 
 def bath_current_functional(spec: CircuitSpec, layout: SpaceLayout, side: str) -> CurrentFunctional:
@@ -97,7 +100,7 @@ def bath_current_functional(spec: CircuitSpec, layout: SpaceLayout, side: str) -
     for label, filter_side in TOPOLOGIES[spec.topology].filters:
         if filter_side == side and label in layout.labels:
             bath = spec.bath(side)
-            a, ad = lowering_op(layout, label), raising_op(layout, label)
+            a, ad = _mode_operator(layout, lowering_op, label), _mode_operator(layout, raising_op, label)
             w = bath.Gamma * (bath.n + 1.0) * (ad @ a) - bath.Gamma * bath.n * (a @ ad)
             return CurrentFunctional(f"net_bath_current_{label}", w)
     tables = rate_tables(spec)[side]
@@ -175,7 +178,7 @@ class ModeReport:
 
 def mode_report(rho: DensityMatrix, label: str) -> ModeReport:
     reduced = partial_trace(rho, [label])
-    mean_n = float(np.real(reduced.expectation(number_op(reduced.layout, label))))
+    mean_n = float(np.real(reduced.expectation(_mode_operator(reduced.layout, number_op, label))))
     pops = np.real(np.diag(reduced.data)).copy()
     defined = mean_n > 0
     return ModeReport(

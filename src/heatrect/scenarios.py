@@ -30,6 +30,7 @@ from . import __version__
 from .circuits import TOPOLOGIES, CircuitSpec, RateMode, Topology
 from .lindblad import (
     SUPEROP_MATERIALIZE_DIM,
+    _mode_operator,
     build_bridge_half_generators,
     build_generator,
     rate_tables,
@@ -182,8 +183,8 @@ def _two_way_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
         row.update(run.block_columns(f"converged_block_{bias}", f"blocks_{bias}"))
     rho = runs["reverse"].state
     for diode in ("D1", "D2"):
-        row[f"p0_{diode.lower()}_reverse"] = (
-            math.nan if rho is None else float(np.real(rho.expectation(projector(rho.layout, diode, 0)))))
+        row[f"p0_{diode.lower()}_reverse"] = math.nan if rho is None else float(
+            np.real(rho.expectation(_mode_operator(rho.layout, projector, diode, 0))))
     row["rectification"] = rectification(row["current_forward"], row["current_reverse"])
     row["converged"] = all(run.converged for run in runs.values())
     return [row]

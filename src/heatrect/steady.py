@@ -1,30 +1,34 @@
 """Time evolution and steady-state extraction.
 
 Two steady-state routes are provided.  ``steady_state_direct`` solves the
-null space of a time-independent generator by sparse LU, with the trace
-constraint in place of one row; a second solve with another row replaced
-detects a degenerate null space.  ``steady_state_averaged`` runs the
-windowed-average convergence protocol for driven generators: the
-state is evolved in blocks of length T, after each block the observable is
-averaged over the trailing window T_av, and the run stops once the
-relative change of consecutive block averages falls below the threshold.
+null space of a time-independent generator by sparse LU in real
+arithmetic, with the trace constraint in place of one diagonal row; a
+second solve with another diagonal row replaced detects a degenerate null
+space.  ``steady_state_averaged`` runs the windowed-average convergence
+protocol for driven generators: the state is evolved in blocks of length
+T, after each block the observable is averaged over the trailing window
+T_av, and the run stops once the relative change of consecutive block
+averages falls below the threshold.
 
 Both steady-state routes work on the invariant block that carries the
-trace (``_trace_block``): the weakly connected components of the
+trace (``lindblad._trace_block``): the weakly connected components of the
 generator's sparsity pattern, static and drive superoperators together,
 that hold a diagonal entry of rho (and, for the protocol, an entry of the
 initial state).  No generator entry leaves that block.  Every generator
 here conserves the total excitation number up to a fixed shift per jump,
 so the block is its coherence-order-0 sector (544 of the 5184 entries of
 vec(rho) for a bridge half at N=8); a generator without such a symmetry
-gets the whole space through the same code.
+gets the whole space through the same code.  Both routes read the
+block's real Hermitian basis and the generator's real superoperators on
+it from ``Liouvillian.real_superops``, which keeps them per layout, so a
+point recomputes neither the block nor the basis.
 
 Both ``evolve`` and the protocol integrate with a fixed-step classical
 4th-order scheme; each stage is one sparse product with
 L(t) = L0 + sum cos(nu t) L_nu on the union sparsity pattern of the static
 and drive superoperators.  The protocol composes the one-period integrator map:
 block and window lengths are snapped to whole periods of the lowest drive
-frequency, the dense period map is built once in a real Hermitian
+frequency, the dense period map is built once in the real Hermitian
 operator basis of the block, and one squaring ladder gives the block map
 and the window row: the unit-averaged observable rides along as an extra
 row of the period map, whose powers then carry the running sum of unit
@@ -44,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .lindblad import Liouvillian, unvectorize, vectorize
 from .observables import CurrentFunctional
@@ -286,35 +289,7 @@ def evolve(
 # direct (null-space) steady state
 # ---------------------------------------------------------------------------
 
-def _trace_row(d: int) -> np.ndarray:
-    row = np.zeros(d * d, dtype=np.complex128)
-    row[np.arange(d) * (d + 1)] = 1.0
-    return row
-
-
-def _trace_block(generator: Liouvillian, rho0: DensityMatrix | None = None) -> np.ndarray:
-    """Mask over vec(rho) of the invariant block that carries the trace.
-
-    The block is the union of the weakly connected components of the
-    sparsity pattern of the static and drive superoperators that hold a
-    diagonal index i + d*i or, with ``rho0``, an index in its support.  No
-    generator entry joins it to the rest of the space, so it is invariant
-    by construction; a generator without symmetry gets the whole space.
-    """
-    d = generator.dim
-    pattern = abs(generator.static_superop)
-    for _, s in generator.drive_superops:
-        pattern = pattern + abs(s)
-    _, labels = connected_components(pattern, directed=True, connection="weak")
-    seeds = np.arange(d) * (d + 1)
-    if rho0 is not None:
-        seeds = np.union1d(seeds, np.flatnonzero(rho0.vec()))
-    return np.isin(labels, labels[seeds])
-
-
-def _normalize_steady_vec(layout, L, v) -> DensityMatrix:
-    d = layout.total_dim
-    rho = unvectorize(v, d)
+def _normalize_steady_state(layout, L, rho: np.ndarray) -> DensityMatrix:
     rho = 0.5 * (rho + rho.conj().T)
     trace = complex(np.trace(rho))
     if abs(trace) < 1e-12:
@@ -328,107 +303,63 @@ def _normalize_steady_vec(layout, L, v) -> DensityMatrix:
     return DensityMatrix.from_matrix(layout, rho, validate=True)
 
 
+def _with_trace_row(m: sp.csr_array, row: int, d: int) -> sp.csc_array:
+    """``m`` with row ``row`` replaced by the trace row: ones on the d
+    diagonal coordinates, which come first in the real basis."""
+    start, stop = m.indptr[row], m.indptr[row + 1]
+    indptr = m.indptr.copy()
+    indptr[row + 1:] += d - (stop - start)
+    indices = np.concatenate([m.indices[:start], np.arange(d, dtype=m.indices.dtype), m.indices[stop:]])
+    data = np.concatenate([m.data[:start], np.ones(d), m.data[stop:]])
+    return sp.csr_array((data, indices, indptr), shape=m.shape).tocsc()
+
+
 def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     """Steady state of a time-independent generator via its null space.
 
-    The solve runs on the invariant block that carries the trace
-    (``_trace_block``).  Sparse LU solves the block of the superoperator
-    with the trace constraint in place of its first row, and again in
-    place of its last row.  A degenerate stationary manifold within the
-    block makes a factor singular or the two solutions disagree; either
-    raises :class:`DegenerateSteadyStateError`.  Uniqueness is certified
-    only within that block: stationary coherences outside it carry no
-    trace and are not states.  The lifted state must pass a 1e-10 residual
-    check against the full superoperator.  Above
-    ``SUPEROP_MATERIALIZE_DIM`` the superoperator is not built and
+    The solve runs in real arithmetic on the invariant block that carries
+    the trace, in its real Hermitian basis (``Liouvillian.real_superops``),
+    whose first d coordinates are the diagonal of rho.  Sparse LU solves
+    the block of the superoperator with the trace constraint in place of
+    row 0, and again in place of row d-1: each replaced row is a diagonal
+    one, since the diagonal rows sum to zero and the trace row lifts that
+    dependence.  A degenerate stationary manifold within the block makes a
+    factor singular or the two solutions disagree; either raises
+    :class:`DegenerateSteadyStateError`.  Uniqueness is certified only
+    within that block: stationary coherences outside it carry no trace and
+    are not states.  The lifted state must pass a 1e-10 residual check
+    against the full complex superoperator.  Above
+    ``SUPEROP_MATERIALIZE_DIM`` no superoperator is built and
     ``ValueError`` is raised.
     """
     if generator.drive_frequencies:
         raise ValueError("direct solve requires a generator without drive terms")
     d = generator.dim
-    L = generator.static_superop
-    block = np.flatnonzero(_trace_block(generator))
-    lb = L[block][:, block]
-    n = len(block)
-
-    trace_row = _trace_row(d)[block]
-    trace_sparse = sp.csr_array(trace_row[None, :])
-    slices = ((0, [trace_sparse, lb[1:]]), (n - 1, [lb[:-1], trace_sparse]))
+    transform, lb, _ = generator.real_superops()
     solutions = []
-    for row, blocks in slices:
-        rhs = np.zeros(n, dtype=np.complex128)
+    for row in (0, d - 1):
+        rhs = np.zeros(lb.shape[0])
         rhs[row] = 1.0
         try:
-            lu = spla.splu(sp.vstack(blocks, format="csr").tocsc())
-            x = lu.solve(rhs)
+            x = spla.splu(_with_trace_row(lb, row, d)).solve(rhs)
         except RuntimeError as err:
             raise DegenerateSteadyStateError(
                 f"sparse solve failed ({err}); the stationary state is likely not unique"
             ) from err
         if not np.all(np.isfinite(x)):
             raise DegenerateSteadyStateError("sparse solve produced non-finite entries")
-        solutions.append(x / (trace_row @ x))
+        solutions.append(x / x[:d].sum())
     if np.max(np.abs(solutions[0] - solutions[1])) > 1e-8:
         raise DegenerateSteadyStateError(
             "two independent trace slices disagree; steady state is not unique"
         )
-    v = np.zeros(d * d, dtype=np.complex128)
-    v[block] = solutions[0]
-    return _normalize_steady_vec(generator.layout, L, v)
+    rho = _complex_state(transform, solutions[0], d)
+    return _normalize_steady_state(generator.layout, generator.static_superop, rho)
 
 
 # ---------------------------------------------------------------------------
 # real Hermitian-basis representation
 # ---------------------------------------------------------------------------
-
-def hermitian_basis_transform(d: int, pairs: np.ndarray) -> sp.csr_array:
-    """Isometry T mapping vec(rho) to real coordinates in a Hermitian basis.
-
-    ``pairs`` is a symmetric d x d boolean mask of the entries (k, l) the
-    basis spans; the all-true mask makes T unitary.  Basis
-    order: the kept diagonal projectors first, then for each kept pair
-    k < l the symmetric and antisymmetric (i-weighted) combinations, both
-    normalized under the Hilbert-Schmidt inner product.  For Hermitian rho
-    supported on the mask the coordinates T @ vec(rho) are real and
-    T^dagger T vec(rho) = vec(rho).
-    """
-    pairs = np.asarray(pairs, dtype=bool)
-    if pairs.shape != (d, d) or not np.array_equal(pairs, pairs.T):
-        raise ValueError(f"pair mask must be a symmetric {d} x {d} boolean array")
-    diag = np.flatnonzero(np.diagonal(pairs))
-    k, l = np.nonzero(np.triu(pairs, 1))
-    n_diag, n_pairs = len(diag), len(k)
-    re_rows = n_diag + 2 * np.arange(n_pairs)
-    upper, lower = k + d * l, l + d * k
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    rows = np.concatenate([np.arange(n_diag), re_rows, re_rows, re_rows + 1, re_rows + 1])
-    cols = np.concatenate([diag * (d + 1), upper, lower, upper, lower])
-    data = np.concatenate([
-        np.ones(n_diag, dtype=np.complex128),
-        # u = sqrt(2) Re rho_kl, then u = sqrt(2) Im rho_kl
-        np.full(2 * n_pairs, inv_sqrt2, dtype=np.complex128),
-        np.full(n_pairs, -1j * inv_sqrt2),
-        np.full(n_pairs, 1j * inv_sqrt2),
-    ])
-    t = sp.csr_array((data, (rows, cols)), shape=(n_diag + 2 * n_pairs, d * d))
-    t.sort_indices()
-    return t
-
-
-def _to_real_superop(transform: sp.csr_array, superop: sp.csr_array, what: str) -> sp.csr_array:
-    m = (transform @ superop @ transform.conj().T).tocsr()
-    m.sum_duplicates()
-    if m.nnz:
-        imag_max = float(np.max(np.abs(m.data.imag)))
-        scale = max(float(np.max(np.abs(m.data.real))), 1.0)
-        if imag_max > 1e-10 * scale:
-            raise ArithmeticError(
-                f"{what} is not Hermiticity-preserving (imaginary residue {imag_max:.3e})"
-            )
-    out = sp.csr_array((m.data.real.astype(np.float64), m.indices, m.indptr), shape=m.shape)
-    out.eliminate_zeros()
-    return out
-
 
 def _real_state(transform: sp.csr_array, rho: np.ndarray) -> np.ndarray:
     u = transform @ vectorize(rho)
@@ -538,14 +469,7 @@ def _compiled_protocol(
     trajectory_points_per_block: int | None,
 ):
     d = generator.dim
-    # materialize first: above the size guard this raises before any basis is built
-    static, drive_superops = generator.static_superop, generator.drive_superops
-    transform = hermitian_basis_transform(d, unvectorize(_trace_block(generator, rho0), d))
-    l0 = _to_real_superop(transform, static, "static generator")
-    drives = tuple(
-        (nu, _to_real_superop(transform, s, f"drive at frequency {nu}"))
-        for nu, s in drive_superops
-    )
+    transform, l0, drives = generator.real_superops(rho0)
     c_row = _real_observable(transform, observable.observable)
     unit, c_avg = _build_unit_map(l0, drives, c_row, grid)
     block_map, window_row = _block_map_and_window_row(
@@ -629,8 +553,8 @@ def steady_state_averaged(
     The blocks are advanced with a precomputed dense map over one period of
     the lowest drive frequency (over one step ``dt`` without drives), and
     block and window lengths are snapped to whole periods.  The map acts on
-    the invariant block that carries the trace and the support of
-    ``rho0`` (``_trace_block``), in a real Hermitian basis of that block;
+    the invariant block that carries the trace and the support of ``rho0``,
+    in a real Hermitian basis of that block (``Liouvillian.real_superops``);
     ``block_dim`` of the result is its real dimension.  Every drive
     frequency must be an integer multiple of the lowest one; otherwise
     ``ValueError`` is raised.  An explicit ``dt`` is checked as in

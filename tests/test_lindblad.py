@@ -1,11 +1,20 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from heatrect import lindblad
-from heatrect.circuits import BathParams, CircuitSpec, CircuitTopology, DiodeParams
+from heatrect.circuits import (
+    TOPOLOGIES,
+    BathParams,
+    CircuitSpec,
+    CircuitTopology,
+    DiodeParams,
+    TimeDependentOperator,
+)
 from heatrect.lindblad import (
     Liouvillian,
     RateTable,
@@ -27,10 +36,11 @@ from heatrect.spaces import (
     SpaceLayout,
     SparseOperator,
     lowering_op,
+    projector,
     raising_op,
 )
 from heatrect.observables import net_bath_current_functional
-from heatrect.steady import evolve, steady_state_averaged, steady_state_direct
+from heatrect.steady import evolve, stability_limited_dt, steady_state_averaged, steady_state_direct
 
 
 def random_density(rng, d):
@@ -327,6 +337,7 @@ def test_full_bridge_superoperator_is_not_materialized():
     gen = build_generator(spec)
     assert gen.dim == 5184
     refused = "refusing to materialize"
+    misses = [cache.cache_info().misses for cache in (lindblad._term_table, lindblad._real_table)]
     with pytest.raises(ValueError, match=refused):
         _ = gen.static_superop
     with pytest.raises(ValueError, match=refused):
@@ -337,6 +348,11 @@ def test_full_bridge_superoperator_is_not_materialized():
     obs = net_bath_current_functional(gen.layout, ["D4"], bridge_rate_tables(spec))
     with pytest.raises(ValueError, match=refused):
         steady_state_averaged(gen, rho0, observable=obs)
+    with pytest.raises(ValueError, match=refused):
+        steady_state_direct(build_generator(CircuitSpec.build(
+            "bridge", T_left=1.0, T_right=0.1, ho_truncation=8, J_prime=0.0)))
+    # the guard fires before any table is built
+    assert [cache.cache_info().misses for cache in (lindblad._term_table, lindblad._real_table)] == misses
 
 
 def test_single_diode_equilibrium_state_is_stationary():
@@ -485,3 +501,68 @@ def test_layout_cache_stays_bounded_over_truncations():
         # a table keeps no structural zero of a term
         assert np.all(lindblad._term_table(g.layout, g._terms.keys).coefficients.data != 0)
     assert lindblad._term_table.cache_info().hits == hits + 4
+
+
+def eager_hamiltonian(spec, layout) -> TimeDependentOperator | None:
+    """The Hamiltonian as the wiring-table builder used to assemble it for
+    every generator: anharmonicity of each coupled diode, every retained
+    coupling, drives grouped by frequency, summed in wiring order."""
+    topology = TOPOLOGIES[spec.topology]
+    labels = layout.labels
+    couplings = [c for c in topology.couplings if c.a in labels and c.b in labels]
+    coupled = {mode for c in couplings for mode in (c.a, c.b)}
+    pieces = [(-spec.diodes[label].delta_omega, projector(layout, label, 0))
+              for label in labels if label in coupled and label in spec.diodes]
+    drives = {}
+    for c in couplings:
+        params = spec.diodes[c.diode]
+        pieces.append((params.J, lindblad._exchange_op(layout, c.a, c.b)))
+        if c.modulated and params.J_prime > 0:
+            drives.setdefault(params.delta_omega, []).append(
+                (params.J_prime, lindblad._exchange_op(layout, c.a, c.b)))
+    if not pieces:
+        return None
+
+    def combine(parts):
+        return SparseOperator.wrap(layout, functools.reduce(operator.add, (c * op.matrix for c, op in parts)))
+
+    return TimeDependentOperator(combine(pieces), tuple((nu, combine(parts)) for nu, parts in sorted(drives.items())))
+
+
+def _generators_of(spec):
+    if spec.topology.value == "bridge":
+        return list(build_bridge_half_generators(spec))
+    return [build_generator(spec)]
+
+
+def test_hamiltonian_is_built_on_first_read(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return TimeDependentOperator(*args)
+
+    monkeypatch.setattr(lindblad, "TimeDependentOperator", counted)
+    cases = [
+        CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=3),
+        CircuitSpec.build("bridge", T_left=0.1, T_right=1.0, ho_truncation=2, J_prime=0.0,
+                          delta_omega={"D1": 300.0, "D2": 200.0, "D3": 300.0, "D4": 150.0}),
+        CircuitSpec.build("single-diode", n_left=0.5, n_right=0.0, ho_truncation=2),
+    ]
+    for spec in cases:
+        gens = _generators_of(spec)
+        if spec.topology.value == "bridge":
+            # building both halves and solving the static upper one assembles no Hamiltonian
+            before = len(built)
+            steady_state_direct(gens[0])
+            assert len(built) == before
+        for gen in gens:
+            before = len(built)
+            h, eager = gen.hamiltonian, eager_hamiltonian(spec, gen.layout)
+            assert len(built) == before + 1 and gen.hamiltonian is h
+            assert (h.static_part.matrix != eager.static_part.matrix).nnz == 0
+            assert h.frequencies == eager.frequencies == gen.drive_frequencies
+            for (_, v), (_, w) in zip(h.drive_terms, eager.drive_terms):
+                assert (v.matrix != w.matrix).nnz == 0
+            assert stability_limited_dt(gen) == stability_limited_dt(Liouvillian(gen.layout, eager, gen.jumps))
+

@@ -1,19 +1,25 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from heatrect import lindblad
 from heatrect.circuits import CircuitSpec, DiodeParams, TimeDependentOperator
 from heatrect.lindblad import (
     Liouvillian,
     RateTable,
+    _to_real_superop,
+    _trace_block,
     bridge_rate_tables,
     build_bridge_half_generators,
     build_generator,
     qutrit_rate_table,
+    hermitian_basis_transform,
     single_qutrit_rate_generator,
+    unvectorize,
     vectorize,
 )
 from heatrect.observables import (
@@ -44,11 +50,8 @@ from heatrect.steady import (
     _make_rhs,
     _real_observable,
     _rk4_steps,
-    _to_real_superop,
-    _trace_block,
     _unit_grid,
     evolve,
-    hermitian_basis_transform,
     stability_limited_dt,
     steady_state_averaged,
     steady_state_direct,
@@ -357,11 +360,21 @@ def order_zero_cases():
     return [(upper3, 141), (lower3, 141), (upper4, 220), (lower4, 220), (single, 36)]
 
 
+def assembled_trace_block(gen, rho0=None) -> np.ndarray:
+    """``_trace_block`` on the pattern of the generator's assembled static
+    and drive superoperators, seeded with the support of ``rho0``."""
+    pattern = abs(gen.static_superop)
+    for _, s in gen.drive_superops:
+        pattern = pattern + abs(s)
+    support = () if rho0 is None else np.flatnonzero(rho0.vec())
+    return _trace_block(pattern, gen.dim, support)
+
+
 def test_trace_block_is_the_coherence_order_zero_sector():
     for gen, size in order_zero_cases():
         d = gen.dim
         pairs = order_zero_pairs(gen.layout)
-        block = _trace_block(gen)
+        block = assembled_trace_block(gen)
         np.testing.assert_array_equal(block, vectorize(pairs))
         t_block = hermitian_basis_transform(d, pairs)
         assert t_block.shape == (size, d * d)
@@ -390,7 +403,7 @@ def test_averaged_block_takes_in_rho0_support():
     order_zero = int(order_zero_pairs(lower.layout).sum())
     res = steady_state_averaged(lower, rho0, protocol=protocol, observable=obs)
     assert res.block_dim > order_zero
-    assert np.all(_trace_block(lower, rho0)[np.flatnonzero(rho0.vec())])
+    assert np.all(assembled_trace_block(lower, rho0)[np.flatnonzero(rho0.vec())])
     assert steady_state_averaged(lower, protocol=protocol, observable=obs).block_dim == order_zero
     block, value, state = stepped_protocol_reference(lower, protocol, obs, res.dt, T_DRIVE, rho0)
     assert res.converged_block == block
@@ -423,9 +436,26 @@ def full_space_steady_state(gen) -> np.ndarray:
 )
 def test_direct_block_solve_matches_full_space_oracle(make_generator):
     gen = make_generator()
-    assert int(_trace_block(gen).sum()) < gen.dim ** 2
+    assert int(assembled_trace_block(gen).sum()) < gen.dim ** 2
     rho = steady_state_direct(gen)
     np.testing.assert_allclose(rho.data, full_space_steady_state(gen), rtol=0, atol=1e-12)
+
+
+def test_direct_residual_check_guards_the_real_block_solve(monkeypatch):
+    # a real static block that disagrees with the complex superoperator in
+    # one coherence equation: both trace slices agree, the lifted state fails
+    gen = bridge_halves(2)[1][0]
+    real_superops = Liouvillian.real_superops
+
+    def perturbed(self, rho0=None):
+        transform, l0, drives = real_superops(self, rho0)
+        row = gen.dim
+        l0[row, row] *= 1.001
+        return transform, l0, drives
+
+    monkeypatch.setattr(Liouvillian, "real_superops", perturbed)
+    with pytest.raises(ArithmeticError, match="residual"):
+        steady_state_direct(gen)
 
 
 def test_averaged_rejects_drives_that_are_not_integer_multiples():
@@ -589,3 +619,132 @@ def test_unit_map_matches_allocating_two_product_rk4():
     assert unit.shape == (141, 141)
     assert np.max(np.abs(unit - ref_unit)) < 1e-12
     assert np.max(np.abs(c_avg - ref_c)) < 1e-12 * max(1.0, np.max(np.abs(ref_c)))
+
+
+def _generators(topology, **kwargs):
+    spec = CircuitSpec.build(topology, **kwargs)
+    if topology == "bridge":
+        return list(build_bridge_half_generators(spec))
+    return [build_generator(spec)]
+
+
+# both bridge halves, the full single diode, series and parallel, with the
+# zero-weight corners: gamma_dec = 0, an empty receiving bath (n = 0), J' = 0
+_REAL_TABLE_CASES = {
+    "bridge-N3": lambda: _generators("bridge", T_left=1.0, T_right=0.1, ho_truncation=3),
+    "bridge-N4": lambda: _generators("bridge", T_left=1.0, T_right=0.1, ho_truncation=4),
+    "bridge-N3-no-dec-empty-bath-no-drive": lambda: _generators(
+        "bridge", n_left=0.5, n_right=0.0, gamma_dec=0.0, J_prime=0.0, ho_truncation=3),
+    "single-diode-N2": lambda: _generators("single-diode", n_left=0.5, n_right=0.0, ho_truncation=2),
+    "series": lambda: _generators("series", n_left=0.5, n_right=0.0),
+    "series-no-drive": lambda: _generators("series", n_left=0.2, n_right=0.5, J_prime=0.0),
+    "parallel": lambda: _generators("parallel", n_left=0.0, n_right=0.5),
+    "operator-built-zero-weight-jump": lambda: [_zero_weight_jump_generator()],
+}
+
+
+def _zero_weight_jump_generator() -> Liouvillian:
+    # the jump (|0> + |1>)<1| would join the coherences of |0> and |1> to
+    # the populations; at weight zero the block is the populations alone
+    layout = SpaceLayout.of(("A", Qutrit()))
+    joining = np.zeros((3, 3))
+    joining[:2, 1] = 1.0
+    return Liouvillian(layout, None, ((1.0, lowering_op(layout, "A")),
+                                      (0.0, SparseOperator.wrap(layout, joining))))
+
+
+def assert_real_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs((got - want).toarray()), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("case", sorted(_REAL_TABLE_CASES))
+def test_real_table_matches_assembled_generator(case):
+    for gen in _REAL_TABLE_CASES[case]():
+        d = gen.dim
+        transform, l0, drives = gen.real_superops()
+        # the cached block is the trace block of the assembled superoperators
+        t_ref = hermitian_basis_transform(d, unvectorize(assembled_trace_block(gen), d))
+        assert transform.shape == t_ref.shape and (transform != t_ref).nnz == 0
+        assert_real_close(l0, _to_real_superop(t_ref, gen.static_superop, "static"))
+        assert [nu for nu, _ in drives] == [nu for nu, _ in gen.drive_superops]
+        for (_, got), (_, s) in zip(drives, gen.drive_superops):
+            assert_real_close(got, _to_real_superop(t_ref, s, "drive"))
+
+
+def _live_terms(gen) -> tuple:
+    nonzero = gen._terms.static != 0
+    for _, w in gen._terms.drives:
+        nonzero = nonzero | (w != 0)
+    return tuple(np.flatnonzero(nonzero).tolist())
+
+
+def _table_arrays(table) -> list:
+    c = table.coefficients
+    return [table.indptr, table.indices, c.data, c.indices, c.indptr]
+
+
+def test_real_tables_are_built_once_per_layout_and_stay_unchanged(monkeypatch):
+    lindblad._term_table.cache_clear()
+    lindblad._real_table.cache_clear()
+    calls = Counter()
+    for name in ("_trace_block", "hermitian_basis_transform", "_to_real_superop"):
+        def counted(*args, _original=getattr(lindblad, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(lindblad, name, counted)
+
+    points = [(300.0, 1e-3, 1.0, 0.1), (120.0, 5e-2, 0.1, 1.0), (200.0, 1e-2, 0.5, 0.2)]
+    for k, (delta_omega, gamma_dec, t_left, t_right) in enumerate(points):
+        before = sum(calls.values())
+        spec = CircuitSpec.build("bridge", T_left=t_left, T_right=t_right, delta_omega=delta_omega,
+                                 gamma_dec=gamma_dec, ho_truncation=3)
+        upper, lower = build_bridge_half_generators(spec)
+        steady_state_direct(upper)
+        steady_state_averaged(lower, observable=bath_current_functional(spec, lower.layout, "right"))
+        # the first point builds one real table per half, later points none
+        if k == 0:
+            assert calls["_trace_block"] == calls["hermitian_basis_transform"] == 2
+            assert calls["_to_real_superop"] > 0
+        else:
+            assert sum(calls.values()) == before
+        # in-place edits of what a point gets back reach no table
+        for gen in (upper, lower):
+            for m in (gen.static_superop, *(s for _, s in gen.drive_superops)):
+                m.data[:] = 0.0
+                m.eliminate_zeros()
+            transform, l0, drives = gen.real_superops()
+            for m in (transform, l0, *(s for _, s in drives)):
+                m.data[:] = 0.0
+                m.eliminate_zeros()
+    monkeypatch.undo()
+
+    for gen in (upper, lower):
+        keys, live = gen._terms.keys, _live_terms(gen)
+        fresh = lindblad._term_table.__wrapped__(gen.layout, keys)
+        hits = lindblad._real_table.cache_info().hits
+        cached_real = lindblad._real_table(gen.layout, keys, live, ())
+        assert lindblad._real_table.cache_info().hits == hits + 1
+        fresh_real = lindblad._RealTable.of(fresh, gen.dim, live, ())
+        pairs = list(zip(_table_arrays(lindblad._term_table(gen.layout, keys)), _table_arrays(fresh)))
+        t, t_fresh = cached_real.transform, fresh_real.transform
+        pairs += [(t.data, t_fresh.data), (t.indices, t_fresh.indices), (t.indptr, t_fresh.indptr)]
+        pairs += list(zip(_table_arrays(cached_real.terms), _table_arrays(fresh_real.terms)))
+        for cached, built in pairs:
+            assert cached.dtype == built.dtype and cached.tobytes() == built.tobytes()
+
+
+@pytest.mark.parametrize("h", [
+    np.triu(np.ones((3, 3)), 1),  # real, not symmetric
+    np.array([[0.0, 1j, 0.0], [1j, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # complex symmetric
+], ids=["upper-triangular", "complex-symmetric"])
+def test_non_hermitian_hamiltonian_fails_the_hermiticity_check(h):
+    layout = SpaceLayout.of(("A", Qutrit()))
+    gen = Liouvillian(layout, TimeDependentOperator(SparseOperator.wrap(layout, h)),
+                      ((1.0, lowering_op(layout, "A")),))
+    with pytest.raises(ArithmeticError, match="not Hermiticity-preserving"):
+        steady_state_direct(gen)
+    protocol = ConvergenceProtocol(block_length=1.0, average_window=0.5, max_blocks=3)
+    with pytest.raises(ArithmeticError, match="not Hermiticity-preserving"):
+        steady_state_averaged(gen, protocol=protocol,
+                              observable=CurrentFunctional("p1", projector(layout, "A", 1)))
