@@ -34,6 +34,14 @@ def bose_occupation(omega_over_T: float) -> float:
     return 1.0 / math.expm1(omega_over_T)
 
 
+def _require_finite(params, *names: str):
+    """Raise ``ValueError`` for a named field of ``params`` that is nan or infinite."""
+    for name in names:
+        v = getattr(params, name)
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class DiodeParams:
     """Physical parameters of one qutrit diode (in units of J)."""
@@ -43,10 +51,7 @@ class DiodeParams:
     J_prime: float = 0.5
 
     def __post_init__(self):
-        for name in ("delta_omega", "J", "J_prime"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+        _require_finite(self, "delta_omega", "J", "J_prime")
         if self.delta_omega <= 0:
             raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
         if self.J <= 0:
@@ -78,6 +83,7 @@ class BathParams:
     temperature: float | None = None
 
     def __post_init__(self):
+        _require_finite(self, "Gamma", "occupation", "temperature")
         if self.Gamma <= 0:
             raise ValueError(f"Gamma must be positive, got {self.Gamma}")
         if (self.occupation is None) == (self.temperature is None):
@@ -256,6 +262,7 @@ class CircuitSpec:
                 f"topology {self.topology.value!r} needs diodes {list(required)}, "
                 f"got {sorted(self.diodes)}"
             )
+        _require_finite(self, "gamma_dec")
         if self.gamma_dec < 0:
             raise ValueError(f"gamma_dec must be nonnegative, got {self.gamma_dec}")
         if self.ho_truncation < 2:

@@ -29,9 +29,9 @@ on the layout, the terms and which of them have a nonzero weight, so a
 third LRU cache keeps them as a real table: the real terms on one shared
 real CSR pattern, each checked to preserve Hermiticity when the table is
 built.  A point's real static and drive superoperators are then one sparse
-product each of that table with the point's weights.  A Liouvillian built
-directly from operators builds its terms and its real table on the spot
-and caches nothing.  A wiring-table generator builds its Hamiltonian only
+product each of that table with the point's weights, written onto the
+table's fixed pattern.  A Liouvillian built directly from operators builds
+its terms and its real table on the spot and caches nothing.  A wiring-table generator builds its Hamiltonian only
 when ``hamiltonian`` is first read.
 """
 
@@ -192,11 +192,10 @@ class _TermTable:
         return cls(side, indptr, (pattern % side).astype(np.int32), coefficients)
 
     def assemble(self, weights: np.ndarray) -> sp.csr_array:
-        """Canonical CSR matrix of sum_t weights[t] S_t; it shares no array with the table."""
-        out = sp.csr_array((self.coefficients @ weights, self.indices.copy(), self.indptr.copy()),
-                           shape=(self.side, self.side))
-        out.eliminate_zeros()
-        return out
+        """CSR matrix of sum_t weights[t] S_t on the table's pattern, explicit
+        zeros kept; it shares no array with the table."""
+        return sp.csr_array((self.coefficients @ weights, self.indices.copy(), self.indptr.copy()),
+                            shape=(self.side, self.side))
 
 
 def _exchange_op(layout: SpaceLayout, a: str, b: str) -> SparseOperator:
@@ -299,6 +298,8 @@ class _RealTable:
         the vec indices ``support``, and the live terms on it, each checked
         to preserve Hermiticity; the other terms keep empty columns."""
         parts = [table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel()) for t in live]
+        for s in parts:
+            s.eliminate_zeros()
         pattern = sum((abs(s) for s in parts), sp.csr_array((table.side, table.side)))
         transform = hermitian_basis_transform(d, unvectorize(_trace_block(pattern, d, support), d))
         side = transform.shape[0]
@@ -427,10 +428,17 @@ class Liouvillian:
             self._own_terms = _uncached_terms(self.dim ** 2, self.hamiltonian, self.jumps)
         return self._own_terms
 
-    def _materialize(self):
+    def superops(self) -> tuple[sp.csr_array, tuple[tuple[float, sp.csr_array], ...]]:
+        """(L0, ((nu, L_nu), ...)): the static and drive superoperators on the
+        one CSR pattern of the generator's term table, explicit zeros kept.
+        Each returned matrix owns its arrays."""
         table, static, drives = self._table()
-        self._static = table.assemble(static)
-        self._drives = tuple((nu, table.assemble(w)) for nu, w in drives)
+        return table.assemble(static), tuple((nu, table.assemble(w)) for nu, w in drives)
+
+    def _materialize(self):
+        self._static, self._drives = self.superops()
+        for m in (self._static, *(s for _, s in self._drives)):
+            m.eliminate_zeros()
 
     @property
     def static_superop(self) -> sp.csr_array:
@@ -450,13 +458,14 @@ class Liouvillian:
         """(T, L0, ((nu, L_nu), ...)): the isometry T onto the real Hermitian
         basis of the invariant block that carries the trace and the support
         of ``rho0`` (``_trace_block``), and the static and drive
-        superoperators in that basis, T L T^dagger, as real CSR matrices.
+        superoperators in that basis, T L T^dagger, as real CSR matrices on
+        the real table's one pattern, explicit zeros kept.
 
         The block, T and every term's real superoperator depend only on the
         layout, the terms and which of them have a nonzero weight; a
         wiring-table generator takes them from an LRU cache of a few such
-        real tables, so a point assembles only the weighted sums.  The
-        returned matrices share no array with the cache.
+        real tables, so a point assembles only the weighted sums.  Each
+        returned matrix owns its arrays, so none is shared with the cache.
         """
         table, static, drives = self._table()
         d = self.dim

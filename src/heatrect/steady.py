@@ -25,8 +25,9 @@ point recomputes neither the block nor the basis.
 
 Both ``evolve`` and the protocol integrate with a fixed-step classical
 4th-order scheme; each stage is one sparse product with
-L(t) = L0 + sum cos(nu t) L_nu on the union sparsity pattern of the static
-and drive superoperators.  The protocol composes the one-period integrator map:
+L(t) = L0 + sum cos(nu t) L_nu, written onto the one CSR pattern that the
+static and drive superoperators share: the pattern of the generator's term
+table, fixed per layout.  The protocol composes the one-period integrator map:
 block and window lengths are snapped to whole periods of the lowest drive
 frequency, the dense period map is built once in the real Hermitian
 operator basis of the block, and one squaring ladder gives the block map
@@ -203,28 +204,23 @@ def _rk4_steps(rhs, state: np.ndarray, t0: float, h: float, n_steps: int):
 
 def _make_rhs(static: sp.csr_array, drives: tuple[tuple[float, sp.csr_array], ...]):
     """Right-hand side d v/dt = L(t) v, L(t) = L0 + sum cos(nu t) L_nu, for the
-    sparse superoperators L0 = ``static`` and (nu, L_nu) in ``drives``; v may
-    be a state vector or a matrix of them.
+    sparse superoperators L0 = ``static`` and (nu, L_nu) in ``drives``, which
+    must share one CSR pattern; v may be a state vector or a matrix of them.
 
-    Every superoperator is laid on the union of their sparsity patterns once;
-    a call writes the entries of L(t) into one CSR matrix on that pattern and
+    A call writes the entries of L(t) into one CSR matrix on that pattern and
     makes one sparse product.
     """
-    side = static.shape[0]
-    parts = [m.tocoo() for m in (static, *(s for _, s in drives))]
-    keys = [m.row.astype(np.int64) * side + m.col for m in parts]
-    union = np.unique(np.concatenate(keys))
-    data = np.zeros((len(parts), union.size), dtype=np.result_type(*(m.data for m in parts)))
-    for row, m, key in zip(data, parts, keys):
-        np.add.at(row, np.searchsorted(union, key), m.data)
-    indptr = np.searchsorted(union // side, np.arange(side + 1))
-    generator = sp.csr_array((data[0].copy(), union % side, indptr), shape=static.shape)
-    base, modulated = data[0], tuple(zip((nu for nu, _ in drives), data[1:]))
+    for _, s in drives:
+        if not (s.shape == static.shape and np.array_equal(s.indptr, static.indptr)
+                and np.array_equal(s.indices, static.indices)):
+            raise ValueError("static and drive superoperators must share one sparsity pattern")
+    generator = static.copy()
+    modulated = tuple((nu, s.data) for nu, s in drives)
 
     def rhs(v, t):
         if modulated:
             entries = generator.data
-            entries[:] = base
+            entries[:] = static.data
             for nu, drive in modulated:
                 entries += math.cos(nu * t) * drive
         return generator @ v
@@ -270,7 +266,7 @@ def evolve(
 
     n_steps = max(1, math.ceil((t1 - t0) / dt))
     h = (t1 - t0) / n_steps
-    rhs = _make_rhs(generator.static_superop, generator.drive_superops)
+    rhs = _make_rhs(*generator.superops())
     for k, state in enumerate(_rk4_steps(rhs, rho0.vec(), t0, h, n_steps)):
         if k % 1000 == 999 and not np.all(np.isfinite(state)):
             raise ArithmeticError(f"state became non-finite at t = {t0 + (k + 1) * h}")
@@ -290,7 +286,6 @@ def evolve(
 # ---------------------------------------------------------------------------
 
 def _normalize_steady_state(layout, L, rho: np.ndarray) -> DensityMatrix:
-    rho = 0.5 * (rho + rho.conj().T)
     trace = complex(np.trace(rho))
     if abs(trace) < 1e-12:
         raise DegenerateSteadyStateError(
@@ -336,6 +331,7 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
         raise ValueError("direct solve requires a generator without drive terms")
     d = generator.dim
     transform, lb, _ = generator.real_superops()
+    lb.eliminate_zeros()
     solutions = []
     for row in (0, d - 1):
         rhs = np.zeros(lb.shape[0])
@@ -361,25 +357,22 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
 # real Hermitian-basis representation
 # ---------------------------------------------------------------------------
 
-def _real_state(transform: sp.csr_array, rho: np.ndarray) -> np.ndarray:
-    u = transform @ vectorize(rho)
-    return np.ascontiguousarray(u.real)
+def _real_part(c: np.ndarray, what: str) -> np.ndarray:
+    """Real part of real-basis coordinates c, whose imaginary residue must
+    stay within 1e-10 of max(|c.real|, 1)."""
+    if np.max(np.abs(c.imag), initial=0.0) > 1e-10 * max(np.max(np.abs(c.real), initial=0.0), 1.0):
+        raise ValueError(f"{what} must be Hermitian")
+    return np.ascontiguousarray(c.real)
 
 
 def _complex_state(transform: sp.csr_array, u: np.ndarray, d: int) -> np.ndarray:
+    """The matrix T^dagger u; it is exactly Hermitian for every real u."""
     return unvectorize(transform.conj().T @ u.astype(np.complex128), d)
 
 
 def _real_observable(transform: sp.csr_array, op: SparseOperator) -> np.ndarray:
-    w = op.matrix.tocoo()
-    d = op.shape[0]
-    vec_wt = sp.csr_array(
-        (w.data, (w.col + d * w.row, np.zeros_like(w.row))), shape=(d * d, 1)
-    )
-    c = (transform.conj() @ vec_wt).toarray().ravel()
-    if np.max(np.abs(c.imag), initial=0.0) > 1e-10 * max(np.max(np.abs(c.real), initial=0.0), 1.0):
-        raise ValueError("observable must be Hermitian")
-    return np.ascontiguousarray(c.real)
+    """Row c with c @ u = Tr(W rho): conj(T) vec(W^T), and W in row-major order is vec(W^T)."""
+    return _real_part(transform.conj() @ op.matrix.toarray().ravel(), "observable")
 
 
 # ---------------------------------------------------------------------------
@@ -460,55 +453,6 @@ def _block_map_and_window_row(unit: np.ndarray, c_avg: np.ndarray, n_p: int, n_w
     return power[:side, :side], (power[side, :side] - head[:side]) / n_w
 
 
-def _compiled_protocol(
-    generator: Liouvillian,
-    rho0: DensityMatrix,
-    protocol: ConvergenceProtocol,
-    observable: CurrentFunctional,
-    grid: _UnitGrid,
-    trajectory_points_per_block: int | None,
-):
-    d = generator.dim
-    transform, l0, drives = generator.real_superops(rho0)
-    c_row = _real_observable(transform, observable.observable)
-    unit, c_avg = _build_unit_map(l0, drives, c_row, grid)
-    block_map, window_row = _block_map_and_window_row(
-        unit, c_avg, grid.units_per_block, grid.window_units
-    )
-
-    sample_map = None
-    if trajectory_points_per_block:
-        sample_stride = max(1, grid.units_per_block // int(trajectory_points_per_block))
-        sample_map, _ = _matrix_power(unit, sample_stride)
-
-    trace_idx = np.arange(d)  # the block holds every diagonal, and they come first
-    u = _real_state(transform, rho0.data)
-    averages: list[float] = []
-    times: list[float] = []
-    samples: list[float] = []
-    converged = None
-    for block in range(protocol.max_blocks):
-        averages.append(float(window_row @ u))
-        if block >= 1 and _stop(averages[-2], averages[-1], protocol.rel_tol):
-            converged = block
-        if sample_map is not None:
-            t0 = block * grid.units_per_block * grid.duration
-            v = u
-            for done in range(sample_stride, grid.units_per_block + 1, sample_stride):
-                v = sample_map @ v
-                times.append(t0 + done * grid.duration)
-                samples.append(float(c_row @ v))
-        u = block_map @ u
-        trace = float(u[trace_idx].sum())
-        if abs(trace - 1.0) > TRACE_DRIFT_TOL:
-            logger.info("trace drift %.3e at block %d; renormalizing", trace - 1.0, block)
-            u = u / trace
-        if converged is not None:
-            break
-    state = _complex_state(transform, u, d)
-    return state, transform.shape[0], averages, converged, times, samples
-
-
 def _matrix_power(m: np.ndarray, n: int, row_exponent: int = 0):
     """(m^n, last row of m^row_exponent) for 0 <= row_exponent <= n, n >= 1.
 
@@ -555,7 +499,8 @@ def steady_state_averaged(
     block and window lengths are snapped to whole periods.  The map acts on
     the invariant block that carries the trace and the support of ``rho0``,
     in a real Hermitian basis of that block (``Liouvillian.real_superops``);
-    ``block_dim`` of the result is its real dimension.  Every drive
+    ``block_dim`` of the result is its real dimension.  That basis holds no
+    anti-Hermitian part, so a ``rho0`` with one raises ``ValueError``.  Every drive
     frequency must be an integer multiple of the lowest one; otherwise
     ``ValueError`` is raised.  An explicit ``dt`` is checked as in
     :func:`evolve`; the step used divides the period into whole steps, at
@@ -570,9 +515,42 @@ def steady_state_averaged(
     if rho0.layout != generator.layout:
         raise ValueError("initial state layout does not match generator layout")
     grid = _unit_grid(generator, protocol, _resolved_dt(generator, dt))
-    rho, block_dim, averages, converged, times, samples = _compiled_protocol(
-        generator, rho0, protocol, observable, grid, trajectory_points_per_block
+    d = generator.dim
+    transform, l0, drives = generator.real_superops(rho0)
+    u = _real_part(transform @ rho0.vec(), "initial state")
+    c_row = _real_observable(transform, observable.observable)
+    unit, c_avg = _build_unit_map(l0, drives, c_row, grid)
+    block_map, window_row = _block_map_and_window_row(
+        unit, c_avg, grid.units_per_block, grid.window_units
     )
+
+    sample_map = None
+    if trajectory_points_per_block:
+        sample_stride = max(1, grid.units_per_block // int(trajectory_points_per_block))
+        sample_map, _ = _matrix_power(unit, sample_stride)
+
+    averages: list[float] = []
+    times: list[float] = []
+    samples: list[float] = []
+    converged = None
+    for block in range(protocol.max_blocks):
+        averages.append(float(window_row @ u))
+        if block >= 1 and _stop(averages[-2], averages[-1], protocol.rel_tol):
+            converged = block
+        if sample_map is not None:
+            t0 = block * grid.units_per_block * grid.duration
+            v = u
+            for done in range(sample_stride, grid.units_per_block + 1, sample_stride):
+                v = sample_map @ v
+                times.append(t0 + done * grid.duration)
+                samples.append(float(c_row @ v))
+        u = block_map @ u
+        trace = float(u[:d].sum())  # the block holds every diagonal, and they come first
+        if abs(trace - 1.0) > TRACE_DRIFT_TOL:
+            logger.info("trace drift %.3e at block %d; renormalizing", trace - 1.0, block)
+            u = u / trace
+        if converged is not None:
+            break
 
     if converged is None:
         raise ConvergenceError(
@@ -581,20 +559,16 @@ def steady_state_averaged(
             averages,
         )
 
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = _complex_state(transform, u, d)
     trace = float(np.real(np.trace(rho)))
     if abs(trace - 1.0) > TRACE_DRIFT_TOL:
         rho = rho / trace
-    final = DensityMatrix.from_matrix(generator.layout, rho, validate=False)
     trajectory = None
     if trajectory_points_per_block:
-        trajectory = Trajectory(
-            name=observable.name,
-            times=np.asarray(times, dtype=np.float64),
-            values=np.asarray(samples, dtype=np.float64),
-        )
+        trajectory = Trajectory(observable.name, np.asarray(times, dtype=np.float64),
+                                np.asarray(samples, dtype=np.float64))
     return EvolutionResult(
-        final_state=final,
+        final_state=DensityMatrix.from_matrix(generator.layout, rho, validate=False),
         converged_value=averages[converged],
         converged_block=converged,
         blocks_used=converged + 1,
@@ -604,6 +578,6 @@ def steady_state_averaged(
         block_length_effective=grid.units_per_block * grid.duration,
         window_effective=grid.window_units * grid.duration,
         dt=grid.dt,
-        block_dim=block_dim,
+        block_dim=transform.shape[0],
         trajectory=trajectory,
     )

@@ -124,6 +124,13 @@ def test_circuit_spec_validation_and_roundtrip():
             left_bath=BathParams(occupation=0.5),
             right_bath=BathParams(occupation=0.0),
         )
+    # non-finite values are refused when the spec is built, not at the solve
+    for bad in (math.nan, math.inf):
+        for name, kwargs in (("gamma_dec", {"gamma_dec": bad}), ("Gamma", {"Gamma": bad}),
+                             ("occupation", {"n_left": bad}), ("temperature", {"T_left": bad})):
+            bias = {"n_left": 0.5} if "T_left" not in kwargs else {}
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                CircuitSpec.build("bridge", n_right=0.0, **{**bias, **kwargs})
 
 
 def test_delta_omega_for_unknown_diode_is_rejected():

@@ -46,6 +46,7 @@ from heatrect.steady import (
     DegenerateSteadyStateError,
     _block_map_and_window_row,
     _build_unit_map,
+    _complex_state,
     _generator_norm_bound,
     _make_rhs,
     _real_observable,
@@ -152,15 +153,15 @@ def test_evolve_and_rk4_steps_leave_their_input_unchanged():
     # the stepper updates a private copy in place and yields that copy
     state = rho0.vec()
     start = state.copy()
-    rhs = _make_rhs(gen.static_superop, gen.drive_superops)
+    rhs = _make_rhs(*gen.superops())
     stepped = list(_rk4_steps(rhs, state, 0.0, 1e-3, 3))
     np.testing.assert_array_equal(state, start)
     assert all(s is stepped[0] for s in stepped)
 
 
-def test_make_rhs_on_the_union_pattern_matches_separate_products():
-    # every wiring-table drive lies inside its static pattern; a drive on an
-    # exchange that the static Hamiltonian lacks does not
+def drive_outside_static_generator() -> Liouvillian:
+    """A generator whose 300 drive is an exchange that the static Hamiltonian
+    lacks (every wiring-table drive lies inside its static pattern)."""
     layout = SpaceLayout.of(("A", Qutrit()), ("B", HarmonicOscillator(2)))
     exchange = (lowering_op(layout, "A") @ raising_op(layout, "B")
                 + raising_op(layout, "A") @ lowering_op(layout, "B"))
@@ -168,24 +169,45 @@ def test_make_rhs_on_the_union_pattern_matches_separate_products():
         -300.0 * projector(layout, "A", 0),
         ((300.0, 2.5 * exchange), (600.0, 0.7 * number_op(layout, "B"))),
     )
-    gen = Liouvillian(layout, hamiltonian,
-                      ((1.0, lowering_op(layout, "A")), (0.5, lowering_op(layout, "B"))))
-    static, drives = gen.static_superop, gen.drive_superops
+    return Liouvillian(layout, hamiltonian,
+                       ((1.0, lowering_op(layout, "A")), (0.5, lowering_op(layout, "B"))))
+
+
+def test_make_rhs_on_the_union_pattern_matches_separate_products():
+    # the superoperators share the term table's pattern, the union of the
+    # terms' patterns; the static one holds explicit zeros where only the
+    # exchange drive is nonzero
+    gen = drive_outside_static_generator()
+    static, drives = gen.superops()
     assert static.shape == (36, 36) and np.iscomplexobj(static.data)
-    outside = abs(drives[0][1]) - abs(drives[0][1]).multiply(abs(static) > 0)
-    assert outside.nnz > 0
+    for _, s in drives:
+        assert np.array_equal(s.indptr, static.indptr) and np.array_equal(s.indices, static.indices)
+    assert np.any((static.data == 0) & (drives[0][1].data != 0))
 
     rhs = _make_rhs(static, drives)
     rng = np.random.default_rng(11)
     for shape in ((36,), (36, 5)):
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for t in (0.0, 1.3e-3, 7.9e-3, 0.41):
-            expected = static @ v
-            for nu, s in drives:
+            expected = gen.static_superop @ v
+            for nu, s in gen.drive_superops:
                 expected = expected + math.cos(nu * t) * (s @ v)
             got = rhs(v, t)
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_make_rhs_rejects_superoperators_on_different_patterns():
+    # the canonical superoperators drop their zeros, so the exchange drive
+    # lies partly outside the static pattern
+    gen = drive_outside_static_generator()
+    with pytest.raises(ValueError, match="share one sparsity pattern"):
+        _make_rhs(gen.static_superop, gen.drive_superops)
+    static, drives = gen.superops()
+    shifted = drives[0][1].copy()
+    shifted.indices = (shifted.indices + 1) % 36
+    with pytest.raises(ValueError, match="share one sparsity pattern"):
+        _make_rhs(static, ((300.0, shifted),))
 
 
 def test_direct_thermal_populations():
@@ -411,6 +433,39 @@ def test_averaged_block_takes_in_rho0_support():
     assert np.max(np.abs(res.final_state.data - state.data)) < 1e-10
 
 
+def test_averaged_rejects_an_initial_state_with_an_anti_hermitian_part():
+    # rho_01 = rho_10 = 0.3i is anti-Hermitian: the real basis has no
+    # coordinate for it, so it would be dropped without a word
+    spec, (_, lower) = bridge_halves(2)
+    obs = net_bath_current_functional(lower.layout, ["D4"], bridge_rate_tables(spec))
+    rho = np.zeros((lower.dim, lower.dim), dtype=complex)
+    rho[0, 0] = rho[1, 1] = 0.5
+    rho[0, 1] = rho[1, 0] = 0.3j
+    rho0 = DensityMatrix.from_matrix(lower.layout, rho, validate=False)
+    protocol = ConvergenceProtocol(block_length=10 * T_DRIVE, average_window=5 * T_DRIVE,
+                                   rel_tol=1.0, max_blocks=3)
+    with pytest.raises(ValueError, match="initial state must be Hermitian"):
+        steady_state_averaged(lower, rho0, protocol=protocol, observable=obs)
+    # a Hermitian state on the same entries is taken
+    rho[1, 0] = -0.3j
+    rho0 = DensityMatrix.from_matrix(lower.layout, rho, validate=False)
+    steady_state_averaged(lower, rho0, protocol=protocol, observable=obs)
+
+
+@pytest.mark.parametrize("truncation", [2, 3, 4])
+def test_lifted_real_basis_states_are_exactly_hermitian(truncation):
+    # T^dagger u of a real u is Hermitian to the last bit, so neither solver
+    # symmetrizes the states it lifts
+    rng = np.random.default_rng(truncation)
+    halves = bridge_halves(truncation)[1]
+    for gen in halves:
+        transform, _, _ = gen.real_superops()
+        rho = _complex_state(transform, rng.standard_normal(transform.shape[0]), gen.dim)
+        assert np.array_equal(rho, rho.conj().T)
+    rho = steady_state_direct(halves[0]).data
+    assert np.array_equal(rho, rho.conj().T)
+
+
 def full_space_steady_state(gen) -> np.ndarray:
     """Oracle: sparse LU on the full static superoperator, trace row in place of row 0."""
     d = gen.dim
@@ -606,10 +661,8 @@ def reference_unit_map(l0, drives, c_row, grid):
 def test_unit_map_matches_allocating_two_product_rk4():
     spec, (_, lower) = bridge_halves(3)
     obs = net_bath_current_functional(lower.layout, ["D4"], bridge_rate_tables(spec))
-    d = lower.dim
-    transform = hermitian_basis_transform(d, order_zero_pairs(lower.layout))
-    l0 = _to_real_superop(transform, lower.static_superop, "static")
-    drives = tuple((nu, _to_real_superop(transform, s, "drive")) for nu, s in lower.drive_superops)
+    transform, l0, drives = lower.real_superops()
+    assert (transform != hermitian_basis_transform(lower.dim, order_zero_pairs(lower.layout))).nnz == 0
     c_row = _real_observable(transform, obs.observable)
     grid = _unit_grid(lower, ConvergenceProtocol(), stability_limited_dt(lower))
     assert len(drives) == 1 and grid.n_steps == 20
