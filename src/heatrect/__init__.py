@@ -15,6 +15,7 @@ from .lindblad import (
     bridge_rate_tables,
     build_bridge_half_generators,
     build_generator,
+    build_reduced_generator,
     qutrit_rate_table,
     rate_tables,
 )

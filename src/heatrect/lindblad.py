@@ -1,7 +1,9 @@
 """Qutrit rate tables and the Liouvillian generators of every circuit.
 
 One builder makes every Hamiltonian, rate table and generator from the
-wiring table ``circuits.TOPOLOGIES``.
+wiring table ``circuits.TOPOLOGIES``, the reduced models included: a bath
+acts through its filter oscillator when the layout keeps it, and otherwise
+through the rate contacts of ``CircuitTopology.reduced_contacts``.
 
 Vectorization is column-stacking throughout: vec(rho)[i + d*j] = rho[i, j],
 so vec(A rho B) = (B^T kron A) vec(rho).  The generator acts only through
@@ -25,13 +27,14 @@ layouts' worth of entries.
 Both steady-state routes solve on the invariant block that carries the
 trace, in a real Hermitian basis of that block.  The block, its basis
 transform T and every term's real superoperator T S_t T^dagger depend only
-on the layout, the terms and which of them have a nonzero weight, so a
-third LRU cache keeps them as a real table: the real terms on one shared
-real CSR pattern, each checked to preserve Hermiticity when the table is
-built.  A point's real static and drive superoperators are then one sparse
-product each of that table with the point's weights, written onto the
-table's fixed pattern.  A Liouvillian built directly from operators builds
-its terms and its real table on the spot and caches nothing.  A wiring-table generator builds its Hamiltonian only
+on the term table and which of its terms have a nonzero weight, so a third
+LRU cache, keyed by the term table itself, keeps them as a real table: the
+real terms on one shared real CSR pattern, each checked to preserve
+Hermiticity when the table is built.  A point's real static and drive
+superoperators are then one sparse product each of that table with the
+point's weights, written onto the table's fixed pattern.  A Liouvillian
+built directly from operators keeps its own term table, so its real table
+is built once too.  A wiring-table generator builds its Hamiltonian only
 when ``hamiltonian`` is first read.
 """
 
@@ -58,7 +61,6 @@ from .circuits import (
 )
 from .spaces import (
     DensityMatrix,
-    Qutrit,
     SpaceLayout,
     SparseOperator,
     embed,
@@ -140,11 +142,12 @@ def _dissipator_term(a: sp.csr_array) -> list:
     return [(eye, -0.5 * ada), (-0.5 * ada.conj(), eye), (a.conj(), a)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TermTable:
     """Term superoperators S_t on one shared CSR pattern (``indptr``,
     ``indices``): entry e of the weighted sum sum_t w_t S_t is
-    (coefficients @ w)[e], with ``coefficients`` a sparse (nnz x terms) matrix."""
+    (coefficients @ w)[e], with ``coefficients`` a sparse (nnz x terms) matrix.
+    A table compares and hashes by identity, so it keys the real-table cache."""
 
     side: int
     indptr: np.ndarray
@@ -282,39 +285,26 @@ def _to_real_superop(transform: sp.csr_array, superop: sp.csr_array, what: str) 
     return out
 
 
-@dataclass(frozen=True)
-class _RealTable:
-    """A term table in the real Hermitian basis of the invariant block that
-    carries the trace: ``transform`` T maps vec(rho) to the block's real
-    coordinates, and ``terms`` holds every term's real superoperator
-    T S_t T^dagger on one shared real CSR pattern."""
-
-    transform: sp.csr_array
-    terms: _TermTable
-
-    @classmethod
-    def of(cls, table: _TermTable, d: int, live: tuple, support: tuple) -> "_RealTable":
-        """The block of the terms ``live`` (those with a nonzero weight) and
-        the vec indices ``support``, and the live terms on it, each checked
-        to preserve Hermiticity; the other terms keep empty columns."""
-        parts = [table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel()) for t in live]
-        for s in parts:
-            s.eliminate_zeros()
-        pattern = sum((abs(s) for s in parts), sp.csr_array((table.side, table.side)))
-        transform = hermitian_basis_transform(d, unvectorize(_trace_block(pattern, d, support), d))
-        side = transform.shape[0]
-        flats = [np.zeros(0, np.int64)] * table.coefficients.shape[1]
-        datas = [np.zeros(0)] * len(flats)
-        for t, s in zip(live, parts):
-            real = _to_real_superop(transform, s, f"term {t} of the generator").tocoo()
-            flats[t], datas[t] = real.row.astype(np.int64) * side + real.col, real.data
-        return cls(transform, _TermTable.of_entries(flats, datas, side, np.float64))
-
-
 @functools.lru_cache(maxsize=4)
-def _real_table(layout: SpaceLayout, keys: tuple, live: tuple, support: tuple) -> _RealTable:
-    """Real table of the cached term table of ``keys`` (see ``_RealTable.of``)."""
-    return _RealTable.of(_term_table(layout, keys), layout.total_dim, live, support)
+def _real_table(table: _TermTable, d: int, live: tuple, support: tuple) -> tuple[sp.csr_array, _TermTable]:
+    """``table`` in the real Hermitian basis of the invariant block that
+    carries the trace, as (T, real terms): the block of the terms ``live``
+    (those with a nonzero weight) and the vec indices ``support``, the
+    isometry T onto its real coordinates, and every live term's real
+    superoperator T S_t T^dagger on one shared real CSR pattern, each checked
+    to preserve Hermiticity; the other terms keep empty columns."""
+    parts = [table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel()) for t in live]
+    for s in parts:
+        s.eliminate_zeros()
+    pattern = sum((abs(s) for s in parts), sp.csr_array((table.side, table.side)))
+    transform = hermitian_basis_transform(d, unvectorize(_trace_block(pattern, d, support), d))
+    side = transform.shape[0]
+    flats = [np.zeros(0, np.int64)] * table.coefficients.shape[1]
+    datas = [np.zeros(0)] * len(flats)
+    for t, s in zip(live, parts):
+        real = _to_real_superop(transform, s, f"term {t} of the generator").tocoo()
+        flats[t], datas[t] = real.row.astype(np.int64) * side + real.col, real.data
+    return transform, _TermTable.of_entries(flats, datas, side, np.float64)
 
 
 def transition_op(layout: SpaceLayout, label: str, from_level: int, to_level: int) -> SparseOperator:
@@ -323,16 +313,6 @@ def transition_op(layout: SpaceLayout, label: str, from_level: int, to_level: in
     local = np.zeros((dim, dim), dtype=np.complex128)
     local[to_level, from_level] = 1.0
     return embed(layout, label, local)
-
-
-def rate_jump_terms(layout: SpaceLayout, label: str, table: RateTable) -> list[tuple[float, SparseOperator]]:
-    """Weighted jump operators (rate, |to><from|) for every listed transition."""
-    terms = []
-    for (a, b) in _ALLOWED_TRANSITIONS:
-        rate = table.get(a, b)
-        if rate > 0:
-            terms.append((rate, transition_op(layout, label, a, b)))
-    return terms
 
 
 @dataclass(frozen=True)
@@ -345,7 +325,7 @@ class _WeightedTerms:
     drives: tuple[tuple[float, np.ndarray], ...]
 
 
-def _uncached_terms(side: int, hamiltonian: TimeDependentOperator | None, jumps):
+def _operator_terms(side: int, hamiltonian: TimeDependentOperator | None, jumps):
     """Term table and weights of a generator given by its operators: one term
     for the static Hamiltonian, one per drive and one per jump."""
     static_ops = [] if hamiltonian is None else [(1.0, hamiltonian.static_part)]
@@ -385,8 +365,9 @@ class Liouvillian:
     ``_terms``, set by the wiring-table builder, gives the generator as
     weights on the cached term table of its layout; its Hamiltonian is then
     built from those weights on the first read of ``hamiltonian``, and the
-    ``hamiltonian`` argument is None.  Without ``_terms`` the terms of
-    ``hamiltonian`` and ``jumps`` are built on the spot and nothing is cached.
+    ``hamiltonian`` argument is None.  Without ``_terms`` the generator
+    builds its own term table from ``hamiltonian`` and ``jumps`` on first
+    use.  Either way the real table is cached by the term table.
     """
 
     def __init__(self, layout: SpaceLayout, hamiltonian: TimeDependentOperator | None,
@@ -425,7 +406,7 @@ class Liouvillian:
         if self._terms is not None:
             return _term_table(self.layout, self._terms.keys), self._terms.static, self._terms.drives
         if self._own_terms is None:
-            self._own_terms = _uncached_terms(self.dim ** 2, self.hamiltonian, self.jumps)
+            self._own_terms = _operator_terms(self.dim ** 2, self.hamiltonian, self.jumps)
         return self._own_terms
 
     def superops(self) -> tuple[sp.csr_array, tuple[tuple[float, sp.csr_array], ...]]:
@@ -462,10 +443,10 @@ class Liouvillian:
         the real table's one pattern, explicit zeros kept.
 
         The block, T and every term's real superoperator depend only on the
-        layout, the terms and which of them have a nonzero weight; a
-        wiring-table generator takes them from an LRU cache of a few such
-        real tables, so a point assembles only the weighted sums.  Each
-        returned matrix owns its arrays, so none is shared with the cache.
+        term table and which of its terms have a nonzero weight; they come
+        from an LRU cache of a few such real tables, so a point assembles
+        only the weighted sums.  Each returned matrix owns its arrays, so
+        none is shared with the cache.
         """
         table, static, drives = self._table()
         d = self.dim
@@ -476,12 +457,9 @@ class Liouvillian:
         for _, w in drives:
             nonzero = nonzero | (w != 0)
         live = tuple(int(t) for t in np.flatnonzero(nonzero))
-        if self._terms is not None:
-            real = _real_table(self.layout, self._terms.keys, live, support)
-        else:
-            real = _RealTable.of(table, d, live, support)
-        return (real.transform.copy(), real.terms.assemble(static),
-                tuple((nu, real.terms.assemble(w)) for nu, w in drives))
+        transform, real = _real_table(table, d, live, support)
+        return (transform.copy(), real.assemble(static),
+                tuple((nu, real.assemble(w)) for nu, w in drives))
 
 
 def _contact_table(spec: CircuitSpec, contact: Contact) -> RateTable:
@@ -517,11 +495,14 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
     The Hamiltonian holds the retained couplings among these modes, with
     drives grouped by frequency, and the anharmonicity of every diode they
     touch; a diode with no retained coupling sits in its own rotating frame,
-    which leaves its rate dissipators unchanged.  The jumps are the rate
-    contacts, the thermal filter baths and the gamma_dec decoherence.
+    which leaves its rate dissipators unchanged.  A bath acts through its
+    filter oscillator when ``layout`` keeps it, and otherwise through the
+    rate contacts of its side in ``reduced_contacts``; the gamma_dec
+    decoherence acts on every mode of a topology that decoheres.
     """
     topology = TOPOLOGIES[spec.topology]
     labels = layout.labels
+    kept = {side: label for label, side in topology.filters if label in labels}
 
     # (coefficient, operator key) of every Hamiltonian piece, and of every drive piece by frequency
     couplings = [c for c in topology.couplings if c.a in labels and c.b in labels]
@@ -538,15 +519,14 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
     # (rate, operator key) of every jump the wiring allows, zero rates
     # included, so that every point of a sweep shares one term table
     rates = []
-    for contact in topology.contacts:
-        if contact.diode in labels:
+    for contact in topology.reduced_contacts:
+        if contact.diode in labels and contact.side not in kept:
             table = _contact_table(spec, contact)
             rates += [(table.get(*t), (transition_op, contact.diode, *t)) for t in _ALLOWED_TRANSITIONS]
-    for label, side in topology.filters:
-        if label in labels:
-            bath = spec.bath(side)
-            rates += [(bath.Gamma * (bath.n + 1.0), (lowering_op, label)),
-                      (bath.Gamma * bath.n, (raising_op, label))]
+    for side, label in kept.items():
+        bath = spec.bath(side)
+        rates += [(bath.Gamma * (bath.n + 1.0), (lowering_op, label)),
+                  (bath.Gamma * bath.n, (raising_op, label))]
     if topology.decoherence:
         for label in labels:
             rates += [(spec.gamma_dec, (lowering_op, label)), (spec.gamma_dec, (number_op, label))]
@@ -572,6 +552,16 @@ def build_generator(spec: CircuitSpec) -> Liouvillian:
     return _generator(spec, SpaceLayout(tuple(mode for layout in blocks for mode in layout.modes)))
 
 
+def build_reduced_generator(spec: CircuitSpec) -> Liouvillian:
+    """Liouvillian of the circuit's reduced model: its modes minus its filter
+    oscillators, each bath acting through its rate contacts."""
+    topology = TOPOLOGIES[spec.topology]
+    filters = {label for label, _ in topology.filters}
+    return _generator(spec, SpaceLayout(tuple(
+        mode for layout in topology.block_layouts(spec.ho_truncation)
+        for mode in layout.modes if mode[0] not in filters)))
+
+
 def build_bridge_half_generators(spec: CircuitSpec) -> tuple[Liouvillian, Liouvillian]:
     """Generators of the two blocks of the reduced bridge, (upper, lower).
 
@@ -586,11 +576,3 @@ def build_bridge_half_generators(spec: CircuitSpec) -> tuple[Liouvillian, Liouvi
                     for layout in TOPOLOGIES[spec.topology].block_layouts(spec.ho_truncation))
     return upper, lower
 
-
-def single_qutrit_rate_generator(tables: list[RateTable]) -> Liouvillian:
-    """Purely dissipative generator of one qutrit under summed rate tables."""
-    layout = SpaceLayout.of(("D1", Qutrit()))
-    jumps: list[tuple[float, SparseOperator]] = []
-    for table in tables:
-        jumps += rate_jump_terms(layout, "D1", table)
-    return Liouvillian(layout, None, tuple(jumps))

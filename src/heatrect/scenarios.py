@@ -33,8 +33,7 @@ from .lindblad import (
     _mode_operator,
     build_bridge_half_generators,
     build_generator,
-    rate_tables,
-    single_qutrit_rate_generator,
+    build_reduced_generator,
 )
 from .observables import (
     BiasSetting,
@@ -277,11 +276,9 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
     setting = resolved.biases[bias]
     delta_omega = resolved.extras["delta_omega"]
     spec = _spec_for(resolved.circuit, "single-diode", setting, delta_omega)
-    reduced_gen = single_qutrit_rate_generator(
-        [table for side in rate_tables(spec).values() for table in side.values()])
     full, reduced = (_steady(out, gen, bath_current_functional(spec, gen.layout, "right"),
                              resolved.protocol)
-                     for gen in (build_generator(spec), reduced_gen))
+                     for gen in (build_generator(spec), build_reduced_generator(spec)))
 
     # both currents vanish at equilibrium; the stopping rule's floor keeps
     # their round-off from reading as a 100% deviation
@@ -473,6 +470,8 @@ def load_config(source) -> dict:
         raise ConfigError("(file)", f"no such config file or built-in scenario: {source!r}")
     try:
         return json.loads(path.read_text())
+    except OSError as err:
+        raise ConfigError("(file)", f"cannot read config {source!r}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError("(file)", f"config is not valid JSON: {err}") from err
 
@@ -569,6 +568,8 @@ def validate_config(cfg: dict) -> ResolvedConfig:
     for key, positive in _CIRCUIT_REALS.items():
         circuit[key] = _real(circuit[key], f"circuit.{key}", positive)
     truncation = _positive_int(circuit["ho_truncation"], "circuit.ho_truncation")
+    if truncation < 2:  # CircuitSpec's bound: an oscillator keeps at least two levels
+        raise ConfigError("circuit.ho_truncation", f"need an integer >= 2, got {truncation}")
     for topology in scenario.topologies:
         dim = max(layout.total_dim for layout in TOPOLOGIES[topology].block_layouts(truncation))
         if dim > SUPEROP_MATERIALIZE_DIM:
@@ -608,6 +609,9 @@ def validate_config(cfg: dict) -> ResolvedConfig:
         else:
             n_left, n_right = _pair(raw, f"bias.{label}", "[n_left, n_right]", positive=False)
             biases[label] = BiasSetting(label, n_left, n_right)
+
+    if not isinstance(cfg.get("out_dir", ""), str):
+        raise ConfigError("out_dir", f"need a string, got {cfg['out_dir']!r}")
 
     plot = cfg.get("plot", False)
     if not isinstance(plot, bool):

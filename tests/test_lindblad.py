@@ -21,10 +21,9 @@ from heatrect.lindblad import (
     bridge_rate_tables,
     build_bridge_half_generators,
     build_generator,
+    build_reduced_generator,
     qutrit_rate_table,
-    rate_jump_terms,
     rate_tables,
-    single_qutrit_rate_generator,
     transition_op,
     unvectorize,
     vectorize,
@@ -39,7 +38,7 @@ from heatrect.spaces import (
     projector,
     raising_op,
 )
-from heatrect.observables import net_bath_current_functional
+from heatrect.observables import bath_current_functional, net_bath_current_functional
 from heatrect.steady import evolve, stability_limited_dt, steady_state_averaged, steady_state_direct
 
 
@@ -80,6 +79,15 @@ def dense_generator_action(gen, rho, t):
     for weight, op in gen.jumps:
         out += weight * dense_lindblad_term(op.to_dense(), rho)
     return out
+
+
+def qutrit_rate_generator(tables) -> Liouvillian:
+    """A qutrit under summed rate tables, built from operators: one
+    |to><from| jump per positive rate, table by table."""
+    layout = SpaceLayout.of(("D1", Qutrit()))
+    return Liouvillian(layout, None, tuple(
+        (table.get(*t), transition_op(layout, "D1", *t))
+        for table in tables for t in lindblad._ALLOWED_TRANSITIONS if table.get(*t) > 0))
 
 
 def dissipator(op, weight=1.0):
@@ -202,7 +210,7 @@ def test_bath_dissipator_thermal_fixed_point():
 
 def test_single_qutrit_fixed_point_populations():
     table = qutrit_rate_table(DiodeParams(), n=0.5, Gamma=10.0, modulated=True)
-    rho = steady_state_direct(single_qutrit_rate_generator([table]))
+    rho = steady_state_direct(qutrit_rate_generator([table]))
     r = 0.5 / 1.5
     expected = np.array([1.0, r, r ** 2])
     expected /= expected.sum()
@@ -265,7 +273,7 @@ def test_parallel_generator_acts_factor_by_factor():
             qutrit_rate_table(spec.diodes[label], spec.left_bath.n, 10.0, True),
             qutrit_rate_table(spec.diodes[label], spec.right_bath.n, 10.0, False),
         ]
-        return single_qutrit_rate_generator(tabs)
+        return qutrit_rate_generator(tabs)
 
     rng = np.random.default_rng(4)
     rho_a, rho_b = random_density(rng, 3), random_density(rng, 3)
@@ -374,9 +382,26 @@ def test_transition_op_and_jump_terms():
     layout = SpaceLayout.of(("D1", Qutrit()))
     op = transition_op(layout, "D1", 1, 0).to_dense()
     assert op[0, 1] == 1.0 and np.count_nonzero(op) == 1
-    table = RateTable({(0, 1): 0.0, (1, 0): 2.0})
-    terms = rate_jump_terms(layout, "D1", table)
-    assert len(terms) == 1 and terms[0][0] == 2.0
+    # an empty right bath zeroes D1's 0->1 and 1->2 rates there: the reduced
+    # model keeps all eight transitions as terms but only six as jumps
+    gen = build_reduced_generator(CircuitSpec.build("single-diode", n_left=0.5, n_right=0.0))
+    assert gen.layout == layout and len(gen._terms.keys) == 8
+    assert len(gen.jumps) == 6 and all(rate > 0 for rate, _ in gen.jumps)
+
+
+@pytest.mark.parametrize("n_left, n_right", [(0.5, 0.0), (0.0, 0.5), (0.5, 0.5), (0.3, 0.1)])
+def test_reduced_single_diode_matches_the_rate_table_assembly(n_left, n_right):
+    # the reduced model as the rate tables give it: one transition jump per
+    # positive rate, the left table's then the right one's
+    spec = CircuitSpec.build("single-diode", n_left=n_left, n_right=n_right, Gamma=20.0, ho_truncation=4)
+    tables = rate_tables(spec)
+    reference = qutrit_rate_generator([tables["left"]["D1"], tables["right"]["D1"]])
+    gen = build_reduced_generator(spec)
+    assert gen.layout == reference.layout and gen.drive_frequencies == ()
+    rho, rho_ref = steady_state_direct(gen), steady_state_direct(reference)
+    assert np.array_equal(rho.data, rho_ref.data)
+    obs = bath_current_functional(spec, gen.layout, "right")
+    assert obs.value(rho) == obs.value(rho_ref)
 
 
 def kron_superops(gen):
@@ -422,11 +447,6 @@ def assert_matches_kron_reference(gen):
         assert_same_superop(got, want)
 
 
-def _single_diode_reduced(**kwargs):
-    tables = rate_tables(CircuitSpec.build("single-diode", **kwargs))
-    return single_qutrit_rate_generator([tables["left"]["D1"], tables["right"]["D1"]])
-
-
 # every topology, with the zero-weight corners: an empty receiving bath
 # (n = 0), gamma_dec = 0 and J' = 0
 _ORACLE_CASES = {
@@ -440,7 +460,8 @@ _ORACLE_CASES = {
         "single-diode", n_left=0.5, n_right=0.0, Gamma=20.0, ho_truncation=3, **m))],
     "single-diode-equilibrium": lambda **m: [build_generator(CircuitSpec.build(
         "single-diode", n_left=0.5, n_right=0.5, ho_truncation=2, **m))],
-    "single-diode-reduced": lambda **m: [_single_diode_reduced(n_left=0.5, n_right=0.0, **m)],
+    "single-diode-reduced": lambda **m: [build_reduced_generator(CircuitSpec.build(
+        "single-diode", n_left=0.5, n_right=0.0, **m))],
     "bridge-halves": lambda **m: list(build_bridge_half_generators(CircuitSpec.build(
         "bridge", T_left=1.0, T_right=0.1, ho_truncation=3, **m))),
     "bridge-halves-unequal": lambda **m: list(build_bridge_half_generators(CircuitSpec.build(

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ def test_config_errors_carry_key_paths():
         validate_config({"name": "convergence-study", "bridge_point": [300.0]})
     with pytest.raises(ConfigError, match=r"circuit\.ho_truncation"):
         validate_config({"name": "single-diode-validation", "circuit": {"ho_truncation": 14}})
+    # CircuitSpec's bound: an oscillator keeps at least two levels, whether
+    # or not the scenario's circuit has one
+    for name, truncation in (("parallel-sweep", 1), ("bridge-anharmonicity", 1),
+                             ("single-diode-validation", 0)):
+        with pytest.raises(ConfigError, match=r"^circuit\.ho_truncation: need"):
+            validate_config({"name": name, "circuit": {"ho_truncation": truncation}})
+    for out_dir in (5, ["a"], None):
+        with pytest.raises(ConfigError, match="^out_dir: need a string"):
+            validate_config(tiny_parallel_config(out_dir=out_dir))
     with pytest.raises(ConfigError, match="protocol"):
         validate_config(tiny_parallel_config(protocol={"rel_tol": -1.0}))
     with pytest.raises(ConfigError, match=r"circuit\.Gamma"):
@@ -132,6 +142,8 @@ def test_config_errors_carry_key_paths():
         {"name": "bridge-decoherence", "axes": {"gamma_dec": [0, 1e-3]}}).axes["gamma_dec"] == [0.0, 1e-3]
     with pytest.raises(ConfigError, match="no such config"):
         load_config("does-not-exist.json")
+    with pytest.raises(ConfigError, match=r"^\(file\): cannot read config"):
+        load_config(Path(__file__).parent)
 
 
 def test_truncation_above_the_superoperator_guard_is_a_config_error(tmp_path, capsys):
@@ -147,8 +159,10 @@ def test_truncation_above_the_superoperator_guard_is_a_config_error(tmp_path, ca
     with pytest.raises(ConfigError, match=r"^circuit\.ho_truncation: .*dimension 588 > "):
         validate_config({"name": "single-diode-validation", "circuit": {"ho_truncation": 14}})
     # refused before anything runs
-    assert main(["run", "bridge-anharmonicity", "--truncation", "57", "--out", str(tmp_path / "out")]) == 2
-    assert "config error at circuit.ho_truncation" in capsys.readouterr().err
+    for truncation in ("57", "1"):
+        assert main(["run", "bridge-anharmonicity", "--truncation", truncation,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "config error at circuit.ho_truncation" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -363,6 +377,25 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     leftover.write_text(json.dumps(tiny_parallel_config(threads=2)))
     assert main(["run", str(leftover), "--out", str(tmp_path / "out3")]) == 2
     assert "config error at threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("config, path", [
+    ({"name": "parallel-sweep", "circuit": {"ho_truncation": 1}}, "circuit.ho_truncation"),
+    (tiny_parallel_config(out_dir=5), "out_dir"),
+    (None, "(file)"),  # the config path names a directory
+], ids=["truncation", "out-dir", "directory"])
+def test_cli_reports_bad_truncation_out_dir_and_config_path_as_config_errors(
+        tmp_path, capsys, command, config, path):
+    source = tmp_path / "config"
+    if config is None:
+        source.mkdir()
+    else:
+        source.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, str(source), *(["--out", str(out)] if command == "run" else [])]) == 2
+    assert f"config error at {path}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_truncation_and_rate_mode_overrides(tmp_path, capsys):

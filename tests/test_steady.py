@@ -18,7 +18,7 @@ from heatrect.lindblad import (
     build_generator,
     qutrit_rate_table,
     hermitian_basis_transform,
-    single_qutrit_rate_generator,
+    transition_op,
     unvectorize,
     vectorize,
 )
@@ -69,6 +69,15 @@ def decay_generator(dim=8, Gamma=1.0, n=0.0):
     return Liouvillian(layout, None, tuple(jumps))
 
 
+def qutrit_rate_generator(tables) -> Liouvillian:
+    """A qutrit under summed rate tables, built from operators: one
+    |to><from| jump per positive rate, table by table."""
+    layout = SpaceLayout.of(("D1", Qutrit()))
+    return Liouvillian(layout, None, tuple(
+        (table.get(*t), transition_op(layout, "D1", *t))
+        for table in tables for t in lindblad._ALLOWED_TRANSITIONS if table.get(*t) > 0))
+
+
 def series_generator(n_left=0.5, n_right=0.0, dw2=300.0):
     spec = CircuitSpec.build("series", n_left=n_left, n_right=n_right,
                              delta_omega={"D1": 300.0, "D2": dw2})
@@ -98,7 +107,7 @@ def test_evolve_decay_matches_analytic():
 
 def test_evolve_reaches_qutrit_fixed_point():
     table = qutrit_rate_table(DiodeParams(), n=0.5, Gamma=10.0, modulated=True)
-    gen = single_qutrit_rate_generator([table])
+    gen = qutrit_rate_generator([table])
     rho0 = DensityMatrix.ground_state(gen.layout)
     out = evolve(gen, rho0, 0.0, 400.0)
     np.testing.assert_allclose(
@@ -227,7 +236,7 @@ def test_direct_parallel_factorizes():
             qutrit_rate_table(spec.diodes[label], 0.5, 10.0, True),
             qutrit_rate_table(spec.diodes[label], 0.0, 10.0, False),
         ]
-        singles.append(steady_state_direct(single_qutrit_rate_generator(tabs)).data)
+        singles.append(steady_state_direct(qutrit_rate_generator(tabs)).data)
     np.testing.assert_allclose(rho.data, np.kron(singles[0], singles[1]), atol=1e-10)
 
 
@@ -259,7 +268,7 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
         lambda: coherent_generator(random_hermitian(5, seed=5)),
         lambda: coherent_generator(random_hermitian(8, seed=8)),
         # qutrit with two absorbing states, |0> and |2>
-        lambda: single_qutrit_rate_generator([RateTable({(1, 0): 1.0, (1, 2): 2.0})]),
+        lambda: qutrit_rate_generator([RateTable({(1, 0): 1.0, (1, 2): 2.0})]),
     ],
     ids=["coherent-diag-2", "coherent-random-3", "coherent-random-5", "coherent-random-8",
          "qutrit-two-absorbing"],
@@ -271,7 +280,7 @@ def test_direct_reports_degenerate_null_space(make_generator):
 
 def test_direct_agrees_with_long_time_evolution():
     table = qutrit_rate_table(DiodeParams(), n=0.3, Gamma=10.0, modulated=True)
-    gen = single_qutrit_rate_generator([table])
+    gen = qutrit_rate_generator([table])
     direct = steady_state_direct(gen)
     evolved = evolve(gen, DensityMatrix.ground_state(gen.layout), 0.0, 2000.0)
     assert fidelity(direct, evolved) > 1.0 - 1e-8
@@ -543,7 +552,7 @@ def test_averaged_nonconvergence_carries_last_averages():
 
 def test_averaged_matches_direct_for_time_independent_generator():
     table = qutrit_rate_table(DiodeParams(), n=0.4, Gamma=10.0, modulated=True)
-    gen = single_qutrit_rate_generator([table])
+    gen = qutrit_rate_generator([table])
     direct = steady_state_direct(gen)
     obs = CurrentFunctional("p2", projector(gen.layout, "D1", 2))
     res = steady_state_averaged(gen, observable=obs)
@@ -737,15 +746,21 @@ def _table_arrays(table) -> list:
     return [table.indptr, table.indices, c.data, c.indices, c.indptr]
 
 
-def test_real_tables_are_built_once_per_layout_and_stay_unchanged(monkeypatch):
-    lindblad._term_table.cache_clear()
-    lindblad._real_table.cache_clear()
+def _count_real_table_builds(monkeypatch) -> Counter:
+    """Calls of the three steps that build a real table, counted by name."""
     calls = Counter()
     for name in ("_trace_block", "hermitian_basis_transform", "_to_real_superop"):
         def counted(*args, _original=getattr(lindblad, name), _name=name):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(lindblad, name, counted)
+    return calls
+
+
+def test_real_tables_are_built_once_per_layout_and_stay_unchanged(monkeypatch):
+    lindblad._term_table.cache_clear()
+    lindblad._real_table.cache_clear()
+    calls = _count_real_table_builds(monkeypatch)
 
     points = [(300.0, 1e-3, 1.0, 0.1), (120.0, 5e-2, 0.1, 1.0), (200.0, 1e-2, 0.5, 0.2)]
     for k, (delta_omega, gamma_dec, t_left, t_right) in enumerate(points):
@@ -775,16 +790,28 @@ def test_real_tables_are_built_once_per_layout_and_stay_unchanged(monkeypatch):
     for gen in (upper, lower):
         keys, live = gen._terms.keys, _live_terms(gen)
         fresh = lindblad._term_table.__wrapped__(gen.layout, keys)
+        table = lindblad._term_table(gen.layout, keys)
         hits = lindblad._real_table.cache_info().hits
-        cached_real = lindblad._real_table(gen.layout, keys, live, ())
+        t, cached_terms = lindblad._real_table(table, gen.dim, live, ())
         assert lindblad._real_table.cache_info().hits == hits + 1
-        fresh_real = lindblad._RealTable.of(fresh, gen.dim, live, ())
-        pairs = list(zip(_table_arrays(lindblad._term_table(gen.layout, keys)), _table_arrays(fresh)))
-        t, t_fresh = cached_real.transform, fresh_real.transform
+        t_fresh, fresh_terms = lindblad._real_table.__wrapped__(fresh, gen.dim, live, ())
+        pairs = list(zip(_table_arrays(table), _table_arrays(fresh)))
         pairs += [(t.data, t_fresh.data), (t.indices, t_fresh.indices), (t.indptr, t_fresh.indptr)]
-        pairs += list(zip(_table_arrays(cached_real.terms), _table_arrays(fresh_real.terms)))
+        pairs += list(zip(_table_arrays(cached_terms), _table_arrays(fresh_terms)))
         for cached, built in pairs:
             assert cached.dtype == built.dtype and cached.tobytes() == built.tobytes()
+
+
+def test_operator_built_generator_builds_its_real_table_once(monkeypatch):
+    # the real table is cached by the generator's own term table
+    gen = drive_outside_static_generator()
+    first = gen.real_superops()
+    calls = _count_real_table_builds(monkeypatch)
+    second = gen.real_superops()
+    assert not calls
+    for got, want in zip((second[0], second[1], *(s for _, s in second[2])),
+                         (first[0], first[1], *(s for _, s in first[2]))):
+        assert got is not want and (got != want).nnz == 0
 
 
 @pytest.mark.parametrize("h", [
