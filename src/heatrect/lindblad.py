@@ -25,17 +25,17 @@ the tables, keyed on (layout, term keys); each is bounded to a few
 layouts' worth of entries.
 
 Both steady-state routes solve on the invariant block that carries the
-trace, in a real Hermitian basis of that block.  The block, its basis
-transform T and every term's real superoperator T S_t T^dagger depend only
-on the term table and which of its terms have a nonzero weight, so a third
-LRU cache, keyed by the term table itself, keeps them as a real table: the
-real terms on one shared real CSR pattern, each checked to preserve
-Hermiticity when the table is built.  A point's real static and drive
-superoperators are then one sparse product each of that table with the
-point's weights, written onto the table's fixed pattern.  A Liouvillian
-built directly from operators keeps its own term table, so its real table
-is built once too.  A wiring-table generator builds its Hamiltonian only
-when ``hamiltonian`` is first read.
+trace, seeded by the diagonal of rho alone, in a real Hermitian basis of
+that block.  The block, its basis transform T and every term's real
+superoperator T S_t T^dagger depend only on the term table and which of
+its terms have a nonzero weight, so a third LRU cache, keyed by those two,
+keeps them as a real table: the real terms on one shared real CSR pattern,
+each checked to preserve Hermiticity when the table is built.  A point's
+real static and drive superoperators are then one sparse product each of
+that table with the point's weights, written onto the table's fixed
+pattern.  A Liouvillian built directly from operators keeps its own term
+table, so its real table is built once too.  A wiring-table generator
+builds its Hamiltonian only when ``hamiltonian`` is first read.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .circuits import (
     Topology,
 )
 from .spaces import (
-    DensityMatrix,
     SpaceLayout,
     SparseOperator,
     embed,
@@ -221,19 +220,17 @@ def _term_table(layout: SpaceLayout, keys: tuple) -> _TermTable:
     return _TermTable.of(terms, layout.total_dim ** 2)
 
 
-def _trace_block(pattern: sp.csr_array, d: int, support=()) -> np.ndarray:
+def _trace_block(pattern: sp.csr_array, d: int) -> np.ndarray:
     """Mask over vec(rho) of the invariant block that carries the trace.
 
     ``pattern`` is the sparsity pattern of a generator's static and drive
     superoperators together.  The block is the union of its weakly
-    connected components that hold a diagonal index i + d*i or an index in
-    ``support``.  No generator entry joins it to the rest of the space, so
-    it is invariant by construction; a generator without symmetry gets the
-    whole space.
+    connected components that hold a diagonal index i + d*i.  No generator
+    entry joins it to the rest of the space, so it is invariant by
+    construction; a generator without symmetry gets the whole space.
     """
     _, labels = connected_components(pattern, directed=True, connection="weak")
-    seeds = np.union1d(np.arange(d) * (d + 1), np.asarray(support, dtype=np.int64))
-    return np.isin(labels, labels[seeds])
+    return np.isin(labels, labels[np.arange(d) * (d + 1)])
 
 
 def hermitian_basis_transform(d: int, pairs: np.ndarray) -> sp.csr_array:
@@ -286,18 +283,19 @@ def _to_real_superop(transform: sp.csr_array, superop: sp.csr_array, what: str) 
 
 
 @functools.lru_cache(maxsize=4)
-def _real_table(table: _TermTable, d: int, live: tuple, support: tuple) -> tuple[sp.csr_array, _TermTable]:
+def _real_table(table: _TermTable, live: tuple) -> tuple[sp.csr_array, _TermTable]:
     """``table`` in the real Hermitian basis of the invariant block that
     carries the trace, as (T, real terms): the block of the terms ``live``
-    (those with a nonzero weight) and the vec indices ``support``, the
-    isometry T onto its real coordinates, and every live term's real
-    superoperator T S_t T^dagger on one shared real CSR pattern, each checked
-    to preserve Hermiticity; the other terms keep empty columns."""
+    (those with a nonzero weight), the isometry T onto its real
+    coordinates, and every live term's real superoperator T S_t T^dagger on
+    one shared real CSR pattern, each checked to preserve Hermiticity; the
+    other terms keep empty columns."""
+    d = math.isqrt(table.side)
     parts = [table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel()) for t in live]
     for s in parts:
         s.eliminate_zeros()
     pattern = sum((abs(s) for s in parts), sp.csr_array((table.side, table.side)))
-    transform = hermitian_basis_transform(d, unvectorize(_trace_block(pattern, d, support), d))
+    transform = hermitian_basis_transform(d, unvectorize(_trace_block(pattern, d), d))
     side = transform.shape[0]
     flats = [np.zeros(0, np.int64)] * table.coefficients.shape[1]
     datas = [np.zeros(0)] * len(flats)
@@ -435,12 +433,12 @@ class Liouvillian:
             self._materialize()
         return self._drives
 
-    def real_superops(self, rho0: DensityMatrix | None = None):
+    def real_superops(self):
         """(T, L0, ((nu, L_nu), ...)): the isometry T onto the real Hermitian
-        basis of the invariant block that carries the trace and the support
-        of ``rho0`` (``_trace_block``), and the static and drive
-        superoperators in that basis, T L T^dagger, as real CSR matrices on
-        the real table's one pattern, explicit zeros kept.
+        basis of the invariant block that carries the trace
+        (``_trace_block``), and the static and drive superoperators in that
+        basis, T L T^dagger, as real CSR matrices on the real table's one
+        pattern, explicit zeros kept.
 
         The block, T and every term's real superoperator depend only on the
         term table and which of its terms have a nonzero weight; they come
@@ -449,15 +447,11 @@ class Liouvillian:
         none is shared with the cache.
         """
         table, static, drives = self._table()
-        d = self.dim
-        support = () if rho0 is None else np.flatnonzero(rho0.vec())
-        # the diagonal always seeds the block; only the off-diagonal support widens it
-        support = tuple(int(i) for i in support if i % (d + 1))
         nonzero = static != 0
         for _, w in drives:
             nonzero = nonzero | (w != 0)
         live = tuple(int(t) for t in np.flatnonzero(nonzero))
-        transform, real = _real_table(table, d, live, support)
+        transform, real = _real_table(table, live)
         return (transform.copy(), real.assemble(static),
                 tuple((nu, real.assemble(w)) for nu, w in drives))
 

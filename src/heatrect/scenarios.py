@@ -469,9 +469,11 @@ def load_config(source) -> dict:
     if not path.exists():
         raise ConfigError("(file)", f"no such config file or built-in scenario: {source!r}")
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as err:
         raise ConfigError("(file)", f"cannot read config {source!r}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError("(file)", f"config is not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError("(file)", f"config is not valid JSON: {err}") from err
 
@@ -707,7 +709,10 @@ def run_scenario(
     if out_dir is None:
         out_dir = cfg.get("out_dir") or os.environ.get(OUTPUT_DIR_ENV) or "heatrect-out"
     out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
+    try:
+        out_path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError("out_dir", f"cannot create the output directory: {err}") from err
 
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     t0 = time.perf_counter()

@@ -13,12 +13,12 @@ averages falls below the threshold.
 Both steady-state routes work on the invariant block that carries the
 trace (``lindblad._trace_block``): the weakly connected components of the
 generator's sparsity pattern, static and drive superoperators together,
-that hold a diagonal entry of rho (and, for the protocol, an entry of the
-initial state).  No generator entry leaves that block.  Every generator
-here conserves the total excitation number up to a fixed shift per jump,
-so the block is its coherence-order-0 sector (544 of the 5184 entries of
-vec(rho) for a bridge half at N=8); a generator without such a symmetry
-gets the whole space through the same code.  Both routes read the
+that hold a diagonal entry of rho, so it holds the ground state that the
+protocol starts from.  No generator entry leaves that block.  Every
+generator here conserves the total excitation number up to a fixed shift
+per jump, so the block is its coherence-order-0 sector (544 of the 5184
+entries of vec(rho) for a bridge half at N=8); a generator without such a
+symmetry gets the whole space through the same code.  Both routes read the
 block's real Hermitian basis and the generator's real superoperators on
 it from ``Liouvillian.real_superops``, which keeps them per layout, so a
 point recomputes neither the block nor the basis.
@@ -154,15 +154,15 @@ def _generator_norm_bound(generator: Liouvillian) -> float:
     return total
 
 
-def stability_limited_dt(generator: Liouvillian, default: float = DEFAULT_DT) -> float:
-    """Step bounded by both the drive-resolution rule and RK4 stability.
+def stability_limited_dt(generator: Liouvillian) -> float:
+    """``DEFAULT_DT``, bounded by both the drive-resolution rule and RK4 stability.
 
     The stability bound matters for time-independent generators whose
     coherent part carries a large anharmonicity scale; for driven circuits
     the drive-resolution rule is the tighter one at the usual parameters.
     """
     bound = _generator_norm_bound(generator)
-    dt = drive_limited_dt(generator.drive_frequencies, default)
+    dt = drive_limited_dt(generator.drive_frequencies)
     if bound > 0:
         dt = min(dt, RK4_STABILITY_SAFETY / bound)
     return dt
@@ -228,21 +228,6 @@ def _make_rhs(static: sp.csr_array, drives: tuple[tuple[float, sp.csr_array], ..
     return rhs
 
 
-def _resolved_dt(generator: Liouvillian, dt: float | None) -> float:
-    """The explicit step, checked to be positive and to resolve the fastest
-    drive (at least 20 steps per period), or ``stability_limited_dt``."""
-    if dt is None:
-        return stability_limited_dt(generator)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    limit = drive_limited_dt(generator.drive_frequencies, default=math.inf)
-    if dt > limit * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt = {dt} does not resolve the fastest drive; need dt <= {limit:.6g}"
-        )
-    return dt
-
-
 def evolve(
     generator: Liouvillian,
     rho0: DensityMatrix,
@@ -252,15 +237,25 @@ def evolve(
 ) -> DensityMatrix:
     """Propagate rho from t0 to t1 with fixed-step 4th-order integration.
 
-    The step must resolve the fastest drive (at least 20 steps per period);
-    a coarser explicit ``dt`` raises.  The trace is renormalized once at
-    the end if the accumulated drift exceeds 1e-10 (and the drift logged).
+    The step defaults to ``stability_limited_dt``.  An explicit ``dt`` must
+    be positive and resolve the fastest drive (at least 20 steps per
+    period); otherwise ``ValueError`` is raised.  The trace is renormalized
+    once at the end if the accumulated drift exceeds 1e-10 (and the drift
+    logged).
     """
     if rho0.layout != generator.layout:
         raise ValueError("initial state layout does not match generator layout")
     if t1 < t0:
         raise ValueError(f"t1 = {t1} must not precede t0 = {t0}")
-    dt = _resolved_dt(generator, dt)
+    if dt is None:
+        dt = stability_limited_dt(generator)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    limit = drive_limited_dt(generator.drive_frequencies, default=math.inf)
+    if dt > limit * (1.0 + 1e-12):
+        raise ValueError(
+            f"dt = {dt} does not resolve the fastest drive; need dt <= {limit:.6g}"
+        )
     if t1 == t0:
         return rho0.copy()
 
@@ -357,22 +352,19 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
 # real Hermitian-basis representation
 # ---------------------------------------------------------------------------
 
-def _real_part(c: np.ndarray, what: str) -> np.ndarray:
-    """Real part of real-basis coordinates c, whose imaginary residue must
-    stay within 1e-10 of max(|c.real|, 1)."""
-    if np.max(np.abs(c.imag), initial=0.0) > 1e-10 * max(np.max(np.abs(c.real), initial=0.0), 1.0):
-        raise ValueError(f"{what} must be Hermitian")
-    return np.ascontiguousarray(c.real)
-
-
 def _complex_state(transform: sp.csr_array, u: np.ndarray, d: int) -> np.ndarray:
     """The matrix T^dagger u; it is exactly Hermitian for every real u."""
     return unvectorize(transform.conj().T @ u.astype(np.complex128), d)
 
 
 def _real_observable(transform: sp.csr_array, op: SparseOperator) -> np.ndarray:
-    """Row c with c @ u = Tr(W rho): conj(T) vec(W^T), and W in row-major order is vec(W^T)."""
-    return _real_part(transform.conj() @ op.matrix.toarray().ravel(), "observable")
+    """Row c with c @ u = Tr(W rho): conj(T) vec(W^T), and W in row-major order
+    is vec(W^T).  Its imaginary residue must stay within 1e-10 of
+    max(|c.real|, 1), or W is not Hermitian and ``ValueError`` is raised."""
+    c = transform.conj() @ op.matrix.toarray().ravel()
+    if np.max(np.abs(c.imag), initial=0.0) > 1e-10 * max(np.max(np.abs(c.real), initial=0.0), 1.0):
+        raise ValueError("observable must be Hermitian")
+    return np.ascontiguousarray(c.real)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +380,11 @@ class _UnitGrid:
     window_units: int
 
 
-def _unit_grid(generator: Liouvillian, protocol: ConvergenceProtocol, dt: float) -> _UnitGrid:
+def _unit_grid(generator: Liouvillian, protocol: ConvergenceProtocol) -> _UnitGrid:
+    """Unit, step and block and window lengths in units: one period of the
+    lowest drive in whole steps no longer than ``stability_limited_dt``, at
+    least 20 per period of the fastest drive; one such step without drives."""
+    dt = stability_limited_dt(generator)
     freqs = sorted(set(generator.drive_frequencies))
     if freqs:
         base = freqs[0]
@@ -478,46 +474,37 @@ def _stop(prev: float, current: float, rel_tol: float) -> bool:
 
 def steady_state_averaged(
     generator: Liouvillian,
-    rho0: DensityMatrix | None = None,
+    observable: CurrentFunctional,
     protocol: ConvergenceProtocol | None = None,
-    observable: CurrentFunctional | None = None,
     *,
-    dt: float | None = None,
     trajectory_points_per_block: int | None = None,
 ) -> EvolutionResult:
     """Windowed-average steady state of a (possibly driven) generator.
 
-    Evolves block by block, averaging ``observable`` over the trailing
-    window of each block, and stops at the first block n whose average
-    differs from block n-1 by less than rel_tol in relative terms (with an
-    absolute floor so exactly-zero currents converge too).  Raises
-    :class:`ConvergenceError` carrying the block averages when
-    ``max_blocks`` is exhausted.
+    Starts from the ground state and evolves block by block, averaging
+    ``observable`` over the trailing window of each block, and stops at the
+    first block n whose average differs from block n-1 by less than rel_tol
+    in relative terms (with an absolute floor so exactly-zero currents
+    converge too).  Raises :class:`ConvergenceError` carrying the block
+    averages when ``max_blocks`` is exhausted.
 
     The blocks are advanced with a precomputed dense map over one period of
-    the lowest drive frequency (over one step ``dt`` without drives), and
-    block and window lengths are snapped to whole periods.  The map acts on
-    the invariant block that carries the trace and the support of ``rho0``,
-    in a real Hermitian basis of that block (``Liouvillian.real_superops``);
-    ``block_dim`` of the result is its real dimension.  That basis holds no
-    anti-Hermitian part, so a ``rho0`` with one raises ``ValueError``.  Every drive
-    frequency must be an integer multiple of the lowest one; otherwise
-    ``ValueError`` is raised.  An explicit ``dt`` is checked as in
-    :func:`evolve`; the step used divides the period into whole steps, at
-    least 20 per period of the fastest drive.
+    the lowest drive frequency (over one step without drives), and block
+    and window lengths are snapped to whole periods.  The map acts on the
+    invariant block that carries the trace, in a real Hermitian basis of
+    that block (``Liouvillian.real_superops``); ``block_dim`` of the result
+    is its real dimension.  Every drive frequency must be an integer
+    multiple of the lowest one; otherwise ``ValueError`` is raised.  The
+    step divides the period into whole steps no longer than
+    ``stability_limited_dt``, at least 20 per period of the fastest drive.
     """
-    if observable is None:
-        raise ValueError("steady_state_averaged needs a current observable")
     if protocol is None:
         protocol = ConvergenceProtocol()
-    if rho0 is None:
-        rho0 = DensityMatrix.ground_state(generator.layout)
-    if rho0.layout != generator.layout:
-        raise ValueError("initial state layout does not match generator layout")
-    grid = _unit_grid(generator, protocol, _resolved_dt(generator, dt))
+    grid = _unit_grid(generator, protocol)
     d = generator.dim
-    transform, l0, drives = generator.real_superops(rho0)
-    u = _real_part(transform @ rho0.vec(), "initial state")
+    transform, l0, drives = generator.real_superops()
+    # the ground state |0><0|: vec index 0, so its real coordinates are column 0 of T
+    u = transform[:, [0]].toarray().real.ravel()
     c_row = _real_observable(transform, observable.observable)
     unit, c_avg = _build_unit_map(l0, drives, c_row, grid)
     block_map, window_row = _block_map_and_window_row(

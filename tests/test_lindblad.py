@@ -355,7 +355,7 @@ def test_full_bridge_superoperator_is_not_materialized():
         evolve(gen, rho0, 0.0, 1e-3)
     obs = net_bath_current_functional(gen.layout, ["D4"], bridge_rate_tables(spec))
     with pytest.raises(ValueError, match=refused):
-        steady_state_averaged(gen, rho0, observable=obs)
+        steady_state_averaged(gen, obs)
     with pytest.raises(ValueError, match=refused):
         steady_state_direct(build_generator(CircuitSpec.build(
             "bridge", T_left=1.0, T_right=0.1, ho_truncation=8, J_prime=0.0)))

@@ -384,18 +384,31 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     ({"name": "parallel-sweep", "circuit": {"ho_truncation": 1}}, "circuit.ho_truncation"),
     (tiny_parallel_config(out_dir=5), "out_dir"),
     (None, "(file)"),  # the config path names a directory
-], ids=["truncation", "out-dir", "directory"])
+    (b"\xff", "(file)"),  # the config file is not UTF-8
+], ids=["truncation", "out-dir", "directory", "not-utf8"])
 def test_cli_reports_bad_truncation_out_dir_and_config_path_as_config_errors(
         tmp_path, capsys, command, config, path):
     source = tmp_path / "config"
     if config is None:
         source.mkdir()
+    elif isinstance(config, bytes):
+        source.write_bytes(config)
     else:
         source.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main([command, str(source), *(["--out", str(out)] if command == "run" else [])]) == 2
     assert f"config error at {path}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_reports_an_out_dir_that_names_a_file_as_a_config_error(tmp_path, capsys):
+    source = tmp_path / "parallel.json"
+    source.write_text(json.dumps(tiny_parallel_config()))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", str(source), "--out", str(taken)]) == 2
+    assert "config error at out_dir" in capsys.readouterr().err
+    assert taken.read_text() == ""
 
 
 def test_cli_truncation_and_rate_mode_overrides(tmp_path, capsys):
