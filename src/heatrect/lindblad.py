@@ -35,14 +35,15 @@ real static and drive superoperators are then one sparse product each of
 that table with the point's weights, written onto the table's fixed
 pattern.  A Liouvillian built directly from operators keeps its own term
 table, so its real table is built once too.  A wiring-table generator
-builds its Hamiltonian only when ``hamiltonian`` is first read.
+builds its Hamiltonian only when ``hamiltonian`` is first read; the row
+sums that bound the integrator step come from a fourth LRU cache, the
+entries of the layout's coherent operators on their union pattern.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -63,6 +64,7 @@ from .spaces import (
     SpaceLayout,
     SparseOperator,
     embed,
+    largest_row_sum,
     lowering_op,
     number_op,
     projector,
@@ -336,19 +338,51 @@ def _operator_terms(side: int, hamiltonian: TimeDependentOperator | None, jumps)
     return _TermTable.of(terms, side), static, drives
 
 
+@functools.lru_cache(maxsize=4)
+def _coherent_table(layout: SpaceLayout, keys: tuple) -> tuple:
+    """The operators of the coherent terms among ``keys`` on the union of
+    their CSR patterns: (indptr, indices, ((term index, pattern positions,
+    operator entries), ...)), in key order."""
+    d = layout.total_dim
+    parts = []
+    for k, (term, op) in enumerate(keys):
+        if term is _coherent_term:
+            m = _mode_operator(layout, *op).matrix
+            parts.append((k, np.repeat(np.arange(d), np.diff(m.indptr)) * d + m.indices, m.data))
+    pattern = np.unique(np.concatenate([np.zeros(0, np.int64), *(flat for _, flat, _ in parts)]))
+    indptr = np.searchsorted(pattern // d, np.arange(d + 1))
+    return indptr, pattern % d, tuple((k, np.searchsorted(pattern, flat), data) for k, flat, data in parts)
+
+
+def _coherent_sums(layout: SpaceLayout, terms: _WeightedTerms) -> list[sp.csr_array]:
+    """H_0, then V_nu of each drive, of a wiring-table generator as canonical
+    CSR matrices, or [] without coherent terms: the coherent terms' operators
+    weighted by the static weights, or by that drive's, and summed entry by
+    entry in key order, which gives every entry the value that the sparse
+    sum of the weighted operators gives it; exact zeros are dropped."""
+    indptr, indices, parts = _coherent_table(layout, terms.keys)
+    if not parts:
+        return []
+    d = layout.total_dim
+    sums = []
+    for weights in (terms.static, *(w for _, w in terms.drives)):
+        entries = np.zeros(indices.size, np.complex128)
+        for k, positions, data in parts:
+            if weights[k]:
+                entries[positions] += data * float(weights[k])
+        m = sp.csr_array((entries, indices.copy(), indptr.copy()), shape=(d, d))
+        m.eliminate_zeros()
+        sums.append(m)
+    return sums
+
+
 def _coherent_part(layout: SpaceLayout, terms: _WeightedTerms) -> TimeDependentOperator | None:
-    """H(t) of a wiring-table generator: its coherent terms' operators summed
-    with the static weights and, per drive, with that drive's nonzero weights."""
-    coherent = [k for k, (term, _) in enumerate(terms.keys) if term is _coherent_term]
-    if not coherent:
+    """H(t) of a wiring-table generator, from ``_coherent_sums``."""
+    sums = _coherent_sums(layout, terms)
+    if not sums:
         return None
-
-    def combine(weights, columns) -> SparseOperator:
-        return SparseOperator.wrap(layout, functools.reduce(operator.add, (
-            float(weights[k]) * _mode_operator(layout, *terms.keys[k][1]).matrix for k in columns)))
-
-    return TimeDependentOperator(combine(terms.static, coherent), tuple(
-        (nu, combine(w, [k for k in coherent if w[k]])) for nu, w in terms.drives))
+    return TimeDependentOperator(SparseOperator.wrap(layout, sums[0]), tuple(
+        (nu, SparseOperator.wrap(layout, m)) for (nu, _), m in zip(terms.drives, sums[1:])))
 
 
 class Liouvillian:
@@ -393,6 +427,17 @@ class Liouvillian:
         if self._terms is not None:
             return tuple(nu for nu, _ in self._terms.drives)
         return () if self.hamiltonian is None else self.hamiltonian.frequencies
+
+    def coherent_row_sums(self) -> tuple[float, ...]:
+        """Largest row sum of |H_0|, then of each drive's |V_nu|, or () without
+        a coherent part.  A wiring-table generator takes them from
+        ``_coherent_sums`` and builds no Hamiltonian."""
+        if self._terms is not None:
+            return tuple(largest_row_sum(m) for m in _coherent_sums(self.layout, self._terms))
+        if self.hamiltonian is None:
+            return ()
+        h = self.hamiltonian
+        return tuple(op.row_sum_norms[0] for op in (h.static_part, *(v for _, v in h.drive_terms)))
 
     def _table(self) -> tuple[_TermTable, np.ndarray, tuple[tuple[float, np.ndarray], ...]]:
         """(term table, static weights, (frequency, drive weights) per drive)."""

@@ -102,6 +102,11 @@ def _canonical_csr(matrix) -> sp.csr_array:
     return a
 
 
+def largest_row_sum(m: sp.csr_array) -> float:
+    """Largest row sum of |m|, its infinity norm."""
+    return float(abs(m).sum(axis=1).max()) if m.nnz else 0.0
+
+
 @dataclass(frozen=True)
 class SparseOperator:
     """Sparse complex operator tied to a layout.
@@ -132,9 +137,6 @@ class SparseOperator:
     @functools.cached_property
     def row_sum_norms(self) -> tuple[float, float]:
         """Largest row sum of |A| and of |A†|, the infinity- and 1-norms."""
-        def largest_row_sum(m) -> float:
-            return float(abs(m).sum(axis=1).max()) if m.nnz else 0.0
-
         return largest_row_sum(self.matrix), largest_row_sum(self.matrix.conj().T.tocsr())
 
     def to_dense(self) -> np.ndarray:

@@ -27,7 +27,10 @@ Both ``evolve`` and the protocol integrate with a fixed-step classical
 4th-order scheme; each stage is one sparse product with
 L(t) = L0 + sum cos(nu t) L_nu, written onto the one CSR pattern that the
 static and drive superoperators share: the pattern of the generator's term
-table, fixed per layout.  The protocol composes the one-period integrator map:
+table, fixed per layout.  SciPy's CSR kernel adds each product, scaled by
+its share of the step, straight into a stage array allocated once per run,
+so no step allocates an array of the state's size; the step is classical
+RK4 reassociated.  The protocol composes the one-period integrator map:
 block and window lengths are snapped to whole periods of the lowest drive
 frequency, the dense period map is built once in the real Hermitian
 operator basis of the block, and one squaring ladder gives the block map
@@ -49,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .lindblad import Liouvillian, unvectorize, vectorize
 from .observables import CurrentFunctional
@@ -139,14 +143,17 @@ def drive_limited_dt(frequencies, default: float = DEFAULT_DT) -> float:
 def _generator_norm_bound(generator: Liouvillian) -> float:
     """Upper bound on the sup-norm of L(t), for the integrator stability limit.
 
-    An operator computes its norms once; the jumps of a wiring-table
-    generator come from the layout's operator cache, so their norms are
-    computed once per layout, not once per point."""
+    The coherent part enters through its row-sum norms
+    (``Liouvillian.coherent_row_sums``), which a wiring-table generator
+    reads without building its Hamiltonian; the jumps of such a generator
+    come from the layout's operator cache, so their norms are computed once
+    per layout, not once per point."""
     total = 0.0
-    if generator.hamiltonian is not None:
-        h = generator.hamiltonian.static_part.row_sum_norms[0]
-        for _, v in generator.hamiltonian.drive_terms:
-            h += v.row_sum_norms[0]
+    coherent = generator.coherent_row_sums()
+    if coherent:
+        h = coherent[0]
+        for norm in coherent[1:]:
+            h += norm
         total += 2.0 * h
     for weight, op in generator.jumps:
         na, nad = op.row_sum_norms
@@ -171,59 +178,72 @@ def stability_limited_dt(generator: Liouvillian) -> float:
 def _rk4_steps(rhs, state: np.ndarray, t0: float, h: float, n_steps: int):
     """Yield the state after each of ``n_steps`` classical RK4 steps of size h.
 
-    The state is a private copy of ``state``, updated in place, so every
-    yield hands out the same array.  The stage input lives across steps,
-    and each stage k_i is dropped only when the next step's product
-    replaces it, so the heap keeps the stages' memory from step to step
-    instead of handing it back to the OS and faulting it in again.
+    ``rhs(v, t, scale, out)`` adds scale * L(t) v to ``out`` (``_make_rhs``).
+    The state is a private C-ordered copy of ``state``, updated in place, so
+    every yield hands out the same array.  Each stage input is formed by one
+    product added into a copy of the state, s2 = v + h/2 k1,
+    s3 = v + h/2 k2, s4 = v + h k3, and the step is
+    v' = (s2 + 2 s3 + s4 - v) / 3 + h/6 L(t + h) s4, which is classical RK4
+    reassociated.  The stage arrays are allocated once, so no step
+    allocates an array of the state's size.
     """
-    state = np.array(state, copy=True)
-    stage = np.empty_like(state)
+    state = np.array(state, order="C")
+    s2, s3, s4 = (np.empty_like(state) for _ in range(3))
     for k in range(n_steps):
         t = t0 + k * h
-        k1 = rhs(state, t)
-        np.multiply(k1, 0.5 * h, out=stage)
-        stage += state
-        k2 = rhs(stage, t + 0.5 * h)
-        np.multiply(k2, 0.5 * h, out=stage)
-        stage += state
-        k3 = rhs(stage, t + 0.5 * h)
-        np.multiply(k3, h, out=stage)
-        stage += state
-        k4 = rhs(stage, t + h)
-        # state += (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
-        k2 *= 2.0
-        k1 += k2
-        k3 *= 2.0
-        k1 += k3
-        k1 += k4
-        k1 *= h / 6.0
-        state += k1
+        np.copyto(s2, state)
+        rhs(state, t, 0.5 * h, s2)
+        np.copyto(s3, state)
+        rhs(s2, t + 0.5 * h, 0.5 * h, s3)
+        np.copyto(s4, state)
+        rhs(s3, t + 0.5 * h, h, s4)
+        np.subtract(s2, state, out=state)
+        state += s3
+        state += s3
+        state += s4
+        state /= 3.0
+        rhs(s4, t + h, h / 6.0, state)
         yield state
 
 
 def _make_rhs(static: sp.csr_array, drives: tuple[tuple[float, sp.csr_array], ...]):
-    """Right-hand side d v/dt = L(t) v, L(t) = L0 + sum cos(nu t) L_nu, for the
-    sparse superoperators L0 = ``static`` and (nu, L_nu) in ``drives``, which
-    must share one CSR pattern; v may be a state vector or a matrix of them.
+    """``rhs(v, t, scale, out)``, which adds scale * L(t) v to ``out``, with
+    L(t) = L0 + sum cos(nu t) L_nu for the sparse superoperators
+    L0 = ``static`` and (nu, L_nu) in ``drives``, which must share one CSR
+    pattern; v may be a state vector or a matrix of them.
 
-    A call writes the entries of L(t) into one CSR matrix on that pattern and
-    makes one sparse product.
+    A call writes the entries of scale * L(t) into one array on that pattern
+    and makes one product with SciPy's CSR kernel (``csr_matvec`` or
+    ``csr_matvecs``, the kernel behind ``csr_array @``), which adds into
+    ``out`` instead of allocating a zeroed result.  The kernel is private
+    SciPy API that writes through the raw buffer, so ``out`` must be
+    C-contiguous, of the product's shape, and of one dtype with v and the
+    superoperators; otherwise ``ValueError`` is raised.
     """
     for _, s in drives:
         if not (s.shape == static.shape and np.array_equal(s.indptr, static.indptr)
                 and np.array_equal(s.indices, static.indices)):
             raise ValueError("static and drive superoperators must share one sparsity pattern")
-    generator = static.copy()
+    n_row, n_col = static.shape
+    indptr, indices = static.indptr, static.indices
+    entries = np.empty_like(static.data)
     modulated = tuple((nu, s.data) for nu, s in drives)
 
-    def rhs(v, t):
-        if modulated:
-            entries = generator.data
-            entries[:] = static.data
-            for nu, drive in modulated:
-                entries += math.cos(nu * t) * drive
-        return generator @ v
+    def rhs(v, t, scale, out):
+        if v.ndim > 2 or v.shape[0] != n_col or out.shape != (n_row, *v.shape[1:]):
+            raise ValueError(f"out {out.shape} cannot hold the product with v {v.shape}")
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        if not v.dtype == out.dtype == entries.dtype:
+            raise ValueError(f"v ({v.dtype}), out ({out.dtype}) and L ({entries.dtype}) must share one dtype")
+        np.multiply(static.data, scale, out=entries)
+        for nu, drive in modulated:
+            np.add(entries, (scale * math.cos(nu * t)) * drive, out=entries)
+        if v.ndim == 1:
+            _sparsetools.csr_matvec(n_row, n_col, indptr, indices, entries, v, out)
+        else:
+            _sparsetools.csr_matvecs(n_row, n_col, v.shape[1], indptr, indices, entries,
+                                     v.ravel(), out.ravel())
 
     return rhs
 

@@ -39,6 +39,7 @@ from heatrect.spaces import (
     raising_op,
 )
 from heatrect.observables import bath_current_functional, net_bath_current_functional
+from heatrect.scenarios import _grid_points, _spec_for, validate_config
 from heatrect.steady import evolve, stability_limited_dt, steady_state_averaged, steady_state_direct
 
 
@@ -573,10 +574,17 @@ def test_hamiltonian_is_built_on_first_read(monkeypatch):
     for spec in cases:
         gens = _generators_of(spec)
         if spec.topology.value == "bridge":
-            # building both halves and solving the static upper one assembles no Hamiltonian
+            # building both halves, solving the static upper one and averaging a
+            # driven lower one, whose RK4 step bound reads the coherent row
+            # sums, assembles no Hamiltonian
             before = len(built)
-            steady_state_direct(gens[0])
+            for gen in gens:
+                if gen.drive_frequencies:
+                    steady_state_averaged(gen, bath_current_functional(spec, gen.layout, "right"))
+                else:
+                    steady_state_direct(gen)
             assert len(built) == before
+            assert not any("hamiltonian" in vars(gen) for gen in gens)
         for gen in gens:
             before = len(built)
             h, eager = gen.hamiltonian, eager_hamiltonian(spec, gen.layout)
@@ -587,3 +595,33 @@ def test_hamiltonian_is_built_on_first_read(monkeypatch):
                 assert (v.matrix != w.matrix).nnz == 0
             assert stability_limited_dt(gen) == stability_limited_dt(Liouvillian(gen.layout, eager, gen.jumps))
 
+
+@pytest.mark.parametrize("name, circuit", [
+    ("bridge-anharmonicity", {}),
+    ("bridge-anharmonicity", {"ho_truncation": 4}),
+    ("series-sweep", {}),
+])
+def test_step_bound_is_bit_identical_to_the_built_hamiltonians_on_default_grids(name, circuit):
+    # the coherent row sums that the step bound reads without a Hamiltonian
+    # give the step of the Hamiltonian summed from the weighted operators,
+    # bit for bit, at every point of the default sweep; the stability step
+    # is within 1.06x of the drive step at delta_omega = 500, so a looser
+    # bound would change the step count
+    resolved = validate_config({"name": name, "circuit": circuit})
+    specs = []
+    for point in _grid_points(resolved):
+        if name == "series-sweep":
+            specs += [_spec_for(resolved.circuit, "series", resolved.biases[bias],
+                                {"D1": point["delta_omega_d1"], "D2": point["delta_omega_d2"]})
+                      for bias in ("forward", "reverse")]
+        else:
+            specs.append(_spec_for(resolved.circuit, "bridge", resolved.biases["temperatures"],
+                                   point["delta_omega"]))
+    driven = 0
+    for spec in specs:
+        for gen in _generators_of(spec):
+            reference = Liouvillian(gen.layout, eager_hamiltonian(spec, gen.layout), gen.jumps)
+            assert stability_limited_dt(gen) == stability_limited_dt(reference)
+            assert "hamiltonian" not in vars(gen)
+            driven += bool(gen.drive_frequencies)
+    assert driven == len(specs)

@@ -201,9 +201,73 @@ def test_make_rhs_on_the_union_pattern_matches_separate_products():
             expected = gen.static_superop @ v
             for nu, s in gen.drive_superops:
                 expected = expected + math.cos(nu * t) * (s @ v)
-            got = rhs(v, t)
-            assert got.shape == expected.shape
+            got = np.zeros_like(expected)
+            rhs(v, t, 1.0, got)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_make_rhs_adds_the_scaled_product_into_out(real):
+    # the kernel adds scale * L(t) v to an out that already holds values,
+    # as csr_array @ computes it, for vectors and matrices of them
+    gen = drive_outside_static_generator()
+    if real:
+        _, static, drives = gen.real_superops()
+    else:
+        static, drives = gen.superops()
+    dtype = static.dtype
+    assert np.iscomplexobj(static.data) != real and len(drives) == 2
+    rhs = _make_rhs(static, drives)
+    n = static.shape[0]
+    rng = np.random.default_rng(5)
+
+    def sample(shape):
+        x = rng.standard_normal(shape)
+        return x if real else x + 1j * rng.standard_normal(shape)
+
+    for shape in ((n,), (n, 4)):
+        for t in (0.0, 2.1e-3, 1.7e-2, 0.93):
+            v, out = sample(shape), sample(shape)
+            product = static @ v
+            for nu, s in drives:
+                product = product + math.cos(nu * t) * (s @ v)
+            expected = out + 0.37 * product
+            rhs(v, t, 0.37, out)
+            assert out.dtype == dtype
+            assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    # an out the kernel cannot write in place, or of another dtype, raises
+    v = sample((n, 4))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        rhs(v, 0.0, 1.0, np.asfortranarray(sample((n, 4))))
+    other = np.complex128 if real else np.float64
+    with pytest.raises(ValueError, match="one dtype"):
+        rhs(v, 0.0, 1.0, np.zeros((n, 4), dtype=other))
+    with pytest.raises(ValueError, match="one dtype"):
+        rhs(np.zeros((n, 4), dtype=other), 0.0, 1.0, np.zeros((n, 4), dtype=dtype))
+    with pytest.raises(ValueError, match="cannot hold"):
+        rhs(v, 0.0, 1.0, np.zeros((n, 3), dtype=dtype))
+
+
+def test_rk4_steps_allocate_no_state_sized_array_per_step():
+    import tracemalloc
+
+    _, (_, lower) = bridge_halves(3)
+    _, l0, drives = lower.real_superops()
+    side = l0.shape[0]
+    assert side == 141
+    steps = _rk4_steps(_make_rhs(l0, drives), np.eye(side), 0.0, 1e-3, 6)
+    tracemalloc.start()
+    try:
+        next(steps)
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        for _ in steps:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < side * side * 8 // 4
 
 
 def test_make_rhs_rejects_superoperators_on_different_patterns():
