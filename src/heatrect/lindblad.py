@@ -11,33 +11,36 @@ its sparse superoperator matrices, which are built up to dimension
 ``SUPEROP_MATERIALIZE_DIM``; larger layouts (the six-mode bridge at N >= 3)
 are refused.
 
-Every superoperator is one weighted sum of term superoperators: the
-commutator term -i[H_j, rho] of each Hamiltonian piece, weighted by its
-coefficient (-delta_omega on a coupled diode's |0><0|, J on an exchange, J'
-in a drive), and the dissipator of each jump operator, weighted by its
-rate.  The terms' union CSR pattern and a sparse (nnz x terms) coefficient
-matrix form a term table, so a superoperator is one sparse product of that
-matrix with the weights.  A generator built from the wiring table lists
-every jump its wiring allows, zero rates included, so every point of a
-sweep at one truncation shares one table.  Two LRU caches keep the
-embedded one-mode operators, keyed on (layout, constructor, arguments), and
-the tables, keyed on (layout, term keys); each is bounded to a few
-layouts' worth of entries.
+Every generator is one weight vector per part (static, and each drive)
+over a tuple of term keys, and every superoperator is one weighted sum of
+term superoperators: the commutator term -i[H_j, rho] of each Hamiltonian
+piece, weighted by its coefficient (-delta_omega on a coupled diode's
+|0><0|, J on an exchange, J' in a drive), and the dissipator of each jump
+operator, weighted by its rate.  A key names its operator by (layout,
+constructor, arguments); an operator handed to ``Liouvillian`` directly is
+its own key, and operators hash by identity.  The terms' union CSR
+pattern and a sparse (nnz x terms) coefficient matrix form a term table,
+so a superoperator is one sparse product of that matrix with the weights.
+A generator built from the wiring table lists every jump its wiring
+allows, zero rates included, so every point of a sweep at one truncation
+shares one table.  Four LRU caches, each bounded to a few layouts' worth
+of entries, keep the embedded one-mode operators, keyed on (layout,
+constructor, arguments); the term tables and the coherent tables, both
+keyed on (layout, term keys); and the real tables below.
 
 Both steady-state routes solve on the invariant block that carries the
 trace, seeded by the diagonal of rho alone, in a real Hermitian basis of
 that block.  The block, its basis transform T and every term's real
 superoperator T S_t T^dagger depend only on the term table and which of
-its terms have a nonzero weight, so a third LRU cache, keyed by those two,
-keeps them as a real table: the real terms on one shared real CSR pattern,
-each checked to preserve Hermiticity when the table is built.  A point's
-real static and drive superoperators are then one sparse product each of
-that table with the point's weights, written onto the table's fixed
-pattern.  A Liouvillian built directly from operators keeps its own term
-table, so its real table is built once too.  A wiring-table generator
-builds its Hamiltonian only when ``hamiltonian`` is first read; the row
-sums that bound the integrator step come from a fourth LRU cache, the
-entries of the layout's coherent operators on their union pattern.
+its terms have a nonzero weight, so the real-table cache, keyed by those
+two, keeps them as a real table: the real terms on one shared real CSR
+pattern, each checked to preserve Hermiticity when the table is built.  A
+point's real static and drive superoperators are then one sparse product
+each of that table with the point's weights, written onto the table's
+fixed pattern.  A generator builds its Hamiltonian only when
+``hamiltonian`` is first read; the row sums that bound the integrator step
+come from the coherent table, a table of the coherent terms' d x d
+operators themselves.
 """
 
 from __future__ import annotations
@@ -207,7 +210,7 @@ def _exchange_op(layout: SpaceLayout, a: str, b: str) -> SparseOperator:
     return lowering_op(layout, a) @ raising_op(layout, b) + raising_op(layout, a) @ lowering_op(layout, b)
 
 
-# Both caches hold a few layouts' worth: a sweep runs one truncation at a
+# The caches hold a few layouts' worth: a sweep runs one truncation at a
 # time, on one or two blocks and at most two circuits.
 @functools.lru_cache(maxsize=64)
 def _mode_operator(layout: SpaceLayout, make, *args) -> SparseOperator:
@@ -325,59 +328,39 @@ class _WeightedTerms:
     drives: tuple[tuple[float, np.ndarray], ...]
 
 
-def _operator_terms(side: int, hamiltonian: TimeDependentOperator | None, jumps):
-    """Term table and weights of a generator given by its operators: one term
-    for the static Hamiltonian, one per drive and one per jump."""
-    static_ops = [] if hamiltonian is None else [(1.0, hamiltonian.static_part)]
-    drive_ops = [] if hamiltonian is None else list(hamiltonian.drive_terms)
-    terms = ([_coherent_term(op.matrix) for _, op in static_ops + drive_ops]
-             + [_dissipator_term(op.matrix) for _, op in jumps])
-    unit = np.eye(len(terms))
-    static = np.array([w for w, _ in static_ops] + [0.0] * len(drive_ops) + [w for w, _ in jumps])
-    drives = tuple((nu, unit[len(static_ops) + k]) for k, (nu, _) in enumerate(drive_ops))
-    return _TermTable.of(terms, side), static, drives
+def _given(layout: SpaceLayout, op: SparseOperator) -> SparseOperator:
+    """The operator itself: the key (_given, op) of an operator handed to
+    ``Liouvillian`` holds it, and operators hash by identity, so a cached
+    table is never found for another operator's key."""
+    return op
 
 
 @functools.lru_cache(maxsize=4)
-def _coherent_table(layout: SpaceLayout, keys: tuple) -> tuple:
-    """The operators of the coherent terms among ``keys`` on the union of
-    their CSR patterns: (indptr, indices, ((term index, pattern positions,
-    operator entries), ...)), in key order."""
-    d = layout.total_dim
-    parts = []
-    for k, (term, op) in enumerate(keys):
-        if term is _coherent_term:
-            m = _mode_operator(layout, *op).matrix
-            parts.append((k, np.repeat(np.arange(d), np.diff(m.indptr)) * d + m.indices, m.data))
-    pattern = np.unique(np.concatenate([np.zeros(0, np.int64), *(flat for _, flat, _ in parts)]))
-    indptr = np.searchsorted(pattern // d, np.arange(d + 1))
-    return indptr, pattern % d, tuple((k, np.searchsorted(pattern, flat), data) for k, flat, data in parts)
+def _coherent_table(layout: SpaceLayout, keys: tuple) -> _TermTable:
+    """The d x d operators O_k of the coherent terms among ``keys`` as a
+    table, in key order; every other key is an empty column."""
+    eye = sp.eye_array(1, format="coo")
+    return _TermTable.of(([(eye, _mode_operator(layout, *op).matrix)] if term is _coherent_term else []
+                          for term, op in keys), layout.total_dim)
 
 
 def _coherent_sums(layout: SpaceLayout, terms: _WeightedTerms) -> list[sp.csr_array]:
-    """H_0, then V_nu of each drive, of a wiring-table generator as canonical
-    CSR matrices, or [] without coherent terms: the coherent terms' operators
-    weighted by the static weights, or by that drive's, and summed entry by
-    entry in key order, which gives every entry the value that the sparse
-    sum of the weighted operators gives it; exact zeros are dropped."""
-    indptr, indices, parts = _coherent_table(layout, terms.keys)
-    if not parts:
+    """H_0, then V_nu of each drive, as canonical CSR matrices, or [] without
+    coherent terms: the coherent operators weighted by the static weights,
+    or by that drive's, and summed in key order, which gives every entry the
+    value that the sparse sum of the weighted operators gives it; exact
+    zeros are dropped."""
+    if all(term is not _coherent_term for term, _ in terms.keys):
         return []
-    d = layout.total_dim
-    sums = []
-    for weights in (terms.static, *(w for _, w in terms.drives)):
-        entries = np.zeros(indices.size, np.complex128)
-        for k, positions, data in parts:
-            if weights[k]:
-                entries[positions] += data * float(weights[k])
-        m = sp.csr_array((entries, indices.copy(), indptr.copy()), shape=(d, d))
+    table = _coherent_table(layout, terms.keys)
+    sums = [table.assemble(w) for w in (terms.static, *(w for _, w in terms.drives))]
+    for m in sums:
         m.eliminate_zeros()
-        sums.append(m)
     return sums
 
 
 def _coherent_part(layout: SpaceLayout, terms: _WeightedTerms) -> TimeDependentOperator | None:
-    """H(t) of a wiring-table generator, from ``_coherent_sums``."""
+    """H(t) of a generator, from ``_coherent_sums``."""
     sums = _coherent_sums(layout, terms)
     if not sums:
         return None
@@ -388,35 +371,54 @@ def _coherent_part(layout: SpaceLayout, terms: _WeightedTerms) -> TimeDependentO
 class Liouvillian:
     """Generator of a Lindblad master equation on a layout.
 
-    Holds the coherent part and the weighted jump operators.  Its sparse
-    superoperator matrices (static part plus one cosine-modulated part per
-    drive frequency), and their real forms on the invariant block that
-    carries the trace, are built lazily and only below the size guard, each
-    as one weighted sum of term superoperators.
+    Every generator is weights on the cached term table of its layout
+    (``_WeightedTerms``).  Its sparse superoperators (static part plus one
+    cosine-modulated part per drive), and their real forms on the invariant
+    block that carries the trace, are built lazily and only below the size
+    guard, each as one weighted sum of term superoperators.  The
+    Hamiltonian is built from the weights when ``hamiltonian`` is first
+    read, and ``jumps`` are the dissipator terms of nonzero weight.
 
-    ``_terms``, set by the wiring-table builder, gives the generator as
-    weights on the cached term table of its layout; its Hamiltonian is then
-    built from those weights on the first read of ``hamiltonian``, and the
-    ``hamiltonian`` argument is None.  Without ``_terms`` the generator
-    builds its own term table from ``hamiltonian`` and ``jumps`` on first
-    use.  Either way the real table is cached by the term table.
+    ``Liouvillian(layout, hamiltonian, jumps)`` gives each operator, which
+    must live on ``layout``, its own term: the static Hamiltonian at weight
+    1, each drive at weight 1 in its own drive, and each (weight, A) jump
+    at its weight.
     """
 
     def __init__(self, layout: SpaceLayout, hamiltonian: TimeDependentOperator | None,
-                 jumps: tuple[tuple[float, SparseOperator], ...], _terms: _WeightedTerms | None = None):
-        self.layout = layout
-        self.jumps = jumps
-        self._terms = _terms
-        if _terms is None:
-            self.hamiltonian = hamiltonian
-        self._own_terms = None
-        self._static: sp.csr_array | None = None
-        self._drives: tuple[tuple[float, sp.csr_array], ...] | None = None
+                 jumps: tuple[tuple[float, SparseOperator], ...]):
+        static_part = () if hamiltonian is None else (hamiltonian.static_part,)
+        drive_terms = () if hamiltonian is None else hamiltonian.drive_terms
+        coherent = (*static_part, *(v for _, v in drive_terms))
+        for op in (*coherent, *(op for _, op in jumps)):
+            if op.layout != layout:
+                raise ValueError(f"operator on layout {list(op.layout.labels)} {op.layout.dims} "
+                                 f"given to a generator on {list(layout.labels)} {layout.dims}")
+        keys = (tuple((_coherent_term, (_given, op)) for op in coherent)
+                + tuple((_dissipator_term, (_given, op)) for _, op in jumps))
+        unit = np.eye(len(keys))
+        static = np.array([1.0] * len(static_part) + [0.0] * len(drive_terms) + [w for w, _ in jumps])
+        drives = tuple((nu, unit[len(static_part) + k]) for k, (nu, _) in enumerate(drive_terms))
+        self.layout, self._terms = layout, _WeightedTerms(keys, static, drives)
+
+    @classmethod
+    def _of(cls, layout: SpaceLayout, terms: _WeightedTerms) -> "Liouvillian":
+        """The generator of ``terms`` on ``layout``, as the wiring-table builder gives it."""
+        gen = cls.__new__(cls)
+        gen.layout, gen._terms = layout, terms
+        return gen
 
     @functools.cached_property
     def hamiltonian(self) -> TimeDependentOperator | None:
         """Coherent part H(t) = static + sum_nu cos(nu t) V_nu, or None."""
         return _coherent_part(self.layout, self._terms)
+
+    @functools.cached_property
+    def jumps(self) -> tuple[tuple[float, SparseOperator], ...]:
+        """(weight, A) of every dissipator term with a nonzero weight, in key order."""
+        return tuple((float(w), _mode_operator(self.layout, *op))
+                     for (term, op), w in zip(self._terms.keys, self._terms.static)
+                     if term is _dissipator_term and w != 0)
 
     @property
     def dim(self) -> int:
@@ -424,59 +426,44 @@ class Liouvillian:
 
     @property
     def drive_frequencies(self) -> tuple[float, ...]:
-        if self._terms is not None:
-            return tuple(nu for nu, _ in self._terms.drives)
-        return () if self.hamiltonian is None else self.hamiltonian.frequencies
+        return tuple(nu for nu, _ in self._terms.drives)
 
     def coherent_row_sums(self) -> tuple[float, ...]:
         """Largest row sum of |H_0|, then of each drive's |V_nu|, or () without
-        a coherent part.  A wiring-table generator takes them from
-        ``_coherent_sums`` and builds no Hamiltonian."""
-        if self._terms is not None:
-            return tuple(largest_row_sum(m) for m in _coherent_sums(self.layout, self._terms))
-        if self.hamiltonian is None:
-            return ()
-        h = self.hamiltonian
-        return tuple(op.row_sum_norms[0] for op in (h.static_part, *(v for _, v in h.drive_terms)))
+        a coherent part, from ``_coherent_sums``; no Hamiltonian is built."""
+        return tuple(largest_row_sum(m) for m in _coherent_sums(self.layout, self._terms))
 
-    def _table(self) -> tuple[_TermTable, np.ndarray, tuple[tuple[float, np.ndarray], ...]]:
-        """(term table, static weights, (frequency, drive weights) per drive)."""
+    def _table(self) -> _TermTable:
         if self.dim > SUPEROP_MATERIALIZE_DIM:
             raise ValueError(
                 f"refusing to materialize a {self.dim ** 2} x {self.dim ** 2} superoperator "
                 f"(dim {self.dim} > SUPEROP_MATERIALIZE_DIM = {SUPEROP_MATERIALIZE_DIM})"
             )
-        if self._terms is not None:
-            return _term_table(self.layout, self._terms.keys), self._terms.static, self._terms.drives
-        if self._own_terms is None:
-            self._own_terms = _operator_terms(self.dim ** 2, self.hamiltonian, self.jumps)
-        return self._own_terms
+        return _term_table(self.layout, self._terms.keys)
 
     def superops(self) -> tuple[sp.csr_array, tuple[tuple[float, sp.csr_array], ...]]:
         """(L0, ((nu, L_nu), ...)): the static and drive superoperators on the
         one CSR pattern of the generator's term table, explicit zeros kept.
         Each returned matrix owns its arrays."""
-        table, static, drives = self._table()
-        return table.assemble(static), tuple((nu, table.assemble(w)) for nu, w in drives)
+        table = self._table()
+        return table.assemble(self._terms.static), tuple((nu, table.assemble(w)) for nu, w in self._terms.drives)
 
-    def _materialize(self):
-        self._static, self._drives = self.superops()
-        for m in (self._static, *(s for _, s in self._drives)):
+    @functools.cached_property
+    def _materialized(self) -> tuple[sp.csr_array, tuple[tuple[float, sp.csr_array], ...]]:
+        static, drives = self.superops()
+        for m in (static, *(s for _, s in drives)):
             m.eliminate_zeros()
+        return static, drives
 
     @property
     def static_superop(self) -> sp.csr_array:
         """Static superoperator -i[H, rho] + sum_k w_k (A_k rho A_k† - {A_k†A_k, rho}/2)."""
-        if self._static is None:
-            self._materialize()
-        return self._static
+        return self._materialized[0]
 
     @property
     def drive_superops(self) -> tuple[tuple[float, sp.csr_array], ...]:
         """(frequency, superoperator) per cosine drive of the coherent part."""
-        if self._drives is None:
-            self._materialize()
-        return self._drives
+        return self._materialized[1]
 
     def real_superops(self):
         """(T, L0, ((nu, L_nu), ...)): the isometry T onto the real Hermitian
@@ -491,7 +478,7 @@ class Liouvillian:
         only the weighted sums.  Each returned matrix owns its arrays, so
         none is shared with the cache.
         """
-        table, static, drives = self._table()
+        table, static, drives = self._table(), self._terms.static, self._terms.drives
         nonzero = static != 0
         for _, w in drives:
             nonzero = nonzero | (w != 0)
@@ -570,8 +557,6 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
         for label in labels:
             rates += [(spec.gamma_dec, (lowering_op, label)), (spec.gamma_dec, (number_op, label))]
 
-    jumps = tuple((rate, _mode_operator(layout, *key)) for rate, key in rates if rate > 0)
-
     keys = (tuple((_coherent_term, key) for _, key in pieces)
             + tuple((_dissipator_term, key) for _, key in rates))
     column = {key: k for k, (_, key) in enumerate(pieces)}
@@ -582,7 +567,7 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
             weights[column[key]] += c
         drive_weights.append((nu, weights))
     static = np.array([c for c, _ in pieces] + [rate for rate, _ in rates])
-    return Liouvillian(layout, None, jumps, _WeightedTerms(keys, static, tuple(drive_weights)))
+    return Liouvillian._of(layout, _WeightedTerms(keys, static, tuple(drive_weights)))
 
 
 def build_generator(spec: CircuitSpec) -> Liouvillian:

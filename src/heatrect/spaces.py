@@ -107,12 +107,13 @@ def largest_row_sum(m: sp.csr_array) -> float:
     return float(abs(m).sum(axis=1).max()) if m.nnz else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseOperator:
     """Sparse complex operator tied to a layout.
 
     The stored matrix is canonical CSR: sorted indices, duplicates summed,
-    explicit zeros removed.  Treat instances as immutable.
+    explicit zeros removed.  Treat instances as immutable.  An operator
+    compares and hashes by identity, so it can key a cache.
     """
 
     layout: SpaceLayout

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +94,14 @@ class ConvergenceProtocol:
     max_blocks: int = 40
 
     def __post_init__(self):
-        if self.block_length <= 0 or self.average_window <= 0:
-            raise ValueError("block_length and average_window must be positive")
+        for name in ("block_length", "average_window", "rel_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.average_window > self.block_length:
             raise ValueError("average_window must not exceed block_length")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if isinstance(self.max_blocks, bool) or not isinstance(self.max_blocks, numbers.Integral):
+            raise ValueError(f"max_blocks must be an integer, got {self.max_blocks!r}")
         if self.max_blocks < 2:
             raise ValueError("max_blocks must be at least 2")
 
@@ -144,10 +147,10 @@ def _generator_norm_bound(generator: Liouvillian) -> float:
     """Upper bound on the sup-norm of L(t), for the integrator stability limit.
 
     The coherent part enters through its row-sum norms
-    (``Liouvillian.coherent_row_sums``), which a wiring-table generator
-    reads without building its Hamiltonian; the jumps of such a generator
-    come from the layout's operator cache, so their norms are computed once
-    per layout, not once per point."""
+    (``Liouvillian.coherent_row_sums``), read without building the
+    Hamiltonian; the jumps of a wiring-table generator come from the
+    layout's operator cache, so their norms are computed once per layout,
+    not once per point."""
     total = 0.0
     coherent = generator.coherent_row_sums()
     if coherent:
@@ -517,7 +520,11 @@ def steady_state_averaged(
     multiple of the lowest one; otherwise ``ValueError`` is raised.  The
     step divides the period into whole steps no longer than
     ``stability_limited_dt``, at least 20 per period of the fastest drive.
+    An observable on another layout than the generator's raises
+    ``ValueError``.
     """
+    if observable.observable.layout != generator.layout:
+        raise ValueError("observable layout does not match generator layout")
     if protocol is None:
         protocol = ConvergenceProtocol()
     grid = _unit_grid(generator, protocol)

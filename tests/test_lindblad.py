@@ -35,6 +35,7 @@ from heatrect.spaces import (
     SpaceLayout,
     SparseOperator,
     lowering_op,
+    number_op,
     projector,
     raising_op,
 )
@@ -448,6 +449,81 @@ def assert_matches_kron_reference(gen):
         assert_same_superop(got, want)
 
 
+def _two_drives_at_one_frequency():
+    layout = SpaceLayout.of(("D", Qutrit()), ("L", HarmonicOscillator(3)))
+    exchange = lindblad._exchange_op(layout, "D", "L")
+    hamiltonian = TimeDependentOperator(
+        -300.0 * projector(layout, "D", 0) + 0.5 * exchange,
+        ((30.0, 0.25 * exchange), (30.0, 0.1 * number_op(layout, "L"))))
+    return layout, hamiltonian, ((15.0, lowering_op(layout, "L")), (5.0, raising_op(layout, "L")))
+
+
+def _static_and_drive():
+    # the drive's pattern lies outside the static part's
+    layout = SpaceLayout.of(("A", Qutrit()), ("B", Qutrit()))
+    hamiltonian = TimeDependentOperator(
+        -200.0 * projector(layout, "A", 0) - 150.0 * projector(layout, "B", 0)
+        + lindblad._exchange_op(layout, "A", "B"),
+        ((150.0, 0.3 * (lowering_op(layout, "A") + raising_op(layout, "A"))),))
+    return layout, hamiltonian, ((0.1, lowering_op(layout, "A")), (0.02, number_op(layout, "B")))
+
+
+def _zero_weight_jump():
+    layout = SpaceLayout.of(("A", Qutrit()))
+    return layout, TimeDependentOperator(-250.0 * projector(layout, "A", 0)), (
+        (1.0, lowering_op(layout, "A")), (0.0, raising_op(layout, "A")), (0.3, number_op(layout, "A")))
+
+
+# (layout, hamiltonian, jumps) of each operator-built fixture
+_OPERATOR_BUILT = {
+    "two-drives-one-frequency": _two_drives_at_one_frequency,
+    "static-and-drive": _static_and_drive,
+    "zero-weight-jump": _zero_weight_jump,
+}
+
+# float.hex of stability_limited_dt of each fixture, computed from the row
+# sums of the given operators themselves
+_OPERATOR_BUILT_DT = {
+    "two-drives-one-frequency": "0x1.02fca44ba03c0p-9",
+    "static-and-drive": "0x1.f81df09d54713p-10",
+    "zero-weight-jump": "0x1.5d6bfb259c831p-9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATOR_BUILT))
+def test_operator_built_generator_keeps_its_operators(name):
+    # its Hamiltonian, read back from the term weights, holds the given
+    # operators bit for bit, its jumps are the given ones of nonzero
+    # weight, and its step bound is the one computed from those operators
+    layout, hamiltonian, jumps = _OPERATOR_BUILT[name]()
+    gen = Liouvillian(layout, hamiltonian, jumps)
+    h = gen.hamiltonian
+    assert h.frequencies == hamiltonian.frequencies == gen.drive_frequencies
+    assert len(h.drive_terms) == len(hamiltonian.drive_terms)
+    for got, want in zip((h.static_part, *(v for _, v in h.drive_terms)),
+                         (hamiltonian.static_part, *(v for _, v in hamiltonian.drive_terms))):
+        for a, b in ((got.matrix.indptr, want.matrix.indptr), (got.matrix.indices, want.matrix.indices)):
+            assert np.array_equal(a, b)
+        assert got.matrix.data.dtype == want.matrix.data.dtype
+        assert got.matrix.data.tobytes() == want.matrix.data.tobytes()
+    assert gen.jumps == tuple((w, op) for w, op in jumps if w != 0)
+    assert stability_limited_dt(gen).hex() == _OPERATOR_BUILT_DT[name]
+
+
+def test_operators_from_another_layout_are_rejected():
+    layout = SpaceLayout.of(("A", Qutrit()), ("B", Qutrit()))
+    oscillator = SpaceLayout.of(("L", HarmonicOscillator(4)))
+    swapped = SpaceLayout.of(("B", Qutrit()), ("A", Qutrit()))  # one dimension, other modes
+    for hamiltonian, jumps in (
+        (None, ((1.0, lowering_op(oscillator, "L")),)),
+        (None, ((1.0, lowering_op(layout, "A")), (0.5, lowering_op(swapped, "A")))),
+        (TimeDependentOperator(projector(swapped, "A", 0)), ()),
+        (TimeDependentOperator(projector(oscillator, "L", 1)), ((1.0, lowering_op(layout, "A")),)),
+    ):
+        with pytest.raises(ValueError, match="layout"):
+            Liouvillian(layout, hamiltonian, jumps)
+
+
 # every topology, with the zero-weight corners: an empty receiving bath
 # (n = 0), gamma_dec = 0 and J' = 0
 _ORACLE_CASES = {
@@ -472,6 +548,9 @@ _ORACLE_CASES = {
         "bridge", T_left=1.0, T_right=0.1, ho_truncation=2, gamma_dec=0.0, J_prime=0.0, **m))),
     "bridge-full": lambda **m: [build_generator(CircuitSpec.build(
         "bridge", T_left=1.0, T_right=0.1, ho_truncation=2, **m))],
+    # generators built from operators; the rate mode does not reach them
+    **{f"operator-built-{name}": lambda _name=name, **_: [Liouvillian(*_OPERATOR_BUILT[_name]())]
+       for name in _OPERATOR_BUILT},
 }
 
 

@@ -616,6 +616,28 @@ def test_averaged_needs_observable():
         steady_state_averaged(gen)
 
 
+def test_averaged_rejects_an_observable_on_another_layout():
+    # the upper trio's right-bath current has the lower trio's dimension but
+    # reads D2's contacts, so it is no current of the lower trio
+    spec, (upper, lower) = bridge_halves(3)
+    obs = bath_current_functional(spec, upper.layout, "right")
+    assert obs.observable.shape == (lower.dim, lower.dim)
+    with pytest.raises(ValueError, match="layout"):
+        steady_state_averaged(lower, obs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("block_length", math.nan), ("block_length", math.inf),
+    ("average_window", math.nan), ("average_window", math.inf),
+    ("rel_tol", math.nan), ("rel_tol", math.inf),
+    ("max_blocks", 2.5), ("max_blocks", 3.0), ("max_blocks", True),
+])
+def test_protocol_rejects_non_finite_lengths_and_non_integer_block_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        ConvergenceProtocol(**{field: value})
+    assert ConvergenceProtocol(max_blocks=np.int64(3)).max_blocks == 3
+
+
 def test_evolve_full_bridge_matches_half_evolutions():
     # the reduced bridge factorizes, so evolving the product state with the
     # full six-mode generator must agree with the product of the
