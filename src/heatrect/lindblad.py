@@ -67,7 +67,6 @@ from .spaces import (
     SpaceLayout,
     SparseOperator,
     embed,
-    largest_row_sum,
     lowering_op,
     number_op,
     projector,
@@ -197,6 +196,20 @@ class _TermTable:
             shape=(pattern.size, len(flats)))
         indptr = np.searchsorted(pattern // side, np.arange(side + 1)).astype(np.int32)
         return cls(side, indptr, (pattern % side).astype(np.int32), coefficients)
+
+    def largest_row_sum(self, weights: np.ndarray) -> float:
+        """Largest row sum of |sum_t weights[t] S_t|, its infinity norm, read
+        from the assembled entries and ``indptr``.  Exact zeros are dropped
+        first and each row is summed by ``np.add.reduceat``, as
+        ``spaces.largest_row_sum`` sums the canonical matrix, so the value
+        is the same bit for bit."""
+        entries = self.coefficients @ weights
+        kept = entries != 0
+        if not kept.any():
+            return 0.0
+        indptr = np.concatenate([[0], np.cumsum(kept)])[self.indptr]
+        starts = indptr[:-1][np.diff(indptr) > 0]
+        return float(np.add.reduceat(np.abs(entries[kept]), starts).max())
 
     def assemble(self, weights: np.ndarray) -> sp.csr_array:
         """CSR matrix of sum_t weights[t] S_t on the table's pattern, explicit
@@ -344,28 +357,17 @@ def _coherent_table(layout: SpaceLayout, keys: tuple) -> _TermTable:
                           for term, op in keys), layout.total_dim)
 
 
-def _coherent_sums(layout: SpaceLayout, terms: _WeightedTerms) -> list[sp.csr_array]:
-    """H_0, then V_nu of each drive, as canonical CSR matrices, or [] without
-    coherent terms: the coherent operators weighted by the static weights,
-    or by that drive's, and summed in key order, which gives every entry the
-    value that the sparse sum of the weighted operators gives it; exact
-    zeros are dropped."""
-    if all(term is not _coherent_term for term, _ in terms.keys):
-        return []
-    table = _coherent_table(layout, terms.keys)
-    sums = [table.assemble(w) for w in (terms.static, *(w for _, w in terms.drives))]
-    for m in sums:
-        m.eliminate_zeros()
-    return sums
-
-
 def _coherent_part(layout: SpaceLayout, terms: _WeightedTerms) -> TimeDependentOperator | None:
-    """H(t) of a generator, from ``_coherent_sums``."""
-    sums = _coherent_sums(layout, terms)
-    if not sums:
+    """H(t) of a generator, or None without coherent terms: H_0, then V_nu
+    of each drive, are the coherent operators weighted by the static
+    weights, or by that drive's, and summed in key order, which gives every
+    entry the value that the sparse sum of the weighted operators gives it."""
+    if all(term is not _coherent_term for term, _ in terms.keys):
         return None
-    return TimeDependentOperator(SparseOperator.wrap(layout, sums[0]), tuple(
-        (nu, SparseOperator.wrap(layout, m)) for (nu, _), m in zip(terms.drives, sums[1:])))
+    table = _coherent_table(layout, terms.keys)
+    h0, *vs = (SparseOperator.wrap(layout, table.assemble(w))
+               for w in (terms.static, *(w for _, w in terms.drives)))
+    return TimeDependentOperator(h0, tuple((nu, v) for (nu, _), v in zip(terms.drives, vs)))
 
 
 class Liouvillian:
@@ -430,8 +432,14 @@ class Liouvillian:
 
     def coherent_row_sums(self) -> tuple[float, ...]:
         """Largest row sum of |H_0|, then of each drive's |V_nu|, or () without
-        a coherent part, from ``_coherent_sums``; no Hamiltonian is built."""
-        return tuple(largest_row_sum(m) for m in _coherent_sums(self.layout, self._terms))
+        a coherent part: the values that ``spaces.largest_row_sum`` gives for
+        the matrices of ``hamiltonian``, read from the coherent table's
+        entries; no Hamiltonian or matrix is built."""
+        terms = self._terms
+        if all(term is not _coherent_term for term, _ in terms.keys):
+            return ()
+        table = _coherent_table(self.layout, terms.keys)
+        return tuple(table.largest_row_sum(w) for w in (terms.static, *(w for _, w in terms.drives)))
 
     def _table(self) -> _TermTable:
         if self.dim > SUPEROP_MATERIALIZE_DIM:

@@ -231,7 +231,7 @@ def projector(layout: SpaceLayout, label: str, level: int) -> SparseOperator:
 
 @dataclass
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite state on a layout."""
+    """Finite, Hermitian, unit-trace, positive-semidefinite state on a layout."""
 
     layout: SpaceLayout
     data: np.ndarray
@@ -275,6 +275,8 @@ class DensityMatrix:
         return cls.from_matrix(layout, data, validate=validate)
 
     def validate(self):
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("state has non-finite entries")
         herm = np.max(np.abs(self.data - self.data.conj().T))
         if herm > HERMITICITY_TOL:
             raise ValueError(f"state is not Hermitian: max |rho - rho†| = {herm:.3e}")

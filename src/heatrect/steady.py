@@ -1,14 +1,17 @@
 """Time evolution and steady-state extraction.
 
 Two steady-state routes are provided.  ``steady_state_direct`` solves the
-null space of a time-independent generator by sparse LU in real
-arithmetic, with the trace constraint in place of one diagonal row; a
-second solve with another diagonal row replaced detects a degenerate null
-space.  ``steady_state_averaged`` runs the windowed-average convergence
-protocol for driven generators: the state is evolved in blocks of length
-T, after each block the observable is averaged over the trailing window
-T_av, and the run stops once the relative change of consecutive block
-averages falls below the threshold.
+null space of a time-independent generator by one sparse LU factorization
+in real arithmetic, with the trace constraint in place of one diagonal
+row; a second trace slice, the constraint in place of another diagonal
+row, is a rank-2 update of the first and is solved through the same
+factors, which detects a degenerate null space.  The fill-reducing column
+order of the factorization is computed once per sparsity pattern and kept
+for later points of that pattern.  ``steady_state_averaged`` runs the
+windowed-average convergence protocol for driven generators: the state is
+evolved in blocks of length T, after each block the observable is averaged
+over the trailing window T_av, and the run stops once the relative change
+of consecutive block averages falls below the threshold.
 
 Both steady-state routes work on the invariant block that carries the
 trace (``lindblad._trace_block``): the weakly connected components of the
@@ -48,6 +51,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,12 +315,12 @@ def _normalize_steady_state(layout, L, rho: np.ndarray) -> DensityMatrix:
         )
     rho = rho / trace
     residual = float(np.max(np.abs(L @ vectorize(rho))))
-    if residual > 1e-10:
+    if not residual <= 1e-10:  # a nan residual fails too
         raise ArithmeticError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     return DensityMatrix.from_matrix(layout, rho, validate=True)
 
 
-def _with_trace_row(m: sp.csr_array, row: int, d: int) -> sp.csc_array:
+def _with_trace_row(m: sp.csr_array, row: int, d: int) -> sp.csr_array:
     """``m`` with row ``row`` replaced by the trace row: ones on the d
     diagonal coordinates, which come first in the real basis."""
     start, stop = m.indptr[row], m.indptr[row + 1]
@@ -324,7 +328,37 @@ def _with_trace_row(m: sp.csr_array, row: int, d: int) -> sp.csc_array:
     indptr[row + 1:] += d - (stop - start)
     indices = np.concatenate([m.indices[:start], np.arange(d, dtype=m.indices.dtype), m.indices[stop:]])
     data = np.concatenate([m.data[:start], np.ones(d), m.data[stop:]])
-    return sp.csr_array((data, indices, indptr), shape=m.shape).tocsc()
+    return sp.csr_array((data, indices, indptr), shape=m.shape)
+
+
+# SuperLU's fill-reducing column order (perm_c after COLAMD) of each sparsity
+# pattern factored so far, least recently used first; a sweep at one
+# truncation has one or two patterns
+_COLUMN_ORDERS: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_COLUMN_ORDERS_SIZE = 4
+
+
+def _lu_solve(m: sp.csr_array, b: np.ndarray) -> np.ndarray:
+    """x with m x = b, from one SuperLU factorization of ``m``.
+
+    The first matrix of a sparsity pattern is factored with COLAMD, and its
+    column order perm_c is kept per pattern; a later matrix of that pattern
+    is factored with its columns already in that order (``NATURAL``), so
+    COLAMD runs once per pattern.  SuperLU's ``RuntimeError`` on a singular
+    factor propagates.
+    """
+    key = (m.shape, m.indptr.tobytes(), m.indices.tobytes())
+    perm_c = _COLUMN_ORDERS.get(key)
+    if perm_c is None:
+        lu = spla.splu(m.tocsc())
+        _COLUMN_ORDERS[key] = lu.perm_c
+        if len(_COLUMN_ORDERS) > _COLUMN_ORDERS_SIZE:
+            _COLUMN_ORDERS.popitem(last=False)
+        return lu.solve(b)
+    _COLUMN_ORDERS.move_to_end(key)
+    # column j of m becomes column perm_c[j]: the system m Pc y = b, x = Pc y
+    permuted = sp.csr_array((m.data, perm_c[m.indices], m.indptr), shape=m.shape)
+    return spla.splu(permuted.tocsc(), permc_spec="NATURAL").solve(b)[perm_c]
 
 
 def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
@@ -332,12 +366,18 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
 
     The solve runs in real arithmetic on the invariant block that carries
     the trace, in its real Hermitian basis (``Liouvillian.real_superops``),
-    whose first d coordinates are the diagonal of rho.  Sparse LU solves
-    the block of the superoperator with the trace constraint in place of
-    row 0, and again in place of row d-1: each replaced row is a diagonal
+    whose first d coordinates are the diagonal of rho.  The block L of the
+    superoperator with the trace row tau (ones on the diagonal
+    coordinates) in place of row 0 is M_0; each replaced row is a diagonal
     one, since the diagonal rows sum to zero and the trace row lifts that
-    dependence.  A degenerate stationary manifold within the block makes a
-    factor singular or the two solutions disagree; either raises
+    dependence.  One sparse LU factorization of M_0 (``_lu_solve``) solves
+    M_0 Z = U for U = [e_0, e_(d-1)]; the state is x_0 = Z e_0.  The second
+    trace slice M_(d-1), the trace row in place of row d-1, is the rank-2
+    update M_0 + U V^T with V = [l_0 - tau, tau - l_(d-1)] (l_i row i of
+    L), so its solution is x_(d-1) = Z C^-1 e_1 with the 2 x 2 capacitance
+    matrix C = I + V^T Z (Woodbury).  A degenerate stationary manifold
+    within the block makes the factor or C singular, the solution
+    non-finite, or x_0 and x_(d-1) disagree by more than 1e-8; each raises
     :class:`DegenerateSteadyStateError`.  Uniqueness is certified only
     within that block: stationary coherences outside it carry no trace and
     are not states.  The lifted state must pass a 1e-10 residual check
@@ -349,25 +389,36 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
         raise ValueError("direct solve requires a generator without drive terms")
     d = generator.dim
     transform, lb, _ = generator.real_superops()
+    # COLAMD orders the block without its exact zeros, a pattern that a sweep
+    # keeps from point to point; kept, they change the order and move small
+    # populations by up to 2e-9 relative (bridge trio, N=8)
     lb.eliminate_zeros()
-    solutions = []
-    for row in (0, d - 1):
-        rhs = np.zeros(lb.shape[0])
-        rhs[row] = 1.0
-        try:
-            x = spla.splu(_with_trace_row(lb, row, d)).solve(rhs)
-        except RuntimeError as err:
-            raise DegenerateSteadyStateError(
-                f"sparse solve failed ({err}); the stationary state is likely not unique"
-            ) from err
-        if not np.all(np.isfinite(x)):
-            raise DegenerateSteadyStateError("sparse solve produced non-finite entries")
-        solutions.append(x / x[:d].sum())
-    if np.max(np.abs(solutions[0] - solutions[1])) > 1e-8:
+    rows = (0, d - 1)
+    u = np.zeros((lb.shape[0], 2))
+    u[rows, (0, 1)] = 1.0
+    try:
+        z = _lu_solve(_with_trace_row(lb, 0, d), u)
+    except RuntimeError as err:
+        raise DegenerateSteadyStateError(
+            f"sparse solve failed ({err}); the stationary state is likely not unique"
+        ) from err
+    if not np.all(np.isfinite(z)):
+        raise DegenerateSteadyStateError("sparse solve produced non-finite entries")
+    tau_z, l_z = z[:d].sum(axis=0), (lb @ z)[rows, :]
+    capacitance = np.eye(2) + np.array([l_z[0] - tau_z, tau_z - l_z[1]])
+    try:
+        x_last = z @ np.linalg.solve(capacitance, [0.0, 1.0])
+    except np.linalg.LinAlgError as err:
+        raise DegenerateSteadyStateError(
+            "the second trace slice is singular; the stationary state is not unique"
+        ) from err
+    x_first = z[:, 0] / z[:d, 0].sum()
+    # written so that a nan disagreement fails too
+    if not np.max(np.abs(x_first - x_last / x_last[:d].sum())) <= 1e-8:
         raise DegenerateSteadyStateError(
             "two independent trace slices disagree; steady state is not unique"
         )
-    rho = _complex_state(transform, solutions[0], d)
+    rho = _complex_state(transform, x_first, d)
     return _normalize_steady_state(generator.layout, generator.static_superop, rho)
 
 

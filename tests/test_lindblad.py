@@ -34,6 +34,7 @@ from heatrect.spaces import (
     Qutrit,
     SpaceLayout,
     SparseOperator,
+    largest_row_sum,
     lowering_op,
     number_op,
     projector,
@@ -559,6 +560,17 @@ _ORACLE_CASES = {
 def test_weighted_sum_matches_kron_reference(case, mode):
     for gen in _ORACLE_CASES[case](bridge_rate_mode=mode):
         assert_matches_kron_reference(gen)
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_coherent_row_sums_match_the_built_hamiltonian(case):
+    # the row sums read from the coherent table's entries are, bit for bit,
+    # the infinity norms of the built H_0 and of each drive's V
+    for gen in _ORACLE_CASES[case]():
+        got = [x.hex() for x in gen.coherent_row_sums()]
+        h = gen.hamiltonian
+        parts = () if h is None else (h.static_part, *(v for _, v in h.drive_terms))
+        assert got == [largest_row_sum(op.matrix).hex() for op in parts]
 
 
 def _bridge_point(delta_omega, gamma_dec, T_left, T_right, ho_truncation=3):

@@ -204,6 +204,19 @@ def test_density_matrix_validation():
         DensityMatrix.from_matrix(layout, np.diag([1.5, -0.5]).astype(complex))
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.5, math.nan)],
+                         ids=["nan", "inf", "nan-imaginary"])
+def test_density_matrix_rejects_non_finite_entries(entry):
+    # every comparison with nan is False, so without the finiteness check a
+    # nan state passed the Hermiticity, trace and eigenvalue checks
+    layout = single(HarmonicOscillator(2))
+    data = np.diag([0.5, 0.5]).astype(complex)
+    data[0, 0] = entry
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix.from_matrix(layout, data)
+    DensityMatrix.from_matrix(layout, data, validate=False)
+
+
 def test_vec_is_column_stacking():
     layout = single(HarmonicOscillator(2))
     rho = DensityMatrix.from_matrix(

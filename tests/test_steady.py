@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from heatrect import lindblad
+from heatrect import lindblad, steady
 from heatrect.circuits import CircuitSpec, DiodeParams, TimeDependentOperator
 from heatrect.lindblad import (
     Liouvillian,
@@ -49,6 +49,7 @@ from heatrect.steady import (
     _complex_state,
     _generator_norm_bound,
     _make_rhs,
+    _normalize_steady_state,
     _real_observable,
     _rk4_steps,
     _unit_grid,
@@ -331,15 +332,106 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
         lambda: coherent_generator(random_hermitian(3, seed=3)),
         lambda: coherent_generator(random_hermitian(5, seed=5)),
         lambda: coherent_generator(random_hermitian(8, seed=8)),
+        # wide enough that COLAMD picks a column order other than the identity
+        lambda: coherent_generator(random_hermitian(12, seed=12)),
         # qutrit with two absorbing states, |0> and |2>
         lambda: qutrit_rate_generator([RateTable({(1, 0): 1.0, (1, 2): 2.0})]),
     ],
     ids=["coherent-diag-2", "coherent-random-3", "coherent-random-5", "coherent-random-8",
-         "qutrit-two-absorbing"],
+         "coherent-random-12", "qutrit-two-absorbing"],
 )
 def test_direct_reports_degenerate_null_space(make_generator):
     with pytest.raises(DegenerateSteadyStateError):
         steady_state_direct(make_generator())
+
+
+def two_slice_reference(gen: Liouvillian) -> np.ndarray:
+    """The state by two sparse LU solves, the trace row in place of row 0
+    and then of row d-1, each with SuperLU's own column order; the two must
+    agree."""
+    d = gen.dim
+    transform, lb, _ = gen.real_superops()
+    lb.eliminate_zeros()
+    solutions = []
+    for row in (0, d - 1):
+        system = lb.tolil()
+        system[row] = 0.0
+        system[row, :d] = 1.0
+        rhs = np.zeros(lb.shape[0])
+        rhs[row] = 1.0
+        x = spla.splu(sp.csc_array(system)).solve(rhs)
+        solutions.append(x / x[:d].sum())
+    np.testing.assert_allclose(solutions[0], solutions[1], rtol=0, atol=1e-10)
+    rho = _complex_state(transform, solutions[0], d)
+    return rho / np.trace(rho)
+
+
+def direct_solve_cases():
+    bridge = [build_bridge_half_generators(CircuitSpec.build(
+        "bridge", T_left=1.0, T_right=0.1, delta_omega=dw, gamma_dec=gd, ho_truncation=n))[0]
+        for n in (2, 4, 8) for dw, gd in ((300.0, 1e-3), (120.0, 1e-1))]
+    parallel = build_generator(CircuitSpec.build(
+        "parallel", n_left=0.5, n_right=0.0, delta_omega={"D1": 300.0, "D2": 150.0}))
+    series = build_generator(CircuitSpec.build(
+        "series", n_left=0.5, n_right=0.1, J_prime=0.0, delta_omega={"D1": 300.0, "D2": 450.0}))
+    single = lindblad.build_reduced_generator(CircuitSpec.build(
+        "single-diode", T_left=1.0, T_right=0.1, J_prime=0.0, ho_truncation=4))
+    return [*bridge, parallel, series, single]
+
+
+def test_direct_factors_once_per_call_and_orders_columns_once_per_pattern(monkeypatch):
+    steady._COLUMN_ORDERS.clear()
+    calls = []
+
+    def counted(a, *args, _original=spla.splu, **kwargs):
+        calls.append(kwargs.get("permc_spec", "COLAMD"))
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    # a delta_omega sweep of one layout: one pattern, so one COLAMD order
+    for k, delta_omega in enumerate(np.geomspace(50.0, 500.0, 6)):
+        upper, _ = build_bridge_half_generators(CircuitSpec.build(
+            "bridge", T_left=1.0, T_right=0.1, delta_omega=delta_omega, ho_truncation=3))
+        steady_state_direct(upper)
+        assert len(calls) == k + 1
+    assert calls == ["COLAMD"] + ["NATURAL"] * 5
+    assert len(steady._COLUMN_ORDERS) == 1
+    for gen in direct_solve_cases():
+        before = len(calls)
+        steady_state_direct(gen)
+        assert len(calls) == before + 1
+
+
+@pytest.mark.parametrize("reuse_order", [False, True], ids=["first-of-pattern", "cached-order"])
+def test_direct_matches_two_factorization_reference(reuse_order):
+    steady._COLUMN_ORDERS.clear()
+    for gen in direct_solve_cases():
+        if reuse_order:
+            steady_state_direct(gen)
+        rho = steady_state_direct(gen).data
+        np.testing.assert_allclose(rho, two_slice_reference(gen), rtol=0, atol=1e-13)
+
+
+def test_direct_reports_a_singular_capacitance_matrix(monkeypatch):
+    # a two-level decay at rate 1 has L = [[0, 1], [0, -1]] on (p0, p1), so
+    # V = [l_0 - tau, tau - l_1] has columns (-1, 0) and (1, 2); a factor
+    # returning Z = e_0 e_0^T makes C = I + V^T Z = [[0, 0], [1, 1]] singular
+    gen = decay_generator(dim=2, Gamma=1.0)
+    monkeypatch.setattr(steady, "_lu_solve", lambda m, b: np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DegenerateSteadyStateError, match="second trace slice is singular"):
+        steady_state_direct(gen)
+
+
+def test_normalization_rejects_a_nan_residual():
+    # a nan residual compares False with the 1e-10 bound, so it must be
+    # rejected explicitly
+    gen = decay_generator(dim=2, Gamma=1.0)
+    superop = gen.static_superop.copy()
+    superop.data[0] = np.nan
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    assert _normalize_steady_state(gen.layout, gen.static_superop, rho).data[0, 0] == 1.0
+    with pytest.raises(ArithmeticError, match="residual nan"):
+        _normalize_steady_state(gen.layout, superop, rho)
 
 
 def test_direct_agrees_with_long_time_evolution():
