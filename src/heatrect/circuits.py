@@ -65,10 +65,6 @@ class DiodeParams:
                 stacklevel=2,
             )
 
-    def coupling_at(self, t: float) -> float:
-        """Modulated bath-side coupling J + J' cos(delta_omega * t)."""
-        return self.J + self.J_prime * math.cos(self.delta_omega * t)
-
 
 @dataclass(frozen=True)
 class BathParams:
@@ -320,43 +316,6 @@ class CircuitSpec:
         """The bath on ``side`` ("left" or "right")."""
         return {"left": self.left_bath, "right": self.right_bath}[side]
 
-    def to_dict(self) -> dict:
-        def bath(b: BathParams) -> dict:
-            out = {"Gamma": b.Gamma}
-            if b.occupation is not None:
-                out["occupation"] = b.occupation
-            else:
-                out["temperature"] = b.temperature
-            return out
-
-        return {
-            "topology": self.topology.value,
-            "diodes": {
-                label: {"delta_omega": d.delta_omega, "J": d.J, "J_prime": d.J_prime}
-                for label, d in sorted(self.diodes.items())
-            },
-            "left_bath": bath(self.left_bath),
-            "right_bath": bath(self.right_bath),
-            "gamma_dec": self.gamma_dec,
-            "ho_truncation": self.ho_truncation,
-            "bridge_rate_mode": self.bridge_rate_mode.value,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CircuitSpec":
-        diodes = {
-            label: DiodeParams(**params) for label, params in payload["diodes"].items()
-        }
-        return cls(
-            topology=Topology(payload["topology"]),
-            diodes=diodes,
-            left_bath=BathParams(**payload["left_bath"]),
-            right_bath=BathParams(**payload["right_bath"]),
-            gamma_dec=payload.get("gamma_dec", 1e-3),
-            ho_truncation=payload.get("ho_truncation", 8),
-            bridge_rate_mode=RateMode(payload.get("bridge_rate_mode", "physical-modulated")),
-        )
-
 
 @dataclass(frozen=True)
 class TimeDependentOperator:
@@ -371,14 +330,6 @@ class TimeDependentOperator:
                 raise ValueError("drive term layout differs from static part")
             if nu <= 0:
                 raise ValueError(f"drive frequency must be positive, got {nu}")
-
-    @property
-    def layout(self) -> SpaceLayout:
-        return self.static_part.layout
-
-    @property
-    def frequencies(self) -> tuple[float, ...]:
-        return tuple(nu for nu, _ in self.drive_terms)
 
     def at(self, t: float) -> SparseOperator:
         op = self.static_part

@@ -37,10 +37,9 @@ two, keeps them as a real table: the real terms on one shared real CSR
 pattern, each checked to preserve Hermiticity when the table is built.  A
 point's real static and drive superoperators are then one sparse product
 each of that table with the point's weights, written onto the table's
-fixed pattern.  A generator builds its Hamiltonian only when
-``hamiltonian`` is first read; the row sums that bound the integrator step
-come from the coherent table, a table of the coherent terms' d x d
-operators themselves.
+fixed pattern.  A generator builds its Hamiltonian when ``hamiltonian`` is
+first read, from the coherent table, a table of the coherent terms' d x d
+operators themselves; the integrator's step bound reads its row sums.
 """
 
 from __future__ import annotations
@@ -196,20 +195,6 @@ class _TermTable:
             shape=(pattern.size, len(flats)))
         indptr = np.searchsorted(pattern // side, np.arange(side + 1)).astype(np.int32)
         return cls(side, indptr, (pattern % side).astype(np.int32), coefficients)
-
-    def largest_row_sum(self, weights: np.ndarray) -> float:
-        """Largest row sum of |sum_t weights[t] S_t|, its infinity norm, read
-        from the assembled entries and ``indptr``.  Exact zeros are dropped
-        first and each row is summed by ``np.add.reduceat``, as
-        ``spaces.largest_row_sum`` sums the canonical matrix, so the value
-        is the same bit for bit."""
-        entries = self.coefficients @ weights
-        kept = entries != 0
-        if not kept.any():
-            return 0.0
-        indptr = np.concatenate([[0], np.cumsum(kept)])[self.indptr]
-        starts = indptr[:-1][np.diff(indptr) > 0]
-        return float(np.add.reduceat(np.abs(entries[kept]), starts).max())
 
     def assemble(self, weights: np.ndarray) -> sp.csr_array:
         """CSR matrix of sum_t weights[t] S_t on the table's pattern, explicit
@@ -374,12 +359,13 @@ class Liouvillian:
     """Generator of a Lindblad master equation on a layout.
 
     Every generator is weights on the cached term table of its layout
-    (``_WeightedTerms``).  Its sparse superoperators (static part plus one
-    cosine-modulated part per drive), and their real forms on the invariant
-    block that carries the trace, are built lazily and only below the size
-    guard, each as one weighted sum of term superoperators.  The
-    Hamiltonian is built from the weights when ``hamiltonian`` is first
-    read, and ``jumps`` are the dissipator terms of nonzero weight.
+    (``_WeightedTerms``), and each view of it has one accessor:
+    ``superops()`` gives the complex sparse superoperators (static part
+    plus one cosine-modulated part per drive) and ``real_superops()`` their
+    real forms on the invariant block that carries the trace, both built
+    on each call, only below the size guard, each as one weighted sum of
+    term superoperators.  ``hamiltonian`` is built from the weights when
+    first read, and ``jumps`` are the dissipator terms of nonzero weight.
 
     ``Liouvillian(layout, hamiltonian, jumps)`` gives each operator, which
     must live on ``layout``, its own term: the static Hamiltonian at weight
@@ -430,17 +416,6 @@ class Liouvillian:
     def drive_frequencies(self) -> tuple[float, ...]:
         return tuple(nu for nu, _ in self._terms.drives)
 
-    def coherent_row_sums(self) -> tuple[float, ...]:
-        """Largest row sum of |H_0|, then of each drive's |V_nu|, or () without
-        a coherent part: the values that ``spaces.largest_row_sum`` gives for
-        the matrices of ``hamiltonian``, read from the coherent table's
-        entries; no Hamiltonian or matrix is built."""
-        terms = self._terms
-        if all(term is not _coherent_term for term, _ in terms.keys):
-            return ()
-        table = _coherent_table(self.layout, terms.keys)
-        return tuple(table.largest_row_sum(w) for w in (terms.static, *(w for _, w in terms.drives)))
-
     def _table(self) -> _TermTable:
         if self.dim > SUPEROP_MATERIALIZE_DIM:
             raise ValueError(
@@ -450,28 +425,13 @@ class Liouvillian:
         return _term_table(self.layout, self._terms.keys)
 
     def superops(self) -> tuple[sp.csr_array, tuple[tuple[float, sp.csr_array], ...]]:
-        """(L0, ((nu, L_nu), ...)): the static and drive superoperators on the
-        one CSR pattern of the generator's term table, explicit zeros kept.
-        Each returned matrix owns its arrays."""
+        """(L0, ((nu, L_nu), ...)): the static superoperator
+        -i[H_0, rho] + sum_k w_k (A_k rho A_k† - {A_k†A_k, rho}/2) and each
+        cosine drive's -i[V_nu, rho], on the one CSR pattern of the
+        generator's term table, explicit zeros kept.  Each call assembles
+        them anew, and each returned matrix owns its arrays."""
         table = self._table()
         return table.assemble(self._terms.static), tuple((nu, table.assemble(w)) for nu, w in self._terms.drives)
-
-    @functools.cached_property
-    def _materialized(self) -> tuple[sp.csr_array, tuple[tuple[float, sp.csr_array], ...]]:
-        static, drives = self.superops()
-        for m in (static, *(s for _, s in drives)):
-            m.eliminate_zeros()
-        return static, drives
-
-    @property
-    def static_superop(self) -> sp.csr_array:
-        """Static superoperator -i[H, rho] + sum_k w_k (A_k rho A_k† - {A_k†A_k, rho}/2)."""
-        return self._materialized[0]
-
-    @property
-    def drive_superops(self) -> tuple[tuple[float, sp.csr_array], ...]:
-        """(frequency, superoperator) per cosine drive of the coherent part."""
-        return self._materialized[1]
 
     def real_superops(self):
         """(T, L0, ((nu, L_nu), ...)): the isometry T onto the real Hermitian

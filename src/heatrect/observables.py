@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .circuits import TOPOLOGIES, CircuitSpec
+from .circuits import TOPOLOGIES, CircuitSpec, bose_occupation
 from .lindblad import _mode_operator, rate_tables
 from .spaces import (
     DensityMatrix,
@@ -40,18 +40,13 @@ class BiasSetting:
     n_right: float
 
     @classmethod
-    def forward(cls, n_hot: float = 0.5) -> "BiasSetting":
-        return cls("forward", n_hot, 0.0)
-
-    @classmethod
-    def reverse(cls, n_hot: float = 0.5) -> "BiasSetting":
-        return cls("reverse", 0.0, n_hot)
-
-    @classmethod
     def from_temperatures(cls, label: str, T_left: float, T_right: float) -> "BiasSetting":
-        """Occupations from temperatures given in units of the filter frequency."""
-        from .circuits import bose_occupation
-
+        """Occupations from temperatures given in units of the filter
+        frequency; a temperature that is not finite and positive raises
+        ``ValueError``."""
+        for name, T in (("T_left", T_left), ("T_right", T_right)):
+            if not (math.isfinite(T) and T > 0):
+                raise ValueError(f"{name} must be finite and positive, got {T}")
         return cls(label, bose_occupation(1.0 / T_left), bose_occupation(1.0 / T_right))
 
     def swapped(self, label: str) -> "BiasSetting":

@@ -45,7 +45,6 @@ from .observables import (
 )
 from .spaces import DensityMatrix, projector
 from .steady import (
-    AVERAGED_METHOD,
     CONVERGENCE_ABS_FLOOR,
     ConvergenceError,
     ConvergenceProtocol,
@@ -256,7 +255,7 @@ def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
         "block_average_current": sign * avg,
         "converged_block": run.converged_block,
         "blocks_used": run.blocks_used,
-        "method": AVERAGED_METHOD,
+        "method": "compiled-block-map",
         "delta_omega_d1": dw1,
         "delta_omega_d2": dw2,
         "rate_mode": resolved.circuit["bridge_rate_mode"],

@@ -127,21 +127,10 @@ class SparseOperator:
             raise ValueError(f"operator shape {m.shape} does not match layout dim {d}")
         return cls(layout, m)
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
     @functools.cached_property
     def row_sum_norms(self) -> tuple[float, float]:
         """Largest row sum of |A| and of |A†|, the infinity- and 1-norms."""
         return largest_row_sum(self.matrix), largest_row_sum(self.matrix.conj().T.tocsr())
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
     def _check_layout(self, other: "SparseOperator"):
         if self.layout != other.layout:
@@ -163,9 +152,6 @@ class SparseOperator:
         return SparseOperator(self.layout, _canonical_csr(self.matrix * complex(scalar)))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SparseOperator":
-        return self * (-1.0)
 
 
 def _local_lowering(kind: ModeKind) -> np.ndarray:
@@ -198,10 +184,6 @@ def embed(layout: SpaceLayout, label: str, local_matrix) -> SparseOperator:
     data = np.broadcast_to(local[a, b][:, None], (left, len(a), inner)).ravel()
     full = sp.coo_array((data, (rows, cols)), shape=(layout.total_dim,) * 2)
     return SparseOperator.wrap(layout, full)
-
-
-def identity_op(layout: SpaceLayout) -> SparseOperator:
-    return SparseOperator.wrap(layout, sp.eye_array(layout.total_dim, format="csr"))
 
 
 def lowering_op(layout: SpaceLayout, label: str) -> SparseOperator:
@@ -246,12 +228,6 @@ class DensityMatrix:
         if validate:
             rho.validate()
         return rho
-
-    @classmethod
-    def from_vec(cls, layout: SpaceLayout, vec, validate: bool = True) -> "DensityMatrix":
-        d = layout.total_dim
-        data = np.asarray(vec, dtype=np.complex128).reshape((d, d), order="F")
-        return cls.from_matrix(layout, data, validate=validate)
 
     @classmethod
     def ground_state(cls, layout: SpaceLayout) -> "DensityMatrix":

@@ -61,7 +61,7 @@ from scipy.sparse import _sparsetools
 
 from .lindblad import Liouvillian, unvectorize, vectorize
 from .observables import CurrentFunctional
-from .spaces import DensityMatrix, SparseOperator
+from .spaces import DensityMatrix, SparseOperator, largest_row_sum
 
 logger = logging.getLogger("heatrect")
 
@@ -71,8 +71,6 @@ TRACE_DRIFT_TOL = 1e-10
 # currents smaller than this are treated as zero by the stopping rule, so
 # unbiased (zero-current) runs terminate instead of dividing noise by noise
 CONVERGENCE_ABS_FLOOR = 1e-8
-# the one windowed-average method, reported as EvolutionResult.method
-AVERAGED_METHOD = "compiled-block-map"
 
 
 class ConvergenceError(RuntimeError):
@@ -127,7 +125,6 @@ class EvolutionResult:
     blocks_used: int
     block_averages: list[float]
     observable_name: str
-    method: str
     block_length_effective: float
     window_effective: float
     dt: float
@@ -150,17 +147,16 @@ def drive_limited_dt(frequencies, default: float = DEFAULT_DT) -> float:
 def _generator_norm_bound(generator: Liouvillian) -> float:
     """Upper bound on the sup-norm of L(t), for the integrator stability limit.
 
-    The coherent part enters through its row-sum norms
-    (``Liouvillian.coherent_row_sums``), read without building the
-    Hamiltonian; the jumps of a wiring-table generator come from the
-    layout's operator cache, so their norms are computed once per layout,
-    not once per point."""
+    The coherent part enters through the largest row sums of H_0 and then
+    of each drive's V_nu in ``generator.hamiltonian``; the jumps of a
+    wiring-table generator come from the layout's operator cache, so their
+    norms are computed once per layout, not once per point."""
     total = 0.0
-    coherent = generator.coherent_row_sums()
-    if coherent:
-        h = coherent[0]
-        for norm in coherent[1:]:
-            h += norm
+    hamiltonian = generator.hamiltonian
+    if hamiltonian is not None:
+        h = largest_row_sum(hamiltonian.static_part.matrix)
+        for _, v in hamiltonian.drive_terms:
+            h += largest_row_sum(v.matrix)
         total += 2.0 * h
     for weight, op in generator.jumps:
         na, nad = op.row_sum_norms
@@ -419,7 +415,7 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
             "two independent trace slices disagree; steady state is not unique"
         )
     rho = _complex_state(transform, x_first, d)
-    return _normalize_steady_state(generator.layout, generator.static_superop, rho)
+    return _normalize_steady_state(generator.layout, generator.superops()[0], rho)
 
 
 # ---------------------------------------------------------------------------
@@ -571,11 +567,16 @@ def steady_state_averaged(
     multiple of the lowest one; otherwise ``ValueError`` is raised.  The
     step divides the period into whole steps no longer than
     ``stability_limited_dt``, at least 20 per period of the fastest drive.
-    An observable on another layout than the generator's raises
-    ``ValueError``.
+    An observable on another layout than the generator's, or a
+    ``trajectory_points_per_block`` that is neither None nor a positive
+    integer, raises ``ValueError``.
     """
     if observable.observable.layout != generator.layout:
         raise ValueError("observable layout does not match generator layout")
+    points = trajectory_points_per_block
+    if points is not None and (isinstance(points, bool) or not isinstance(points, numbers.Integral)
+                               or points < 1):
+        raise ValueError(f"trajectory_points_per_block must be None or a positive integer, got {points!r}")
     if protocol is None:
         protocol = ConvergenceProtocol()
     grid = _unit_grid(generator, protocol)
@@ -590,8 +591,8 @@ def steady_state_averaged(
     )
 
     sample_map = None
-    if trajectory_points_per_block:
-        sample_stride = max(1, grid.units_per_block // int(trajectory_points_per_block))
+    if points is not None:
+        sample_stride = max(1, grid.units_per_block // int(points))
         sample_map, _ = _matrix_power(unit, sample_stride)
 
     averages: list[float] = []
@@ -629,7 +630,7 @@ def steady_state_averaged(
     if abs(trace - 1.0) > TRACE_DRIFT_TOL:
         rho = rho / trace
     trajectory = None
-    if trajectory_points_per_block:
+    if points is not None:
         trajectory = Trajectory(observable.name, np.asarray(times, dtype=np.float64),
                                 np.asarray(samples, dtype=np.float64))
     return EvolutionResult(
@@ -639,7 +640,6 @@ def steady_state_averaged(
         blocks_used=converged + 1,
         block_averages=averages,
         observable_name=observable.name,
-        method=AVERAGED_METHOD,
         block_length_effective=grid.units_per_block * grid.duration,
         window_effective=grid.window_units * grid.duration,
         dt=grid.dt,

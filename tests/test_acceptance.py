@@ -130,7 +130,7 @@ def test_criterion_2_parallel_decoupling(parallel_sweep):
     grid = {(row["delta_omega_d1"], row["delta_omega_d2"]) for row in parallel_sweep.rows}
     worst = 1.0
     for dw1, dw2 in sorted(grid):
-        for bias in (BiasSetting.forward(), BiasSetting.reverse()):
+        for bias in (BiasSetting("forward", 0.5, 0.0), BiasSetting("reverse", 0.0, 0.5)):
             spec = CircuitSpec.build(
                 "parallel", n_left=bias.n_left, n_right=bias.n_right,
                 delta_omega={"D1": dw1, "D2": dw2},
@@ -271,8 +271,9 @@ def test_criterion_10_structural_invariants():
     ]
     for g in generators:
         tr_row = vectorize(np.eye(g.dim, dtype=complex)).conj()
-        annih = max(annih, float(np.max(np.abs(tr_row @ g.static_superop))))
-        for _, s in g.drive_superops:
+        static, drives = g.superops()
+        annih = max(annih, float(np.max(np.abs(tr_row @ static))))
+        for _, s in drives:
             annih = max(annih, float(np.max(np.abs(tr_row @ s))))
     assert annih < 1e-12
 

