@@ -41,7 +41,13 @@ from heatrect.spaces import (
 )
 from heatrect.observables import bath_current_functional, net_bath_current_functional
 from heatrect.scenarios import _grid_points, _spec_for, validate_config
-from heatrect.steady import evolve, stability_limited_dt, steady_state_averaged, steady_state_direct
+from heatrect.steady import (
+    _generator_norm_bound,
+    evolve,
+    stability_limited_dt,
+    steady_state_averaged,
+    steady_state_direct,
+)
 
 
 def random_density(rng, d):
@@ -566,6 +572,26 @@ _ORACLE_CASES = {
 def test_weighted_sum_matches_kron_reference(case, mode):
     for gen in _ORACLE_CASES[case](bridge_rate_mode=mode):
         assert_matches_kron_reference(gen)
+
+
+def _dense_row_sum(m):
+    return float(np.abs(m.toarray()).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_coherent_row_sums_match_the_built_hamiltonian(case):
+    # the norm bound behind the RK4 step takes its coherent row sums from the
+    # Hamiltonian the generator builds from its term table, one for H_0 and
+    # one for each drive's V: they are the infinity norms of the dense
+    # matrices, and each jump enters with its dense infinity and 1-norms
+    for gen in _ORACLE_CASES[case]():
+        h = gen.hamiltonian
+        parts = () if h is None else (h.static_part, *(v for _, v in h.drive_terms))
+        assert len(parts) == (h is not None) + len(gen.drive_frequencies)
+        coherent = sum(_dense_row_sum(op.matrix) for op in parts)
+        jumps = sum(w * _dense_row_sum(op.matrix) * _dense_row_sum(op.matrix.conj().T)
+                    for w, op in gen.jumps)
+        assert _generator_norm_bound(gen) == pytest.approx(2.0 * (coherent + jumps), rel=1e-14)
 
 
 def _bridge_point(delta_omega, gamma_dec, T_left, T_right, ho_truncation=3):
