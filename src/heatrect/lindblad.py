@@ -37,15 +37,17 @@ two, keeps them as a real table: the real terms on one shared real CSR
 pattern, each checked to preserve Hermiticity when the table is built.  A
 point's real static and drive superoperators are then one sparse product
 each of that table with the point's weights, written onto the table's
-fixed pattern.  A generator builds its Hamiltonian when ``hamiltonian`` is
-first read, from the coherent table, a table of the coherent terms' d x d
-operators themselves; the integrator's step bound reads its row sums.
+fixed pattern, and the direct solve keeps a plan per real table.  A
+generator builds its Hamiltonian when ``hamiltonian`` is first read, from
+the coherent table, a table of the coherent terms' d x d operators
+themselves; the integrator's step bound reads its row sums.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -308,6 +310,40 @@ def _real_table(table: _TermTable, live: tuple) -> tuple[sp.csr_array, _TermTabl
     return transform, _TermTable.of_entries(flats, datas, side, np.float64)
 
 
+@dataclass(frozen=True, eq=False)
+class _DirectPlan:
+    """The direct solve's fixed part for one real table: M_0, the table's
+    sum with the trace row (ones on the d diagonal coordinates) in place of
+    row 0, with column j moved to ``perm_c[j]``, as CSC on (``indptr``,
+    ``indices``), entry k being ``gather[k]`` of the table's entries
+    followed by the trace row's 1; (entry slice, columns) of rows 0 and d-1
+    of the table; and ``lift``, T^dagger."""
+
+    perm_c: np.ndarray
+    gather: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: tuple
+    lift: sp.csc_array
+
+    @classmethod
+    def of(cls, transform: sp.csr_array, real: _TermTable, perm_c: np.ndarray) -> "_DirectPlan":
+        d, ptr, start = math.isqrt(transform.shape[1]), real.indptr, real.indptr[1]
+        indptr = np.concatenate([[0], ptr[1:] - start + d])
+        source = np.concatenate([np.full(d, ptr[-1]), np.arange(start, ptr[-1])])
+        columns = perm_c[np.concatenate([np.arange(d), real.indices[start:]])]
+        m = sp.csr_array((source, columns, indptr), shape=(real.side, real.side)).tocsc()
+        rows = tuple((slice(ptr[r], ptr[r + 1]), real.indices[ptr[r]:ptr[r + 1]]) for r in (0, d - 1))
+        return cls(perm_c, m.data, m.indptr, m.indices, rows, transform.conj().T)
+
+    def system(self, entries: np.ndarray) -> sp.csc_array:
+        return sp.csc_array((entries[self.gather], self.indices, self.indptr), shape=(self.perm_c.size,) * 2)
+
+
+# the plan of each real table that solved a point, dropped with the table
+_DIRECT_PLANS: weakref.WeakKeyDictionary[_TermTable, _DirectPlan] = weakref.WeakKeyDictionary()
+
+
 def transition_op(layout: SpaceLayout, label: str, from_level: int, to_level: int) -> SparseOperator:
     """Jump operator |to><from| of one qutrit, embedded in the layout."""
     dim = layout.dim_of(label)
@@ -438,22 +474,21 @@ class Liouvillian:
         basis of the invariant block that carries the trace
         (``_trace_block``), and the static and drive superoperators in that
         basis, T L T^dagger, as real CSR matrices on the real table's one
-        pattern, explicit zeros kept.
-
-        The block, T and every term's real superoperator depend only on the
-        term table and which of its terms have a nonzero weight; they come
-        from an LRU cache of a few such real tables, so a point assembles
-        only the weighted sums.  Each returned matrix owns its arrays, so
-        none is shared with the cache.
+        pattern, explicit zeros kept.  The block, T and the real terms come
+        from the cached real table (``_real``), so a point assembles only
+        the weighted sums; each returned matrix owns its arrays.
         """
-        table, static, drives = self._table(), self._terms.static, self._terms.drives
-        nonzero = static != 0
-        for _, w in drives:
+        _, transform, real = self._real()
+        return (transform.copy(), real.assemble(self._terms.static),
+                tuple((nu, real.assemble(w)) for nu, w in self._terms.drives))
+
+    def _real(self) -> tuple[_TermTable, sp.csr_array, _TermTable]:
+        """(term table, T, real table): the cached tables of the generator,
+        the real one for its terms of nonzero weight."""
+        table, nonzero = self._table(), self._terms.static != 0
+        for _, w in self._terms.drives:
             nonzero = nonzero | (w != 0)
-        live = tuple(int(t) for t in np.flatnonzero(nonzero))
-        transform, real = _real_table(table, live)
-        return (transform.copy(), real.assemble(static),
-                tuple((nu, real.assemble(w)) for nu, w in drives))
+        return (table, *_real_table(table, tuple(int(t) for t in np.flatnonzero(nonzero))))
 
 
 def _contact_table(spec: CircuitSpec, contact: Contact) -> RateTable:

@@ -70,16 +70,23 @@ def net_bath_current_functional(layout: SpaceLayout, labels, tables) -> CurrentF
 
     Emission minus absorption, one diagonal weight per qutrit:
     r10 P1 + r21 P2 - r01 P0 - r12 P1 = diag(-r01, r10 - r12, r21), summed
-    on the diagonals of the layout's cached level projectors.
+    on the diagonals of the layout's cached level projectors.  No labels, or
+    a label without a rate table, raise ``ValueError``.
     """
     labels = list(labels)
+    missing = [label for label in labels if label not in tables]
+    if missing or not labels:
+        raise ValueError(f"bath current needs labels with rate tables, got {labels} (none for {missing}); "
+                         f"the tables hold {sorted(tables)}")
     w = np.zeros(layout.total_dim)
     for label in labels:
         t = tables[label]
         for level, rate in enumerate((-t.get(0, 1), t.get(1, 0) - t.get(1, 2), t.get(2, 1))):
             w += rate * _mode_operator(layout, projector, label, level).matrix.diagonal().real
-    return CurrentFunctional("net_bath_current_" + "_".join(labels),
-                             SparseOperator.wrap(layout, sp.diags_array(w)))
+    keep = np.flatnonzero(w).astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(w != 0)]).astype(np.int32)
+    return CurrentFunctional("net_bath_current_" + "_".join(labels), SparseOperator(
+        layout, sp.csr_array((w[keep].astype(np.complex128), keep, indptr), shape=(w.size, w.size))))
 
 
 def bath_current_functional(spec: CircuitSpec, layout: SpaceLayout, side: str) -> CurrentFunctional:

@@ -268,9 +268,12 @@ class DensityMatrix:
         return self.data.flatten(order="F")
 
     def expectation(self, op: SparseOperator) -> complex:
+        """Tr(W rho): the sum of W[i, j] rho[j, i] over the stored entries of W."""
         if op.layout != self.layout:
             raise ValueError("operator layout does not match state layout")
-        return complex((op.matrix.multiply(self.data.T)).sum())
+        m = op.matrix
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        return complex(m.data @ self.data[m.indices, rows])
 
     def copy(self) -> "DensityMatrix":
         return DensityMatrix(self.layout, self.data.copy())

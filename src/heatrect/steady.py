@@ -5,9 +5,9 @@ null space of a time-independent generator by one sparse LU factorization
 in real arithmetic, with the trace constraint in place of one diagonal
 row; a second trace slice, the constraint in place of another diagonal
 row, is a rank-2 update of the first and is solved through the same
-factors, which detects a degenerate null space.  The fill-reducing column
-order of the factorization is computed once per sparsity pattern and kept
-for later points of that pattern.  ``steady_state_averaged`` runs the
+factors, which detects a degenerate null space.  All but the numeric
+factorization, the fill-reducing column order included, is planned once
+per real table and kept for later points.  ``steady_state_averaged`` runs the
 windowed-average convergence protocol for driven generators: the state is
 evolved in blocks of length T, after each block the observable is averaged
 over the trailing window T_av, and the run stops once the relative change
@@ -23,8 +23,8 @@ per jump, so the block is its coherence-order-0 sector (544 of the 5184
 entries of vec(rho) for a bridge half at N=8); a generator without such a
 symmetry gets the whole space through the same code.  Both routes read the
 block's real Hermitian basis and the generator's real superoperators on
-it from ``Liouvillian.real_superops``, which keeps them per layout, so a
-point recomputes neither the block nor the basis.
+it from the generator's cached real table, so a point recomputes neither
+the block nor the basis.
 
 Both ``evolve`` and the protocol integrate with a fixed-step classical
 4th-order scheme; each stage is one sparse product with
@@ -51,7 +51,6 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
 
-from .lindblad import Liouvillian, unvectorize, vectorize
+from .lindblad import _DIRECT_PLANS, Liouvillian, _DirectPlan, unvectorize, vectorize
 from .observables import CurrentFunctional
 from .spaces import DensityMatrix, SparseOperator, largest_row_sum
 
@@ -303,104 +302,57 @@ def evolve(
 # direct (null-space) steady state
 # ---------------------------------------------------------------------------
 
-def _normalize_steady_state(layout, L, rho: np.ndarray) -> DensityMatrix:
-    trace = complex(np.trace(rho))
-    if abs(trace) < 1e-12:
-        raise DegenerateSteadyStateError(
-            "null vector is traceless; the stationary manifold contains no normalizable state"
-        )
-    rho = rho / trace
-    residual = float(np.max(np.abs(L @ vectorize(rho))))
-    if not residual <= 1e-10:  # a nan residual fails too
-        raise ArithmeticError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    return DensityMatrix.from_matrix(layout, rho, validate=True)
-
-
-def _with_trace_row(m: sp.csr_array, row: int, d: int) -> sp.csr_array:
-    """``m`` with row ``row`` replaced by the trace row: ones on the d
-    diagonal coordinates, which come first in the real basis."""
-    start, stop = m.indptr[row], m.indptr[row + 1]
-    indptr = m.indptr.copy()
-    indptr[row + 1:] += d - (stop - start)
-    indices = np.concatenate([m.indices[:start], np.arange(d, dtype=m.indices.dtype), m.indices[stop:]])
-    data = np.concatenate([m.data[:start], np.ones(d), m.data[stop:]])
-    return sp.csr_array((data, indices, indptr), shape=m.shape)
-
-
-# SuperLU's fill-reducing column order (perm_c after COLAMD) of each sparsity
-# pattern factored so far, least recently used first; a sweep at one
-# truncation has one or two patterns
-_COLUMN_ORDERS: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_COLUMN_ORDERS_SIZE = 4
-
-
-def _lu_solve(m: sp.csr_array, b: np.ndarray) -> np.ndarray:
-    """x with m x = b, from one SuperLU factorization of ``m``.
-
-    The first matrix of a sparsity pattern is factored with COLAMD, and its
-    column order perm_c is kept per pattern; a later matrix of that pattern
-    is factored with its columns already in that order (``NATURAL``), so
-    COLAMD runs once per pattern.  SuperLU's ``RuntimeError`` on a singular
-    factor propagates.
-    """
-    key = (m.shape, m.indptr.tobytes(), m.indices.tobytes())
-    perm_c = _COLUMN_ORDERS.get(key)
-    if perm_c is None:
-        lu = spla.splu(m.tocsc())
-        _COLUMN_ORDERS[key] = lu.perm_c
-        if len(_COLUMN_ORDERS) > _COLUMN_ORDERS_SIZE:
-            _COLUMN_ORDERS.popitem(last=False)
-        return lu.solve(b)
-    _COLUMN_ORDERS.move_to_end(key)
-    # column j of m becomes column perm_c[j]: the system m Pc y = b, x = Pc y
-    permuted = sp.csr_array((m.data, perm_c[m.indices], m.indptr), shape=m.shape)
-    return spla.splu(permuted.tocsc(), permc_spec="NATURAL").solve(b)[perm_c]
-
-
 def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     """Steady state of a time-independent generator via its null space.
 
     The solve runs in real arithmetic on the invariant block that carries
-    the trace, in its real Hermitian basis (``Liouvillian.real_superops``),
-    whose first d coordinates are the diagonal of rho.  The block L of the
-    superoperator with the trace row tau (ones on the diagonal
-    coordinates) in place of row 0 is M_0; each replaced row is a diagonal
-    one, since the diagonal rows sum to zero and the trace row lifts that
-    dependence.  One sparse LU factorization of M_0 (``_lu_solve``) solves
-    M_0 Z = U for U = [e_0, e_(d-1)]; the state is x_0 = Z e_0.  The second
-    trace slice M_(d-1), the trace row in place of row d-1, is the rank-2
-    update M_0 + U V^T with V = [l_0 - tau, tau - l_(d-1)] (l_i row i of
-    L), so its solution is x_(d-1) = Z C^-1 e_1 with the 2 x 2 capacitance
-    matrix C = I + V^T Z (Woodbury).  A degenerate stationary manifold
-    within the block makes the factor or C singular, the solution
-    non-finite, or x_0 and x_(d-1) disagree by more than 1e-8; each raises
+    the trace, in its real Hermitian basis (the generator's real table),
+    whose first d coordinates are the diagonal of rho.  The block L with
+    the trace row tau (ones on the diagonal coordinates) in place of row 0
+    is M_0; each replaced row is a diagonal one, since the diagonal rows
+    sum to zero and the trace row lifts that dependence.  One sparse LU
+    factorization of M_0 solves M_0 Z = U for U = [e_0, e_(d-1)]; the state
+    is x_0 = Z e_0.  The second trace slice M_(d-1), the trace row in place
+    of row d-1, is the rank-2 update M_0 + U V^T with
+    V = [l_0 - tau, tau - l_(d-1)] (l_i row i of L), so its solution is
+    x_(d-1) = Z C^-1 e_1 with the 2 x 2 capacitance matrix C = I + V^T Z
+    (Woodbury).  The real table's ``lindblad._DirectPlan`` holds the rest:
+    M_0's CSC pattern in SuperLU's COLAMD column order, rows 0 and d-1 and
+    T^dagger.  The first point of a table is factored with COLAMD, which
+    gives its solution and the order; a later one gathers its entries into
+    the plan and factors in that order (``NATURAL``).  A degenerate
+    stationary manifold within the block makes the factor (then no plan is
+    kept) or C singular, the solution non-finite, or x_0 and x_(d-1)
+    disagree by more than 1e-8; each raises
     :class:`DegenerateSteadyStateError`.  Uniqueness is certified only
     within that block: stationary coherences outside it carry no trace and
-    are not states.  The lifted state must pass a 1e-10 residual check
-    against the full complex superoperator.  Above
-    ``SUPEROP_MATERIALIZE_DIM`` no superoperator is built and
-    ``ValueError`` is raised.
+    are not states.  The lifted state must pass a 1e-10 residual against
+    the term table's complex entries, and the state validation.  Above
+    ``SUPEROP_MATERIALIZE_DIM`` ``ValueError`` is raised.
     """
     if generator.drive_frequencies:
         raise ValueError("direct solve requires a generator without drive terms")
-    d = generator.dim
-    transform, lb, _ = generator.real_superops()
-    # COLAMD orders the block without its exact zeros, a pattern that a sweep
-    # keeps from point to point; kept, they change the order and move small
-    # populations by up to 2e-9 relative (bridge trio, N=8)
-    lb.eliminate_zeros()
-    rows = (0, d - 1)
-    u = np.zeros((lb.shape[0], 2))
-    u[rows, (0, 1)] = 1.0
+    d, weights = generator.dim, generator._terms.static
+    table, transform, real = generator._real()
+    entries = np.append(real.coefficients @ weights, 1.0)
+    u = np.zeros((real.side, 2))
+    u[(0, d - 1), (0, 1)] = 1.0
+    plan = _DIRECT_PLANS.get(real)
     try:
-        z = _lu_solve(_with_trace_row(lb, 0, d), u)
+        if plan is None:
+            lu = spla.splu(_DirectPlan.of(transform, real, np.arange(real.side)).system(entries))
+            z = lu.solve(u)
+            plan = _DIRECT_PLANS[real] = _DirectPlan.of(transform, real, lu.perm_c)
+        else:
+            # column j sits at perm_c[j]: the system M_0 Pc y = U, Z = Pc y
+            z = spla.splu(plan.system(entries), permc_spec="NATURAL").solve(u)[plan.perm_c]
     except RuntimeError as err:
         raise DegenerateSteadyStateError(
             f"sparse solve failed ({err}); the stationary state is likely not unique"
         ) from err
     if not np.all(np.isfinite(z)):
         raise DegenerateSteadyStateError("sparse solve produced non-finite entries")
-    tau_z, l_z = z[:d].sum(axis=0), (lb @ z)[rows, :]
+    tau_z, l_z = z[:d].sum(axis=0), [entries[s] @ z[c] for s, c in plan.rows]
     capacitance = np.eye(2) + np.array([l_z[0] - tau_z, tau_z - l_z[1]])
     try:
         x_last = z @ np.linalg.solve(capacitance, [0.0, 1.0])
@@ -414,8 +366,11 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
         raise DegenerateSteadyStateError(
             "two independent trace slices disagree; steady state is not unique"
         )
-    rho = _complex_state(transform, x_first, d)
-    return _normalize_steady_state(generator.layout, generator.superops()[0], rho)
+    rho = unvectorize(plan.lift @ x_first.astype(np.complex128), d)
+    residual = float(np.max(np.abs(table.assemble(weights) @ vectorize(rho))))
+    if not residual <= 1e-10:  # a nan residual fails too
+        raise ArithmeticError(f"steady-state residual {residual:.3e} exceeds 1e-10")
+    return DensityMatrix.from_matrix(generator.layout, rho, validate=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from heatrect.circuits import CircuitSpec, DiodeParams, bose_occupation
-from heatrect.lindblad import build_generator, qutrit_rate_table
+from heatrect.lindblad import (
+    bridge_rate_tables,
+    build_bridge_half_generators,
+    build_generator,
+    qutrit_rate_table,
+)
 from heatrect.observables import (
     BiasSetting,
     bath_current_functional,
@@ -78,6 +83,21 @@ def test_bath_current_needs_a_contact_of_the_bath():
     assert bath_current_functional(spec, d1_only, "left").name == "net_bath_current_D1"
     with pytest.raises(ValueError, match="no contact of the right bath"):
         bath_current_functional(spec, d1_only, "right")
+
+
+def test_net_bath_current_needs_a_rate_table_for_every_label():
+    # no labels gave an always-zero current, a label without a table a bare KeyError
+    spec = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=2)
+    upper, _ = build_bridge_half_generators(spec)
+    tables = bridge_rate_tables(spec)
+    for labels in ([], ["D9"], ["M1"], ["D2", "M1"]):
+        with pytest.raises(ValueError, match=r"the tables hold \['D1', 'D2', 'D3', 'D4'\]") as err:
+            net_bath_current_functional(upper.layout, labels, tables)
+        assert f"got {labels} (none for {[label for label in labels if label != 'D2']})" in str(err.value)
+    current = net_bath_current_functional(upper.layout, ["D2"], tables)
+    m = current.observable.matrix
+    assert current.name == "net_bath_current_D2" and m.has_canonical_format
+    assert m.nnz == np.count_nonzero(m.diagonal()) and np.all(m.diagonal().imag == 0)
 
 
 def _tables(n, modulated):

@@ -9,6 +9,7 @@ from heatrect.spaces import (
     HarmonicOscillator,
     Qutrit,
     SpaceLayout,
+    SparseOperator,
     embed,
     lowering_op,
     number_op,
@@ -224,3 +225,31 @@ def test_vec_is_column_stacking():
     )
     v = rho.vec()
     assert v[0] == 0.75 and v[1] == -0.1j and v[2] == 0.1j and v[3] == 0.25
+
+
+def _random_state(rng, d):
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize("layout", [
+    single(Qutrit()),
+    SpaceLayout.of(("D1", Qutrit()), ("M1", HarmonicOscillator(2)), ("D2", Qutrit())),
+], ids=["qutrit", "bridge-trio-N2"])
+def test_expectation_matches_dense_trace(layout):
+    # Tr(W rho) from W's stored entries against the dense trace, for complex
+    # non-Hermitian W of every fill, an empty and a diagonal one included
+    d = layout.total_dim
+    rng = np.random.default_rng(d)
+    rho = DensityMatrix.from_matrix(layout, _random_state(rng, d))
+    cases = [sp.csr_array((d, d)), sp.diags_array(rng.standard_normal(d) + 1j * rng.standard_normal(d))]
+    for density in (0.05, 0.3, 1.0):
+        mask = rng.random((d, d)) < density
+        cases.append(sp.csr_array(mask * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))))
+    for w in cases:
+        op = SparseOperator.wrap(layout, w)
+        got, want = rho.expectation(op), np.trace(w.toarray() @ rho.data)
+        assert isinstance(got, complex)
+        assert abs(got - want) <= 1e-14 * abs(want)
+    assert rho.expectation(SparseOperator.wrap(layout, cases[0])) == 0.0

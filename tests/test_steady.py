@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,7 +49,6 @@ from heatrect.steady import (
     _complex_state,
     _generator_norm_bound,
     _make_rhs,
-    _normalize_steady_state,
     _real_observable,
     _rk4_steps,
     _unit_grid,
@@ -325,21 +325,23 @@ def random_hermitian(d: int, seed: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+DEGENERATE_CASES = [
+    # purely coherent: every energy eigenstate projector is stationary
+    lambda: coherent_generator(np.diag([0.0, 1.0]).astype(complex)),
+    # dense random H: no factor is exactly singular, the two trace
+    # slices must disagree
+    lambda: coherent_generator(random_hermitian(3, seed=3)),
+    lambda: coherent_generator(random_hermitian(5, seed=5)),
+    lambda: coherent_generator(random_hermitian(8, seed=8)),
+    # wide enough that COLAMD picks a column order other than the identity
+    lambda: coherent_generator(random_hermitian(12, seed=12)),
+    # qutrit with two absorbing states, |0> and |2>
+    lambda: qutrit_rate_generator([RateTable({(1, 0): 1.0, (1, 2): 2.0})]),
+]
+
+
 @pytest.mark.parametrize(
-    "make_generator",
-    [
-        # purely coherent: every energy eigenstate projector is stationary
-        lambda: coherent_generator(np.diag([0.0, 1.0]).astype(complex)),
-        # dense random H: no factor is exactly singular, the two trace
-        # slices must disagree
-        lambda: coherent_generator(random_hermitian(3, seed=3)),
-        lambda: coherent_generator(random_hermitian(5, seed=5)),
-        lambda: coherent_generator(random_hermitian(8, seed=8)),
-        # wide enough that COLAMD picks a column order other than the identity
-        lambda: coherent_generator(random_hermitian(12, seed=12)),
-        # qutrit with two absorbing states, |0> and |2>
-        lambda: qutrit_rate_generator([RateTable({(1, 0): 1.0, (1, 2): 2.0})]),
-    ],
+    "make_generator", DEGENERATE_CASES,
     ids=["coherent-diag-2", "coherent-random-3", "coherent-random-5", "coherent-random-8",
          "coherent-random-12", "qutrit-two-absorbing"],
 )
@@ -383,7 +385,7 @@ def direct_solve_cases():
 
 
 def test_direct_factors_once_per_call_and_orders_columns_once_per_pattern(monkeypatch):
-    steady._COLUMN_ORDERS.clear()
+    lindblad._DIRECT_PLANS.clear()
     calls = []
 
     def counted(a, *args, _original=spla.splu, **kwargs):
@@ -391,23 +393,38 @@ def test_direct_factors_once_per_call_and_orders_columns_once_per_pattern(monkey
         return _original(a, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counted)
-    # a delta_omega sweep of one layout: one pattern, so one COLAMD order
+    # a delta_omega sweep of one layout: one real table, so one plan and one COLAMD order
     for k, delta_omega in enumerate(np.geomspace(50.0, 500.0, 6)):
         upper, _ = build_bridge_half_generators(CircuitSpec.build(
             "bridge", T_left=1.0, T_right=0.1, delta_omega=delta_omega, ho_truncation=3))
         steady_state_direct(upper)
         assert len(calls) == k + 1
     assert calls == ["COLAMD"] + ["NATURAL"] * 5
-    assert len(steady._COLUMN_ORDERS) == 1
+    assert len(lindblad._DIRECT_PLANS) == 1
     for gen in direct_solve_cases():
         before = len(calls)
         steady_state_direct(gen)
         assert len(calls) == before + 1
 
 
+def test_direct_route_builds_no_complex_superoperator(monkeypatch):
+    # the residual reads the term table's entries, never superops()
+    def refused(self):
+        raise AssertionError("superops() called on the direct route")
+
+    monkeypatch.setattr(Liouvillian, "superops", refused)
+    lindblad._DIRECT_PLANS.clear()
+    for gen in direct_solve_cases():
+        rho = steady_state_direct(gen)
+        assert abs(np.trace(rho.data) - 1.0) < 1e-12
+    for make_generator in DEGENERATE_CASES:
+        with pytest.raises(DegenerateSteadyStateError):
+            steady_state_direct(make_generator())
+
+
 @pytest.mark.parametrize("reuse_order", [False, True], ids=["first-of-pattern", "cached-order"])
 def test_direct_matches_two_factorization_reference(reuse_order):
-    steady._COLUMN_ORDERS.clear()
+    lindblad._DIRECT_PLANS.clear()
     for gen in direct_solve_cases():
         if reuse_order:
             steady_state_direct(gen)
@@ -420,21 +437,28 @@ def test_direct_reports_a_singular_capacitance_matrix(monkeypatch):
     # V = [l_0 - tau, tau - l_1] has columns (-1, 0) and (1, 2); a factor
     # returning Z = e_0 e_0^T makes C = I + V^T Z = [[0, 0], [1, 1]] singular
     gen = decay_generator(dim=2, Gamma=1.0)
-    monkeypatch.setattr(steady, "_lu_solve", lambda m, b: np.array([[1.0, 0.0], [0.0, 0.0]]))
+    factor = SimpleNamespace(solve=lambda b: np.array([[1.0, 0.0], [0.0, 0.0]]), perm_c=np.arange(2))
+    monkeypatch.setattr(spla, "splu", lambda a, **kwargs: factor)
     with pytest.raises(DegenerateSteadyStateError, match="second trace slice is singular"):
         steady_state_direct(gen)
 
 
-def test_normalization_rejects_a_nan_residual():
+def test_normalization_rejects_a_nan_residual(monkeypatch):
     # a nan residual compares False with the 1e-10 bound, so it must be
-    # rejected explicitly
+    # rejected explicitly; the residual reads the complex term table
     gen = decay_generator(dim=2, Gamma=1.0)
-    superop = gen.superops()[0]
-    superop.data[0] = np.nan
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    assert _normalize_steady_state(gen.layout, gen.superops()[0], rho).data[0, 0] == 1.0
+    assert steady_state_direct(gen).data[0, 0] == 1.0
+    real_tables = Liouvillian._real
+
+    def poisoned(self):
+        table, transform, real = real_tables(self)
+        coefficients = table.coefficients.copy()
+        coefficients.data[0] = np.nan
+        return lindblad._TermTable(table.side, table.indptr, table.indices, coefficients), transform, real
+
+    monkeypatch.setattr(Liouvillian, "_real", poisoned)
     with pytest.raises(ArithmeticError, match="residual nan"):
-        _normalize_steady_state(gen.layout, superop, rho)
+        steady_state_direct(gen)
 
 
 def test_direct_agrees_with_long_time_evolution():
@@ -626,18 +650,22 @@ def test_direct_block_solve_matches_full_space_oracle(make_generator):
 
 
 def test_direct_residual_check_guards_the_real_block_solve(monkeypatch):
-    # a real static block that disagrees with the complex superoperator in
-    # one coherence equation: both trace slices agree, the lifted state fails
+    # a real table that disagrees with the complex superoperator in one
+    # coherence equation: both trace slices agree, the lifted state fails
     gen = bridge_halves(2)[1][0]
-    real_superops = Liouvillian.real_superops
+    real_tables = Liouvillian._real
 
     def perturbed(self):
-        transform, l0, drives = real_superops(self)
+        table, transform, real = real_tables(self)
         row = gen.dim
-        l0[row, row] *= 1.001
-        return transform, l0, drives
+        entry = real.indptr[row] + np.searchsorted(real.indices[real.indptr[row]:real.indptr[row + 1]], row)
+        assert real.indices[entry] == row
+        scale = np.ones(real.indices.size)
+        scale[entry] = 1.001
+        coefficients = sp.csc_array(sp.diags_array(scale) @ real.coefficients)
+        return table, transform, lindblad._TermTable(real.side, real.indptr, real.indices, coefficients)
 
-    monkeypatch.setattr(Liouvillian, "real_superops", perturbed)
+    monkeypatch.setattr(Liouvillian, "_real", perturbed)
     with pytest.raises(ArithmeticError, match="residual"):
         steady_state_direct(gen)
 
