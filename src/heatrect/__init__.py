@@ -17,7 +17,6 @@ from .lindblad import (
     build_generator,
     build_reduced_generator,
     qutrit_rate_table,
-    rate_tables,
 )
 from .observables import (
     BiasSetting,

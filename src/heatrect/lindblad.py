@@ -3,7 +3,8 @@
 One builder makes every Hamiltonian, rate table and generator from the
 wiring table ``circuits.TOPOLOGIES``, the reduced models included: a bath
 acts through its filter oscillator when the layout keeps it, and otherwise
-through the rate contacts of ``CircuitTopology.reduced_contacts``.
+through the rate contacts of ``CircuitTopology.reduced_contacts``.  Every
+jump of a filter or a contact carries its bath's side.
 
 Vectorization is column-stacking throughout: vec(rho)[i + d*j] = rho[i, j],
 so vec(A rho B) = (B^T kron A) vec(rho).  The generator acts only through
@@ -25,7 +26,7 @@ A generator built from the wiring table lists every jump its wiring
 allows, zero rates included, so every point of a sweep at one truncation
 shares one table.  Four LRU caches, each bounded to a few layouts' worth
 of entries, keep the embedded one-mode operators, keyed on (layout,
-constructor, arguments); the term tables and the coherent tables, both
+constructor, arguments); the term tables and the operator tables, both
 keyed on (layout, term keys); and the real tables below.
 
 Both steady-state routes solve on the invariant block that carries the
@@ -38,9 +39,10 @@ pattern, each checked to preserve Hermiticity when the table is built.  A
 point's real static and drive superoperators are then one sparse product
 each of that table with the point's weights, written onto the table's
 fixed pattern, and the direct solve keeps a plan per real table.  A
-generator builds its Hamiltonian when ``hamiltonian`` is first read, from
-the coherent table, a table of the coherent terms' d x d operators
-themselves; the integrator's step bound reads its row sums.
+generator builds its Hamiltonian when ``hamiltonian`` is first read, and a
+bath current its operator, from the operator table of each term's d x d
+operator (a coherent term's own, a jump's emission operator); the
+integrator's step bound reads the Hamiltonian's row sums.
 """
 
 from __future__ import annotations
@@ -355,11 +357,13 @@ def transition_op(layout: SpaceLayout, label: str, from_level: int, to_level: in
 @dataclass(frozen=True)
 class _WeightedTerms:
     """A generator as weights on the cached term table of its layout: one
-    weight vector over ``keys`` for the static part and one per drive."""
+    weight vector over ``keys`` for the static part and one per drive, and
+    the bath side of each key ("left", "right", or None off the baths)."""
 
     keys: tuple
     static: np.ndarray
     drives: tuple[tuple[float, np.ndarray], ...]
+    sides: tuple
 
 
 def _given(layout: SpaceLayout, op: SparseOperator) -> SparseOperator:
@@ -370,12 +374,24 @@ def _given(layout: SpaceLayout, op: SparseOperator) -> SparseOperator:
 
 
 @functools.lru_cache(maxsize=4)
-def _coherent_table(layout: SpaceLayout, keys: tuple) -> _TermTable:
-    """The d x d operators O_k of the coherent terms among ``keys`` as a
-    table, in key order; every other key is an empty column."""
+def _operator_table(layout: SpaceLayout, keys: tuple) -> _TermTable:
+    """The d x d operator of each of ``keys`` as a table, in key order: O_k
+    of a coherent term, and of the dissipator of a jump A on a named mode
+    its emission operator W_k = {A†A, n}/2 - A† n A, n that mode's number
+    operator, so that Tr(W_k rho) is the excitation flow out of the system
+    through that dissipator; an operator handed to ``Liouvillian`` as a jump
+    is an empty column."""
+    def pairs(term, op):
+        if term is _coherent_term:
+            return [(eye, _mode_operator(layout, *op).matrix)]
+        if op[0] is _given:
+            return []
+        a, n = _mode_operator(layout, *op).matrix, _mode_operator(layout, number_op, op[1]).matrix
+        ada = a.conj().T @ a
+        return [(eye, 0.5 * (ada @ n + n @ ada) - a.conj().T @ n @ a)]
+
     eye = sp.eye_array(1, format="coo")
-    return _TermTable.of(([(eye, _mode_operator(layout, *op).matrix)] if term is _coherent_term else []
-                          for term, op in keys), layout.total_dim)
+    return _TermTable.of((pairs(*key) for key in keys), layout.total_dim)
 
 
 def _coherent_part(layout: SpaceLayout, terms: _WeightedTerms) -> TimeDependentOperator | None:
@@ -383,11 +399,12 @@ def _coherent_part(layout: SpaceLayout, terms: _WeightedTerms) -> TimeDependentO
     of each drive, are the coherent operators weighted by the static
     weights, or by that drive's, and summed in key order, which gives every
     entry the value that the sparse sum of the weighted operators gives it."""
-    if all(term is not _coherent_term for term, _ in terms.keys):
+    coherent = np.array([term is _coherent_term for term, _ in terms.keys])
+    if not coherent.any():
         return None
-    table = _coherent_table(layout, terms.keys)
+    table = _operator_table(layout, terms.keys)
     h0, *vs = (SparseOperator.wrap(layout, table.assemble(w))
-               for w in (terms.static, *(w for _, w in terms.drives)))
+               for w in (np.where(coherent, terms.static, 0.0), *(w for _, w in terms.drives)))
     return TimeDependentOperator(h0, tuple((nu, v) for (nu, _), v in zip(terms.drives, vs)))
 
 
@@ -423,7 +440,7 @@ class Liouvillian:
         unit = np.eye(len(keys))
         static = np.array([1.0] * len(static_part) + [0.0] * len(drive_terms) + [w for w, _ in jumps])
         drives = tuple((nu, unit[len(static_part) + k]) for k, (nu, _) in enumerate(drive_terms))
-        self.layout, self._terms = layout, _WeightedTerms(keys, static, drives)
+        self.layout, self._terms = layout, _WeightedTerms(keys, static, drives, (None,) * len(keys))
 
     @classmethod
     def _of(cls, layout: SpaceLayout, terms: _WeightedTerms) -> "Liouvillian":
@@ -499,23 +516,11 @@ def _contact_table(spec: CircuitSpec, contact: Contact) -> RateTable:
     return qutrit_rate_table(spec.diodes[contact.diode], bath.n, bath.Gamma, modulated)
 
 
-def rate_tables(spec: CircuitSpec) -> dict[str, dict[str, RateTable]]:
-    """Rate table of every bath contact of the spec's reduced model, as
-    {side: {diode: table}}.  Under PAPER_LITERAL a right-side contact takes
-    the static (J'-free) rate form."""
-    tables: dict[str, dict[str, RateTable]] = {"left": {}, "right": {}}
-    for contact in TOPOLOGIES[spec.topology].reduced_contacts:
-        tables[contact.side][contact.diode] = _contact_table(spec, contact)
-    return tables
-
-
 def bridge_rate_tables(spec: CircuitSpec) -> dict[str, RateTable]:
-    """Per-diode view of ``rate_tables`` for the bridge, each of whose diodes
-    faces one bath."""
+    """Rate table of each bridge diode's one bath contact, by diode."""
     if spec.topology is not Topology.BRIDGE:
         raise ValueError("bridge rate tables are only defined for the bridge topology")
-    tables = rate_tables(spec)
-    return {**tables["left"], **tables["right"]}
+    return {c.diode: _contact_table(spec, c) for c in TOPOLOGIES[spec.topology].reduced_contacts}
 
 
 def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
@@ -545,23 +550,24 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
         if c.modulated and params.J_prime > 0:
             drives.setdefault(params.delta_omega, []).append((params.J_prime, (_exchange_op, c.a, c.b)))
 
-    # (rate, operator key) of every jump the wiring allows, zero rates
-    # included, so that every point of a sweep shares one term table
+    # (rate, operator key, bath side) of every jump the wiring allows, zero
+    # rates included, so that every point of a sweep shares one term table
     rates = []
     for contact in topology.reduced_contacts:
         if contact.diode in labels and contact.side not in kept:
             table = _contact_table(spec, contact)
-            rates += [(table.get(*t), (transition_op, contact.diode, *t)) for t in _ALLOWED_TRANSITIONS]
+            rates += [(table.get(*t), (transition_op, contact.diode, *t), contact.side)
+                      for t in _ALLOWED_TRANSITIONS]
     for side, label in kept.items():
         bath = spec.bath(side)
-        rates += [(bath.Gamma * (bath.n + 1.0), (lowering_op, label)),
-                  (bath.Gamma * bath.n, (raising_op, label))]
+        rates += [(bath.Gamma * (bath.n + 1.0), (lowering_op, label), side),
+                  (bath.Gamma * bath.n, (raising_op, label), side)]
     if topology.decoherence:
         for label in labels:
-            rates += [(spec.gamma_dec, (lowering_op, label)), (spec.gamma_dec, (number_op, label))]
+            rates += [(spec.gamma_dec, (lowering_op, label), None), (spec.gamma_dec, (number_op, label), None)]
 
     keys = (tuple((_coherent_term, key) for _, key in pieces)
-            + tuple((_dissipator_term, key) for _, key in rates))
+            + tuple((_dissipator_term, key) for _, key, _ in rates))
     column = {key: k for k, (_, key) in enumerate(pieces)}
     drive_weights = []
     for nu, parts in sorted(drives.items()):
@@ -569,8 +575,9 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
         for c, key in parts:
             weights[column[key]] += c
         drive_weights.append((nu, weights))
-    static = np.array([c for c, _ in pieces] + [rate for rate, _ in rates])
-    return Liouvillian._of(layout, _WeightedTerms(keys, static, tuple(drive_weights)))
+    static = np.array([c for c, _ in pieces] + [rate for rate, _, _ in rates])
+    sides = (None,) * len(pieces) + tuple(side for _, _, side in rates)
+    return Liouvillian._of(layout, _WeightedTerms(keys, static, tuple(drive_weights), sides))
 
 
 def build_generator(spec: CircuitSpec) -> Liouvillian:

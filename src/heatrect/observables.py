@@ -2,9 +2,11 @@
 thermal populations, fidelity, and per-mode reports.
 
 Every current is the net excitation current into one bath (emission minus
-absorption), read by ``bath_current_functional`` from the wiring table
-``circuits.TOPOLOGIES``; ``net_bath_current_functional`` is its form for
-explicit rate tables.
+absorption), read by ``bath_current_functional`` from the generator's own
+dissipators of that bath, the jumps its builder tagged with the bath's
+side; ``net_bath_current_functional`` is its form for explicit rate
+tables.  Both weight the emission operators of ``lindblad``'s cached
+operator table.
 """
 
 from __future__ import annotations
@@ -13,20 +15,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .circuits import TOPOLOGIES, CircuitSpec, bose_occupation
-from .lindblad import _mode_operator, rate_tables
-from .spaces import (
-    DensityMatrix,
-    SpaceLayout,
-    SparseOperator,
-    lowering_op,
-    number_op,
-    partial_trace,
-    projector,
-    raising_op,
+from .circuits import bose_occupation
+from .lindblad import (
+    _ALLOWED_TRANSITIONS,
+    Liouvillian,
+    _dissipator_term,
+    _mode_operator,
+    _operator_table,
+    transition_op,
 )
+from .spaces import DensityMatrix, SpaceLayout, SparseOperator, number_op, partial_trace
 
 RECTIFICATION_CURRENT_FLOOR = 1e-14
 
@@ -66,51 +65,43 @@ class CurrentFunctional:
 
 def net_bath_current_functional(layout: SpaceLayout, labels, tables) -> CurrentFunctional:
     """Net excitation current into a bath through the rate contacts of the
-    qutrits ``labels``, whose rate tables ``tables`` holds by label.
-
-    Emission minus absorption, one diagonal weight per qutrit:
-    r10 P1 + r21 P2 - r01 P0 - r12 P1 = diag(-r01, r10 - r12, r21), summed
-    on the diagonals of the layout's cached level projectors.  No labels, or
-    a label without a rate table, raise ``ValueError``.
+    qutrits ``labels``, whose rate tables ``tables`` holds by label: the
+    emission operators of each qutrit's four transition jumps, weighted by
+    its table's rates, which sum to diag(-r01, r10 - r12, r21).  No labels,
+    or a label without a rate table, raise ``ValueError``.
     """
     labels = list(labels)
     missing = [label for label in labels if label not in tables]
     if missing or not labels:
         raise ValueError(f"bath current needs labels with rate tables, got {labels} (none for {missing}); "
                          f"the tables hold {sorted(tables)}")
-    w = np.zeros(layout.total_dim)
-    for label in labels:
-        t = tables[label]
-        for level, rate in enumerate((-t.get(0, 1), t.get(1, 0) - t.get(1, 2), t.get(2, 1))):
-            w += rate * _mode_operator(layout, projector, label, level).matrix.diagonal().real
-    keep = np.flatnonzero(w).astype(np.int32)
-    indptr = np.concatenate([[0], np.cumsum(w != 0)]).astype(np.int32)
-    return CurrentFunctional("net_bath_current_" + "_".join(labels), SparseOperator(
-        layout, sp.csr_array((w[keep].astype(np.complex128), keep, indptr), shape=(w.size, w.size))))
+    transitions = [(label, t) for label in labels for t in _ALLOWED_TRANSITIONS]
+    keys = tuple((_dissipator_term, (transition_op, label, *t)) for label, t in transitions)
+    weights = np.array([tables[label].get(*t) for label, t in transitions])
+    return CurrentFunctional("net_bath_current_" + "_".join(labels),
+                             SparseOperator.wrap(layout, _operator_table(layout, keys).assemble(weights)))
 
 
-def bath_current_functional(spec: CircuitSpec, layout: SpaceLayout, side: str) -> CurrentFunctional:
-    """Net excitation current into the ``side`` bath, wired as
-    ``TOPOLOGIES[spec.topology]`` declares; positive when the system heats
-    that bath.  The heat current is this times the filter frequency.
+def bath_current_functional(generator: Liouvillian, side: str) -> CurrentFunctional:
+    """Net excitation current into the ``side`` bath; positive when the
+    system heats that bath.  The heat current is this times the filter
+    frequency.
 
-    A bath's current is the work of its own contacts.  When ``layout`` keeps
-    that side's filter oscillator (the full single-diode model) it is
-    Gamma (n+1) a†a - Gamma n a a† on the filter; otherwise it is the rate
-    contacts on that side of the diodes in ``layout``.
+    It is the excitation flow out of the system through that bath's own
+    dissipators, -Tr(n L_side rho): the jumps tagged ``side``, each its rate
+    times its emission operator, which sum to diag(-r01, r10 - r12, r21)
+    through a qutrit's rate contact and to Gamma (n+1) a†a - Gamma n a a†
+    through a kept filter.  It is named after the modes of those jumps; a
+    generator with none, as an operator-built one, raises ``ValueError``.
     """
-    for label, filter_side in TOPOLOGIES[spec.topology].filters:
-        if filter_side == side and label in layout.labels:
-            bath = spec.bath(side)
-            a, ad = _mode_operator(layout, lowering_op, label), _mode_operator(layout, raising_op, label)
-            w = bath.Gamma * (bath.n + 1.0) * (ad @ a) - bath.Gamma * bath.n * (a @ ad)
-            return CurrentFunctional(f"net_bath_current_{label}", w)
-    tables = rate_tables(spec)[side]
-    labels = [label for label in tables if label in layout.labels]
-    if not labels:
-        raise ValueError(f"layout {list(layout.labels)} holds no contact of the {side} bath "
-                         f"of the {spec.topology.value} circuit")
-    return net_bath_current_functional(layout, labels, tables)
+    layout, terms = generator.layout, generator._terms
+    tagged = np.array([s == side for s in terms.sides], dtype=bool)
+    if not tagged.any():
+        raise ValueError(f"generator on {list(layout.labels)} has no contact of the {side!r} bath")
+    labels = dict.fromkeys(op[1] for (_, op), t in zip(terms.keys, tagged) if t)
+    table = _operator_table(layout, terms.keys)
+    return CurrentFunctional("net_bath_current_" + "_".join(labels),
+                             SparseOperator.wrap(layout, table.assemble(np.where(tagged, terms.static, 0.0))))
 
 
 def rectification(j_forward: float, j_reverse: float) -> float:

@@ -161,7 +161,7 @@ def _two_way_setup(resolved: ResolvedConfig, topology: str, bias: str, dw1: floa
     spec = _spec_for(resolved.circuit, topology, resolved.biases[bias], {"D1": dw1, "D2": dw2})
     gen = build_generator(spec)
     side, sign = _BIAS_SIDES[bias]
-    return gen, bath_current_functional(spec, gen.layout, side), sign
+    return gen, bath_current_functional(gen, side), sign
 
 
 def _two_way_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
@@ -210,7 +210,7 @@ def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
     }
     runs = []
     for gen, (half, mode, side) in zip(build_bridge_half_generators(spec), _BRIDGE_TRIOS):
-        run = _steady(out, gen, bath_current_functional(spec, gen.layout, "right"), resolved.protocol)
+        run = _steady(out, gen, bath_current_functional(gen, "right"), resolved.protocol)
         runs.append(run)
         row[f"solver_{half}"] = run.solver
         row[f"current_{half}_right"] = run.value
@@ -244,7 +244,7 @@ def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
         spec = _spec_for(resolved.circuit, "bridge",
                          temps if bias == "forward" else temps.swapped(bias), dw1)
         _, gen = build_bridge_half_generators(spec)
-        obs = bath_current_functional(spec, gen.layout, "right")
+        obs = bath_current_functional(gen, "right")
         sign = 1.0
     run = _averaged(out, gen, obs, resolved.protocol,
                     resolved.extras["trajectory_points_per_block"])
@@ -275,20 +275,21 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
     setting = resolved.biases[bias]
     delta_omega = resolved.extras["delta_omega"]
     spec = _spec_for(resolved.circuit, "single-diode", setting, delta_omega)
-    full, reduced = (_steady(out, gen, bath_current_functional(spec, gen.layout, "right"),
-                             resolved.protocol)
+    full, reduced = (_steady(out, gen, bath_current_functional(gen, "right"), resolved.protocol)
                      for gen in (build_generator(spec), build_reduced_generator(spec)))
 
-    # both currents vanish at equilibrium; the stopping rule's floor keeps
-    # their round-off from reading as a 100% deviation
+    # both currents vanish at equilibrium: below the stopping rule's floor
+    # both are round-off, so their deviation is written as 0; the floor also
+    # keeps a vanishing full current from reading as a 100% deviation
     scale = max(abs(full.value), CONVERGENCE_ABS_FLOOR)
+    round_off = max(abs(full.value), abs(reduced.value)) < CONVERGENCE_ABS_FLOOR
     return [{
         "bias": bias,
         "n_left": setting.n_left,
         "n_right": setting.n_right,
         "current_full": full.value,
         "current_reduced": reduced.value,
-        "rel_deviation": abs(reduced.value - full.value) / scale,
+        "rel_deviation": 0.0 if round_off else abs(reduced.value - full.value) / scale,
         **full.block_columns(),
         "converged": full.converged and reduced.converged,
         "delta_omega": delta_omega,

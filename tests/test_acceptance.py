@@ -336,7 +336,7 @@ def test_criterion_11_bridge_rectifies_both_polarities():
                                      delta_omega=delta_omega, ho_truncation=4)
             upper, lower = build_bridge_half_generators(spec)
             res = steady_state_averaged(
-                lower, observable=bath_current_functional(spec, lower.layout, "right"))
+                lower, observable=bath_current_functional(lower, "right"))
             t_m1 = mode_report(steady_state_direct(upper), "M1").effective_T
             t_m2 = mode_report(res.final_state, "M2").effective_T
             assert t_m1 > t_m2, (name, t_left, t_right, t_m1, t_m2)

@@ -54,8 +54,8 @@ ATOL = 1e-12
 def _atol(column: str, ref_row: dict) -> float:
     """ATOL, except for ``rel_deviation``, which is a current difference
     over max(|current_full|, CONVERGENCE_ABS_FLOOR) and so inherits ATOL
-    divided by that scale: at equilibrium it is round-off over the 1e-8
-    floor, about 1e-7, and moved by up to 99 % under the kernels above."""
+    divided by that scale; at equilibrium, where both currents are
+    round-off below that floor, it is written as 0."""
     if column == "rel_deviation":
         return ATOL / max(abs(ref_row["current_full"]), CONVERGENCE_ABS_FLOOR)
     return ATOL

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from heatrect import lindblad
 from heatrect.circuits import CircuitSpec, DiodeParams, bose_occupation
 from heatrect.lindblad import (
+    Liouvillian,
     bridge_rate_tables,
     build_bridge_half_generators,
     build_generator,
+    build_reduced_generator,
     qutrit_rate_table,
 )
 from heatrect.observables import (
     BiasSetting,
+    CurrentFunctional,
     bath_current_functional,
     effective_temperature,
     fidelity,
@@ -26,7 +30,12 @@ from heatrect.spaces import (
     HarmonicOscillator,
     Qutrit,
     SpaceLayout,
+    SparseOperator,
+    lowering_op,
+    number_op,
+    projector,
 )
+from heatrect.steady import steady_state_averaged, steady_state_direct
 
 
 def two_qutrits():
@@ -40,10 +49,9 @@ def random_density(rng, d):
 
 
 def single_diode(n_left, truncation):
-    """Full single-diode spec and its layout [L, D1, R]."""
-    spec = CircuitSpec.build("single-diode", n_left=n_left, n_right=0.0, Gamma=10.0,
-                             ho_truncation=truncation)
-    return spec, build_generator(spec).layout
+    """Full single-diode generator on its layout [L, D1, R]."""
+    return build_generator(CircuitSpec.build("single-diode", n_left=n_left, n_right=0.0, Gamma=10.0,
+                                             ho_truncation=truncation))
 
 
 def filter_state(layout, left_filter):
@@ -53,36 +61,159 @@ def filter_state(layout, left_filter):
 
 
 def test_bath_exchange_current_vacuum():
-    spec, layout = single_diode(0.5, 6)
-    rho = DensityMatrix.ground_state(layout)
+    gen = single_diode(0.5, 6)
+    rho = DensityMatrix.ground_state(gen.layout)
     # <a a†> = 1 and <a† a> = 0 in vacuum: the bath pumps Gamma n = 5 into L
-    left = bath_current_functional(spec, layout, "left")
+    left = bath_current_functional(gen, "left")
     assert left.value(rho) == pytest.approx(-5.0, abs=1e-13)
 
 
 def test_bath_exchange_current_detailed_balance_zero():
-    spec, layout = single_diode(0.5, 8)
+    gen = single_diode(0.5, 8)
     r = 0.5 / 1.5
     g = r ** np.arange(8)
-    rho = filter_state(layout, np.diag(g / g.sum()).astype(complex))
-    assert abs(bath_current_functional(spec, layout, "left").value(rho)) < 1e-12
+    rho = filter_state(gen.layout, np.diag(g / g.sum()).astype(complex))
+    assert abs(bath_current_functional(gen, "left").value(rho)) < 1e-12
 
 
 def test_bath_exchange_current_sign():
-    spec, layout = single_diode(0.0, 4)
+    gen = single_diode(0.0, 4)
     excited = np.zeros((4, 4), dtype=complex)
     excited[1, 1] = 1.0
-    rho = filter_state(layout, excited)
+    rho = filter_state(gen.layout, excited)
     # system hotter than the bath: the current flows into it
-    assert bath_current_functional(spec, layout, "left").value(rho) > 0
+    assert bath_current_functional(gen, "left").value(rho) > 0
+
+
+def wired_baths() -> list:
+    """(spec, generator, {side: (labels, contact)}) for every generator a
+    scenario builds, each bath's contacts written out by hand: ``contact``
+    is "filter" for a kept filter oscillator, and otherwise says whether
+    the qutrits' contacts carry the drive-induced rates ("modulated") or
+    not ("static")."""
+    par = CircuitSpec.build("parallel", n_left=0.4, n_right=0.15, delta_omega={"D1": 100.0, "D2": 150.0})
+    ser = CircuitSpec.build("series", n_left=0.4, n_right=0.15, delta_omega={"D1": 300.0, "D2": 450.0})
+    bridge = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=3,
+                               delta_omega={"D1": 300.0, "D2": 200.0, "D3": 300.0, "D4": 150.0})
+    literal = CircuitSpec.build("bridge", T_left=0.1, T_right=1.0, ho_truncation=3,
+                                bridge_rate_mode="paper-literal")
+    one = CircuitSpec.build("single-diode", n_left=0.5, n_right=0.2, Gamma=20.0, ho_truncation=4)
+    upper, lower = build_bridge_half_generators(bridge)
+    return [
+        (par, build_generator(par), {"left": (["D1", "D2"], "modulated"), "right": (["D1", "D2"], "static")}),
+        (ser, build_generator(ser), {"left": (["D1"], "modulated"), "right": (["D2"], "static")}),
+        (bridge, upper, {"left": (["D1"], "modulated"), "right": (["D2"], "modulated")}),
+        # paper-literal reads D2's right-bath rates without the drive term
+        (literal, build_bridge_half_generators(literal)[0],
+         {"left": (["D1"], "modulated"), "right": (["D2"], "static")}),
+        (bridge, lower, {"left": (["D3"], "static"), "right": (["D4"], "static")}),
+        (one, build_generator(one), {"left": (["L"], "filter"), "right": (["R"], "filter")}),
+        (one, build_reduced_generator(one), {"left": (["D1"], "modulated"), "right": (["D1"], "static")}),
+    ]
+
+
+def hand_current(spec, layout, side, labels, contact) -> np.ndarray:
+    """Dense operator of the net excitation current into the ``side`` bath,
+    written out by hand: Gamma (n+1) a†a - Gamma n a a† on a kept filter,
+    diag(-r01, r10 - r12, r21) on each qutrit of a rate contact."""
+    bath = spec.bath(side)
+    if contact == "filter":
+        (label,) = labels
+        a = lowering_op(layout, label).matrix.toarray()
+        return bath.Gamma * (bath.n + 1.0) * (a.conj().T @ a) - bath.Gamma * bath.n * (a @ a.conj().T)
+    w = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    for label in labels:
+        t = qutrit_rate_table(spec.diodes[label], bath.n, bath.Gamma, contact == "modulated")
+        for level, rate in enumerate((-t.get(0, 1), t.get(1, 0) - t.get(1, 2), t.get(2, 1))):
+            w += rate * projector(layout, label, level).matrix.toarray()
+    return w
+
+
+def test_bath_currents_match_the_hand_formulas():
+    # every bath current of every generator a scenario builds, read from the
+    # generator's side-tagged dissipators, against the formulas written out
+    # here from the wiring by hand; the bound is 1e-14 of the largest weight
+    rng = np.random.default_rng(23)
+    for spec, gen, baths in wired_baths():
+        for side, (labels, contact) in baths.items():
+            current = bath_current_functional(gen, side)
+            assert current.name == "net_bath_current_" + "_".join(labels)
+            w = hand_current(spec, gen.layout, side, labels, contact)
+            scale = np.max(np.abs(w))
+            assert np.max(np.abs(current.observable.matrix.toarray() - w)) <= 1e-14 * scale
+            for _ in range(3):
+                rho = DensityMatrix.from_matrix(gen.layout, random_density(rng, gen.dim))
+                assert abs(current.value(rho) - np.trace(w @ rho.data).real) <= 1e-14 * scale
+
+
+# Every Hamiltonian here conserves the excitation number, so in a steady
+# state what the two baths feed in the decoherence takes out:
+# I_left + I_right + gamma_dec sum_m <n_m> = 0.  Bounds on the residual over
+# the larger current: direct solves met it to 2.1e-11 (bridge upper half,
+# N=3, gamma_dec = 0); the windowed average to 1.3e-8 (lower half, N=3), as
+# its state still drifts over the averaging window.
+BALANCE_BOUND_DIRECT = 1e-9
+BALANCE_BOUND_AVERAGED = 1e-6
+
+
+def excitation_loss(layout, gamma_dec) -> np.ndarray:
+    """gamma_dec sum_m n_m: the excitations that every mode's decay takes out."""
+    return gamma_dec * sum(number_op(layout, label).matrix.toarray() for label in layout.labels)
+
+
+def balance_cases() -> list:
+    """(spec, time-independent generator, {side: (labels, contact)}, gamma_dec)."""
+    cases = []
+    for n_left, n_right in ((0.5, 0.1), (0.1, 0.5)):
+        spec = CircuitSpec.build("parallel", n_left=n_left, n_right=n_right,
+                                 delta_omega={"D1": 100.0, "D2": 150.0})
+        cases.append((spec, build_generator(spec),
+                      {"left": (["D1", "D2"], "modulated"), "right": (["D1", "D2"], "static")}, 0.0))
+    for truncation in (3, 4):
+        for gamma_dec in (0.0, 1e-3, 1e-1):
+            spec = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=truncation,
+                                     gamma_dec=gamma_dec)
+            cases.append((spec, build_bridge_half_generators(spec)[0],
+                          {"left": (["D1"], "modulated"), "right": (["D2"], "modulated")}, gamma_dec))
+    return cases
+
+
+def test_excitation_balance_of_direct_steady_states():
+    for spec, gen, baths, gamma_dec in balance_cases():
+        rho = steady_state_direct(gen).data
+        currents = [np.trace(hand_current(spec, gen.layout, side, *bath) @ rho).real
+                    for side, bath in baths.items()]
+        lost = np.trace(excitation_loss(gen.layout, gamma_dec) @ rho).real
+        assert abs(sum(currents) + lost) <= BALANCE_BOUND_DIRECT * max(map(abs, currents))
+
+
+def test_excitation_balance_of_a_driven_steady_state():
+    # three windowed averages of the driven lower half, one per term
+    spec = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=3, gamma_dec=1e-3)
+    _, lower = build_bridge_half_generators(spec)
+    terms = [hand_current(spec, lower.layout, "left", ["D3"], "static"),
+             hand_current(spec, lower.layout, "right", ["D4"], "static"),
+             excitation_loss(lower.layout, 1e-3)]
+    left, right, lost = (steady_state_averaged(lower, CurrentFunctional(
+        f"term_{k}", SparseOperator.wrap(lower.layout, w))).converged_value for k, w in enumerate(terms))
+    assert abs(left + right + lost) <= BALANCE_BOUND_AVERAGED * max(abs(left), abs(right))
 
 
 def test_bath_current_needs_a_contact_of_the_bath():
     spec = CircuitSpec.build("series", n_left=0.5, n_right=0.0)
-    d1_only = SpaceLayout.of(("D1", Qutrit()))
-    assert bath_current_functional(spec, d1_only, "left").name == "net_bath_current_D1"
-    with pytest.raises(ValueError, match="no contact of the right bath"):
-        bath_current_functional(spec, d1_only, "right")
+    # D1 alone carries the left contact of the series circuit and no right one
+    d1_only = lindblad._generator(spec, SpaceLayout.of(("D1", Qutrit())))
+    assert bath_current_functional(d1_only, "left").name == "net_bath_current_D1"
+    with pytest.raises(ValueError, match="no contact of the 'right' bath"):
+        bath_current_functional(d1_only, "right")
+    with pytest.raises(ValueError, match="no contact of the 'top' bath"):
+        bath_current_functional(build_generator(spec), "top")
+    # an operator-built generator tags no jump with a bath
+    layout = d1_only.layout
+    built = Liouvillian(layout, None, ((1.0, lowering_op(layout, "D1")), (0.5, lowering_op(layout, "D1"))))
+    for side in ("left", "right"):
+        with pytest.raises(ValueError, match="no contact"):
+            bath_current_functional(built, side)
 
 
 def test_net_bath_current_needs_a_rate_table_for_every_label():

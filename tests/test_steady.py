@@ -514,11 +514,11 @@ def stepped_protocol_reference(gen, protocol, obs, h, period):
 
 
 def test_averaged_compiled_matches_stepping():
-    spec, gen = series_generator()
+    _, gen = series_generator()
     protocol = ConvergenceProtocol(
         block_length=95 * T_DRIVE, average_window=20 * T_DRIVE, rel_tol=0.05, max_blocks=30
     )
-    obs = bath_current_functional(spec, gen.layout, "right")
+    obs = bath_current_functional(gen, "right")
     compiled = steady_state_averaged(gen, protocol=protocol, observable=obs)
     block, value, state = stepped_protocol_reference(gen, protocol, obs, compiled.dt, T_DRIVE)
     assert compiled.converged_block == block
@@ -688,8 +688,7 @@ def test_averaged_nonconvergence_carries_last_averages():
     protocol = ConvergenceProtocol(
         block_length=40 * T_DRIVE, average_window=10 * T_DRIVE, rel_tol=1e-12, max_blocks=3
     )
-    spec, _ = series_generator()
-    obs = bath_current_functional(spec, gen.layout, "right")
+    obs = bath_current_functional(gen, "right")
     with pytest.raises(ConvergenceError) as err:
         steady_state_averaged(gen, protocol=protocol, observable=obs)
     assert len(err.value.last_averages) == 2
@@ -714,8 +713,7 @@ def test_averaged_trajectory_sampling():
     protocol = ConvergenceProtocol(
         block_length=60 * T_DRIVE, average_window=15 * T_DRIVE, rel_tol=0.5, max_blocks=10
     )
-    spec, _ = series_generator()
-    obs = bath_current_functional(spec, gen.layout, "right")
+    obs = bath_current_functional(gen, "right")
     res = steady_state_averaged(
         gen, protocol=protocol, observable=obs, trajectory_points_per_block=6
     )
@@ -731,8 +729,8 @@ def test_averaged_trajectory_sampling():
 @pytest.mark.parametrize("points", [0, -3, 2.5, True, "6"])
 def test_averaged_rejects_a_trajectory_count_that_is_not_a_positive_integer(points):
     # -3 used to run and record 14 325 samples; 2.5 and True ran as well
-    spec, gen = series_generator()
-    obs = bath_current_functional(spec, gen.layout, "right")
+    _, gen = series_generator()
+    obs = bath_current_functional(gen, "right")
     with pytest.raises(ValueError, match="trajectory_points_per_block must be None or a positive integer"):
         steady_state_averaged(gen, obs, trajectory_points_per_block=points)
 
@@ -758,8 +756,8 @@ def test_averaged_needs_observable():
 def test_averaged_rejects_an_observable_on_another_layout():
     # the upper trio's right-bath current has the lower trio's dimension but
     # reads D2's contacts, so it is no current of the lower trio
-    spec, (upper, lower) = bridge_halves(3)
-    obs = bath_current_functional(spec, upper.layout, "right")
+    _, (upper, lower) = bridge_halves(3)
+    obs = bath_current_functional(upper, "right")
     assert obs.observable.matrix.shape == (lower.dim, lower.dim)
     with pytest.raises(ValueError, match="layout"):
         steady_state_averaged(lower, obs)
@@ -940,8 +938,8 @@ def _count_real_table_builds(monkeypatch) -> Counter:
 
 
 def test_real_tables_are_built_once_per_layout_and_stay_unchanged(monkeypatch):
-    lindblad._term_table.cache_clear()
-    lindblad._real_table.cache_clear()
+    for cache in (lindblad._term_table, lindblad._real_table, lindblad._operator_table):
+        cache.cache_clear()
     calls = _count_real_table_builds(monkeypatch)
 
     points = [(300.0, 1e-3, 1.0, 0.1), (120.0, 5e-2, 0.1, 1.0), (200.0, 1e-2, 0.5, 0.2)]
@@ -951,13 +949,19 @@ def test_real_tables_are_built_once_per_layout_and_stay_unchanged(monkeypatch):
                                  gamma_dec=gamma_dec, ho_truncation=3)
         upper, lower = build_bridge_half_generators(spec)
         steady_state_direct(upper)
-        steady_state_averaged(lower, observable=bath_current_functional(spec, lower.layout, "right"))
-        # the first point builds one real table per half, later points none
+        bath_current_functional(upper, "right")
+        # the lower half's Hamiltonian, for the step bound, and its current
+        # read one operator table
+        steady_state_averaged(lower, observable=bath_current_functional(lower, "right"))
+        # the first point builds one real table and one operator table per
+        # half, later points none
         if k == 0:
             assert calls["_trace_block"] == calls["hermitian_basis_transform"] == 2
             assert calls["_to_real_superop"] > 0
+            assert lindblad._operator_table.cache_info().misses == 2
         else:
             assert sum(calls.values()) == before
+            assert lindblad._operator_table.cache_info().misses == 2
         # in-place edits of what a point gets back reach no table
         for gen in (upper, lower):
             static, drives = gen.superops()
