@@ -12,7 +12,8 @@ amplitude J_prime.
 ``TOPOLOGIES`` declares each circuit once: its modes grouped into
 independent blocks, its retained couplings, its bath contacts and whether
 it decoheres.  ``lindblad`` builds every Hamiltonian, rate table and
-generator from that table.
+generator from that table.  A bath is its occupation n (``BathParams``);
+``CircuitSpec.build`` also takes a temperature in its place.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _require_finite(params, *names: str):
     """Raise ``ValueError`` for a named field of ``params`` that is nan or infinite."""
     for name in names:
         v = getattr(params, name)
-        if v is not None and not math.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
 
 
@@ -66,35 +67,28 @@ class DiodeParams:
             )
 
 
+def thermal_occupation(name: str, T: float) -> float:
+    """Bose occupation at temperature ``T`` (units of the filter frequency);
+    a ``T`` that is not finite and positive raises ``ValueError`` naming ``name``."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"{name} must be finite and positive, got {T}")
+    return bose_occupation(1.0 / T)
+
+
 @dataclass(frozen=True)
 class BathParams:
-    """Thermal bath attached through a filter oscillator.
+    """Thermal bath of mean occupation ``n``, attached through a filter
+    oscillator of linewidth ``Gamma``."""
 
-    Exactly one of ``occupation`` (mean excitation number) or
-    ``temperature`` (in units of the filter frequency omega) must be given.
-    """
-
+    n: float
     Gamma: float = 10.0
-    occupation: float | None = None
-    temperature: float | None = None
 
     def __post_init__(self):
-        _require_finite(self, "Gamma", "occupation", "temperature")
+        _require_finite(self, "n", "Gamma")
         if self.Gamma <= 0:
             raise ValueError(f"Gamma must be positive, got {self.Gamma}")
-        if (self.occupation is None) == (self.temperature is None):
-            raise ValueError("give exactly one of occupation or temperature")
-        if self.occupation is not None and self.occupation < 0:
-            raise ValueError(f"occupation must be nonnegative, got {self.occupation}")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-
-    @property
-    def n(self) -> float:
-        """Mean occupation, from the Bose function if a temperature was given."""
-        if self.occupation is not None:
-            return self.occupation
-        return bose_occupation(1.0 / self.temperature)
+        if self.n < 0:
+            raise ValueError(f"n must be nonnegative, got {self.n}")
 
 
 class Topology(str, enum.Enum):
@@ -282,7 +276,9 @@ class CircuitSpec:
         bridge_rate_mode: RateMode | str = RateMode.PHYSICAL_MODULATED,
     ) -> "CircuitSpec":
         """Convenience constructor; ``delta_omega`` may be a scalar or a
-        per-diode mapping like {"D1": 300.0, "D2": 150.0}."""
+        per-diode mapping like {"D1": 300.0, "D2": 150.0}.  Each bath takes
+        exactly one of its occupation ``n_<side>`` or its temperature
+        ``T_<side>`` (``thermal_occupation``)."""
         topology = Topology(topology)
         labels = TOPOLOGIES[topology].diodes
         if isinstance(delta_omega, dict):
@@ -300,13 +296,16 @@ class CircuitSpec:
             label: DiodeParams(delta_omega=per_diode[label], J=J, J_prime=J_prime)
             for label in labels
         }
-        left = BathParams(Gamma=Gamma, occupation=n_left, temperature=T_left)
-        right = BathParams(Gamma=Gamma, occupation=n_right, temperature=T_right)
+        baths = {}
+        for side, n, T in (("left", n_left, T_left), ("right", n_right, T_right)):
+            if (n is None) == (T is None):
+                raise ValueError(f"give exactly one of n_{side} or T_{side}")
+            baths[side] = BathParams(thermal_occupation(f"T_{side}", T) if n is None else n, Gamma)
         return cls(
             topology=topology,
             diodes=diodes,
-            left_bath=left,
-            right_bath=right,
+            left_bath=baths["left"],
+            right_bath=baths["right"],
             gamma_dec=gamma_dec,
             ho_truncation=ho_truncation,
             bridge_rate_mode=RateMode(bridge_rate_mode),

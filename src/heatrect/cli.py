@@ -21,6 +21,8 @@ import sys
 from .scenarios import (
     SCENARIOS,
     ConfigError,
+    _root,
+    _section,
     load_config,
     run_scenario,
     validate_config,
@@ -78,11 +80,6 @@ def main(argv=None) -> int:
         print("config ok")
         return 0
 
-    overrides = {}
-    if args.truncation is not None:
-        overrides["ho_truncation"] = args.truncation
-    if args.rate_mode is not None:
-        overrides["bridge_rate_mode"] = _RATE_MODES[args.rate_mode]
     logger = logging.getLogger("heatrect")
     level, handler = logger.level, logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
@@ -90,12 +87,16 @@ def main(argv=None) -> int:
         logger.addHandler(handler)
         logger.setLevel(logging.INFO)
     try:
-        result = run_scenario(
-            args.config,
-            out_dir=args.out,
-            circuit_overrides=overrides or None,
-            plot=True if args.plot else None,
-        )
+        # the flags overwrite the loaded config, which is then checked as a whole
+        cfg = _root(load_config(args.config))
+        cfg["circuit"] = circuit = _section(cfg, "circuit")
+        if args.truncation is not None:
+            circuit["ho_truncation"] = args.truncation
+        if args.rate_mode is not None:
+            circuit["bridge_rate_mode"] = _RATE_MODES[args.rate_mode]
+        if args.plot:
+            cfg["plot"] = True
+        result = run_scenario(cfg, out_dir=args.out)
     except ConfigError as err:
         print(f"config error at {err.path}: {err}", file=sys.stderr)
         return 2

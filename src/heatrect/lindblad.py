@@ -69,11 +69,11 @@ from .circuits import (
 from .spaces import (
     SpaceLayout,
     SparseOperator,
-    embed,
     lowering_op,
     number_op,
     projector,
     raising_op,
+    transition_op,
 )
 
 # largest dimension for which d^2 x d^2 superoperator matrices are built
@@ -344,14 +344,6 @@ class _DirectPlan:
 
 # the plan of each real table that solved a point, dropped with the table
 _DIRECT_PLANS: weakref.WeakKeyDictionary[_TermTable, _DirectPlan] = weakref.WeakKeyDictionary()
-
-
-def transition_op(layout: SpaceLayout, label: str, from_level: int, to_level: int) -> SparseOperator:
-    """Jump operator |to><from| of one qutrit, embedded in the layout."""
-    dim = layout.dim_of(label)
-    local = np.zeros((dim, dim), dtype=np.complex128)
-    local[to_level, from_level] = 1.0
-    return embed(layout, label, local)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import bose_occupation
+from .circuits import thermal_occupation
 from .lindblad import (
     _ALLOWED_TRANSITIONS,
     Liouvillian,
@@ -34,22 +34,16 @@ RECTIFICATION_CURRENT_FLOOR = 1e-14
 class BiasSetting:
     """Bath occupations of one bias direction."""
 
-    label: str
     n_left: float
     n_right: float
 
     @classmethod
-    def from_temperatures(cls, label: str, T_left: float, T_right: float) -> "BiasSetting":
-        """Occupations from temperatures given in units of the filter
-        frequency; a temperature that is not finite and positive raises
-        ``ValueError``."""
-        for name, T in (("T_left", T_left), ("T_right", T_right)):
-            if not (math.isfinite(T) and T > 0):
-                raise ValueError(f"{name} must be finite and positive, got {T}")
-        return cls(label, bose_occupation(1.0 / T_left), bose_occupation(1.0 / T_right))
+    def from_temperatures(cls, T_left: float, T_right: float) -> "BiasSetting":
+        """Occupations from temperatures in units of the filter frequency (``thermal_occupation``)."""
+        return cls(thermal_occupation("T_left", T_left), thermal_occupation("T_right", T_right))
 
-    def swapped(self, label: str) -> "BiasSetting":
-        return BiasSetting(label, self.n_right, self.n_left)
+    def swapped(self) -> "BiasSetting":
+        return BiasSetting(self.n_right, self.n_left)
 
 
 @dataclass(frozen=True)
@@ -161,7 +155,6 @@ def fidelity(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 class ModeReport:
     """Occupation, effective temperature, and populations of one mode."""
 
-    label: str
     mean_n: float
     effective_T: float
     effective_T_defined: bool
@@ -175,7 +168,6 @@ def mode_report(rho: DensityMatrix, label: str) -> ModeReport:
     pops = np.real(np.diag(reduced.data)).copy()
     defined = mean_n > 0
     return ModeReport(
-        label=label,
         mean_n=mean_n,
         effective_T=effective_temperature(mean_n),
         effective_T_defined=defined,

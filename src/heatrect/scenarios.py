@@ -242,7 +242,7 @@ def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
         dw1 = dw2 = resolved.extras["bridge_point"]["delta_omega"]
         temps = resolved.biases["temperatures"]
         spec = _spec_for(resolved.circuit, "bridge",
-                         temps if bias == "forward" else temps.swapped(bias), dw1)
+                         temps if bias == "forward" else temps.swapped(), dw1)
         _, gen = build_bridge_half_generators(spec)
         obs = bath_current_functional(gen, "right")
         sign = 1.0
@@ -458,10 +458,21 @@ def default_config(name: str) -> dict:
     })
 
 
+def _numpy_scalar(value):
+    """``json.dumps`` default: a numpy scalar as its Python value."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{value!r} is not JSON data")
+
+
 def load_config(source) -> dict:
-    """Config from a dict, a JSON file path, or a built-in scenario name."""
+    """Config from a dict, a JSON file path, or a built-in scenario name; a
+    dict holding anything but JSON data and numpy scalars is a config error."""
     if isinstance(source, dict):
-        return json.loads(json.dumps(source))
+        try:
+            return json.loads(json.dumps(source, default=_numpy_scalar))
+        except TypeError as err:
+            raise ConfigError("(root)", f"config is not JSON data: {err}") from err
     source = str(source)
     if source in SCENARIO_NAMES:
         return default_config(source)
@@ -607,10 +618,10 @@ def validate_config(cfg: dict) -> ResolvedConfig:
             raise ConfigError(f"bias.{label}", f"scenario {name!r} reads biases {sorted(scenario.bias)}")
         if label == "temperatures":
             t_left, t_right = _pair(raw, f"bias.{label}", "[T_left, T_right]")
-            biases[label] = BiasSetting.from_temperatures("forward", t_left, t_right)
+            biases[label] = BiasSetting.from_temperatures(t_left, t_right)
         else:
             n_left, n_right = _pair(raw, f"bias.{label}", "[n_left, n_right]", positive=False)
-            biases[label] = BiasSetting(label, n_left, n_right)
+            biases[label] = BiasSetting(n_left, n_right)
 
     if not isinstance(cfg.get("out_dir", ""), str):
         raise ConfigError("out_dir", f"need a string, got {cfg['out_dir']!r}")
@@ -685,12 +696,7 @@ def _columns_from_rows(rows: list[dict]) -> list[str]:
     return columns
 
 
-def run_scenario(
-    config,
-    out_dir=None,
-    circuit_overrides: dict | None = None,
-    plot: bool | None = None,
-) -> SweepResult:
+def run_scenario(config, out_dir=None) -> SweepResult:
     """Execute a scenario config and write CSV + metadata to the output dir.
 
     ``config`` may be a dict, a path to a JSON file, or a built-in scenario
@@ -698,11 +704,7 @@ def run_scenario(
     the convergence protocol are kept, flagged with ``converged=false``;
     their presence is reported in the result.
     """
-    cfg = _root(load_config(config))
-    if circuit_overrides:
-        cfg["circuit"] = {**_section(cfg, "circuit"), **circuit_overrides}
-    if plot is not None:
-        cfg["plot"] = plot
+    cfg = load_config(config)
     resolved = validate_config(cfg)
     scenario = SCENARIOS[resolved.name]
 
@@ -755,18 +757,15 @@ def run_scenario(
         "runtime_seconds": round(time.perf_counter() - t0, 3),
         "files": files,
     }
-    plot_file = None
     if resolved.plot:
         try:
-            plot_file = _quick_plot(name, scenario.plot, rows, out_path)
+            files.append(_quick_plot(name, scenario.plot, rows, out_path))
         except ImportError as err:
             metadata["plot_skipped"] = f"matplotlib unavailable: {err}"
             warnings.warn(f"quick-look plot skipped ({metadata['plot_skipped']})", stacklevel=2)
     meta_path = out_path / "metadata.json"
     meta_path.write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
     files.append(meta_path.name)
-    if plot_file:
-        files.append(plot_file)
 
     return SweepResult(
         scenario=name, columns=columns, rows=rows, flagged_rows=flagged,

@@ -34,7 +34,7 @@ class HarmonicOscillator:
 
 @dataclass(frozen=True)
 class Qutrit:
-    """Three-level anharmonic mode; lowering operator |0><1| + sqrt(2)|1><2|."""
+    """Three-level anharmonic mode; its lowering operator, |0><1| + sqrt(2)|1><2|, is the oscillator's."""
 
     @property
     def dim(self) -> int:
@@ -79,11 +79,8 @@ class SpaceLayout:
                 return i
         raise ValueError(f"unknown mode label {label!r}; layout has {list(self.labels)}")
 
-    def kind_of(self, label: str) -> ModeKind:
-        return self.modes[self.index_of(label)][1]
-
     def dim_of(self, label: str) -> int:
-        return self.kind_of(label).dim
+        return self.modes[self.index_of(label)][1].dim
 
     def sub_layout(self, keep) -> "SpaceLayout":
         """Layout restricted to the modes in ``keep``, in layout order."""
@@ -154,13 +151,9 @@ class SparseOperator:
     __rmul__ = __mul__
 
 
-def _local_lowering(kind: ModeKind) -> np.ndarray:
-    if isinstance(kind, Qutrit):
-        a = np.zeros((3, 3), dtype=np.complex128)
-        a[0, 1] = 1.0
-        a[1, 2] = math.sqrt(2.0)
-        return a
-    return np.diag(np.sqrt(np.arange(1, kind.dim, dtype=np.float64)), k=1).astype(np.complex128)
+def _local_lowering(dim: int) -> np.ndarray:
+    """Oscillator lowering operator on ``dim`` levels; at dim 3 the qutrit's."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
 
 
 def embed(layout: SpaceLayout, label: str, local_matrix) -> SparseOperator:
@@ -188,11 +181,11 @@ def embed(layout: SpaceLayout, label: str, local_matrix) -> SparseOperator:
 
 def lowering_op(layout: SpaceLayout, label: str) -> SparseOperator:
     """Lowering operator of one mode, identity on all others."""
-    return embed(layout, label, _local_lowering(layout.kind_of(label)))
+    return embed(layout, label, _local_lowering(layout.dim_of(label)))
 
 
 def raising_op(layout: SpaceLayout, label: str) -> SparseOperator:
-    return embed(layout, label, _local_lowering(layout.kind_of(label)).conj().T)
+    return embed(layout, label, _local_lowering(layout.dim_of(label)).conj().T)
 
 
 def number_op(layout: SpaceLayout, label: str) -> SparseOperator:
@@ -201,14 +194,20 @@ def number_op(layout: SpaceLayout, label: str) -> SparseOperator:
     return embed(layout, label, np.diag(np.arange(dim, dtype=np.complex128)))
 
 
-def projector(layout: SpaceLayout, label: str, level: int) -> SparseOperator:
-    """Projector onto one level of a mode, identity on the other modes."""
+def transition_op(layout: SpaceLayout, label: str, from_level: int, to_level: int) -> SparseOperator:
+    """Jump operator |to><from| of one mode, identity on the other modes."""
     dim = layout.dim_of(label)
-    if not 0 <= level < dim:
-        raise ValueError(f"level {level} out of range for mode {label!r} of dim {dim}")
+    for level in (from_level, to_level):
+        if not 0 <= level < dim:
+            raise ValueError(f"level {level} out of range for mode {label!r} of dim {dim}")
     local = np.zeros((dim, dim), dtype=np.complex128)
-    local[level, level] = 1.0
+    local[to_level, from_level] = 1.0
     return embed(layout, label, local)
+
+
+def projector(layout: SpaceLayout, label: str, level: int) -> SparseOperator:
+    """Projector |level><level| onto one level of a mode, identity on the other modes."""
+    return transition_op(layout, label, level, level)
 
 
 @dataclass
@@ -237,7 +236,7 @@ class DensityMatrix:
         return cls(layout, data)
 
     @classmethod
-    def from_mode_states(cls, layout: SpaceLayout, mode_states, validate: bool = True) -> "DensityMatrix":
+    def from_mode_states(cls, layout: SpaceLayout, mode_states) -> "DensityMatrix":
         """Product state from per-mode density matrices given in layout order."""
         mats = [np.asarray(m, dtype=np.complex128) for m in mode_states]
         if len(mats) != len(layout.modes):
@@ -248,7 +247,7 @@ class DensityMatrix:
         data = mats[0]
         for m in mats[1:]:
             data = np.kron(data, m)
-        return cls.from_matrix(layout, data, validate=validate)
+        return cls.from_matrix(layout, data)
 
     def validate(self):
         if not np.all(np.isfinite(self.data)):

@@ -35,7 +35,8 @@ its share of the step, straight into a stage array allocated once per run,
 so no step allocates an array of the state's size; the step is classical
 RK4 reassociated.  The protocol composes the one-period integrator map:
 block and window lengths are snapped to whole periods of the lowest drive
-frequency, the dense period map is built once in the real Hermitian
+frequency, a period holds whole steps of at most ``stability_limited_dt``,
+which resolves every drive, the dense period map is built once in the real Hermitian
 operator basis of the block, and one squaring ladder gives the block map
 and the window row: the unit-averaged observable rides along as an extra
 row of the period map, whose powers then carry the running sum of unit
@@ -123,7 +124,6 @@ class EvolutionResult:
     converged_block: int
     blocks_used: int
     block_averages: list[float]
-    observable_name: str
     block_length_effective: float
     window_effective: float
     dt: float
@@ -407,8 +407,9 @@ class _UnitGrid:
 
 def _unit_grid(generator: Liouvillian, protocol: ConvergenceProtocol) -> _UnitGrid:
     """Unit, step and block and window lengths in units: one period of the
-    lowest drive in whole steps no longer than ``stability_limited_dt``, at
-    least 20 per period of the fastest drive; one such step without drives."""
+    lowest drive in whole steps no longer than ``stability_limited_dt``,
+    which resolves the fastest drive (at least 20 steps per its period); one
+    such step without drives."""
     dt = stability_limited_dt(generator)
     freqs = sorted(set(generator.drive_frequencies))
     if freqs:
@@ -419,12 +420,8 @@ def _unit_grid(generator: Liouvillian, protocol: ConvergenceProtocol) -> _UnitGr
                 f"drive frequencies {freqs} are not integer multiples of the "
                 f"lowest drive frequency {base}"
             )
-        period = 2.0 * math.pi / base
-        n_steps = max(
-            math.ceil(period / dt - 1e-12),
-            DRIVE_STEPS_PER_PERIOD * int(round(max(ratios))),
-        )
-        duration = period
+        duration = 2.0 * math.pi / base
+        n_steps = math.ceil(duration / dt - 1e-12)
     else:
         duration = dt
         n_steps = 1
@@ -580,10 +577,8 @@ def steady_state_averaged(
             averages,
         )
 
+    # the loop left u's trace within TRACE_DRIFT_TOL, and T^dagger copies u[:d] onto the diagonal
     rho = _complex_state(transform, u, d)
-    trace = float(np.real(np.trace(rho)))
-    if abs(trace - 1.0) > TRACE_DRIFT_TOL:
-        rho = rho / trace
     trajectory = None
     if points is not None:
         trajectory = Trajectory(observable.name, np.asarray(times, dtype=np.float64),
@@ -594,7 +589,6 @@ def steady_state_averaged(
         converged_block=converged,
         blocks_used=converged + 1,
         block_averages=averages,
-        observable_name=observable.name,
         block_length_effective=grid.units_per_block * grid.duration,
         window_effective=grid.window_units * grid.duration,
         dt=grid.dt,

@@ -33,7 +33,7 @@ from heatrect.spaces import DensityMatrix, partial_trace
 from heatrect.steady import evolve, steady_state_averaged, steady_state_direct
 
 GAMMA = 10.0
-BRIDGE_BIAS = BiasSetting.from_temperatures("forward", 1.0, 0.1)
+BRIDGE_BIAS = BiasSetting.from_temperatures(1.0, 0.1)
 GAMMA_DEC_GRID = [10 ** e for e in (-4.0, -3.5, -3.0, -2.5, -2.0, -1.5, -1.0)]
 
 
@@ -130,7 +130,7 @@ def test_criterion_2_parallel_decoupling(parallel_sweep):
     grid = {(row["delta_omega_d1"], row["delta_omega_d2"]) for row in parallel_sweep.rows}
     worst = 1.0
     for dw1, dw2 in sorted(grid):
-        for bias in (BiasSetting("forward", 0.5, 0.0), BiasSetting("reverse", 0.0, 0.5)):
+        for bias in (BiasSetting(0.5, 0.0), BiasSetting(0.0, 0.5)):
             spec = CircuitSpec.build(
                 "parallel", n_left=bias.n_left, n_right=bias.n_right,
                 delta_omega={"D1": dw1, "D2": dw2},

@@ -51,14 +51,23 @@ def test_diode_params_defaults_and_warning():
 
 
 def test_bath_params_occupation_or_temperature():
-    assert BathParams(occupation=0.5).n == 0.5
-    assert BathParams(temperature=1.0).n == pytest.approx(bose_occupation(1.0))
-    with pytest.raises(ValueError, match="exactly one"):
-        BathParams()
-    with pytest.raises(ValueError, match="exactly one"):
-        BathParams(occupation=0.5, temperature=1.0)
+    # a bath stores its occupation; CircuitSpec.build takes it or a temperature
+    assert BathParams(0.5).n == 0.5
+    spec = CircuitSpec.build("parallel", n_left=0.5, T_right=1.0)
+    assert spec.left_bath.n == 0.5
+    assert spec.right_bath.n == bose_occupation(1.0)
+    with pytest.raises(ValueError, match="exactly one of n_left or T_left"):
+        CircuitSpec.build("parallel", n_right=0.0)
+    with pytest.raises(ValueError, match="exactly one of n_right or T_right"):
+        CircuitSpec.build("parallel", n_left=0.5, n_right=0.0, T_right=1.0)
+    # T = 0 must not reach 1/T as a bare ZeroDivisionError
+    for T in (0.0, -1.0):
+        with pytest.raises(ValueError, match="T_left must be finite and positive"):
+            CircuitSpec.build("parallel", T_left=T, n_right=0.0)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        BathParams(-0.5)
     with pytest.raises(ValueError):
-        BathParams(Gamma=0.0, occupation=0.5)
+        BathParams(0.5, Gamma=0.0)
 
 
 def single_diode(**kwargs):
@@ -118,13 +127,13 @@ def test_circuit_spec_validation():
         CircuitSpec(
             topology=Topology.PARALLEL,
             diodes={"D1": DiodeParams()},
-            left_bath=BathParams(occupation=0.5),
-            right_bath=BathParams(occupation=0.0),
+            left_bath=BathParams(0.5),
+            right_bath=BathParams(0.0),
         )
     # non-finite values are refused when the spec is built, not at the solve
     for bad in (math.nan, math.inf):
         for name, kwargs in (("gamma_dec", {"gamma_dec": bad}), ("Gamma", {"Gamma": bad}),
-                             ("occupation", {"n_left": bad}), ("temperature", {"T_left": bad})):
+                             ("^n", {"n_left": bad}), ("T_left", {"T_left": bad})):
             bias = {"n_left": 0.5} if "T_left" not in kwargs else {}
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 CircuitSpec.build("bridge", n_right=0.0, **{**bias, **kwargs})

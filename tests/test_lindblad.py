@@ -192,7 +192,7 @@ def test_bath_dissipator_thermal_fixed_point():
     # the truncated ladder satisfies detailed balance exactly, so its fixed
     # point is the truncated (renormalized) geometric distribution
     layout = SpaceLayout.of(("L", HarmonicOscillator(8)))
-    bath = BathParams(Gamma=10.0, occupation=0.5)
+    bath = BathParams(0.5, Gamma=10.0)
 
     def thermal_bath(layout):
         return Liouvillian(layout, None, (

@@ -352,13 +352,13 @@ def test_mode_report_thermal_product():
 
 
 def test_bias_setting_helpers():
-    temps = BiasSetting.from_temperatures("forward", 1.0, 0.1)
+    temps = BiasSetting.from_temperatures(1.0, 0.1)
     assert temps.n_left == pytest.approx(bose_occupation(1.0))
     assert temps.n_right == pytest.approx(bose_occupation(10.0))
-    swapped = temps.swapped("reverse")
+    swapped = temps.swapped()
     assert swapped.n_left == temps.n_right and swapped.n_right == temps.n_left
     # a zero temperature used to end in a bare ZeroDivisionError
     for t_left, t_right, name in ((1.0, 0.0, "T_right"), (0.0, 1.0, "T_left"), (-1.0, 0.1, "T_left"),
                                   (1.0, math.inf, "T_right"), (math.nan, 0.1, "T_left")):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-            BiasSetting.from_temperatures("forward", t_left, t_right)
+            BiasSetting.from_temperatures(t_left, t_right)

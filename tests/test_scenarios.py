@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from heatrect.observables import bath_current_functional
 from heatrect.scenarios import (
     ConfigError,
     SCENARIO_NAMES,
+    _quick_plot,
     default_config,
     load_config,
     run_scenario,
@@ -497,14 +500,102 @@ def test_quick_plot_svg(tmp_path):
         import matplotlib  # noqa: F401
     except ImportError:
         with pytest.warns(UserWarning, match="plot skipped"):
-            result = run_scenario(tiny_parallel_config(), out_dir=tmp_path, plot=True)
+            result = run_scenario(tiny_parallel_config(plot=True), out_dir=tmp_path)
         assert "parallel-sweep.svg" not in result.files
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert "matplotlib" in meta["plot_skipped"]
         return
-    result = run_scenario(tiny_parallel_config(), out_dir=tmp_path, plot=True)
+    result = run_scenario(tiny_parallel_config(plot=True), out_dir=tmp_path)
     assert "parallel-sweep.svg" in result.files
     assert (tmp_path / "parallel-sweep.svg").stat().st_size > 0
+
+
+class _Recorder:
+    """Stand-in for a matplotlib figure or axes: every method call is
+    appended to ``calls`` as (owner, method, args)."""
+
+    def __init__(self, owner: str, calls: list):
+        self._owner, self._calls = owner, calls
+
+    def __getattr__(self, method):
+        def call(*args, **kwargs):
+            self._calls.append((self._owner, method, args))
+            if method == "savefig":
+                Path(args[0]).write_text("<svg/>")
+        return call
+
+
+@pytest.fixture
+def stub_pyplot(monkeypatch):
+    """Stub ``matplotlib`` and ``matplotlib.pyplot`` modules, so the plot
+    path runs without matplotlib: the figure and axes record their calls."""
+    calls = []
+    fig, ax = _Recorder("fig", calls), _Recorder("ax", calls)
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda **kwargs: (fig, ax)
+    pyplot.close = lambda figure: calls.append(("plt", "close", (figure,)))
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: calls.append(("matplotlib", "use", (backend,)))
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return types.SimpleNamespace(calls=calls, fig=fig)
+
+
+# a small config of each scenario, the axes method its draw function calls
+# once per curve, and the number of curves of that config
+_PLOT_CASES = {
+    "parallel-sweep": ({"axes": {"delta_omega_d1": [200.0, 300.0], "delta_omega_d2": [100.0, 400.0]}},
+                       "loglog", 2),
+    "series-sweep": ({"axes": {"delta_omega_d1": [300.0], "delta_omega_d2": [150.0, 450.0]}}, "loglog", 1),
+    "bridge-anharmonicity": ({"circuit": {"ho_truncation": 2}, "axes": {"delta_omega": [150.0, 300.0]}},
+                             "semilogx", 2),
+    "bridge-decoherence": ({"circuit": {"ho_truncation": 2},
+                            "axes": {"delta_omega": [300.0], "gamma_dec": [1e-3, 1e-2]}}, "semilogx", 2),
+    "convergence-study": ({"circuit": {"ho_truncation": 2}, "trajectory_points_per_block": None},
+                          "semilogy", 4),
+    "single-diode-validation": ({"circuit": {"ho_truncation": 2}}, "bar", 2),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_quick_plot_draws_every_scenario(name, tmp_path, stub_pyplot):
+    overrides, curve, count = _PLOT_CASES[name]
+    result = run_scenario({"name": name, "plot": True, **overrides}, out_dir=tmp_path)
+    svg = f"{name}.svg"
+    assert svg in result.files and (tmp_path / svg).exists()
+    assert svg in json.loads((tmp_path / "metadata.json").read_text())["files"]
+    ax_calls = [(method, args) for owner, method, args in stub_pyplot.calls if owner == "ax"]
+    assert sum(method == curve for method, _ in ax_calls) == count
+    assert ("legend", ()) in ax_calls and ("set_title", (name,)) in ax_calls
+    assert stub_pyplot.calls[-1] == ("plt", "close", (stub_pyplot.fig,))
+
+
+def test_quick_plot_closes_the_figure_when_drawing_fails(tmp_path, stub_pyplot):
+    def draw(ax, rows):
+        raise RuntimeError("draw failed")
+
+    with pytest.raises(RuntimeError, match="draw failed"):
+        _quick_plot("parallel-sweep", draw, [], tmp_path)
+    assert stub_pyplot.calls[-1] == ("plt", "close", (stub_pyplot.fig,))
+    assert not (tmp_path / "parallel-sweep.svg").exists()
+
+
+def test_dict_config_takes_numpy_scalars(tmp_path):
+    # list(np.arange(...)) holds np.int64, which json cannot write
+    cfg = {"name": "parallel-sweep", "plot": np.bool_(False),
+           "axes": {"delta_omega_d1": list(np.arange(100, 301, 100)),
+                    "delta_omega_d2": [np.float32(150.0)]}}
+    resolved = validate_config(load_config(cfg))
+    assert resolved.axes == {"delta_omega_d1": [100.0, 200.0, 300.0], "delta_omega_d2": [150.0]}
+    assert resolved.plot is False
+    numpy_rows = run_scenario(cfg, out_dir=tmp_path / "numpy").rows
+    plain = {"name": "parallel-sweep", "axes": {"delta_omega_d1": [100, 200, 300], "delta_omega_d2": [150.0]}}
+    assert numpy_rows == run_scenario(plain, out_dir=tmp_path / "plain").rows
+    # anything else that is not JSON data is a config error, not a bare TypeError
+    for bad in ({"delta_omega_d1": {100.0}}, {"delta_omega_d1": np.array([100.0])}, {(1, 2): [100.0]}):
+        with pytest.raises(ConfigError, match=r"^\(root\): config is not JSON data"):
+            load_config({"name": "parallel-sweep", "axes": bad})
 
 
 NONCONVERGENT_PROTOCOL = {

@@ -15,6 +15,7 @@ from heatrect.spaces import (
     number_op,
     partial_trace,
     projector,
+    transition_op,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -127,6 +128,13 @@ def test_projector_values_and_completeness():
 def test_projector_level_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         projector(single(Qutrit()), "A", 3)
+    # projector is the diagonal transition_op, which checks both levels
+    for levels in ((3, 0), (0, 3), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="out of range for mode 'A' of dim 3"):
+            transition_op(single(Qutrit()), "A", *levels)
+    expected = np.zeros((3, 3), dtype=complex)
+    expected[1, 2] = 1.0  # |1><2|
+    np.testing.assert_array_equal(transition_op(single(Qutrit()), "A", 2, 1).matrix.toarray(), expected)
 
 
 def test_unknown_label_is_reported():

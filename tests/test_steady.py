@@ -822,6 +822,23 @@ def test_norm_bound_and_step_are_bit_identical_with_cached_jump_norms():
     assert all(a is b for (_, a), (_, b) in zip(again.jumps, upper.jumps))
 
 
+@pytest.mark.parametrize("d4", [150.0, 100.0])
+def test_unit_grid_steps_resolve_every_drive_frequency(d4):
+    # the lower half driven at D3 = 300 and D4 = 150 or 100: the unit is one
+    # period of the lowest drive, in whole steps of at most the stability
+    # step, which resolves the fastest drive with 20 steps a period
+    spec = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=3,
+                             delta_omega={"D1": 300.0, "D2": 200.0, "D3": 300.0, "D4": d4})
+    _, lower = build_bridge_half_generators(spec)
+    assert sorted(lower.drive_frequencies) == [d4, 300.0]
+    grid = _unit_grid(lower, ConvergenceProtocol())
+    period = 2.0 * math.pi / d4
+    assert grid.duration == period
+    assert grid.n_steps == math.ceil(period / stability_limited_dt(lower) - 1e-12)
+    assert grid.n_steps >= steady.DRIVE_STEPS_PER_PERIOD * round(300.0 / d4)
+    assert grid.dt == period / grid.n_steps
+
+
 def reference_unit_map(l0, drives, c_row, grid):
     """Plain RK4 with fresh stage arrays and one sparse product per
     superoperator, the reference for the in-place one-product stepper."""
