@@ -43,10 +43,12 @@ GOLDEN_CONFIGS = {
 # Floats agree when |got - ref| <= RTOL |ref| + ATOL.  Rerunning the goldens
 # with one and two BLAS threads moved no cell, and under OpenBLAS's
 # Prescott, Nehalem and SandyBridge kernels (OPENBLAS_CORETYPE) no cell
-# that is not a round-off zero moved by more than 2.0e-11 relative; RTOL
-# leaves a factor of 500 above that spread.  ATOL covers cells that are
-# zero up to round-off, such as the equilibrium ``current_full``, which
-# moved from -8.3e-16 to -1.6e-15 under those kernels.
+# that is not a round-off zero moved by more than 2.6e-11 relative, and
+# keeping the direct solve's column order per real table moved four cells
+# by up to 3.1e-11 (a 12-digit cell's last digit alone is up to 1e-11 of
+# it); RTOL leaves a factor of 300 above that spread.  ATOL covers cells
+# that are zero up to round-off, such as the equilibrium ``current_full``,
+# which moved from -8.3e-16 to -1.6e-15 under those kernels.
 RTOL = 1e-8
 ATOL = 1e-12
 
