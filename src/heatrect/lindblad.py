@@ -27,18 +27,21 @@ allows, zero rates included, so every point of a sweep at one truncation
 shares one table.  Four LRU caches, each bounded to a few layouts' worth
 of entries, keep the embedded one-mode operators, keyed on (layout,
 constructor, arguments); the term tables and the operator tables, both
-keyed on (layout, term keys); and the real tables below.
+keyed on (layout, term keys); and the real blocks below.
 
 Both steady-state routes solve on the invariant block that carries the
 trace, seeded by the diagonal of rho alone, in a real Hermitian basis of
 that block.  The block, its basis transform T and every term's real
 superoperator T S_t T^dagger depend only on the term table and which of
 its terms have a nonzero weight, so the real-table cache, keyed by those
-two, keeps them as a real table: the real terms on one shared real CSR
-pattern, each checked to preserve Hermiticity when the table is built.  A
+two, keeps them as one real block (``_RealBlock``): T, its lift T^dagger
+back to vec(rho), built once, and the real terms on one shared real CSR
+pattern, each checked to preserve Hermiticity when the block is built.  A
 point's real static and drive superoperators are then one sparse product
-each of that table with the point's weights, written onto the table's
-fixed pattern, and the direct solve keeps a plan per real table.  A
+each of those terms with the point's weights, written onto their fixed
+pattern; the block also carries the plan of the direct solve, which its
+first solve fills, and both routes lift their block coordinates to a
+state through its one T^dagger.  A
 generator builds its Hamiltonian when ``hamiltonian`` is first read, and a
 bath current its operator, from the operator table of each term's d x d
 operator (a coherent term's own, a jump's emission operator); the
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -289,14 +291,25 @@ def _to_real_superop(transform: sp.csr_array, superop: sp.csr_array, what: str) 
     return out
 
 
+@dataclass(eq=False)
+class _RealBlock:
+    """A term table's real form on the invariant block that carries the
+    trace, in the block's real Hermitian basis: the isometry ``transform`` T onto the real
+    coordinates, its ``lift`` T^dagger back to vec(rho), the real ``terms``
+    T S_t T^dagger, and the ``plan`` that the first direct solve on the
+    block fills (``steady._DirectPlan``)."""
+
+    transform: sp.csr_array
+    lift: sp.csc_array
+    terms: _TermTable
+    plan: object = None
+
+
 @functools.lru_cache(maxsize=4)
-def _real_table(table: _TermTable, live: tuple) -> tuple[sp.csr_array, _TermTable]:
-    """``table`` in the real Hermitian basis of the invariant block that
-    carries the trace, as (T, real terms): the block of the terms ``live``
-    (those with a nonzero weight), the isometry T onto its real
-    coordinates, and every live term's real superoperator T S_t T^dagger on
-    one shared real CSR pattern, each checked to preserve Hermiticity; the
-    other terms keep empty columns."""
+def _real_table(table: _TermTable, live: tuple) -> _RealBlock:
+    """The real block of ``table`` for the terms ``live`` (those with a
+    nonzero weight): every live term's T S_t T^dagger on one shared real CSR
+    pattern, each checked to preserve Hermiticity; other terms stay empty."""
     d = math.isqrt(table.side)
     parts = [table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel()) for t in live]
     for s in parts:
@@ -309,41 +322,8 @@ def _real_table(table: _TermTable, live: tuple) -> tuple[sp.csr_array, _TermTabl
     for t, s in zip(live, parts):
         real = _to_real_superop(transform, s, f"term {t} of the generator").tocoo()
         flats[t], datas[t] = real.row.astype(np.int64) * side + real.col, real.data
-    return transform, _TermTable.of_entries(flats, datas, side, np.float64)
-
-
-@dataclass(frozen=True, eq=False)
-class _DirectPlan:
-    """The direct solve's fixed part for one real table: M_0, the table's
-    sum with the trace row (ones on the d diagonal coordinates) in place of
-    row 0, with column j moved to ``perm_c[j]``, as CSC on (``indptr``,
-    ``indices``), entry k being ``gather[k]`` of the table's entries
-    followed by the trace row's 1; (entry slice, columns) of rows 0 and d-1
-    of the table; and ``lift``, T^dagger."""
-
-    perm_c: np.ndarray
-    gather: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    rows: tuple
-    lift: sp.csc_array
-
-    @classmethod
-    def of(cls, transform: sp.csr_array, real: _TermTable, perm_c: np.ndarray) -> "_DirectPlan":
-        d, ptr, start = math.isqrt(transform.shape[1]), real.indptr, real.indptr[1]
-        indptr = np.concatenate([[0], ptr[1:] - start + d])
-        source = np.concatenate([np.full(d, ptr[-1]), np.arange(start, ptr[-1])])
-        columns = perm_c[np.concatenate([np.arange(d), real.indices[start:]])]
-        m = sp.csr_array((source, columns, indptr), shape=(real.side, real.side)).tocsc()
-        rows = tuple((slice(ptr[r], ptr[r + 1]), real.indices[ptr[r]:ptr[r + 1]]) for r in (0, d - 1))
-        return cls(perm_c, m.data, m.indptr, m.indices, rows, transform.conj().T)
-
-    def system(self, entries: np.ndarray) -> sp.csc_array:
-        return sp.csc_array((entries[self.gather], self.indices, self.indptr), shape=(self.perm_c.size,) * 2)
-
-
-# the plan of each real table that solved a point, dropped with the table
-_DIRECT_PLANS: weakref.WeakKeyDictionary[_TermTable, _DirectPlan] = weakref.WeakKeyDictionary()
+    return _RealBlock(transform, transform.conj().T,
+                      _TermTable.of_entries(flats, datas, side, np.float64))
 
 
 @dataclass(frozen=True)
@@ -356,6 +336,11 @@ class _WeightedTerms:
     static: np.ndarray
     drives: tuple[tuple[float, np.ndarray], ...]
     sides: tuple
+
+    def superops(self, table: _TermTable):
+        """(L0, ((nu, L_nu), ...)): the static and drive weights assembled on
+        ``table``, explicit zeros kept; each matrix owns its arrays."""
+        return table.assemble(self.static), tuple((nu, table.assemble(w)) for nu, w in self.drives)
 
 
 def _given(layout: SpaceLayout, op: SparseOperator) -> SparseOperator:
@@ -475,29 +460,26 @@ class Liouvillian:
         cosine drive's -i[V_nu, rho], on the one CSR pattern of the
         generator's term table, explicit zeros kept.  Each call assembles
         them anew, and each returned matrix owns its arrays."""
-        table = self._table()
-        return table.assemble(self._terms.static), tuple((nu, table.assemble(w)) for nu, w in self._terms.drives)
+        return self._terms.superops(self._table())
 
     def real_superops(self):
         """(T, L0, ((nu, L_nu), ...)): the isometry T onto the real Hermitian
         basis of the invariant block that carries the trace
         (``_trace_block``), and the static and drive superoperators in that
-        basis, T L T^dagger, as real CSR matrices on the real table's one
-        pattern, explicit zeros kept.  The block, T and the real terms come
-        from the cached real table (``_real``), so a point assembles only
-        the weighted sums; each returned matrix owns its arrays.
+        basis, T L T^dagger, as real CSR matrices on one pattern, explicit
+        zeros kept, assembled on the cached real block (``_real``); each
+        returned matrix owns its arrays.
         """
-        _, transform, real = self._real()
-        return (transform.copy(), real.assemble(self._terms.static),
-                tuple((nu, real.assemble(w)) for nu, w in self._terms.drives))
+        _, block = self._real()
+        return (block.transform.copy(), *self._terms.superops(block.terms))
 
-    def _real(self) -> tuple[_TermTable, sp.csr_array, _TermTable]:
-        """(term table, T, real table): the cached tables of the generator,
-        the real one for its terms of nonzero weight."""
+    def _real(self) -> tuple[_TermTable, _RealBlock]:
+        """(term table, real block): the cached tables of the generator, the
+        real block for its terms of nonzero weight."""
         table, nonzero = self._table(), self._terms.static != 0
         for _, w in self._terms.drives:
             nonzero = nonzero | (w != 0)
-        return (table, *_real_table(table, tuple(int(t) for t in np.flatnonzero(nonzero))))
+        return table, _real_table(table, tuple(int(t) for t in np.flatnonzero(nonzero)))
 
 
 def _contact_table(spec: CircuitSpec, contact: Contact) -> RateTable:

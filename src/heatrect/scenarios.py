@@ -77,8 +77,7 @@ def _series_default_grid() -> list[float]:
     extra = []
     for center in (150.0, 300.0):
         extra += [center / ratio, center, center * ratio]
-    grid = sorted(set(_log_grid(50.0, 500.0, 40) + extra + [450.0]))
-    return grid
+    return sorted(set(_log_grid(50.0, 500.0, 40) + extra + [450.0]))
 
 
 @dataclass
@@ -307,9 +306,12 @@ def _plot_rectification(ax, rows: list[dict]):
     ax.set_ylabel("rectification")
 
 
-def _plot_bridge_temperatures(ax, rows: list[dict], x_key: str):
-    ax.semilogx([r[x_key] for r in rows], [r["temp_m1"] for r in rows], "o-", label="T_M1")
-    ax.semilogx([r[x_key] for r in rows], [r["temp_m2"] for r in rows], "s-", label="T_M2")
+def _plot_bridge_temperatures(ax, rows: list[dict], x_key: str, series_key: str):
+    for value in sorted({r[series_key] for r in rows}):
+        sub = [r for r in rows if r[series_key] == value]
+        for mode, style in (("m1", "o-"), ("m2", "s-")):
+            ax.semilogx([r[x_key] for r in sub], [r[f"temp_{mode}"] for r in sub], style,
+                        label=f"T_{mode.upper()} {series_key}={value:g}")
     ax.set_xlabel(f"{x_key} [J]")
     ax.set_ylabel("effective temperature [omega]")
 
@@ -388,14 +390,14 @@ SCENARIOS = {
         summary="bridge rectifier: output temperatures and fidelities vs anharmonicity",
         topologies=(Topology.BRIDGE,),
         bias=_BRIDGE_BIAS, rows=_bridge_rows,
-        plot=functools.partial(_plot_bridge_temperatures, x_key="delta_omega"),
+        plot=functools.partial(_plot_bridge_temperatures, x_key="delta_omega", series_key="gamma_dec"),
         axes={"delta_omega": {"log_range": [50.0, 500.0], "points": 40}},
     ),
     "bridge-decoherence": Scenario(
         summary="bridge rectifier: output temperatures and fidelities vs decoherence rate",
         topologies=(Topology.BRIDGE,),
         bias=_BRIDGE_BIAS, rows=_bridge_rows,
-        plot=functools.partial(_plot_bridge_temperatures, x_key="gamma_dec"),
+        plot=functools.partial(_plot_bridge_temperatures, x_key="gamma_dec", series_key="delta_omega"),
         axes={"delta_omega": [100.0, 200.0, 300.0],
               "gamma_dec": {"log_range": [1e-4, 1e-1], "points": 40}},
     ),
@@ -657,12 +659,7 @@ def _format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.11e}"
+        return f"{float(value):.11e}"  # nan, inf and -inf as such
     return str(value)
 
 
@@ -685,15 +682,6 @@ class _Output:
     def write_csv(self, name: str, columns: list[str], rows: list[dict]):
         _write_csv(self.path / name, columns, rows)
         self.files.append(name)
-
-
-def _columns_from_rows(rows: list[dict]) -> list[str]:
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    return columns
 
 
 def run_scenario(config, out_dir=None) -> SweepResult:
@@ -728,7 +716,7 @@ def run_scenario(config, out_dir=None) -> SweepResult:
         logger.info("%s: grid point %d/%d done", name, i, len(points))
 
     flagged = [i for i, row in enumerate(rows) if row.get("converged") is False]
-    columns = _columns_from_rows(rows)
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     csv_path = out_path / f"{name}.csv"
     _write_csv(csv_path, columns, rows)
     files = [csv_path.name, *out.files]

@@ -218,14 +218,14 @@ class DensityMatrix:
     data: np.ndarray
 
     @classmethod
-    def from_matrix(cls, layout: SpaceLayout, matrix, validate: bool = True) -> "DensityMatrix":
+    def from_matrix(cls, layout: SpaceLayout, matrix) -> "DensityMatrix":
+        """The state of ``matrix`` on ``layout``, validated (``validate``)."""
         data = np.asarray(matrix, dtype=np.complex128)
         d = layout.total_dim
         if data.shape != (d, d):
             raise ValueError(f"state shape {data.shape} does not match layout dim {d}")
         rho = cls(layout, data)
-        if validate:
-            rho.validate()
+        rho.validate()
         return rho
 
     @classmethod

@@ -7,7 +7,7 @@ row; a second trace slice, the constraint in place of another diagonal
 row, is a rank-2 update of the first and is solved through the same
 factors, which detects a degenerate null space.  All but the numeric
 factorization, the fill-reducing column order included, is planned once
-per real table and kept for later points.  ``steady_state_averaged`` runs the
+per real block and kept on it for later points.  ``steady_state_averaged`` runs the
 windowed-average convergence protocol for driven generators: the state is
 evolved in blocks of length T, after each block the observable is averaged
 over the trailing window T_av, and the run stops once the relative change
@@ -23,28 +23,29 @@ per jump, so the block is its coherence-order-0 sector (544 of the 5184
 entries of vec(rho) for a bridge half at N=8); a generator without such a
 symmetry gets the whole space through the same code.  Both routes read the
 block's real Hermitian basis and the generator's real superoperators on
-it from the generator's cached real table, so a point recomputes neither
-the block nor the basis.
+it from the generator's cached real block (``Liouvillian._real``), so a
+point recomputes neither the block nor the basis.  The block also carries
+the direct solve's plan and the lift T^dagger, through which both routes
+turn real coordinates into a state, which ``DensityMatrix.from_matrix``
+validates, as it does the state of ``evolve``.
 
 Both ``evolve`` and the protocol integrate with a fixed-step classical
 4th-order scheme; each stage is one sparse product with
 L(t) = L0 + sum cos(nu t) L_nu, written onto the one CSR pattern that the
 static and drive superoperators share: the pattern of the generator's term
-table, fixed per layout.  SciPy's CSR kernel adds each product, scaled by
-its share of the step, straight into a stage array allocated once per run,
-so no step allocates an array of the state's size; the step is classical
-RK4 reassociated.  The protocol composes the one-period integrator map:
+table, fixed per layout.  SciPy's CSR kernel ``csr_matvecs`` adds each
+product, scaled by its share of the step, straight into a stage array
+allocated once per run, so no step allocates an array of the state's size;
+the step is classical RK4 reassociated.  The state is a matrix, one column
+for ``evolve``.  The protocol composes the one-period integrator map:
 block and window lengths are snapped to whole periods of the lowest drive
-frequency, a period holds whole steps of at most ``stability_limited_dt``,
-which resolves every drive, the dense period map is built once in the real Hermitian
-operator basis of the block, and one squaring ladder gives the block map
-and the window row: the unit-averaged observable rides along as an extra
-row of the period map, whose powers then carry the running sum of unit
-averages.
-Every drive frequency must be an integer multiple of the lowest one, or
-the protocol raises ``ValueError``.  Both routes act through the
-generator's sparse superoperators, so a generator above
-``SUPEROP_MATERIALIZE_DIM`` raises ``ValueError``.
+frequency (every drive frequency must be an integer multiple of it), a
+period holds whole steps of at most ``stability_limited_dt``, the dense
+period map is built once in the real Hermitian basis of the block, and one
+squaring ladder gives the block map and the window row: the unit-averaged
+observable rides along as an extra row of the period map, whose powers
+carry the running sum of unit averages.  Above ``SUPEROP_MATERIALIZE_DIM``
+every route raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
 
-from .lindblad import _DIRECT_PLANS, Liouvillian, _DirectPlan, unvectorize, vectorize
+from .lindblad import Liouvillian, unvectorize
 from .observables import CurrentFunctional
 from .spaces import DensityMatrix, SparseOperator, largest_row_sum
 
@@ -212,13 +213,13 @@ def _make_rhs(static: sp.csr_array, drives: tuple[tuple[float, sp.csr_array], ..
     """``rhs(v, t, scale, out)``, which adds scale * L(t) v to ``out``, with
     L(t) = L0 + sum cos(nu t) L_nu for the sparse superoperators
     L0 = ``static`` and (nu, L_nu) in ``drives``, which must share one CSR
-    pattern; v may be a state vector or a matrix of them.
+    pattern; v is a matrix of states, one per column.
 
     A call writes the entries of scale * L(t) into one array on that pattern
-    and makes one product with SciPy's CSR kernel (``csr_matvec`` or
-    ``csr_matvecs``, the kernel behind ``csr_array @``), which adds into
-    ``out`` instead of allocating a zeroed result.  The kernel is private
-    SciPy API that writes through the raw buffer, so ``out`` must be
+    and makes one product with SciPy's CSR kernel ``csr_matvecs``, the
+    kernel behind ``csr_array @`` on a matrix, which adds into ``out``
+    instead of allocating a zeroed result.  The kernel is private SciPy API
+    that writes through the raw buffer, so v must be 2-D, and ``out``
     C-contiguous, of the product's shape, and of one dtype with v and the
     superoperators; otherwise ``ValueError`` is raised.
     """
@@ -232,8 +233,9 @@ def _make_rhs(static: sp.csr_array, drives: tuple[tuple[float, sp.csr_array], ..
     modulated = tuple((nu, s.data) for nu, s in drives)
 
     def rhs(v, t, scale, out):
-        if v.ndim > 2 or v.shape[0] != n_col or out.shape != (n_row, *v.shape[1:]):
-            raise ValueError(f"out {out.shape} cannot hold the product with v {v.shape}")
+        if v.ndim != 2 or v.shape[0] != n_col or out.shape != (n_row, v.shape[1]):
+            raise ValueError(f"out {out.shape} cannot hold the product with v {v.shape}, "
+                             "a matrix of states")
         if not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
         if not v.dtype == out.dtype == entries.dtype:
@@ -241,11 +243,8 @@ def _make_rhs(static: sp.csr_array, drives: tuple[tuple[float, sp.csr_array], ..
         np.multiply(static.data, scale, out=entries)
         for nu, drive in modulated:
             np.add(entries, (scale * math.cos(nu * t)) * drive, out=entries)
-        if v.ndim == 1:
-            _sparsetools.csr_matvec(n_row, n_col, indptr, indices, entries, v, out)
-        else:
-            _sparsetools.csr_matvecs(n_row, n_col, v.shape[1], indptr, indices, entries,
-                                     v.ravel(), out.ravel())
+        _sparsetools.csr_matvecs(n_row, n_col, v.shape[1], indptr, indices, entries,
+                                 v.ravel(), out.ravel())
 
     return rhs
 
@@ -259,14 +258,17 @@ def evolve(
 ) -> DensityMatrix:
     """Propagate rho from t0 to t1 with fixed-step 4th-order integration.
 
-    The step defaults to ``stability_limited_dt``.  An explicit ``dt`` must
-    be positive and resolve the fastest drive (at least 20 steps per
-    period); otherwise ``ValueError`` is raised.  The trace is renormalized
-    once at the end if the accumulated drift exceeds 1e-10 (and the drift
-    logged).
+    The step defaults to ``stability_limited_dt``.  A non-finite ``t0``,
+    ``t1`` or ``dt`` raises ``ValueError``, as does an explicit ``dt`` that
+    is not positive or does not resolve the fastest drive (at least 20
+    steps per period).  The trace is renormalized once at the end if the
+    accumulated drift exceeds 1e-10 (and the drift logged).
     """
     if rho0.layout != generator.layout:
         raise ValueError("initial state layout does not match generator layout")
+    for name, value in (("t0", t0), ("t1", t1), ("dt", dt)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if t1 < t0:
         raise ValueError(f"t1 = {t1} must not precede t0 = {t0}")
     if dt is None:
@@ -284,23 +286,51 @@ def evolve(
     n_steps = max(1, math.ceil((t1 - t0) / dt))
     h = (t1 - t0) / n_steps
     rhs = _make_rhs(*generator.superops())
-    for k, state in enumerate(_rk4_steps(rhs, rho0.vec(), t0, h, n_steps)):
+    for k, state in enumerate(_rk4_steps(rhs, rho0.vec()[:, None], t0, h, n_steps)):
         if k % 1000 == 999 and not np.all(np.isfinite(state)):
             raise ArithmeticError(f"state became non-finite at t = {t0 + (k + 1) * h}")
     if not np.all(np.isfinite(state)):
         raise ArithmeticError("state became non-finite during evolution")
 
-    rho = unvectorize(state, generator.dim)
+    rho = unvectorize(state[:, 0], generator.dim)
     trace = float(np.real(np.trace(rho)))
     if abs(trace - 1.0) > TRACE_DRIFT_TOL:
         logger.info("trace drift %.3e after evolve; renormalizing once", trace - 1.0)
         rho /= trace
-    return DensityMatrix.from_matrix(generator.layout, rho, validate=False)
+    return DensityMatrix.from_matrix(generator.layout, rho)
 
 
 # ---------------------------------------------------------------------------
 # direct (null-space) steady state
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _DirectPlan:
+    """The direct solve's fixed part for one real block: M_0, the real
+    terms' sum with the trace row (ones on the d diagonal coordinates) in
+    place of row 0, with column j moved to ``perm_c[j]``, as CSC on
+    (``indptr``, ``indices``), entry k being ``gather[k]`` of the terms'
+    entries followed by the trace row's 1."""
+
+    perm_c: np.ndarray
+    gather: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def of(cls, d: int, terms, perm_c: np.ndarray) -> "_DirectPlan":
+        """The plan of the real ``terms`` of a d x d state in column order ``perm_c``."""
+        ptr, start = terms.indptr, terms.indptr[1]
+        indptr = np.concatenate([[0], ptr[1:] - start + d])
+        source = np.concatenate([np.full(d, ptr[-1]), np.arange(start, ptr[-1])])
+        columns = perm_c[np.concatenate([np.arange(d), terms.indices[start:]])]
+        m = sp.csr_array((source, columns, indptr), shape=(terms.side, terms.side)).tocsc()
+        return cls(perm_c, m.data, m.indptr, m.indices)
+
+    def system(self, entries: np.ndarray) -> sp.csc_array:
+        return sp.csc_array((np.append(entries, 1.0)[self.gather], self.indices, self.indptr),
+                            shape=(self.perm_c.size,) * 2)
+
 
 def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     """Steady state of a time-independent generator via its null space.
@@ -316,33 +346,34 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     of row d-1, is the rank-2 update M_0 + U V^T with
     V = [l_0 - tau, tau - l_(d-1)] (l_i row i of L), so its solution is
     x_(d-1) = Z C^-1 e_1 with the 2 x 2 capacitance matrix C = I + V^T Z
-    (Woodbury).  The real table's ``lindblad._DirectPlan`` holds the rest:
-    M_0's CSC pattern in SuperLU's COLAMD column order, rows 0 and d-1 and
-    T^dagger.  The first point of a table is factored with COLAMD, which
-    gives its solution and the order; a later one gathers its entries into
-    the plan and factors in that order (``NATURAL``).  A degenerate
-    stationary manifold within the block makes the factor (then no plan is
-    kept) or C singular, the solution non-finite, or x_0 and x_(d-1)
-    disagree by more than 1e-8; each raises
+    (Woodbury).  The ``_DirectPlan`` in the real block's ``plan`` slot
+    holds M_0's CSC pattern in SuperLU's COLAMD column order.  The first
+    point of a block is factored with COLAMD,
+    which gives its solution and the order, and fills the slot; a later one
+    gathers its entries into the plan and factors in that order
+    (``NATURAL``).  A degenerate stationary manifold within the block makes
+    the factor (then no plan is kept) or C singular, the solution
+    non-finite, or x_0 and x_(d-1) disagree by more than 1e-8; each raises
     :class:`DegenerateSteadyStateError`.  Uniqueness is certified only
     within that block: stationary coherences outside it carry no trace and
-    are not states.  The lifted state must pass a 1e-10 residual against
-    the term table's complex entries, and the state validation.  Above
-    ``SUPEROP_MATERIALIZE_DIM`` ``ValueError`` is raised.
+    are not states.  The state, lifted by the block's T^dagger, must pass a
+    1e-10 residual against the term table's complex entries, and the state
+    validation.  Above ``SUPEROP_MATERIALIZE_DIM`` ``ValueError`` is raised.
     """
     if generator.drive_frequencies:
         raise ValueError("direct solve requires a generator without drive terms")
     d, weights = generator.dim, generator._terms.static
-    table, transform, real = generator._real()
-    entries = np.append(real.coefficients @ weights, 1.0)
+    table, block = generator._real()
+    real = block.terms
+    entries = real.coefficients @ weights
     u = np.zeros((real.side, 2))
     u[(0, d - 1), (0, 1)] = 1.0
-    plan = _DIRECT_PLANS.get(real)
+    plan = block.plan
     try:
         if plan is None:
-            lu = spla.splu(_DirectPlan.of(transform, real, np.arange(real.side)).system(entries))
+            lu = spla.splu(_DirectPlan.of(d, real, np.arange(real.side)).system(entries))
             z = lu.solve(u)
-            plan = _DIRECT_PLANS[real] = _DirectPlan.of(transform, real, lu.perm_c)
+            plan = block.plan = _DirectPlan.of(d, real, lu.perm_c)
         else:
             # column j sits at perm_c[j]: the system M_0 Pc y = U, Z = Pc y
             z = spla.splu(plan.system(entries), permc_spec="NATURAL").solve(u)[plan.perm_c]
@@ -352,7 +383,10 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
         ) from err
     if not np.all(np.isfinite(z)):
         raise DegenerateSteadyStateError("sparse solve produced non-finite entries")
-    tau_z, l_z = z[:d].sum(axis=0), [entries[s] @ z[c] for s, c in plan.rows]
+    # rows 0 and d-1 of the terms, l_0 and l_(d-1), applied to Z
+    ptr, cols = real.indptr, real.indices
+    tau_z = z[:d].sum(axis=0)
+    l_z = [entries[ptr[r]:ptr[r + 1]] @ z[cols[ptr[r]:ptr[r + 1]]] for r in (0, d - 1)]
     capacitance = np.eye(2) + np.array([l_z[0] - tau_z, tau_z - l_z[1]])
     try:
         x_last = z @ np.linalg.solve(capacitance, [0.0, 1.0])
@@ -366,20 +400,11 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
         raise DegenerateSteadyStateError(
             "two independent trace slices disagree; steady state is not unique"
         )
-    rho = unvectorize(plan.lift @ x_first.astype(np.complex128), d)
-    residual = float(np.max(np.abs(table.assemble(weights) @ vectorize(rho))))
+    vec = block.lift @ x_first.astype(np.complex128)
+    residual = float(np.max(np.abs(table.assemble(weights) @ vec)))
     if not residual <= 1e-10:  # a nan residual fails too
         raise ArithmeticError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    return DensityMatrix.from_matrix(generator.layout, rho, validate=True)
-
-
-# ---------------------------------------------------------------------------
-# real Hermitian-basis representation
-# ---------------------------------------------------------------------------
-
-def _complex_state(transform: sp.csr_array, u: np.ndarray, d: int) -> np.ndarray:
-    """The matrix T^dagger u; it is exactly Hermitian for every real u."""
-    return unvectorize(transform.conj().T @ u.astype(np.complex128), d)
+    return DensityMatrix.from_matrix(generator.layout, unvectorize(vec, d))
 
 
 def _real_observable(transform: sp.csr_array, op: SparseOperator) -> np.ndarray:
@@ -514,8 +539,9 @@ def steady_state_averaged(
     the lowest drive frequency (over one step without drives), and block
     and window lengths are snapped to whole periods.  The map acts on the
     invariant block that carries the trace, in a real Hermitian basis of
-    that block (``Liouvillian.real_superops``); ``block_dim`` of the result
-    is its real dimension.  Every drive frequency must be an integer
+    that block (the generator's real block, whose T^dagger lifts the final
+    coordinates to ``final_state``, which is validated); ``block_dim`` of
+    the result is its real dimension.  Every drive frequency must be an integer
     multiple of the lowest one; otherwise ``ValueError`` is raised.  The
     step divides the period into whole steps no longer than
     ``stability_limited_dt``, at least 20 per period of the fastest drive.
@@ -533,10 +559,11 @@ def steady_state_averaged(
         protocol = ConvergenceProtocol()
     grid = _unit_grid(generator, protocol)
     d = generator.dim
-    transform, l0, drives = generator.real_superops()
+    _, real_block = generator._real()
+    l0, drives = generator._terms.superops(real_block.terms)
     # the ground state |0><0|: vec index 0, so its real coordinates are column 0 of T
-    u = transform[:, [0]].toarray().real.ravel()
-    c_row = _real_observable(transform, observable.observable)
+    u = real_block.transform[:, [0]].toarray().real.ravel()
+    c_row = _real_observable(real_block.transform, observable.observable)
     unit, c_avg = _build_unit_map(l0, drives, c_row, grid)
     block_map, window_row = _block_map_and_window_row(
         unit, c_avg, grid.units_per_block, grid.window_units
@@ -577,14 +604,15 @@ def steady_state_averaged(
             averages,
         )
 
-    # the loop left u's trace within TRACE_DRIFT_TOL, and T^dagger copies u[:d] onto the diagonal
-    rho = _complex_state(transform, u, d)
+    # the loop left u's trace within TRACE_DRIFT_TOL, and T^dagger copies u[:d]
+    # onto the diagonal; T^dagger u is exactly Hermitian for every real u
+    rho = unvectorize(real_block.lift @ u.astype(np.complex128), d)
     trajectory = None
     if points is not None:
         trajectory = Trajectory(observable.name, np.asarray(times, dtype=np.float64),
                                 np.asarray(samples, dtype=np.float64))
     return EvolutionResult(
-        final_state=DensityMatrix.from_matrix(generator.layout, rho, validate=False),
+        final_state=DensityMatrix.from_matrix(generator.layout, rho),
         converged_value=averages[converged],
         converged_block=converged,
         blocks_used=converged + 1,
@@ -592,6 +620,6 @@ def steady_state_averaged(
         block_length_effective=grid.units_per_block * grid.duration,
         window_effective=grid.window_units * grid.duration,
         dt=grid.dt,
-        block_dim=transform.shape[0],
+        block_dim=l0.shape[0],
         trajectory=trajectory,
     )

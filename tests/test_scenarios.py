@@ -571,6 +571,17 @@ def test_quick_plot_draws_every_scenario(name, tmp_path, stub_pyplot):
     assert stub_pyplot.calls[-1] == ("plt", "close", (stub_pyplot.fig,))
 
 
+def test_bridge_decoherence_plot_draws_one_series_per_delta_omega(tmp_path, stub_pyplot):
+    # the rows of each delta_omega form their own curve over gamma_dec, not
+    # one line that jumps back at every new delta_omega
+    config = {"name": "bridge-decoherence", "plot": True, "circuit": {"ho_truncation": 2},
+              "axes": {"delta_omega": [100.0, 300.0], "gamma_dec": [1e-3, 1e-2]}}
+    run_scenario(config, out_dir=tmp_path)
+    curves = [args for owner, method, args in stub_pyplot.calls if method == "semilogx"]
+    assert len(curves) == 4
+    assert all(list(xs) == [1e-3, 1e-2] for xs, *_ in curves)
+
+
 def test_quick_plot_closes_the_figure_when_drawing_fails(tmp_path, stub_pyplot):
     def draw(ax, rows):
         raise RuntimeError("draw failed")

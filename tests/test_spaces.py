@@ -223,14 +223,11 @@ def test_density_matrix_rejects_non_finite_entries(entry):
     data[0, 0] = entry
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix.from_matrix(layout, data)
-    DensityMatrix.from_matrix(layout, data, validate=False)
 
 
 def test_vec_is_column_stacking():
     layout = single(HarmonicOscillator(2))
-    rho = DensityMatrix.from_matrix(
-        layout, np.array([[0.75, 0.1j], [-0.1j, 0.25]]), validate=True
-    )
+    rho = DensityMatrix.from_matrix(layout, np.array([[0.75, 0.1j], [-0.1j, 0.25]]))
     v = rho.vec()
     assert v[0] == 0.75 and v[1] == -0.1j and v[2] == 0.1j and v[3] == 0.25
 

@@ -46,7 +46,6 @@ from heatrect.steady import (
     DegenerateSteadyStateError,
     _block_map_and_window_row,
     _build_unit_map,
-    _complex_state,
     _generator_norm_bound,
     _make_rhs,
     _real_observable,
@@ -133,6 +132,42 @@ def test_evolve_rejects_coarse_dt_with_drives():
         evolve(gen, rho0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("t0, t1, dt, name", [
+    (math.nan, 1.0, None, "t0"), (-math.inf, 1.0, None, "t0"),
+    (0.0, math.nan, None, "t1"), (0.0, math.inf, None, "t1"),
+    (0.0, 1.0, math.nan, "dt"), (0.0, 1.0, math.inf, "dt"),
+], ids=["t0-nan", "t0-minus-inf", "t1-nan", "t1-inf", "dt-nan", "dt-inf"])
+def test_evolve_rejects_non_finite_times(t0, t1, dt, name):
+    # a nan or infinite time used to reach math.ceil (an unnamed ValueError
+    # or an OverflowError), and an infinite dt ran one step of length t1 - t0
+    gen = decay_generator(dim=2, Gamma=1.0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        evolve(gen, DensityMatrix.ground_state(gen.layout), t0, t1, dt)
+
+
+def _count_validations(monkeypatch) -> list:
+    """The states that ``DensityMatrix.validate`` is called on, in order."""
+    checked = []
+
+    def counted(self, _original=DensityMatrix.validate):
+        checked.append(self)
+        return _original(self)
+
+    monkeypatch.setattr(DensityMatrix, "validate", counted)
+    return checked
+
+
+def test_averaged_and_evolve_validate_the_state_they_return(monkeypatch):
+    _, gen = series_generator()
+    rho0 = DensityMatrix.ground_state(gen.layout)
+    obs = bath_current_functional(gen, "right")
+    checked = _count_validations(monkeypatch)
+    out = evolve(gen, rho0, 0.0, 0.5)
+    assert len(checked) == 1 and checked[0] is out
+    result = steady_state_averaged(gen, obs, ConvergenceProtocol(block_length=200.0, average_window=50.0))
+    assert len(checked) == 2 and checked[1] is result.final_state
+
+
 def test_evolve_fourth_order_convergence():
     # halving dt must shrink the error by ~2^4; fit the observed order
     _, gen = series_generator()
@@ -161,7 +196,7 @@ def test_evolve_and_rk4_steps_leave_their_input_unchanged():
     assert not np.array_equal(out.data, before)
 
     # the stepper updates a private copy in place and yields that copy
-    state = rho0.vec()
+    state = rho0.vec()[:, None]
     start = state.copy()
     rhs = _make_rhs(*gen.superops())
     stepped = list(_rk4_steps(rhs, state, 0.0, 1e-3, 3))
@@ -196,7 +231,7 @@ def test_make_rhs_on_the_union_pattern_matches_separate_products():
 
     rhs = _make_rhs(static, drives)
     rng = np.random.default_rng(11)
-    for shape in ((36,), (36, 5)):
+    for shape in ((36, 1), (36, 5)):
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for t in (0.0, 1.3e-3, 7.9e-3, 0.41):
             expected = static @ v
@@ -226,7 +261,7 @@ def test_make_rhs_adds_the_scaled_product_into_out(real):
         x = rng.standard_normal(shape)
         return x if real else x + 1j * rng.standard_normal(shape)
 
-    for shape in ((n,), (n, 4)):
+    for shape in ((n, 1), (n, 4)):
         for t in (0.0, 2.1e-3, 1.7e-2, 0.93):
             v, out = sample(shape), sample(shape)
             product = static @ v
@@ -248,6 +283,20 @@ def test_make_rhs_adds_the_scaled_product_into_out(real):
         rhs(np.zeros((n, 4), dtype=other), 0.0, 1.0, np.zeros((n, 4), dtype=dtype))
     with pytest.raises(ValueError, match="cannot hold"):
         rhs(v, 0.0, 1.0, np.zeros((n, 3), dtype=dtype))
+
+
+def test_make_rhs_takes_a_matrix_of_states_only():
+    # one private kernel, csr_matvecs, with one shape rule: a single state
+    # is one column, and a 1-D state vector is refused
+    static, drives = drive_outside_static_generator().superops()
+    rhs = _make_rhs(static, drives)
+    v = np.ones(36, dtype=complex)
+    with pytest.raises(ValueError, match="a matrix of states"):
+        rhs(v, 0.0, 1.0, np.zeros(36, dtype=complex))
+    out = np.zeros((36, 1), dtype=complex)
+    rhs(v[:, None], 0.0, 1.0, out)
+    expected = static @ v + sum(s @ v for _, s in drives)  # cos(nu * 0) = 1
+    np.testing.assert_allclose(out[:, 0], expected, rtol=0, atol=1e-12)
 
 
 def test_rk4_steps_allocate_no_state_sized_array_per_step():
@@ -367,7 +416,7 @@ def two_slice_reference(gen: Liouvillian) -> np.ndarray:
         x = spla.splu(sp.csc_array(system)).solve(rhs)
         solutions.append(x / x[:d].sum())
     np.testing.assert_allclose(solutions[0], solutions[1], rtol=0, atol=1e-10)
-    rho = _complex_state(transform, solutions[0], d)
+    rho = unvectorize(transform.conj().T @ solutions[0].astype(complex), d)
     return rho / np.trace(rho)
 
 
@@ -385,7 +434,7 @@ def direct_solve_cases():
 
 
 def test_direct_factors_once_per_call_and_orders_columns_once_per_pattern(monkeypatch):
-    lindblad._DIRECT_PLANS.clear()
+    lindblad._real_table.cache_clear()
     calls = []
 
     def counted(a, *args, _original=spla.splu, **kwargs):
@@ -400,7 +449,7 @@ def test_direct_factors_once_per_call_and_orders_columns_once_per_pattern(monkey
         steady_state_direct(upper)
         assert len(calls) == k + 1
     assert calls == ["COLAMD"] + ["NATURAL"] * 5
-    assert len(lindblad._DIRECT_PLANS) == 1
+    assert lindblad._real_table.cache_info().currsize == 1
     for gen in direct_solve_cases():
         before = len(calls)
         steady_state_direct(gen)
@@ -413,7 +462,7 @@ def test_direct_route_builds_no_complex_superoperator(monkeypatch):
         raise AssertionError("superops() called on the direct route")
 
     monkeypatch.setattr(Liouvillian, "superops", refused)
-    lindblad._DIRECT_PLANS.clear()
+    lindblad._real_table.cache_clear()
     for gen in direct_solve_cases():
         rho = steady_state_direct(gen)
         assert abs(np.trace(rho.data) - 1.0) < 1e-12
@@ -424,7 +473,7 @@ def test_direct_route_builds_no_complex_superoperator(monkeypatch):
 
 @pytest.mark.parametrize("reuse_order", [False, True], ids=["first-of-pattern", "cached-order"])
 def test_direct_matches_two_factorization_reference(reuse_order):
-    lindblad._DIRECT_PLANS.clear()
+    lindblad._real_table.cache_clear()
     for gen in direct_solve_cases():
         if reuse_order:
             steady_state_direct(gen)
@@ -451,14 +500,30 @@ def test_normalization_rejects_a_nan_residual(monkeypatch):
     real_tables = Liouvillian._real
 
     def poisoned(self):
-        table, transform, real = real_tables(self)
+        table, block = real_tables(self)
         coefficients = table.coefficients.copy()
         coefficients.data[0] = np.nan
-        return lindblad._TermTable(table.side, table.indptr, table.indices, coefficients), transform, real
+        return lindblad._TermTable(table.side, table.indptr, table.indices, coefficients), block
 
     monkeypatch.setattr(Liouvillian, "_real", poisoned)
     with pytest.raises(ArithmeticError, match="residual nan"):
         steady_state_direct(gen)
+
+
+def test_direct_solve_keeps_its_plan_on_the_real_block():
+    # the plan lives on the generator's cached real block, so every later
+    # point of the layout finds it there, and the block lifts with one T^dagger
+    lindblad._real_table.cache_clear()
+    first, second = (build_bridge_half_generators(CircuitSpec.build(
+        "bridge", T_left=1.0, T_right=0.1, delta_omega=dw, ho_truncation=3))[0] for dw in (120.0, 300.0))
+    _, block = first._real()
+    assert block.plan is None
+    steady_state_direct(first)
+    assert isinstance(block.plan, steady._DirectPlan)
+    plan = block.plan
+    assert second._real()[1] is block
+    steady_state_direct(second)
+    assert block.plan is plan
 
 
 def test_direct_agrees_with_long_time_evolution():
@@ -605,13 +670,15 @@ def test_trace_block_is_the_coherence_order_zero_sector():
 
 @pytest.mark.parametrize("truncation", [2, 3, 4])
 def test_lifted_real_basis_states_are_exactly_hermitian(truncation):
-    # T^dagger u of a real u is Hermitian to the last bit, so neither solver
-    # symmetrizes the states it lifts
+    # T^dagger u of a real u, by the real block's one lift, is Hermitian to
+    # the last bit, so neither solver symmetrizes the states it lifts
     rng = np.random.default_rng(truncation)
     halves = bridge_halves(truncation)[1]
     for gen in halves:
-        transform, _, _ = gen.real_superops()
-        rho = _complex_state(transform, rng.standard_normal(transform.shape[0]), gen.dim)
+        _, block = gen._real()
+        assert (block.lift != block.transform.conj().T).nnz == 0
+        u = rng.standard_normal(block.transform.shape[0])
+        rho = unvectorize(block.lift @ u.astype(complex), gen.dim)
         assert np.array_equal(rho, rho.conj().T)
     rho = steady_state_direct(halves[0]).data
     assert np.array_equal(rho, rho.conj().T)
@@ -656,14 +723,16 @@ def test_direct_residual_check_guards_the_real_block_solve(monkeypatch):
     real_tables = Liouvillian._real
 
     def perturbed(self):
-        table, transform, real = real_tables(self)
+        table, block = real_tables(self)
+        real = block.terms
         row = gen.dim
         entry = real.indptr[row] + np.searchsorted(real.indices[real.indptr[row]:real.indptr[row + 1]], row)
         assert real.indices[entry] == row
         scale = np.ones(real.indices.size)
         scale[entry] = 1.001
         coefficients = sp.csc_array(sp.diags_array(scale) @ real.coefficients)
-        return table, transform, lindblad._TermTable(real.side, real.indptr, real.indices, coefficients)
+        terms = lindblad._TermTable(real.side, real.indptr, real.indices, coefficients)
+        return table, lindblad._RealBlock(block.transform, block.lift, terms)
 
     monkeypatch.setattr(Liouvillian, "_real", perturbed)
     with pytest.raises(ArithmeticError, match="residual"):
@@ -996,12 +1065,13 @@ def test_real_tables_are_built_once_per_layout_and_stay_unchanged(monkeypatch):
         fresh = lindblad._term_table.__wrapped__(gen.layout, keys)
         table = lindblad._term_table(gen.layout, keys)
         hits = lindblad._real_table.cache_info().hits
-        t, cached_terms = lindblad._real_table(table, live)
+        block = lindblad._real_table(table, live)
         assert lindblad._real_table.cache_info().hits == hits + 1
-        t_fresh, fresh_terms = lindblad._real_table.__wrapped__(fresh, live)
+        fresh_block = lindblad._real_table.__wrapped__(fresh, live)
         pairs = list(zip(_table_arrays(table), _table_arrays(fresh)))
-        pairs += [(t.data, t_fresh.data), (t.indices, t_fresh.indices), (t.indptr, t_fresh.indptr)]
-        pairs += list(zip(_table_arrays(cached_terms), _table_arrays(fresh_terms)))
+        for m, m_fresh in ((block.transform, fresh_block.transform), (block.lift, fresh_block.lift)):
+            pairs += [(m.data, m_fresh.data), (m.indices, m_fresh.indices), (m.indptr, m_fresh.indptr)]
+        pairs += list(zip(_table_arrays(block.terms), _table_arrays(fresh_block.terms)))
         for cached, built in pairs:
             assert cached.dtype == built.dtype and cached.tobytes() == built.tobytes()
 
