@@ -47,8 +47,9 @@ from .steady import (
     ConvergenceError,
     ConvergenceProtocol,
     DegenerateSteadyStateError,
-    EvolutionResult,
+    SteadyStateResult,
     evolve,
+    steady_state,
     steady_state_averaged,
     steady_state_direct,
 )

@@ -48,9 +48,9 @@ from .steady import (
     CONVERGENCE_ABS_FLOOR,
     ConvergenceError,
     ConvergenceProtocol,
-    Trajectory,
+    SteadyStateResult,
+    steady_state,
     steady_state_averaged,
-    steady_state_direct,
 )
 
 logger = logging.getLogger("heatrect")
@@ -101,53 +101,12 @@ def _spec_for(circuit: dict, topology: str, bias: BiasSetting, delta_omega) -> C
                              delta_omega=delta_omega, **circuit)
 
 
-@dataclass(frozen=True)
-class _Run:
-    """One steady-state run: its solver, the observable's value, the state (``None``
-    when a windowed average missed the threshold) and, for a windowed average, its blocks."""
-
-    solver: str
-    value: float
-    state: DensityMatrix | None
-    converged_block: int | None = None
-    blocks_used: int | None = None
-    block_averages: list[float] = field(default_factory=list)
-    trajectory: Trajectory | None = None
-
-    @property
-    def converged(self) -> bool:
-        return self.state is not None
-
-    def block_columns(self, converged_block: str = "converged_block",
-                      blocks: str = "blocks_used") -> dict:
-        """The block fields under the given column names; none for a direct solve."""
-        if self.converged_block is None:
-            return {}
-        return {converged_block: self.converged_block, blocks: self.blocks_used}
-
-
-def _averaged(out: _Output, generator, observable, protocol: ConvergenceProtocol,
-              trajectory_points_per_block: int | None = None) -> _Run:
-    """``steady_state_averaged``, with non-convergence returned as a flagged run;
-    ``out`` records the block dimension of a converged run."""
-    try:
-        res = steady_state_averaged(generator, protocol=protocol, observable=observable,
-                                    trajectory_points_per_block=trajectory_points_per_block)
-    except ConvergenceError as err:
-        return _Run("windowed-average", err.last_averages[-1], None, -1, protocol.max_blocks,
-                    err.block_averages)
-    out.block_dims.add(res.block_dim)
-    return _Run("windowed-average", res.converged_value, res.final_state, res.converged_block,
-                res.blocks_used, res.block_averages, res.trajectory)
-
-
-def _steady(out: _Output, generator, observable, protocol: ConvergenceProtocol) -> _Run:
-    """The route rule: the direct null-space solve for a time-independent
-    generator, the windowed average for a driven one."""
-    if generator.drive_frequencies:
-        return _averaged(out, generator, observable, protocol)
-    rho = steady_state_direct(generator)
-    return _Run("direct", observable.value(rho), rho)
+def _block_columns(run: SteadyStateResult, converged_block: str = "converged_block",
+                   blocks: str = "blocks_used") -> dict:
+    """The block fields of a windowed average under the given column names; none for a direct solve."""
+    if run.converged_block is None:
+        return {}
+    return {converged_block: run.converged_block, blocks: run.blocks_used}
 
 
 # forward bias reports the net current into the right bath, reverse minus
@@ -170,14 +129,15 @@ def _two_way_rows(resolved: ResolvedConfig, out, delta_omega_d1: float,
     for bias in _BIAS_SIDES:
         gen, obs, signs[bias] = _two_way_setup(resolved, topology, bias,
                                                delta_omega_d1, delta_omega_d2)
-        runs[bias] = _steady(out, gen, obs, resolved.protocol)
+        runs[bias] = steady_state(gen, obs, resolved.protocol)
+        out.block_dims.add(runs[bias].block_dim)
     # both biases build the same generator terms, so they take one route
     (solver,) = {run.solver for run in runs.values()}
     row = {"delta_omega_d1": delta_omega_d1, "delta_omega_d2": delta_omega_d2, "solver": solver,
            "rate_mode": resolved.circuit["bridge_rate_mode"]}
     for bias, run in runs.items():
         row[f"current_{bias}"] = signs[bias] * run.value
-        row.update(run.block_columns(f"converged_block_{bias}", f"blocks_{bias}"))
+        row.update(_block_columns(run, f"converged_block_{bias}", f"blocks_{bias}"))
     rho = runs["reverse"].state
     for diode in ("D1", "D2"):
         row[f"p0_{diode.lower()}_reverse"] = math.nan if rho is None else float(
@@ -209,11 +169,12 @@ def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
     }
     runs = []
     for gen, (half, mode, side) in zip(build_bridge_half_generators(spec), _BRIDGE_TRIOS):
-        run = _steady(out, gen, bath_current_functional(gen, "right"), resolved.protocol)
+        run = steady_state(gen, bath_current_functional(gen, "right"), resolved.protocol)
         runs.append(run)
+        out.block_dims.add(run.block_dim)
         row[f"solver_{half}"] = run.solver
         row[f"current_{half}_right"] = run.value
-        row.update(run.block_columns())
+        row.update(_block_columns(run))
         nbar = temp = fid = math.nan
         pops = [math.nan] * n_mid
         if run.converged:
@@ -245,8 +206,12 @@ def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
         _, gen = build_bridge_half_generators(spec)
         obs = bath_current_functional(gen, "right")
         sign = 1.0
-    run = _averaged(out, gen, obs, resolved.protocol,
-                    resolved.extras["trajectory_points_per_block"])
+    points = resolved.extras["trajectory_points_per_block"]
+    try:
+        run = steady_state_averaged(gen, obs, resolved.protocol, trajectory_points_per_block=points)
+    except ConvergenceError as err:
+        run = err.result
+    out.block_dims.add(run.block_dim)
     rows = [{
         "circuit": circuit,
         "bias": bias,
@@ -274,8 +239,9 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
     setting = resolved.biases[bias]
     delta_omega = resolved.extras["delta_omega"]
     spec = _spec_for(resolved.circuit, "single-diode", setting, delta_omega)
-    full, reduced = (_steady(out, gen, bath_current_functional(gen, "right"), resolved.protocol)
+    full, reduced = (steady_state(gen, bath_current_functional(gen, "right"), resolved.protocol)
                      for gen in (build_generator(spec), build_reduced_generator(spec)))
+    out.block_dims.update((full.block_dim, reduced.block_dim))
 
     # both currents vanish at equilibrium: below the stopping rule's floor
     # both are round-off, so their deviation is written as 0; the floor also
@@ -289,7 +255,7 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
         "current_full": full.value,
         "current_reduced": reduced.value,
         "rel_deviation": 0.0 if round_off else abs(reduced.value - full.value) / scale,
-        **full.block_columns(),
+        **_block_columns(full),
         "converged": full.converged and reduced.converged,
         "delta_omega": delta_omega,
         "Gamma": resolved.circuit["Gamma"],
@@ -673,7 +639,7 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]):
 @dataclass
 class _Output:
     """Output directory of one run, the side files the run wrote into it and
-    the block dimensions its windowed averages ran on."""
+    the block dimensions its steady-state solves ran on."""
 
     path: Path
     files: list[str] = field(default_factory=list)

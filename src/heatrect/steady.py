@@ -1,6 +1,10 @@
 """Time evolution and steady-state extraction.
 
-Two steady-state routes are provided.  ``steady_state_direct`` solves the
+``steady_state`` is the one entry to a steady state: it applies the route
+rule, the direct solve for a generator without drive terms and the
+windowed average for a driven one, and returns one ``SteadyStateResult``
+either way; a windowed average that ran out of blocks comes back flagged,
+with no state.  ``steady_state_direct`` solves the
 null space of a time-independent generator by one sparse LU factorization
 in real arithmetic, with the trace constraint in place of one diagonal
 row; a second trace slice, the constraint in place of another diagonal
@@ -75,12 +79,12 @@ CONVERGENCE_ABS_FLOOR = 1e-8
 
 
 class ConvergenceError(RuntimeError):
-    """Windowed-average protocol ran out of blocks; carries every block average."""
+    """Windowed-average protocol ran out of blocks; ``result`` is the flagged
+    ``SteadyStateResult``, which carries every block average."""
 
-    def __init__(self, message: str, block_averages: list[float]):
+    def __init__(self, message: str, result: SteadyStateResult):
         super().__init__(message)
-        self.block_averages = list(block_averages)
-        self.last_averages = tuple(self.block_averages[-2:])
+        self.result = result
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -99,8 +103,9 @@ class ConvergenceProtocol:
     def __post_init__(self):
         for name in ("block_length", "average_window", "rel_tol"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value > 0)):
+                raise ValueError(f"{name} must be a finite and positive number, got {value!r}")
         if self.average_window > self.block_length:
             raise ValueError("average_window must not exceed block_length")
         if isinstance(self.max_blocks, bool) or not isinstance(self.max_blocks, numbers.Integral):
@@ -116,20 +121,47 @@ class Trajectory:
     values: np.ndarray
 
 
-@dataclass
-class EvolutionResult:
-    """Outcome of the windowed-average protocol."""
+@dataclass(frozen=True)
+class SteadyStateResult:
+    """One steady-state solve: its ``solver`` (``"direct"`` or
+    ``"windowed-average"``), the observable's ``value``, the ``state``
+    (``None`` when a windowed average ran out of blocks; its value is then
+    the last block average) and the real dimension ``block_dim`` of the
+    invariant block the solve ran on.  The windowed average's own fields
+    are ``None`` for a direct solve: the converged block and the blocks
+    used (-1 and ``max_blocks`` when it ran out), every block average, the
+    step, the snapped block and window lengths, and the sampled trajectory."""
 
-    final_state: DensityMatrix
-    converged_value: float
-    converged_block: int
-    blocks_used: int
-    block_averages: list[float]
-    block_length_effective: float
-    window_effective: float
-    dt: float
-    block_dim: int  # real dimension of the invariant block the protocol ran on
+    solver: str
+    value: float
+    state: DensityMatrix | None
+    block_dim: int
+    converged_block: int | None = None
+    blocks_used: int | None = None
+    block_averages: tuple[float, ...] | None = None
+    dt: float | None = None
+    block_length_effective: float | None = None
+    window_effective: float | None = None
     trajectory: Trajectory | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.state is not None
+
+
+def steady_state(generator: Liouvillian, observable: CurrentFunctional,
+                 protocol: ConvergenceProtocol | None = None) -> SteadyStateResult:
+    """The steady state by the route rule: ``steady_state_direct`` for a
+    generator without drive terms, ``steady_state_averaged`` under
+    ``protocol`` for a driven one, whose ``ConvergenceError`` comes back as
+    its flagged result."""
+    if generator.drive_frequencies:
+        try:
+            return steady_state_averaged(generator, observable, protocol)
+        except ConvergenceError as err:
+            return err.result
+    state = steady_state_direct(generator)
+    return SteadyStateResult("direct", observable.value(state), state, generator._real()[1].terms.side)
 
 
 # fixed-step RK4 is stable for |lambda * dt| up to ~2.8; stay well inside
@@ -525,22 +557,23 @@ def steady_state_averaged(
     protocol: ConvergenceProtocol | None = None,
     *,
     trajectory_points_per_block: int | None = None,
-) -> EvolutionResult:
+) -> SteadyStateResult:
     """Windowed-average steady state of a (possibly driven) generator.
 
     Starts from the ground state and evolves block by block, averaging
     ``observable`` over the trailing window of each block, and stops at the
     first block n whose average differs from block n-1 by less than rel_tol
     in relative terms (with an absolute floor so exactly-zero currents
-    converge too).  Raises :class:`ConvergenceError` carrying the block
-    averages when ``max_blocks`` is exhausted.
+    converge too).  When ``max_blocks`` is exhausted, raises
+    :class:`ConvergenceError` carrying the flagged result, without the
+    trajectory.
 
     The blocks are advanced with a precomputed dense map over one period of
     the lowest drive frequency (over one step without drives), and block
     and window lengths are snapped to whole periods.  The map acts on the
     invariant block that carries the trace, in a real Hermitian basis of
     that block (the generator's real block, whose T^dagger lifts the final
-    coordinates to ``final_state``, which is validated); ``block_dim`` of
+    coordinates to the result's ``state``, which is validated); ``block_dim`` of
     the result is its real dimension.  Every drive frequency must be an integer
     multiple of the lowest one; otherwise ``ValueError`` is raised.  The
     step divides the period into whole steps no longer than
@@ -597,11 +630,15 @@ def steady_state_averaged(
         if converged is not None:
             break
 
+    common = dict(solver="windowed-average", block_dim=l0.shape[0], block_averages=tuple(averages),
+                  dt=grid.dt, block_length_effective=grid.units_per_block * grid.duration,
+                  window_effective=grid.window_units * grid.duration)
     if converged is None:
         raise ConvergenceError(
             f"current did not converge within {protocol.max_blocks} blocks "
             f"(last averages {averages[-2]:.6e}, {averages[-1]:.6e})",
-            averages,
+            SteadyStateResult(value=averages[-1], state=None, converged_block=-1,
+                              blocks_used=protocol.max_blocks, **common),
         )
 
     # the loop left u's trace within TRACE_DRIFT_TOL, and T^dagger copies u[:d]
@@ -611,15 +648,7 @@ def steady_state_averaged(
     if points is not None:
         trajectory = Trajectory(observable.name, np.asarray(times, dtype=np.float64),
                                 np.asarray(samples, dtype=np.float64))
-    return EvolutionResult(
-        final_state=DensityMatrix.from_matrix(generator.layout, rho),
-        converged_value=averages[converged],
-        converged_block=converged,
-        blocks_used=converged + 1,
-        block_averages=averages,
-        block_length_effective=grid.units_per_block * grid.duration,
-        window_effective=grid.window_units * grid.duration,
-        dt=grid.dt,
-        block_dim=l0.shape[0],
-        trajectory=trajectory,
-    )
+    return SteadyStateResult(value=averages[converged],
+                             state=DensityMatrix.from_matrix(generator.layout, rho),
+                             converged_block=converged, blocks_used=converged + 1,
+                             trajectory=trajectory, **common)

@@ -79,7 +79,7 @@ def bridge_gamma_rows():
         tables = bridge_rate_tables(spec6)
         obs = net_bath_current_functional(lower.layout, ["D4"], tables)
         res = steady_state_averaged(lower, observable=obs)
-        rep_m2 = mode_report(res.final_state, "M2")
+        rep_m2 = mode_report(res.state, "M2")
         ref_right = DensityMatrix.from_matrix(
             rep_m2.reduced.layout, thermal_state_matrix(6, BRIDGE_BIAS.n_right)
         )
@@ -338,7 +338,7 @@ def test_criterion_11_bridge_rectifies_both_polarities():
             res = steady_state_averaged(
                 lower, observable=bath_current_functional(lower, "right"))
             t_m1 = mode_report(steady_state_direct(upper), "M1").effective_T
-            t_m2 = mode_report(res.final_state, "M2").effective_T
+            t_m2 = mode_report(res.state, "M2").effective_T
             assert t_m1 > t_m2, (name, t_left, t_right, t_m1, t_m2)
             temps[t_left, t_right] = (t_m1, t_m2)
         (f1, f2), (r1, r2) = temps[1.0, 0.1], temps[0.1, 1.0]

@@ -195,6 +195,8 @@ def test_parallel_sweep_runs_and_is_deterministic(tmp_path):
     assert meta["rate_mode"] == "physical-modulated"
     assert meta["row_count"] == 6
     assert len(meta["resolved_config"]["axes"]["delta_omega_d2"]) == 3
+    # the parallel circuit is never driven: its direct solves record their block too
+    assert meta["block_dims"] == [9]
 
 
 def test_row_order_follows_declared_axes(tmp_path):
@@ -233,6 +235,7 @@ def test_series_sweep_small_grid(tmp_path):
         assert row["converged_block_forward"] >= 1
     csv_text = (tmp_path / "series-sweep.csv").read_text()
     assert csv_text.splitlines()[0].startswith("delta_omega_d1,delta_omega_d2")
+    assert json.loads((tmp_path / "metadata.json").read_text())["block_dims"] == [19]
 
 
 def test_bridge_point_small(tmp_path):
@@ -251,6 +254,9 @@ def test_bridge_point_small(tmp_path):
     assert row["temp_m1"] > row["temp_m2"]
     pops = [row[f"pop{k}_m1"] for k in range(3)]
     assert pytest.approx(sum(pops), abs=1e-9) == 1.0
+    # the direct upper trio and the windowed-average lower trio share one block size
+    assert row["solver_lower"] == "windowed-average"
+    assert json.loads((tmp_path / "metadata.json").read_text())["block_dims"] == [141]
 
 
 def test_convergence_study_writes_trajectories(tmp_path):
@@ -279,6 +285,7 @@ def test_convergence_study_writes_trajectories(tmp_path):
     # block indices are contiguous from zero for each run
     series_fwd = [r for r in result.rows if r["circuit"] == "series" and r["bias"] == "forward"]
     assert [r["block_index"] for r in series_fwd] == list(range(len(series_fwd)))
+    assert json.loads((tmp_path / "metadata.json").read_text())["block_dims"] == [19, 141]
 
 
 def test_files_list_only_what_the_run_wrote(tmp_path):
@@ -307,6 +314,8 @@ def test_single_diode_validation_report(tmp_path):
     eq = rows["equilibrium"]
     assert max(abs(eq["current_full"]), abs(eq["current_reduced"])) < CONVERGENCE_ABS_FLOOR
     assert eq["rel_deviation"] == 0.0
+    # the reduced qutrit's direct solve and the full model's windowed average
+    assert json.loads((tmp_path / "metadata.json").read_text())["block_dims"] == [3, 36]
     # N = 14 gives the full model dimension 588, above the superoperator guard
     with pytest.raises(ConfigError, match="ho_truncation"):
         validate_config({
@@ -484,8 +493,25 @@ def test_undriven_series_takes_the_direct_solve(tmp_path):
         assert not gen.drive_frequencies
         averaged = steady_state_averaged(
             gen, protocol=protocol, observable=bath_current_functional(gen, side))
-        assert row[f"current_{label}"] == pytest.approx(sign * averaged.converged_value,
+        assert row[f"current_{label}"] == pytest.approx(sign * averaged.value,
                                                         rel=protocol.rel_tol)
+
+
+def test_route_rule_at_j_prime_zero(tmp_path):
+    # with no drive every two-diode row takes the direct solve and writes no
+    # block columns, while the convergence study still steps every run
+    circuit = {"J_prime": 0, "ho_truncation": 2}
+    series = run_scenario({"name": "series-sweep", "circuit": circuit,
+                           "axes": {"delta_omega_d1": [300.0], "delta_omega_d2": [150.0]}},
+                          out_dir=tmp_path / "series")
+    (row,) = series.rows
+    assert row["solver"] == "direct" and row["converged"] is True
+    assert not [k for k in series.columns if k.startswith(("converged_block", "blocks"))]
+    study = run_scenario({"name": "convergence-study", "circuit": circuit}, out_dir=tmp_path / "study")
+    assert len(study.rows) == 57 and not study.flagged_rows
+    assert all(r["method"] == "compiled-block-map" and r["blocks_used"] >= 2 for r in study.rows)
+    meta = json.loads((tmp_path / "study" / "metadata.json").read_text())
+    assert meta["block_dims"] == [19, 70]
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):
@@ -617,21 +643,34 @@ NONCONVERGENT_PROTOCOL = {
 }
 
 
-@pytest.mark.parametrize("cfg, flagged", [
+# the flagged run's state-derived columns, which are NaN: the bridge's upper
+# trio takes the direct solve and keeps its own
+@pytest.mark.parametrize("cfg, flagged, nan_columns", [
     ({"name": "series-sweep",
-      "axes": {"delta_omega_d1": [300.0], "delta_omega_d2": [500.0]}}, [0]),
+      "axes": {"delta_omega_d1": [300.0], "delta_omega_d2": [500.0]}}, [0],
+     ["p0_d1_reverse", "p0_d2_reverse"]),
     ({"name": "bridge-anharmonicity", "axes": {"delta_omega": [300.0]},
-      "circuit": {"ho_truncation": 2}}, [0]),
+      "circuit": {"ho_truncation": 2}}, [0],
+     ["nbar_m2", "temp_m2", "fid_right_m2", "pop0_m2", "pop1_m2"]),
     # every block average of the four runs is kept: 2 blocks each
-    ({"name": "convergence-study", "circuit": {"ho_truncation": 2}}, list(range(8))),
-    ({"name": "single-diode-validation", "circuit": {"ho_truncation": 2}}, [0, 1, 2]),
+    ({"name": "convergence-study", "circuit": {"ho_truncation": 2}}, list(range(8)), []),
+    ({"name": "single-diode-validation", "circuit": {"ho_truncation": 2}}, [0, 1, 2], []),
 ], ids=["series-sweep", "bridge-anharmonicity", "convergence-study", "single-diode-validation"])
-def test_nonconvergent_rows_are_flagged(tmp_path, capsys, cfg, flagged):
+def test_nonconvergent_rows_are_flagged(tmp_path, capsys, cfg, flagged, nan_columns):
     cfg = {**cfg, "protocol": NONCONVERGENT_PROTOCOL}
     result = run_scenario(cfg, out_dir=tmp_path)
     assert result.flagged_rows == flagged
     for i in flagged:
-        assert result.rows[i]["converged"] is False
+        row = result.rows[i]
+        assert row["converged"] is False
+        block_columns = [k for k in row if k.startswith(("converged_block", "blocks"))]
+        assert block_columns
+        for key in block_columns:
+            expected = -1 if key.startswith("converged_block") else NONCONVERGENT_PROTOCOL["max_blocks"]
+            assert row[key] == expected, key
+        assert all(math.isnan(row[key]) for key in nan_columns)
+    if cfg["name"] == "bridge-anharmonicity":
+        assert all(math.isfinite(result.rows[0][key]) for key in ("temp_m1", "fid_left_m1"))
     if cfg["name"] == "convergence-study":
         assert all(row["method"] == "compiled-block-map" for row in result.rows)
     meta = json.loads((tmp_path / "metadata.json").read_text())

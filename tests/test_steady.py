@@ -54,6 +54,7 @@ from heatrect.steady import (
     drive_limited_dt,
     evolve,
     stability_limited_dt,
+    steady_state,
     steady_state_averaged,
     steady_state_direct,
 )
@@ -165,7 +166,7 @@ def test_averaged_and_evolve_validate_the_state_they_return(monkeypatch):
     out = evolve(gen, rho0, 0.0, 0.5)
     assert len(checked) == 1 and checked[0] is out
     result = steady_state_averaged(gen, obs, ConvergenceProtocol(block_length=200.0, average_window=50.0))
-    assert len(checked) == 2 and checked[1] is result.final_state
+    assert len(checked) == 2 and checked[1] is result.state
 
 
 def test_evolve_fourth_order_convergence():
@@ -545,7 +546,7 @@ def test_averaged_synthetic_exponential_observable():
     res = steady_state_averaged(gen, obs)
     assert res.converged_block == 1
     assert res.blocks_used == 2
-    assert res.converged_value == pytest.approx(1.0, abs=1e-12)
+    assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def stepped_protocol_reference(gen, protocol, obs, h, period):
@@ -587,8 +588,8 @@ def test_averaged_compiled_matches_stepping():
     compiled = steady_state_averaged(gen, protocol=protocol, observable=obs)
     block, value, state = stepped_protocol_reference(gen, protocol, obs, compiled.dt, T_DRIVE)
     assert compiled.converged_block == block
-    assert compiled.converged_value == pytest.approx(value, abs=1e-12)
-    assert np.max(np.abs(compiled.final_state.data - state.data)) < 1e-10
+    assert compiled.value == pytest.approx(value, abs=1e-12)
+    assert np.max(np.abs(compiled.state.data - state.data)) < 1e-10
 
 
 @pytest.mark.parametrize("n_p, n_w", [
@@ -760,10 +761,53 @@ def test_averaged_nonconvergence_carries_last_averages():
     obs = bath_current_functional(gen, "right")
     with pytest.raises(ConvergenceError) as err:
         steady_state_averaged(gen, protocol=protocol, observable=obs)
-    assert len(err.value.last_averages) == 2
-    assert all(np.isfinite(v) for v in err.value.last_averages)
-    assert len(err.value.block_averages) == protocol.max_blocks
-    assert tuple(err.value.block_averages[-2:]) == err.value.last_averages
+    flagged = err.value.result
+    assert len(flagged.block_averages) == protocol.max_blocks
+    assert all(np.isfinite(v) for v in flagged.block_averages[-2:])
+    # the flagged record: no state, the last average as its value
+    assert not flagged.converged and flagged.state is None
+    assert flagged.value == flagged.block_averages[-1]
+    assert (flagged.solver, flagged.converged_block, flagged.blocks_used) == (
+        "windowed-average", -1, protocol.max_blocks)
+    assert flagged.trajectory is None
+
+
+def test_steady_state_takes_each_route_and_flags_a_run_out_of_blocks():
+    undriven = build_generator(CircuitSpec.build(
+        "series", n_left=0.5, n_right=0.1, J_prime=0.0, delta_omega={"D1": 300.0, "D2": 450.0}))
+    _, driven = series_generator()
+    assert not undriven.drive_frequencies and driven.drive_frequencies
+    for gen in (undriven, driven):
+        obs = bath_current_functional(gen, "right")
+        res = steady_state(gen, obs)
+        averaged = steady_state_averaged(gen, obs)
+        assert res.converged and res.block_dim == averaged.block_dim == 19
+        if gen is undriven:
+            direct = steady_state_direct(gen)
+            assert res.solver == "direct"
+            assert res.value == obs.value(direct)
+            np.testing.assert_array_equal(res.state.data, direct.data)
+            assert (res.converged_block, res.blocks_used, res.block_averages, res.dt,
+                    res.block_length_effective, res.window_effective, res.trajectory) == (None,) * 7
+        else:
+            assert res.solver == averaged.solver == "windowed-average"
+            assert (res.value, res.converged_block, res.blocks_used, res.block_averages) == (
+                averaged.value, averaged.converged_block, averaged.blocks_used, averaged.block_averages)
+            np.testing.assert_array_equal(res.state.data, averaged.state.data)
+
+    # where the windowed average raises, the entry returns its flagged record;
+    # an undriven generator is never stepped, so it still takes the direct solve
+    protocol = ConvergenceProtocol(
+        block_length=40 * T_DRIVE, average_window=10 * T_DRIVE, rel_tol=1e-12, max_blocks=3)
+    obs = bath_current_functional(driven, "right")
+    with pytest.raises(ConvergenceError) as err:
+        steady_state_averaged(driven, obs, protocol)
+    flagged = steady_state(driven, obs, protocol)
+    assert not flagged.converged and flagged.state is None
+    assert flagged.block_averages == err.value.result.block_averages
+    assert (flagged.value, flagged.converged_block, flagged.blocks_used, flagged.block_dim) == (
+        flagged.block_averages[-1], -1, protocol.max_blocks, 19)
+    assert steady_state(undriven, bath_current_functional(undriven, "right"), protocol).converged
 
 
 def test_averaged_matches_direct_for_time_independent_generator():
@@ -773,8 +817,8 @@ def test_averaged_matches_direct_for_time_independent_generator():
     obs = CurrentFunctional("p2", projector(gen.layout, "D1", 2))
     res = steady_state_averaged(gen, observable=obs)
     direct_value = obs.value(direct)
-    assert res.converged_value == pytest.approx(direct_value, abs=1e-6)
-    assert fidelity(res.final_state, direct) > 1.0 - 1e-8
+    assert res.value == pytest.approx(direct_value, abs=1e-6)
+    assert fidelity(res.state, direct) > 1.0 - 1e-8
 
 
 def test_averaged_trajectory_sampling():
@@ -837,9 +881,11 @@ def test_averaged_rejects_an_observable_on_another_layout():
     ("average_window", math.nan), ("average_window", math.inf),
     ("rel_tol", math.nan), ("rel_tol", math.inf),
     ("max_blocks", 2.5), ("max_blocks", 3.0), ("max_blocks", True),
+    ("block_length", True), ("average_window", True), ("rel_tol", True),
+    ("block_length", "5"), ("average_window", "5"), ("rel_tol", "1e-4"),
 ])
 def test_protocol_rejects_non_finite_lengths_and_non_integer_block_counts(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
         ConvergenceProtocol(**{field: value})
     assert ConvergenceProtocol(max_blocks=np.int64(3)).max_blocks == 3
 
