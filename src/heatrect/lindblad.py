@@ -57,7 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .circuits import (
     TOPOLOGIES,
@@ -229,17 +228,39 @@ def _term_table(layout: SpaceLayout, keys: tuple) -> _TermTable:
     return _TermTable.of(terms, layout.total_dim ** 2)
 
 
+def _levels(pattern: sp.sparray, sources: np.ndarray) -> np.ndarray:
+    """Breadth-first level of every index over the symmetrized sparsity
+    pattern of ``pattern``, walked from ``sources`` at level 0, or -1 where
+    no path reaches the index; an explicit zero counts as an entry."""
+    pattern = sp.csr_array(pattern)
+    # float ones, not bool, so that the product is a plain numeric sum
+    links = sp.csr_array((np.ones(pattern.indices.size), pattern.indices, pattern.indptr),
+                         shape=pattern.shape)
+    links = links + links.T
+    level = np.full(pattern.shape[0], -1)
+    level[sources] = 0
+    frontier = (level == 0).astype(np.float64)
+    depth = 0
+    while frontier.any():
+        depth += 1
+        reached = (links @ frontier > 0) & (level < 0)
+        level[reached] = depth
+        frontier = reached.astype(np.float64)
+    return level
+
+
 def _trace_block(pattern: sp.csr_array, d: int) -> np.ndarray:
     """Mask over vec(rho) of the invariant block that carries the trace.
 
     ``pattern`` is the sparsity pattern of a generator's static and drive
-    superoperators together.  The block is the union of its weakly
-    connected components that hold a diagonal index i + d*i.  No generator
-    entry joins it to the rest of the space, so it is invariant by
-    construction; a generator without symmetry gets the whole space.
+    superoperators together.  The block is every index that a walk over the
+    symmetrized pattern reaches from a diagonal index i + d*i
+    (``_levels``): the union of the weakly connected components that hold a
+    diagonal.  No generator entry joins it to the rest of the space, so it
+    is invariant by construction; a generator without symmetry gets the
+    whole space.
     """
-    _, labels = connected_components(pattern, directed=True, connection="weak")
-    return np.isin(labels, labels[np.arange(d) * (d + 1)])
+    return _levels(pattern, np.arange(d) * (d + 1)) >= 0
 
 
 def hermitian_basis_transform(d: int, pairs: np.ndarray) -> sp.csr_array:

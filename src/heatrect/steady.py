@@ -5,22 +5,25 @@ rule, the direct solve for a generator without drive terms and the
 windowed average for a driven one, and returns one ``SteadyStateResult``
 either way; a windowed average that ran out of blocks comes back flagged,
 with no state.  ``steady_state_direct`` solves the
-null space of a time-independent generator by one sparse LU factorization
-in real arithmetic, with the trace constraint in place of one diagonal
-row; a second trace slice, the constraint in place of another diagonal
-row, is a rank-2 update of the first and is solved through the same
-factors, which detects a degenerate null space.  All but the numeric
-factorization, the fill-reducing column order included, is planned once
-per real block and kept on it for later points.  ``steady_state_averaged`` runs the
+null space of a time-independent generator in real arithmetic with NumPy
+alone: ordered by the levels of a walk from the populations, the block is
+block-tridiagonal, its coherence levels are eliminated from the outermost
+inward with one dense solve each, and the d x d population system that
+remains is solved twice, with the trace constraint in place of one
+diagonal row and then of another; the two must agree, which detects a
+degenerate null space.  The level order and the map of the real table's
+entries onto the dense level blocks are planned once per real block and
+kept on it for later points.  ``steady_state_averaged`` runs the
 windowed-average convergence protocol for driven generators: the state is
 evolved in blocks of length T, after each block the observable is averaged
 over the trailing window T_av, and the run stops once the relative change
 of consecutive block averages falls below the threshold.
 
 Both steady-state routes work on the invariant block that carries the
-trace (``lindblad._trace_block``): the weakly connected components of the
-generator's sparsity pattern, static and drive superoperators together,
-that hold a diagonal entry of rho, so it holds the ground state that the
+trace (``lindblad._trace_block``): every entry of vec(rho) that a walk over
+the generator's symmetrized sparsity pattern, static and drive
+superoperators together, reaches from a diagonal entry of rho (the weakly
+connected components that hold one), so it holds the ground state that the
 protocol starts from.  No generator entry leaves that block.  Every
 generator here conserves the total excitation number up to a fixed shift
 per jump, so the block is its coherence-order-0 sector (544 of the 5184
@@ -61,10 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
 
-from .lindblad import Liouvillian, unvectorize
+from .lindblad import Liouvillian, _levels, unvectorize
 from .observables import CurrentFunctional
 from .spaces import DensityMatrix, SparseOperator, largest_row_sum
 
@@ -338,30 +340,59 @@ def evolve(
 
 @dataclass(frozen=True, eq=False)
 class _DirectPlan:
-    """The direct solve's fixed part for one real block: M_0, the real
-    terms' sum with the trace row (ones on the d diagonal coordinates) in
-    place of row 0, with column j moved to ``perm_c[j]``, as CSC on
-    (``indptr``, ``indices``), entry k being ``gather[k]`` of the terms'
-    entries followed by the trace row's 1."""
+    """The direct solve's fixed part for one real block: its coordinates in
+    level order (``order``) and the map of the real table's entries onto
+    the level slabs.  Level k's slab is its rows over the columns of levels
+    k-1, k and k+1, dense and row-major in one flat array; table entry e
+    lands at ``scatter[e]``.  ``slabs`` holds, per level, (start, stop) of
+    its slab in that array, (lo, hi) of its rows and (first, last) of its
+    columns in the level order.  The table rows that hold entries start at
+    entry ``row_starts`` and hold ``row_sizes`` entries each."""
 
-    perm_c: np.ndarray
-    gather: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    order: np.ndarray
+    scatter: np.ndarray
+    row_starts: np.ndarray
+    row_sizes: np.ndarray
+    slabs: tuple
 
     @classmethod
-    def of(cls, d: int, terms, perm_c: np.ndarray) -> "_DirectPlan":
-        """The plan of the real ``terms`` of a d x d state in column order ``perm_c``."""
-        ptr, start = terms.indptr, terms.indptr[1]
-        indptr = np.concatenate([[0], ptr[1:] - start + d])
-        source = np.concatenate([np.full(d, ptr[-1]), np.arange(start, ptr[-1])])
-        columns = perm_c[np.concatenate([np.arange(d), terms.indices[start:]])]
-        m = sp.csr_array((source, columns, indptr), shape=(terms.side, terms.side)).tocsc()
-        return cls(perm_c, m.data, m.indptr, m.indices)
+    def of(cls, d: int, terms) -> "_DirectPlan":
+        """The plan of the real ``terms`` of a d x d state: the levels of the
+        walk from the d population coordinates (``lindblad._levels``), the
+        coordinates it does not reach as one last level."""
+        level = _levels(terms.assemble(np.ones(terms.coefficients.shape[1])), np.arange(d))
+        level[level < 0] = level.max() + 1
+        order = np.argsort(level, kind="stable")
+        bounds = np.searchsorted(level[order], np.arange(level.max() + 2))
+        k = np.arange(bounds.size - 1)
+        lo, hi = bounds[:-1], bounds[1:]
+        first, last = bounds[np.maximum(k - 1, 0)], bounds[np.minimum(k + 2, k.size)]
+        width = last - first
+        start = np.concatenate([[0], np.cumsum((hi - lo) * width)])
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        counts = np.diff(terms.indptr)
+        row = np.repeat(np.arange(terms.side), counts)
+        at = level[row]
+        scatter = start[at] + (position[row] - lo[at]) * width[at] + position[terms.indices] - first[at]
+        slabs = tuple(zip(*(a.tolist() for a in (start[:-1], start[1:], lo, hi, first, last))))
+        held = counts > 0
+        return cls(order, scatter, terms.indptr[:-1][held], counts[held], slabs)
 
-    def system(self, entries: np.ndarray) -> sp.csc_array:
-        return sp.csc_array((np.append(entries, 1.0)[self.gather], self.indices, self.indptr),
-                            shape=(self.perm_c.size,) * 2)
+    def level_blocks(self, entries: np.ndarray) -> list:
+        """(slab, left, diag, right, window) of each level for the real
+        table's ``entries``, every row scaled by its largest magnitude: the
+        slab, its columns of levels k-1, k and k+1, and its column window of
+        the level order."""
+        scale = np.maximum.reduceat(np.abs(entries), self.row_starts)
+        flat = np.zeros(self.slabs[-1][1])
+        flat[self.scatter] = entries / np.repeat(np.where(scale > 0, scale, 1.0), self.row_sizes)
+        out = []
+        for start, stop, lo, hi, first, last in self.slabs:
+            slab = flat[start:stop].reshape(hi - lo, last - first)
+            out.append((slab, slab[:, :lo - first], slab[:, lo - first:hi - first], slab[:, hi - first:],
+                        slice(first, last)))
+        return out
 
 
 def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
@@ -369,70 +400,89 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
 
     The solve runs in real arithmetic on the invariant block that carries
     the trace, in its real Hermitian basis (the generator's real table),
-    whose first d coordinates are the diagonal of rho.  The block L with
-    the trace row tau (ones on the diagonal coordinates) in place of row 0
-    is M_0; each replaced row is a diagonal one, since the diagonal rows
-    sum to zero and the trace row lifts that dependence.  One sparse LU
-    factorization of M_0 solves M_0 Z = U for U = [e_0, e_(d-1)]; the state
-    is x_0 = Z e_0.  The second trace slice M_(d-1), the trace row in place
-    of row d-1, is the rank-2 update M_0 + U V^T with
-    V = [l_0 - tau, tau - l_(d-1)] (l_i row i of L), so its solution is
-    x_(d-1) = Z C^-1 e_1 with the 2 x 2 capacitance matrix C = I + V^T Z
-    (Woodbury).  The ``_DirectPlan`` in the real block's ``plan`` slot
-    holds M_0's CSC pattern in SuperLU's COLAMD column order.  The first
-    point of a block is factored with COLAMD,
-    which gives its solution and the order, and fills the slot; a later one
-    gathers its entries into the plan and factors in that order
-    (``NATURAL``).  A degenerate stationary manifold within the block makes
-    the factor (then no plan is kept) or C singular, the solution
-    non-finite, or x_0 and x_(d-1) disagree by more than 1e-8; each raises
+    whose first d coordinates are the diagonal of rho.  The ``_DirectPlan``
+    in the real block's ``plan`` slot, made by the block's first solve,
+    orders the block by levels of the walk from those d population
+    coordinates: a level couples only to its neighbours, so the block L is
+    block-tridiagonal in that order.  Each row is scaled by its largest
+    entry, and the coherence levels are eliminated from the outermost
+    inward, each by ``np.linalg.solve`` on its block S_k, the level's
+    diagonal block less what the levels beyond it feed back.  What is left
+    is the exact d x d population system S_0.  Its two trace slices, the
+    trace row tau (ones) in place of row 0 and then of row d-1, are solved
+    and back-substituted; each replaced row is a diagonal one, since the
+    diagonal rows of L sum to zero and the trace row lifts that dependence.
+    A singular S_k or slice (``LinAlgError``), a non-finite solution, or
+    slices that disagree by more than 1e-8 mean a degenerate stationary
+    manifold within the block and raise
     :class:`DegenerateSteadyStateError`.  Uniqueness is certified only
     within that block: stationary coherences outside it carry no trace and
-    are not states.  The state, lifted by the block's T^dagger, must pass a
-    1e-10 residual against the term table's complex entries, and the state
-    validation.  Above ``SUPEROP_MATERIALIZE_DIM`` ``ValueError`` is raised.
+    are not states.  The first slice's solution takes one refinement step
+    against M_0, L with tau in place of row 0, through the same levels.  The
+    state, lifted by the block's T^dagger, must pass a 1e-10 residual
+    against the term table's complex entries, and the state validation.
+    Above ``SUPEROP_MATERIALIZE_DIM`` ``ValueError`` is raised.
     """
     if generator.drive_frequencies:
         raise ValueError("direct solve requires a generator without drive terms")
     d, weights = generator.dim, generator._terms.static
     table, block = generator._real()
-    real = block.terms
-    entries = real.coefficients @ weights
-    u = np.zeros((real.side, 2))
-    u[(0, d - 1), (0, 1)] = 1.0
+    if block.plan is None:
+        block.plan = _DirectPlan.of(d, block.terms)
     plan = block.plan
+    levels = plan.level_blocks(block.terms.coefficients @ weights)
+    n = len(levels)
+    # S_k and C_k = S_k^-1 (left block of level k), outermost level first;
+    # C_n is an empty stand-in beyond the last level
+    schur, couple = [None] * n, [None] * n + [np.zeros((0, levels[-1][2].shape[0]))]
     try:
-        if plan is None:
-            lu = spla.splu(_DirectPlan.of(d, real, np.arange(real.side)).system(entries))
-            z = lu.solve(u)
-            plan = block.plan = _DirectPlan.of(d, real, lu.perm_c)
-        else:
-            # column j sits at perm_c[j]: the system M_0 Pc y = U, Z = Pc y
-            z = spla.splu(plan.system(entries), permc_spec="NATURAL").solve(u)[plan.perm_c]
-    except RuntimeError as err:
-        raise DegenerateSteadyStateError(
-            f"sparse solve failed ({err}); the stationary state is likely not unique"
-        ) from err
-    if not np.all(np.isfinite(z)):
-        raise DegenerateSteadyStateError("sparse solve produced non-finite entries")
-    # rows 0 and d-1 of the terms, l_0 and l_(d-1), applied to Z
-    ptr, cols = real.indptr, real.indices
-    tau_z = z[:d].sum(axis=0)
-    l_z = [entries[ptr[r]:ptr[r + 1]] @ z[cols[ptr[r]:ptr[r + 1]]] for r in (0, d - 1)]
-    capacitance = np.eye(2) + np.array([l_z[0] - tau_z, tau_z - l_z[1]])
-    try:
-        x_last = z @ np.linalg.solve(capacitance, [0.0, 1.0])
+        for k in range(n - 1, 0, -1):
+            _, left, diag, right, _ = levels[k]
+            schur[k] = diag - right @ couple[k + 1]
+            couple[k] = np.linalg.solve(schur[k], left)
     except np.linalg.LinAlgError as err:
         raise DegenerateSteadyStateError(
-            "the second trace slice is singular; the stationary state is not unique"
+            f"a coherence level is singular ({err}); the stationary state is not unique"
         ) from err
-    x_first = z[:, 0] / z[:d, 0].sum()
+    _, _, diag, right, _ = levels[0]
+    slices = np.stack([diag - right @ couple[1]] * 2)
+    slices[0, 0] = slices[1, d - 1] = 1.0
+    ends = np.zeros((2, d, 1))
+    ends[0, 0] = ends[1, d - 1] = 1.0
+    try:
+        x = [np.linalg.solve(slices, ends)[..., 0].T]
+    except np.linalg.LinAlgError as err:
+        raise DegenerateSteadyStateError(
+            f"a trace slice of the population system is singular ({err}); "
+            "the stationary state is not unique"
+        ) from err
+    for k in range(1, n):
+        x.append(-couple[k] @ x[-1])
+    x = np.concatenate(x)
+    if not np.all(np.isfinite(x)):
+        raise DegenerateSteadyStateError("the level solve produced non-finite entries")
     # written so that a nan disagreement fails too
-    if not np.max(np.abs(x_first - x_last / x_last[:d].sum())) <= 1e-8:
+    if not np.max(np.abs(x[:, 0] - x[:, 1])) <= 1e-8:
         raise DegenerateSteadyStateError(
             "two independent trace slices disagree; steady state is not unique"
         )
-    vec = block.lift @ x_first.astype(np.complex128)
+    # one refinement step, M_0 dx = e_0 - M_0 x, through the same levels: the
+    # residual's levels are folded inward through each S_k, as L's were
+    x = x[:, 0]
+    r = [-slab @ x[window] for slab, *_, window in levels]
+    r[0][0] = 1.0 - x[:d].sum()
+    y = [None] * n + [np.zeros(0)]
+    for k in range(n - 1, 0, -1):
+        y[k] = np.linalg.solve(schur[k], r[k] - levels[k][3] @ y[k + 1])  # right block of level k
+    top = r[0] - right @ y[1]
+    top[0] = r[0][0]  # row 0 of M_0 is the trace row, which has no right block
+    dx = [np.linalg.solve(slices[0], top)]
+    for k in range(1, n):
+        dx.append(y[k] - couple[k] @ dx[-1])
+    x = x + np.concatenate(dx)
+    u = np.empty_like(x)
+    u[plan.order] = x / x[:d].sum()
+    vec = block.lift @ u.astype(np.complex128)
     residual = float(np.max(np.abs(table.assemble(weights) @ vec)))
     if not residual <= 1e-10:  # a nan residual fails too
         raise ArithmeticError(f"steady-state residual {residual:.3e} exceeds 1e-10")

@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
-from types import SimpleNamespace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from heatrect import lindblad, steady
 from heatrect.circuits import CircuitSpec, DiodeParams, TimeDependentOperator
@@ -421,40 +425,57 @@ def two_slice_reference(gen: Liouvillian) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def pumped_two_level_generator() -> Liouvillian:
+    """A two-level oscillator pumped out of its ground state by a+ at rate 1:
+    the steady state |1><1| leaves the ground population empty."""
+    layout = SpaceLayout.of(("L", HarmonicOscillator(2)))
+    return Liouvillian(layout, None, ((1.0, raising_op(layout, "L")),))
+
+
 def direct_solve_cases():
     bridge = [build_bridge_half_generators(CircuitSpec.build(
         "bridge", T_left=1.0, T_right=0.1, delta_omega=dw, gamma_dec=gd, ho_truncation=n))[0]
         for n in (2, 4, 8) for dw, gd in ((300.0, 1e-3), (120.0, 1e-1))]
+    # without decoherence, the paper's literal rates, reversed and equal bath temperatures
+    bridge += [build_bridge_half_generators(CircuitSpec.build(
+        "bridge", T_left=t_left, T_right=t_right, gamma_dec=gd, bridge_rate_mode=mode, ho_truncation=n))[0]
+        for n, t_left, t_right, gd, mode in (
+            (2, 1.0, 0.1, 0.0, "physical-modulated"), (4, 1.0, 0.1, 0.0, "physical-modulated"),
+            (4, 1.0, 0.1, 1e-3, "paper-literal"), (4, 0.1, 1.0, 1e-3, "physical-modulated"),
+            (4, 0.5, 0.5, 1e-3, "physical-modulated"))]
     parallel = build_generator(CircuitSpec.build(
         "parallel", n_left=0.5, n_right=0.0, delta_omega={"D1": 300.0, "D2": 150.0}))
     series = build_generator(CircuitSpec.build(
         "series", n_left=0.5, n_right=0.1, J_prime=0.0, delta_omega={"D1": 300.0, "D2": 450.0}))
     single = lindblad.build_reduced_generator(CircuitSpec.build(
         "single-diode", T_left=1.0, T_right=0.1, J_prime=0.0, ho_truncation=4))
-    return [*bridge, parallel, series, single]
+    return [*bridge, parallel, series, single, pumped_two_level_generator()]
 
 
-def test_direct_factors_once_per_call_and_orders_columns_once_per_pattern(monkeypatch):
+def test_direct_plans_once_per_real_block(monkeypatch):
     lindblad._real_table.cache_clear()
     calls = []
+    original = steady._DirectPlan.of
 
-    def counted(a, *args, _original=spla.splu, **kwargs):
-        calls.append(kwargs.get("permc_spec", "COLAMD"))
-        return _original(a, *args, **kwargs)
+    def counted(d, terms):
+        calls.append(terms)
+        return original(d, terms)
 
-    monkeypatch.setattr(spla, "splu", counted)
-    # a delta_omega sweep of one layout: one real table, so one plan and one COLAMD order
-    for k, delta_omega in enumerate(np.geomspace(50.0, 500.0, 6)):
+    monkeypatch.setattr(steady._DirectPlan, "of", staticmethod(counted))
+    # a delta_omega sweep of one layout: one real table, so one plan, made by the first point
+    for delta_omega in np.geomspace(50.0, 500.0, 6):
         upper, _ = build_bridge_half_generators(CircuitSpec.build(
             "bridge", T_left=1.0, T_right=0.1, delta_omega=delta_omega, ho_truncation=3))
         steady_state_direct(upper)
-        assert len(calls) == k + 1
-    assert calls == ["COLAMD"] + ["NATURAL"] * 5
+        assert len(calls) == 1
     assert lindblad._real_table.cache_info().currsize == 1
     for gen in direct_solve_cases():
-        before = len(calls)
+        block = gen._real()[1]
+        fresh, before = block.plan is None, len(calls)
         steady_state_direct(gen)
-        assert len(calls) == before + 1
+        steady_state_direct(gen)
+        assert len(calls) == before + fresh and isinstance(block.plan, steady._DirectPlan)
+        assert calls[-1] is block.terms or not fresh
 
 
 def test_direct_route_builds_no_complex_superoperator(monkeypatch):
@@ -482,14 +503,18 @@ def test_direct_matches_two_factorization_reference(reuse_order):
         np.testing.assert_allclose(rho, two_slice_reference(gen), rtol=0, atol=1e-13)
 
 
-def test_direct_reports_a_singular_capacitance_matrix(monkeypatch):
-    # a two-level decay at rate 1 has L = [[0, 1], [0, -1]] on (p0, p1), so
-    # V = [l_0 - tau, tau - l_1] has columns (-1, 0) and (1, 2); a factor
-    # returning Z = e_0 e_0^T makes C = I + V^T Z = [[0, 0], [1, 1]] singular
-    gen = decay_generator(dim=2, Gamma=1.0)
-    factor = SimpleNamespace(solve=lambda b: np.array([[1.0, 0.0], [0.0, 0.0]]), perm_c=np.arange(2))
-    monkeypatch.setattr(spla, "splu", lambda a, **kwargs: factor)
-    with pytest.raises(DegenerateSteadyStateError, match="second trace slice is singular"):
+def test_direct_reports_a_singular_population_slice():
+    # |0> and |1> exchange coherently and |1> decays to |0>, so the coherence
+    # levels are regular: Im rho_01 at level 1, and Re rho_01, which no entry
+    # joins to the rest, as the last level; |2> is left alone, so its
+    # population is free and the 3 x 3 population system is singular in both
+    # trace slices
+    layout = SpaceLayout.of(("A", Qutrit()))
+    swap = transition_op(layout, "A", 0, 1) + transition_op(layout, "A", 1, 0)
+    gen = Liouvillian(layout, TimeDependentOperator(swap), ((1.0, transition_op(layout, "A", 1, 0)),))
+    plan = steady._DirectPlan.of(gen.dim, gen._real()[1].terms)
+    assert [(lo, hi) for _, _, lo, hi, _, _ in plan.slabs] == [(0, 3), (3, 4), (4, 5)]
+    with pytest.raises(DegenerateSteadyStateError, match="trace slice of the population system is singular"):
         steady_state_direct(gen)
 
 
@@ -539,8 +564,8 @@ def test_averaged_synthetic_exponential_observable():
     # a two-level oscillator pumped out of its ground state by a+ at rate 1,
     # observed through W = I + |0><0|, gives J(t) = 1 + exp(-t); the window
     # average is within 1e-4 of its limit already in block 1
-    layout = SpaceLayout.of(("L", HarmonicOscillator(2)))
-    gen = Liouvillian(layout, None, ((1.0, raising_op(layout, "L")),))
+    gen = pumped_two_level_generator()
+    layout = gen.layout
     w = SparseOperator.wrap(layout, sp.eye_array(layout.total_dim)) + projector(layout, "L", 0)
     obs = CurrentFunctional("one_plus_decay", w)
     res = steady_state_averaged(gen, obs)
@@ -639,15 +664,78 @@ def order_zero_cases():
     return [(upper3, 141), (lower3, 141), (upper4, 220), (lower4, 220), (single, 36)]
 
 
-def assembled_trace_block(gen) -> np.ndarray:
-    """``_trace_block`` on the pattern of the generator's assembled static
-    and drive superoperators, explicit zeros dropped."""
+def assembled_pattern(gen) -> sp.csr_array:
+    """The pattern of the generator's assembled static and drive
+    superoperators, explicit zeros dropped."""
     static, drives = gen.superops()
     pattern = abs(static)
     for _, s in drives:
         pattern = pattern + abs(s)
     pattern.eliminate_zeros()
-    return _trace_block(pattern, gen.dim)
+    return pattern
+
+
+def assembled_trace_block(gen) -> np.ndarray:
+    """``_trace_block`` on the generator's assembled pattern."""
+    return _trace_block(assembled_pattern(gen), gen.dim)
+
+
+def plan_levels(plan) -> np.ndarray:
+    """The level of every real coordinate in a direct-solve plan."""
+    level = np.empty(plan.order.size, dtype=int)
+    for k, (_, _, lo, hi, _, _) in enumerate(plan.slabs):
+        level[plan.order[lo:hi]] = k
+    return level
+
+
+@pytest.mark.parametrize("make_generators", [
+    lambda: [*bridge_halves(2)[1], *bridge_halves(3)[1], *bridge_halves(4)[1]],
+    lambda: [series_generator()[1]],
+    lambda: [build_generator(CircuitSpec.build("parallel", n_left=0.5, n_right=0.0))],
+    lambda: [lindblad.build_reduced_generator(CircuitSpec.build(
+        "single-diode", T_left=1.0, T_right=0.1, ho_truncation=4))],
+    lambda: [coherent_generator(random_hermitian(5, seed=5)), drive_outside_static_generator()],
+], ids=["bridge-halves-N2-N4", "series", "parallel", "reduced-single-diode", "operator-built"])
+def test_levels_make_the_real_block_block_tridiagonal(make_generators):
+    for gen in make_generators():
+        d, terms = gen.dim, gen._real()[1].terms
+        plan = steady._DirectPlan.of(d, terms)
+        level = plan_levels(plan)
+        # the populations are level 0, in order, and every real-table entry
+        # joins levels at most one apart
+        assert plan.slabs[0][2:4] == (0, d)
+        np.testing.assert_array_equal(plan.order[:d], np.arange(d))
+        rows = np.repeat(np.arange(terms.side), np.diff(terms.indptr))
+        assert np.max(np.abs(level[rows] - level[terms.indices])) <= 1
+        assert np.all(np.diff(level[plan.order]) >= 0)
+        # the walk's trace block is the union of the weakly connected
+        # components that hold a diagonal
+        pattern = assembled_pattern(gen)
+        _, labels = connected_components(pattern, directed=True, connection="weak")
+        np.testing.assert_array_equal(_trace_block(pattern, d),
+                                      np.isin(labels, labels[np.arange(d) * (d + 1)]))
+
+
+def test_solves_load_no_scipy_linear_algebra():
+    # neither route needs SciPy's sparse or dense linear algebra, so a
+    # process that ran both has not loaded it
+    code = """
+import sys
+from heatrect import CircuitSpec, steady_state
+from heatrect.lindblad import build_bridge_half_generators
+from heatrect.observables import bath_current_functional
+
+spec = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=2)
+for gen, solver in zip(build_bridge_half_generators(spec), ("direct", "windowed-average")):
+    res = steady_state(gen, bath_current_functional(gen, "right"))
+    assert res.converged and res.solver == solver, res
+loaded = [m for m in ("scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg") if m in sys.modules]
+assert not loaded, loaded
+"""
+    src = str(Path(lindblad.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 def test_trace_block_is_the_coherence_order_zero_sector():
