@@ -35,13 +35,13 @@ that block.  The block, its basis transform T and every term's real
 superoperator T S_t T^dagger depend only on the term table and which of
 its terms have a nonzero weight, so the real-table cache, keyed by those
 two, keeps them as one real block (``_RealBlock``): T, its lift T^dagger
-back to vec(rho), built once, and the real terms on one shared real CSR
-pattern, each checked to preserve Hermiticity when the block is built.  A
-point's real static and drive superoperators are then one sparse product
-each of those terms with the point's weights, written onto their fixed
-pattern; the block also carries the plan of the direct solve, which its
-first solve fills, and both routes lift their block coordinates to a
-state through its one T^dagger.  A
+back to vec(rho), built once, the real terms on one shared real CSR
+pattern, each checked to preserve Hermiticity when the block is built,
+and the bounds of the levels that order its coordinates, in which the
+block is block-tridiagonal.  A point's real static and drive
+superoperators are then one sparse product each of those terms with the
+point's weights, written onto their fixed pattern, and both routes lift
+their block coordinates to a state through the block's one T^dagger.  A
 generator builds its Hamiltonian when ``hamiltonian`` is first read, and a
 bath current its operator, from the operator table of each term's d x d
 operator (a coherent term's own, a jump's emission operator); the
@@ -312,25 +312,28 @@ def _to_real_superop(transform: sp.csr_array, superop: sp.csr_array, what: str) 
     return out
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _RealBlock:
     """A term table's real form on the invariant block that carries the
-    trace, in the block's real Hermitian basis: the isometry ``transform`` T onto the real
-    coordinates, its ``lift`` T^dagger back to vec(rho), the real ``terms``
-    T S_t T^dagger, and the ``plan`` that the first direct solve on the
-    block fills (``steady._DirectPlan``)."""
+    trace, in the block's real Hermitian basis in level order: the isometry
+    ``transform`` T onto the real coordinates, its ``lift`` T^dagger back to
+    vec(rho), the real ``terms`` T S_t T^dagger, and the level ``bounds``:
+    level k is coordinates bounds[k]:bounds[k+1], and a real entry joins
+    levels at most one apart."""
 
     transform: sp.csr_array
     lift: sp.csc_array
     terms: _TermTable
-    plan: object = None
+    bounds: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=4)
 def _real_table(table: _TermTable, live: tuple) -> _RealBlock:
     """The real block of ``table`` for the terms ``live`` (those with a
     nonzero weight): every live term's T S_t T^dagger on one shared real CSR
-    pattern, each checked to preserve Hermiticity; other terms stay empty."""
+    pattern, each checked to preserve Hermiticity; other terms stay empty.
+    The levels are those of a walk over the real terms from the d
+    populations (``_levels``), the coordinates it does not reach last."""
     d = math.isqrt(table.side)
     parts = [table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel()) for t in live]
     for s in parts:
@@ -338,13 +341,21 @@ def _real_table(table: _TermTable, live: tuple) -> _RealBlock:
     pattern = sum((abs(s) for s in parts), sp.csr_array((table.side, table.side)))
     transform = hermitian_basis_transform(d, unvectorize(_trace_block(pattern, d), d))
     side = transform.shape[0]
+    reals = [_to_real_superop(transform, s, f"term {t} of the generator").tocoo() for t, s in zip(live, parts)]
+    level = _levels(sum((abs(r) for r in reals), sp.csr_array((side, side))), np.arange(d))
+    level[level < 0] = level.max() + 1
+    order = np.argsort(level, kind="stable")
+    position = np.argsort(order)
     flats = [np.zeros(0, np.int64)] * table.coefficients.shape[1]
     datas = [np.zeros(0)] * len(flats)
-    for t, s in zip(live, parts):
-        real = _to_real_superop(transform, s, f"term {t} of the generator").tocoo()
-        flats[t], datas[t] = real.row.astype(np.int64) * side + real.col, real.data
+    for t, real in zip(live, reals):
+        flat = position[real.row] * side + position[real.col]
+        by_index = np.argsort(flat)
+        flats[t], datas[t] = flat[by_index], real.data[by_index]
+    transform = transform[order]
+    bounds = np.searchsorted(level[order], np.arange(level.max() + 2))
     return _RealBlock(transform, transform.conj().T,
-                      _TermTable.of_entries(flats, datas, side, np.float64))
+                      _TermTable.of_entries(flats, datas, side, np.float64), tuple(bounds.tolist()))
 
 
 @dataclass(frozen=True)
@@ -489,7 +500,9 @@ class Liouvillian:
         (``_trace_block``), and the static and drive superoperators in that
         basis, T L T^dagger, as real CSR matrices on one pattern, explicit
         zeros kept, assembled on the cached real block (``_real``); each
-        returned matrix owns its arrays.
+        returned matrix owns its arrays.  T is a row permutation of
+        ``hermitian_basis_transform``: the populations first and in order,
+        then the other coordinates level by level (``_real_table``).
         """
         _, block = self._real()
         return (block.transform.copy(), *self._terms.superops(block.terms))

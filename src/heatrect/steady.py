@@ -4,16 +4,14 @@
 rule, the direct solve for a generator without drive terms and the
 windowed average for a driven one, and returns one ``SteadyStateResult``
 either way; a windowed average that ran out of blocks comes back flagged,
-with no state.  ``steady_state_direct`` solves the
-null space of a time-independent generator in real arithmetic with NumPy
-alone: ordered by the levels of a walk from the populations, the block is
-block-tridiagonal, its coherence levels are eliminated from the outermost
-inward with one dense solve each, and the d x d population system that
-remains is solved twice, with the trace constraint in place of one
-diagonal row and then of another; the two must agree, which detects a
-degenerate null space.  The level order and the map of the real table's
-entries onto the dense level blocks are planned once per real block and
-kept on it for later points.  ``steady_state_averaged`` runs the
+with no state.  ``steady_state_direct`` solves the null space of a
+time-independent generator in real arithmetic with NumPy alone: the real
+block comes ordered by the levels of a walk from the populations, in
+which it is block-tridiagonal, its coherence levels are eliminated from
+the outermost inward with one dense solve each, and the d x d population
+system that remains is solved twice, with the trace constraint in place
+of one diagonal row and then of another; the two must agree, which
+detects a degenerate null space.  ``steady_state_averaged`` runs the
 windowed-average convergence protocol for driven generators: the state is
 evolved in blocks of length T, after each block the observable is averaged
 over the trailing window T_av, and the run stops once the relative change
@@ -32,9 +30,9 @@ symmetry gets the whole space through the same code.  Both routes read the
 block's real Hermitian basis and the generator's real superoperators on
 it from the generator's cached real block (``Liouvillian._real``), so a
 point recomputes neither the block nor the basis.  The block also carries
-the direct solve's plan and the lift T^dagger, through which both routes
-turn real coordinates into a state, which ``DensityMatrix.from_matrix``
-validates, as it does the state of ``evolve``.
+the lift T^dagger, through which both routes turn real coordinates into a
+state, which ``DensityMatrix.from_matrix`` validates, as it does the state
+of ``evolve``.
 
 Both ``evolve`` and the protocol integrate with a fixed-step classical
 4th-order scheme; each stage is one sparse product with
@@ -66,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .lindblad import Liouvillian, _levels, unvectorize
+from .lindblad import Liouvillian, unvectorize
 from .observables import CurrentFunctional
 from .spaces import DensityMatrix, SparseOperator, largest_row_sum
 
@@ -156,7 +154,10 @@ def steady_state(generator: Liouvillian, observable: CurrentFunctional,
     """The steady state by the route rule: ``steady_state_direct`` for a
     generator without drive terms, ``steady_state_averaged`` under
     ``protocol`` for a driven one, whose ``ConvergenceError`` comes back as
-    its flagged result."""
+    its flagged result.  An observable on another layout than the
+    generator's raises ``ValueError`` before either route runs."""
+    if observable.observable.layout != generator.layout:
+        raise ValueError("observable layout does not match generator layout")
     if generator.drive_frequencies:
         try:
             return steady_state_averaged(generator, observable, protocol)
@@ -338,73 +339,16 @@ def evolve(
 # direct (null-space) steady state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _DirectPlan:
-    """The direct solve's fixed part for one real block: its coordinates in
-    level order (``order``) and the map of the real table's entries onto
-    the level slabs.  Level k's slab is its rows over the columns of levels
-    k-1, k and k+1, dense and row-major in one flat array; table entry e
-    lands at ``scatter[e]``.  ``slabs`` holds, per level, (start, stop) of
-    its slab in that array, (lo, hi) of its rows and (first, last) of its
-    columns in the level order.  The table rows that hold entries start at
-    entry ``row_starts`` and hold ``row_sizes`` entries each."""
-
-    order: np.ndarray
-    scatter: np.ndarray
-    row_starts: np.ndarray
-    row_sizes: np.ndarray
-    slabs: tuple
-
-    @classmethod
-    def of(cls, d: int, terms) -> "_DirectPlan":
-        """The plan of the real ``terms`` of a d x d state: the levels of the
-        walk from the d population coordinates (``lindblad._levels``), the
-        coordinates it does not reach as one last level."""
-        level = _levels(terms.assemble(np.ones(terms.coefficients.shape[1])), np.arange(d))
-        level[level < 0] = level.max() + 1
-        order = np.argsort(level, kind="stable")
-        bounds = np.searchsorted(level[order], np.arange(level.max() + 2))
-        k = np.arange(bounds.size - 1)
-        lo, hi = bounds[:-1], bounds[1:]
-        first, last = bounds[np.maximum(k - 1, 0)], bounds[np.minimum(k + 2, k.size)]
-        width = last - first
-        start = np.concatenate([[0], np.cumsum((hi - lo) * width)])
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
-        counts = np.diff(terms.indptr)
-        row = np.repeat(np.arange(terms.side), counts)
-        at = level[row]
-        scatter = start[at] + (position[row] - lo[at]) * width[at] + position[terms.indices] - first[at]
-        slabs = tuple(zip(*(a.tolist() for a in (start[:-1], start[1:], lo, hi, first, last))))
-        held = counts > 0
-        return cls(order, scatter, terms.indptr[:-1][held], counts[held], slabs)
-
-    def level_blocks(self, entries: np.ndarray) -> list:
-        """(slab, left, diag, right, window) of each level for the real
-        table's ``entries``, every row scaled by its largest magnitude: the
-        slab, its columns of levels k-1, k and k+1, and its column window of
-        the level order."""
-        scale = np.maximum.reduceat(np.abs(entries), self.row_starts)
-        flat = np.zeros(self.slabs[-1][1])
-        flat[self.scatter] = entries / np.repeat(np.where(scale > 0, scale, 1.0), self.row_sizes)
-        out = []
-        for start, stop, lo, hi, first, last in self.slabs:
-            slab = flat[start:stop].reshape(hi - lo, last - first)
-            out.append((slab, slab[:, :lo - first], slab[:, lo - first:hi - first], slab[:, hi - first:],
-                        slice(first, last)))
-        return out
-
-
 def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     """Steady state of a time-independent generator via its null space.
 
     The solve runs in real arithmetic on the invariant block that carries
-    the trace, in its real Hermitian basis (the generator's real table),
-    whose first d coordinates are the diagonal of rho.  The ``_DirectPlan``
-    in the real block's ``plan`` slot, made by the block's first solve,
-    orders the block by levels of the walk from those d population
-    coordinates: a level couples only to its neighbours, so the block L is
-    block-tridiagonal in that order.  Each row is scaled by its largest
+    the trace, in its real Hermitian basis (the generator's real block),
+    whose first d coordinates are the diagonal of rho, followed by the
+    levels of a walk from them (``lindblad._real_table``).  A level couples
+    only to its neighbours, so the block L, scattered into one dense array,
+    is block-tridiagonal, and the block's ``bounds`` cut each level's left,
+    diagonal and right blocks out of it.  Each row is scaled by its largest
     entry, and the coherence levels are eliminated from the outermost
     inward, each by ``np.linalg.solve`` on its block S_k, the level's
     diagonal block less what the levels beyond it feed back.  What is left
@@ -418,8 +362,9 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     :class:`DegenerateSteadyStateError`.  Uniqueness is certified only
     within that block: stationary coherences outside it carry no trace and
     are not states.  The first slice's solution takes one refinement step
-    against M_0, L with tau in place of row 0, through the same levels.  The
-    state, lifted by the block's T^dagger, must pass a 1e-10 residual
+    against M_0, L with tau in place of row 0: its residual, one product
+    with L, is folded inward through the same S_k.  The state, lifted by
+    the block's T^dagger, must pass a 1e-10 residual
     against the term table's complex entries, and the state validation.
     Above ``SUPEROP_MATERIALIZE_DIM`` ``ValueError`` is raised.
     """
@@ -427,25 +372,29 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
         raise ValueError("direct solve requires a generator without drive terms")
     d, weights = generator.dim, generator._terms.static
     table, block = generator._real()
-    if block.plan is None:
-        block.plan = _DirectPlan.of(d, block.terms)
-    plan = block.plan
-    levels = plan.level_blocks(block.terms.coefficients @ weights)
-    n = len(levels)
+    terms, bounds = block.terms, block.bounds
+    # the block L, dense in the block's level order, every row scaled by its
+    # largest entry
+    entries, counts = terms.coefficients @ weights, np.diff(terms.indptr)
+    scale = np.maximum.reduceat(np.abs(entries), terms.indptr[:-1][counts > 0])
+    m = np.zeros((terms.side, terms.side))
+    m[np.repeat(np.arange(terms.side), counts), terms.indices] = (
+        entries / np.repeat(np.where(scale > 0, scale, 1.0), counts[counts > 0]))
+    # the coordinates of each level, then an empty level beyond the last
+    n = len(bounds) - 1
+    at = [slice(lo, hi) for lo, hi in zip(bounds, (*bounds[1:], bounds[-1]))]
     # S_k and C_k = S_k^-1 (left block of level k), outermost level first;
     # C_n is an empty stand-in beyond the last level
-    schur, couple = [None] * n, [None] * n + [np.zeros((0, levels[-1][2].shape[0]))]
+    schur, couple = [None] * n, [None] * n + [np.zeros((0, bounds[n] - bounds[n - 1]))]
     try:
         for k in range(n - 1, 0, -1):
-            _, left, diag, right, _ = levels[k]
-            schur[k] = diag - right @ couple[k + 1]
-            couple[k] = np.linalg.solve(schur[k], left)
+            schur[k] = m[at[k], at[k]] - m[at[k], at[k + 1]] @ couple[k + 1]
+            couple[k] = np.linalg.solve(schur[k], m[at[k], at[k - 1]])
     except np.linalg.LinAlgError as err:
         raise DegenerateSteadyStateError(
             f"a coherence level is singular ({err}); the stationary state is not unique"
         ) from err
-    _, _, diag, right, _ = levels[0]
-    slices = np.stack([diag - right @ couple[1]] * 2)
+    slices = np.stack([m[at[0], at[0]] - m[at[0], at[1]] @ couple[1]] * 2)
     slices[0, 0] = slices[1, d - 1] = 1.0
     ends = np.zeros((2, d, 1))
     ends[0, 0] = ends[1, d - 1] = 1.0
@@ -469,20 +418,18 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     # one refinement step, M_0 dx = e_0 - M_0 x, through the same levels: the
     # residual's levels are folded inward through each S_k, as L's were
     x = x[:, 0]
-    r = [-slab @ x[window] for slab, *_, window in levels]
-    r[0][0] = 1.0 - x[:d].sum()
+    r = -(m @ x)
+    r[0] = 1.0 - x[:d].sum()  # row 0 of M_0 is the trace row
     y = [None] * n + [np.zeros(0)]
     for k in range(n - 1, 0, -1):
-        y[k] = np.linalg.solve(schur[k], r[k] - levels[k][3] @ y[k + 1])  # right block of level k
-    top = r[0] - right @ y[1]
-    top[0] = r[0][0]  # row 0 of M_0 is the trace row, which has no right block
+        y[k] = np.linalg.solve(schur[k], r[at[k]] - m[at[k], at[k + 1]] @ y[k + 1])
+    top = r[at[0]] - m[at[0], at[1]] @ y[1]
+    top[0] = r[0]  # the trace row has no right block
     dx = [np.linalg.solve(slices[0], top)]
     for k in range(1, n):
         dx.append(y[k] - couple[k] @ dx[-1])
     x = x + np.concatenate(dx)
-    u = np.empty_like(x)
-    u[plan.order] = x / x[:d].sum()
-    vec = block.lift @ u.astype(np.complex128)
+    vec = block.lift @ (x / x[:d].sum()).astype(np.complex128)
     residual = float(np.max(np.abs(table.assemble(weights) @ vec)))
     if not residual <= 1e-10:  # a nan residual fails too
         raise ArithmeticError(f"steady-state residual {residual:.3e} exceeds 1e-10")
