@@ -29,23 +29,25 @@ of entries, keep the embedded one-mode operators, keyed on (layout,
 constructor, arguments); the term tables and the operator tables, both
 keyed on (layout, term keys); and the real blocks below.
 
-Both steady-state routes solve on the invariant block that carries the
-trace, seeded by the diagonal of rho alone, in a real Hermitian basis of
-that block.  The block, its basis transform T and every term's real
-superoperator T S_t T^dagger depend only on the term table and which of
-its terms have a nonzero weight, so the real-table cache, keyed by those
-two, keeps them as one real block (``_RealBlock``): T, its lift T^dagger
-back to vec(rho), built once, the real terms on one shared real CSR
-pattern, each checked to preserve Hermiticity when the block is built,
-and the bounds of the levels that order its coordinates, in which the
-block is block-tridiagonal.  A point's real static and drive
-superoperators are then one sparse product each of those terms with the
-point's weights, written onto their fixed pattern, and both routes lift
-their block coordinates to a state through the block's one T^dagger.  A
-generator builds its Hamiltonian when ``hamiltonian`` is first read, and a
-bath current its operator, from the operator table of each term's d x d
-operator (a coherent term's own, a jump's emission operator); the
-integrator's step bound reads the Hamiltonian's row sums.
+Both steady-state routes solve on one real block, which one walk
+defines: every live term is transformed to the full real Hermitian basis
+of vec(rho), where each is checked to preserve Hermiticity, and the block
+is the set of real coordinates that a walk over those real terms reaches
+from the d populations, in the walk's level order.  The block, its basis
+transform T and every term's real superoperator T S_t T^dagger depend
+only on the term table and which of its terms have a nonzero weight, so
+the real-table cache, keyed by those two, keeps them as one real block
+(``_RealBlock``): T, its lift T^dagger back to vec(rho), built once, the
+real terms cut to the block on one shared real CSR pattern, and the
+bounds of the levels, in which the block is block-tridiagonal.  A point's
+real static and drive superoperators are then one sparse product each of
+those terms with the point's weights, written onto their fixed pattern,
+and both routes lift their block coordinates to a state through the
+block's one T^dagger.  A generator builds its Hamiltonian when
+``hamiltonian`` is first read, and a bath current its operator, from the
+operator table of each term's d x d operator (a coherent term's own, a
+jump's emission operator); the integrator's step bound reads the
+Hamiltonian's row sums.
 """
 
 from __future__ import annotations
@@ -249,50 +251,29 @@ def _levels(pattern: sp.sparray, sources: np.ndarray) -> np.ndarray:
     return level
 
 
-def _trace_block(pattern: sp.csr_array, d: int) -> np.ndarray:
-    """Mask over vec(rho) of the invariant block that carries the trace.
+def hermitian_basis_transform(d: int) -> sp.csr_array:
+    """Unitary T mapping vec(rho) to real coordinates in a Hermitian basis.
 
-    ``pattern`` is the sparsity pattern of a generator's static and drive
-    superoperators together.  The block is every index that a walk over the
-    symmetrized pattern reaches from a diagonal index i + d*i
-    (``_levels``): the union of the weakly connected components that hold a
-    diagonal.  No generator entry joins it to the rest of the space, so it
-    is invariant by construction; a generator without symmetry gets the
-    whole space.
+    Basis order: the d diagonal projectors first, then for each pair
+    k < l, in row-major order, the symmetric and antisymmetric (i-weighted)
+    combinations, both normalized under the Hilbert-Schmidt inner product.
+    For Hermitian rho the coordinates T @ vec(rho) are real.
     """
-    return _levels(pattern, np.arange(d) * (d + 1)) >= 0
-
-
-def hermitian_basis_transform(d: int, pairs: np.ndarray) -> sp.csr_array:
-    """Isometry T mapping vec(rho) to real coordinates in a Hermitian basis.
-
-    ``pairs`` is a symmetric d x d boolean mask of the entries (k, l) the
-    basis spans; the all-true mask makes T unitary.  Basis
-    order: the kept diagonal projectors first, then for each kept pair
-    k < l the symmetric and antisymmetric (i-weighted) combinations, both
-    normalized under the Hilbert-Schmidt inner product.  For Hermitian rho
-    supported on the mask the coordinates T @ vec(rho) are real and
-    T^dagger T vec(rho) = vec(rho).
-    """
-    pairs = np.asarray(pairs, dtype=bool)
-    if pairs.shape != (d, d) or not np.array_equal(pairs, pairs.T):
-        raise ValueError(f"pair mask must be a symmetric {d} x {d} boolean array")
-    diag = np.flatnonzero(np.diagonal(pairs))
-    k, l = np.nonzero(np.triu(pairs, 1))
-    n_diag, n_pairs = len(diag), len(k)
-    re_rows = n_diag + 2 * np.arange(n_pairs)
+    k, l = np.triu_indices(d, 1)
+    n_pairs = len(k)
+    re_rows = d + 2 * np.arange(n_pairs)
     upper, lower = k + d * l, l + d * k
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    rows = np.concatenate([np.arange(n_diag), re_rows, re_rows, re_rows + 1, re_rows + 1])
-    cols = np.concatenate([diag * (d + 1), upper, lower, upper, lower])
+    rows = np.concatenate([np.arange(d), re_rows, re_rows, re_rows + 1, re_rows + 1])
+    cols = np.concatenate([np.arange(d) * (d + 1), upper, lower, upper, lower])
     data = np.concatenate([
-        np.ones(n_diag, dtype=np.complex128),
+        np.ones(d, dtype=np.complex128),
         # u = sqrt(2) Re rho_kl, then u = sqrt(2) Im rho_kl
         np.full(2 * n_pairs, inv_sqrt2, dtype=np.complex128),
         np.full(n_pairs, -1j * inv_sqrt2),
         np.full(n_pairs, 1j * inv_sqrt2),
     ])
-    t = sp.csr_array((data, (rows, cols)), shape=(n_diag + 2 * n_pairs, d * d))
+    t = sp.csr_array((data, (rows, cols)), shape=(d * d, d * d))
     t.sort_indices()
     return t
 
@@ -314,12 +295,12 @@ def _to_real_superop(transform: sp.csr_array, superop: sp.csr_array, what: str) 
 
 @dataclass(frozen=True, eq=False)
 class _RealBlock:
-    """A term table's real form on the invariant block that carries the
-    trace, in the block's real Hermitian basis in level order: the isometry
-    ``transform`` T onto the real coordinates, its ``lift`` T^dagger back to
-    vec(rho), the real ``terms`` T S_t T^dagger, and the level ``bounds``:
-    level k is coordinates bounds[k]:bounds[k+1], and a real entry joins
-    levels at most one apart."""
+    """A term table's real form on the block that a walk from the
+    populations reaches, in level order: the isometry ``transform`` T onto
+    the block's real coordinates, its ``lift`` T^dagger back to vec(rho),
+    the real ``terms`` T S_t T^dagger, and the level ``bounds``: level k is
+    coordinates bounds[k]:bounds[k+1], and a real entry joins levels at most
+    one apart."""
 
     transform: sp.csr_array
     lift: sp.csc_array
@@ -330,29 +311,29 @@ class _RealBlock:
 @functools.lru_cache(maxsize=4)
 def _real_table(table: _TermTable, live: tuple) -> _RealBlock:
     """The real block of ``table`` for the terms ``live`` (those with a
-    nonzero weight): every live term's T S_t T^dagger on one shared real CSR
-    pattern, each checked to preserve Hermiticity; other terms stay empty.
-    The levels are those of a walk over the real terms from the d
-    populations (``_levels``), the coordinates it does not reach last."""
+    nonzero weight).  Every live term is transformed on the full real
+    Hermitian basis and checked there, on every entry, to preserve
+    Hermiticity.  A walk over those real terms from the d populations
+    (``_levels``) defines the block: exactly the coordinates it reaches, in
+    stable level order.  No real entry joins a reached coordinate to an
+    unreached one, so each term is cut to the block by indexing; other
+    terms stay empty."""
     d = math.isqrt(table.side)
-    parts = [table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel()) for t in live]
-    for s in parts:
-        s.eliminate_zeros()
-    pattern = sum((abs(s) for s in parts), sp.csr_array((table.side, table.side)))
-    transform = hermitian_basis_transform(d, unvectorize(_trace_block(pattern, d), d))
-    side = transform.shape[0]
-    reals = [_to_real_superop(transform, s, f"term {t} of the generator").tocoo() for t, s in zip(live, parts)]
-    level = _levels(sum((abs(r) for r in reals), sp.csr_array((side, side))), np.arange(d))
-    level[level < 0] = level.max() + 1
-    order = np.argsort(level, kind="stable")
-    position = np.argsort(order)
+    full = hermitian_basis_transform(d)
+    reals = [_to_real_superop(full, table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel()),
+                              f"term {t} of the generator") for t in live]
+    level = _levels(sum((abs(r) for r in reals), sp.csr_array((table.side, table.side))), np.arange(d))
+    # the unreached coordinates, at level -1, sort first and are dropped
+    order = np.argsort(level, kind="stable")[np.count_nonzero(level < 0):]
+    side = order.size
     flats = [np.zeros(0, np.int64)] * table.coefficients.shape[1]
     datas = [np.zeros(0)] * len(flats)
     for t, real in zip(live, reals):
-        flat = position[real.row] * side + position[real.col]
+        cut = real[order][:, order].tocoo()
+        flat = cut.row.astype(np.int64) * side + cut.col
         by_index = np.argsort(flat)
-        flats[t], datas[t] = flat[by_index], real.data[by_index]
-    transform = transform[order]
+        flats[t], datas[t] = flat[by_index], cut.data[by_index]
+    transform = full[order]
     bounds = np.searchsorted(level[order], np.arange(level.max() + 2))
     return _RealBlock(transform, transform.conj().T,
                       _TermTable.of_entries(flats, datas, side, np.float64), tuple(bounds.tolist()))
@@ -424,9 +405,9 @@ class Liouvillian:
     (``_WeightedTerms``), and each view of it has one accessor:
     ``superops()`` gives the complex sparse superoperators (static part
     plus one cosine-modulated part per drive) and ``real_superops()`` their
-    real forms on the invariant block that carries the trace, both built
-    on each call, only below the size guard, each as one weighted sum of
-    term superoperators.  ``hamiltonian`` is built from the weights when
+    real forms on the block that a walk from the populations reaches, both
+    built on each call, only below the size guard, each as one weighted sum
+    of term superoperators.  ``hamiltonian`` is built from the weights when
     first read, and ``jumps`` are the dissipator terms of nonzero weight.
 
     ``Liouvillian(layout, hamiltonian, jumps)`` gives each operator, which
@@ -495,14 +476,14 @@ class Liouvillian:
         return self._terms.superops(self._table())
 
     def real_superops(self):
-        """(T, L0, ((nu, L_nu), ...)): the isometry T onto the real Hermitian
-        basis of the invariant block that carries the trace
-        (``_trace_block``), and the static and drive superoperators in that
-        basis, T L T^dagger, as real CSR matrices on one pattern, explicit
-        zeros kept, assembled on the cached real block (``_real``); each
-        returned matrix owns its arrays.  T is a row permutation of
+        """(T, L0, ((nu, L_nu), ...)): the isometry T onto the real
+        coordinates that a walk over the real terms reaches from the
+        populations, and the static and drive superoperators on them,
+        T L T^dagger, as real CSR matrices on one pattern, explicit zeros
+        kept, assembled on the cached real block (``_real``); each returned
+        matrix owns its arrays.  T is a row subset of
         ``hermitian_basis_transform``: the populations first and in order,
-        then the other coordinates level by level (``_real_table``).
+        then the other reached coordinates level by level (``_real_table``).
         """
         _, block = self._real()
         return (block.transform.copy(), *self._terms.superops(block.terms))

@@ -17,19 +17,18 @@ evolved in blocks of length T, after each block the observable is averaged
 over the trailing window T_av, and the run stops once the relative change
 of consecutive block averages falls below the threshold.
 
-Both steady-state routes work on the invariant block that carries the
-trace (``lindblad._trace_block``): every entry of vec(rho) that a walk over
-the generator's symmetrized sparsity pattern, static and drive
-superoperators together, reaches from a diagonal entry of rho (the weakly
-connected components that hold one), so it holds the ground state that the
-protocol starts from.  No generator entry leaves that block.  Every
-generator here conserves the total excitation number up to a fixed shift
-per jump, so the block is its coherence-order-0 sector (544 of the 5184
-entries of vec(rho) for a bridge half at N=8); a generator without such a
-symmetry gets the whole space through the same code.  Both routes read the
-block's real Hermitian basis and the generator's real superoperators on
-it from the generator's cached real block (``Liouvillian._real``), so a
-point recomputes neither the block nor the basis.  The block also carries
+Both steady-state routes work on the generator's real block
+(``lindblad._real_table``): the real Hermitian coordinates that a walk
+over the real terms, static and drive together, reaches from the
+populations, so it holds the ground state that the protocol starts from.
+No real entry leaves that block.  Every generator here conserves the
+total excitation number up to a fixed shift per jump, so a bridge half's
+block is its coherence-order-0 sector (544 of the 5184 real coordinates
+at N=8); a generator without such a symmetry gets the whole space through
+the same code.  Both routes read the block's real Hermitian basis and the
+generator's real superoperators on it from the generator's cached real
+block (``Liouvillian._real``), so a point recomputes neither the block nor
+the basis.  The block also carries
 the lift T^dagger, through which both routes turn real coordinates into a
 state, which ``DensityMatrix.from_matrix`` validates, as it does the state
 of ``evolve``.
@@ -342,30 +341,29 @@ def evolve(
 def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     """Steady state of a time-independent generator via its null space.
 
-    The solve runs in real arithmetic on the invariant block that carries
-    the trace, in its real Hermitian basis (the generator's real block),
-    whose first d coordinates are the diagonal of rho, followed by the
-    levels of a walk from them (``lindblad._real_table``).  A level couples
-    only to its neighbours, so the block L, scattered into one dense array,
-    is block-tridiagonal, and the block's ``bounds`` cut each level's left,
-    diagonal and right blocks out of it.  Each row is scaled by its largest
-    entry, and the coherence levels are eliminated from the outermost
-    inward, each by ``np.linalg.solve`` on its block S_k, the level's
-    diagonal block less what the levels beyond it feed back.  What is left
-    is the exact d x d population system S_0.  Its two trace slices, the
-    trace row tau (ones) in place of row 0 and then of row d-1, are solved
-    and back-substituted; each replaced row is a diagonal one, since the
-    diagonal rows of L sum to zero and the trace row lifts that dependence.
-    A singular S_k or slice (``LinAlgError``), a non-finite solution, or
-    slices that disagree by more than 1e-8 mean a degenerate stationary
-    manifold within the block and raise
-    :class:`DegenerateSteadyStateError`.  Uniqueness is certified only
-    within that block: stationary coherences outside it carry no trace and
-    are not states.  The first slice's solution takes one refinement step
-    against M_0, L with tau in place of row 0: its residual, one product
-    with L, is folded inward through the same S_k.  The state, lifted by
-    the block's T^dagger, must pass a 1e-10 residual
-    against the term table's complex entries, and the state validation.
+    The solve runs in real arithmetic on the generator's real block, whose
+    first d coordinates are the diagonal of rho, followed by the levels of
+    the walk from them that defines the block (``lindblad._real_table``).  A
+    level couples only to its neighbours, so the block L, scattered into one
+    dense array, is block-tridiagonal, and the block's ``bounds`` cut each
+    level's left, diagonal and right blocks out of it.  Each row is scaled
+    by its largest entry, and the coherence levels are eliminated from the
+    outermost inward, each by ``np.linalg.solve`` on its block S_k, the
+    level's diagonal block less what the levels beyond it feed back.  What
+    is left is the exact d x d population system S_0.  Its two trace slices,
+    the trace row tau (ones) in place of row 0 and then of row d-1, are
+    solved and back-substituted; each replaced row is a diagonal one, since
+    the diagonal rows of L sum to zero and the trace row lifts that
+    dependence.  A singular S_k or slice (``LinAlgError``), a non-finite
+    solution, or slices that disagree by more than 1e-8 mean a degenerate
+    stationary manifold within the block and raise
+    :class:`DegenerateSteadyStateError`.  Uniqueness is certified only on
+    the block reached from the populations: stationary coherences outside it
+    carry no trace and are not states.  The first slice's solution takes one
+    refinement step against M_0, L with tau in place of row 0: its residual,
+    one product with L, is folded inward through the same S_k.  The state,
+    lifted by the block's T^dagger, must pass a 1e-10 residual against the
+    term table's complex entries, and the state validation.
     Above ``SUPEROP_MATERIALIZE_DIM`` ``ValueError`` is raised.
     """
     if generator.drive_frequencies:
@@ -566,17 +564,17 @@ def steady_state_averaged(
     trajectory.
 
     The blocks are advanced with a precomputed dense map over one period of
-    the lowest drive frequency (over one step without drives), and block
-    and window lengths are snapped to whole periods.  The map acts on the
-    invariant block that carries the trace, in a real Hermitian basis of
-    that block (the generator's real block, whose T^dagger lifts the final
-    coordinates to the result's ``state``, which is validated); ``block_dim`` of
-    the result is its real dimension.  Every drive frequency must be an integer
-    multiple of the lowest one; otherwise ``ValueError`` is raised.  The
-    step divides the period into whole steps no longer than
-    ``stability_limited_dt``, at least 20 per period of the fastest drive.
-    An observable on another layout than the generator's, or a
-    ``trajectory_points_per_block`` that is neither None nor a positive
+    the lowest drive frequency (over one step without drives), and block and
+    window lengths are snapped to whole periods.  The map acts on the
+    generator's real block, the real Hermitian coordinates that a walk over
+    its real terms reaches from the populations, whose T^dagger lifts the
+    final coordinates to the result's ``state``, which is validated;
+    ``block_dim`` of the result is its real dimension.  Every drive
+    frequency must be an integer multiple of the lowest one; otherwise
+    ``ValueError`` is raised.  The step divides the period into whole steps
+    no longer than ``stability_limited_dt``, at least 20 per period of the
+    fastest drive.  An observable on another layout than the generator's, or
+    a ``trajectory_points_per_block`` that is neither None nor a positive
     integer, raises ``ValueError``.
     """
     if observable.observable.layout != generator.layout:

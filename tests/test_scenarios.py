@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -7,13 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatrect.circuits import CircuitSpec
+from heatrect.circuits import BathParams, CircuitSpec, DiodeParams
 from heatrect.cli import main
 from heatrect.lindblad import build_generator, qutrit_rate_table
 from heatrect.observables import bath_current_functional
 from heatrect.scenarios import (
     ConfigError,
     SCENARIO_NAMES,
+    _COMMON_CIRCUIT,
     _quick_plot,
     default_config,
     load_config,
@@ -49,6 +52,27 @@ def test_all_default_configs_validate():
     for name in SCENARIO_NAMES:
         resolved = validate_config(default_config(name))
         assert resolved.name == name
+
+
+def test_paper_defaults_agree_wherever_they_are_stated():
+    # the scenarios' common circuit, the keyword defaults of CircuitSpec.build
+    # and the dataclass defaults each state the paper's parameters
+    build = {name: p.default for name, p in inspect.signature(CircuitSpec.build).parameters.items()
+             if p.default is not inspect.Parameter.empty}
+    spec = {f.name: f.default for f in dataclasses.fields(CircuitSpec) if f.default is not dataclasses.MISSING}
+    diode = DiodeParams()
+    stated = {
+        "Gamma": (build["Gamma"], BathParams(n=0.0).Gamma),
+        "J": (build["J"], diode.J),
+        "J_prime": (build["J_prime"], diode.J_prime),
+        "gamma_dec": (build["gamma_dec"], spec["gamma_dec"]),
+        "ho_truncation": (build["ho_truncation"], spec["ho_truncation"]),
+        "bridge_rate_mode": (build["bridge_rate_mode"], spec["bridge_rate_mode"]),
+    }
+    assert sorted(stated) == sorted(_COMMON_CIRCUIT)
+    for key, values in stated.items():
+        assert values == (_COMMON_CIRCUIT[key],) * 2, key
+    assert build["delta_omega"] == diode.delta_omega
 
 
 def test_config_errors_carry_key_paths():
@@ -235,7 +259,7 @@ def test_series_sweep_small_grid(tmp_path):
         assert row["converged_block_forward"] >= 1
     csv_text = (tmp_path / "series-sweep.csv").read_text()
     assert csv_text.splitlines()[0].startswith("delta_omega_d1,delta_omega_d2")
-    assert json.loads((tmp_path / "metadata.json").read_text())["block_dims"] == [19]
+    assert json.loads((tmp_path / "metadata.json").read_text())["block_dims"] == [18]
 
 
 def test_bridge_point_small(tmp_path):
@@ -285,7 +309,7 @@ def test_convergence_study_writes_trajectories(tmp_path):
     # block indices are contiguous from zero for each run
     series_fwd = [r for r in result.rows if r["circuit"] == "series" and r["bias"] == "forward"]
     assert [r["block_index"] for r in series_fwd] == list(range(len(series_fwd)))
-    assert json.loads((tmp_path / "metadata.json").read_text())["block_dims"] == [19, 141]
+    assert json.loads((tmp_path / "metadata.json").read_text())["block_dims"] == [18, 141]
 
 
 def test_files_list_only_what_the_run_wrote(tmp_path):
@@ -511,7 +535,7 @@ def test_route_rule_at_j_prime_zero(tmp_path):
     assert len(study.rows) == 57 and not study.flagged_rows
     assert all(r["method"] == "compiled-block-map" and r["blocks_used"] >= 2 for r in study.rows)
     meta = json.loads((tmp_path / "study" / "metadata.json").read_text())
-    assert meta["block_dims"] == [19, 70]
+    assert meta["block_dims"] == [18, 70]
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from heatrect import lindblad, steady
 from heatrect.circuits import CircuitSpec, DiodeParams, TimeDependentOperator
@@ -18,7 +18,6 @@ from heatrect.lindblad import (
     Liouvillian,
     RateTable,
     _to_real_superop,
-    _trace_block,
     bridge_rate_tables,
     build_bridge_half_generators,
     build_generator,
@@ -388,21 +387,41 @@ DEGENERATE_CASES = [
     lambda: coherent_generator(random_hermitian(3, seed=3)),
     lambda: coherent_generator(random_hermitian(5, seed=5)),
     lambda: coherent_generator(random_hermitian(8, seed=8)),
-    # wide enough that COLAMD picks a column order other than the identity
     lambda: coherent_generator(random_hermitian(12, seed=12)),
     # qutrit with two absorbing states, |0> and |2>
     lambda: qutrit_rate_generator([RateTable({(1, 0): 1.0, (1, 2): 2.0})]),
+    # qutrit whose one jump |0><2| + |1><2| leaves every state of |0> and |1>
+    # stationary: the coherence level Re rho_01 is singular
+    lambda: jump_only_generator((0, 2), (1, 2)),
 ]
 
 
 @pytest.mark.parametrize(
     "make_generator", DEGENERATE_CASES,
     ids=["coherent-diag-2", "coherent-random-3", "coherent-random-5", "coherent-random-8",
-         "coherent-random-12", "qutrit-two-absorbing"],
+         "coherent-random-12", "qutrit-two-absorbing", "qutrit-jump-into-a-free-qubit"],
 )
 def test_direct_reports_degenerate_null_space(make_generator):
     with pytest.raises(DegenerateSteadyStateError):
         steady_state_direct(make_generator())
+
+
+def jump_only_generator(*entries) -> Liouvillian:
+    """A qutrit with no Hamiltonian and the one jump sum |k><l| over ``entries``."""
+    layout = SpaceLayout.of(("A", Qutrit()))
+    jump = np.zeros((3, 3))
+    for k, l in entries:
+        jump[k, l] = 1.0
+    return Liouvillian(layout, None, ((1.0, SparseOperator.wrap(layout, jump)),))
+
+
+def test_direct_reports_a_singular_coherence_level():
+    # the jump feeds Re rho_01 from |2>, so it is the one coherence level, and
+    # nothing drains it, so its diagonal block is zero
+    gen = jump_only_generator((0, 2), (1, 2))
+    assert gen._real()[1].bounds == (0, 3, 4)
+    with pytest.raises(DegenerateSteadyStateError, match="a coherence level is singular"):
+        steady_state_direct(gen)
 
 
 def two_slice_reference(gen: Liouvillian) -> np.ndarray:
@@ -508,15 +527,15 @@ def test_direct_matches_refined_dense_reference():
 
 
 def test_direct_reports_a_singular_population_slice():
-    # |0> and |1> exchange coherently and |1> decays to |0>, so the coherence
-    # levels are regular: Im rho_01 at level 1, and Re rho_01, which no entry
-    # joins to the rest, as the last level; |2> is left alone, so its
-    # population is free and the 3 x 3 population system is singular in both
-    # trace slices
+    # |0> and |1> exchange coherently and |1> decays to |0>, so the one
+    # coherence level, Im rho_01, is regular; Re rho_01, which no real entry
+    # joins to the populations, is outside the block; |2> is left alone, so
+    # its population is free and the 3 x 3 population system is singular in
+    # both trace slices
     layout = SpaceLayout.of(("A", Qutrit()))
     swap = transition_op(layout, "A", 0, 1) + transition_op(layout, "A", 1, 0)
     gen = Liouvillian(layout, TimeDependentOperator(swap), ((1.0, transition_op(layout, "A", 1, 0)),))
-    assert gen._real()[1].bounds == (0, 3, 4, 5)
+    assert gen._real()[1].bounds == (0, 3, 4)
     with pytest.raises(DegenerateSteadyStateError, match="trace slice of the population system is singular"):
         steady_state_direct(gen)
 
@@ -663,46 +682,80 @@ def assembled_pattern(gen) -> sp.csr_array:
 
 
 def assembled_trace_block(gen) -> np.ndarray:
-    """``_trace_block`` on the generator's assembled pattern."""
-    return _trace_block(assembled_pattern(gen), gen.dim)
+    """Mask over vec(rho) of the weakly connected components of the
+    generator's assembled complex pattern that hold a diagonal entry."""
+    d = gen.dim
+    _, labels = connected_components(assembled_pattern(gen), directed=True, connection="weak")
+    return np.isin(labels, labels[np.arange(d) * (d + 1)])
 
 
-def basis_order(transform, reference) -> np.ndarray:
+def order_zero_rows(layout) -> np.ndarray:
+    """The rows of ``hermitian_basis_transform`` inside the coherence-order-0
+    sector, in their order."""
+    full = hermitian_basis_transform(layout.total_dim)
+    return np.flatnonzero(abs(full) @ vectorize(order_zero_pairs(layout)).astype(float))
+
+
+def basis_rows(transform, reference) -> np.ndarray:
     """The row of ``reference`` that each row of ``transform`` is: it must be
-    a row permutation of ``reference``, entry for entry."""
+    a subset of the rows of ``reference``, entry for entry."""
     order = np.abs((transform @ reference.conj().T).toarray()).argmax(axis=1)
-    np.testing.assert_array_equal(np.sort(order), np.arange(reference.shape[0]))
-    assert transform.shape == reference.shape and (transform != reference[order]).nnz == 0
+    assert np.unique(order).size == order.size
+    assert (transform != reference[order]).nnz == 0
     return order
 
 
-@pytest.mark.parametrize("make_generators", [
-    lambda: [*bridge_halves(2)[1], *bridge_halves(3)[1], *bridge_halves(4)[1]],
-    lambda: [series_generator()[1]],
-    lambda: [build_generator(CircuitSpec.build("parallel", n_left=0.5, n_right=0.0))],
-    lambda: [lindblad.build_reduced_generator(CircuitSpec.build(
-        "single-diode", T_left=1.0, T_right=0.1, ho_truncation=4))],
-    lambda: [coherent_generator(random_hermitian(5, seed=5)), drive_outside_static_generator()],
+def real_term_patterns(gen) -> list:
+    """|T S_t T^dagger| of every live term on the full real Hermitian basis,
+    explicit zeros dropped, as COO matrices."""
+    table, full = gen._real()[0], hermitian_basis_transform(gen.dim)
+    patterns = []
+    for t in _live_terms(gen):
+        s = table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel())
+        real = abs((full @ s @ full.conj().T).real)
+        real.eliminate_zeros()
+        patterns.append(real.tocoo())
+    return patterns
+
+
+@pytest.mark.parametrize("make_generators, sector", [
+    (lambda: [*bridge_halves(2)[1], *bridge_halves(3)[1], *bridge_halves(4)[1]], True),
+    (lambda: [series_generator()[1]], False),
+    (lambda: [build_generator(CircuitSpec.build("parallel", n_left=0.5, n_right=0.0))], False),
+    (lambda: [lindblad.build_reduced_generator(CircuitSpec.build(
+        "single-diode", T_left=1.0, T_right=0.1, ho_truncation=4))], False),
+    (lambda: [coherent_generator(random_hermitian(5, seed=5)), drive_outside_static_generator()], False),
 ], ids=["bridge-halves-N2-N4", "series", "parallel", "reduced-single-diode", "operator-built"])
-def test_levels_make_the_real_block_block_tridiagonal(make_generators):
+def test_levels_make_the_real_block_block_tridiagonal(make_generators, sector):
     for gen in make_generators():
         d, block = gen.dim, gen._real()[1]
         terms, bounds = block.terms, block.bounds
-        pattern = assembled_pattern(gen)
-        # T is the trace block's Hermitian basis with its rows reordered, the
-        # populations first and in order, and they are level 0
-        reference = hermitian_basis_transform(d, unvectorize(_trace_block(pattern, d), d))
-        np.testing.assert_array_equal(basis_order(block.transform, reference)[:d], np.arange(d))
+        full = hermitian_basis_transform(d)
+        # T is a row subset of the full Hermitian basis, the populations
+        # first and in order, and they are level 0
+        rows = basis_rows(block.transform, full)
+        np.testing.assert_array_equal(rows[:d], np.arange(d))
         assert bounds[:2] == (0, d) and bounds[-1] == terms.side
-        # every real-table entry joins levels at most one apart
+        # the block is what a walk over the symmetrized full-space real
+        # pattern of the live terms reaches from the populations
+        patterns = real_term_patterns(gen)
+        links = sum((sp.csr_array(p) for p in patterns), sp.csr_array((d * d, d * d)))
+        reached = np.zeros(d * d, bool)
+        for i in range(d):
+            reached[breadth_first_order(links, i, directed=False, return_predecessors=False)] = True
+        np.testing.assert_array_equal(np.sort(rows), np.flatnonzero(reached))
+        # no live term joins a reached coordinate to an unreached one
+        for p in patterns:
+            assert not np.any(reached[p.row] != reached[p.col])
+        # every real-table entry joins levels at most one apart, and each
+        # level keeps the basis order
         level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-        rows = np.repeat(np.arange(terms.side), np.diff(terms.indptr))
-        assert np.max(np.abs(level[rows] - level[terms.indices])) <= 1
-        # the walk's trace block is the union of the weakly connected
-        # components that hold a diagonal
-        _, labels = connected_components(pattern, directed=True, connection="weak")
-        np.testing.assert_array_equal(_trace_block(pattern, d),
-                                      np.isin(labels, labels[np.arange(d) * (d + 1)]))
+        entry_rows = np.repeat(np.arange(terms.side), np.diff(terms.indptr))
+        assert np.max(np.abs(level[entry_rows] - level[terms.indices])) <= 1
+        assert np.all(np.diff(rows)[np.diff(level) == 0] > 0)
+        # a bridge half's block is its coherence-order-0 sector
+        if sector:
+            np.testing.assert_array_equal(np.sort(rows), order_zero_rows(gen.layout))
 
 
 def test_solves_load_no_scipy_linear_algebra():
@@ -721,11 +774,11 @@ def test_trace_block_is_the_coherence_order_zero_sector():
         pairs = order_zero_pairs(gen.layout)
         block = assembled_trace_block(gen)
         np.testing.assert_array_equal(block, vectorize(pairs))
-        t_block = hermitian_basis_transform(d, pairs)
+        t_full = hermitian_basis_transform(d)
+        t_block = t_full[order_zero_rows(gen.layout)]
         assert t_block.shape == (size, d * d)
         np.testing.assert_allclose((t_block @ t_block.conj().T).toarray(), np.eye(size), atol=1e-12)
         # no generator entry leads from the block to any coordinate outside it
-        t_full = hermitian_basis_transform(d, np.ones((d, d), bool))
         outside = (abs(t_full) @ vectorize(pairs).astype(float)) == 0
         assert outside.sum() == d * d - size
         static, drives = gen.superops()
@@ -777,7 +830,7 @@ def full_space_steady_state(gen) -> np.ndarray:
 )
 def test_direct_block_solve_matches_full_space_oracle(make_generator):
     gen = make_generator()
-    assert int(assembled_trace_block(gen).sum()) < gen.dim ** 2
+    assert gen._real()[1].transform.shape[0] < gen.dim ** 2
     rho = steady_state_direct(gen)
     np.testing.assert_allclose(rho.data, full_space_steady_state(gen), rtol=0, atol=1e-12)
 
@@ -846,7 +899,7 @@ def test_steady_state_takes_each_route_and_flags_a_run_out_of_blocks():
         obs = bath_current_functional(gen, "right")
         res = steady_state(gen, obs)
         averaged = steady_state_averaged(gen, obs)
-        assert res.converged and res.block_dim == averaged.block_dim == 19
+        assert res.converged and res.block_dim == averaged.block_dim == 18
         if gen is undriven:
             direct = steady_state_direct(gen)
             assert res.solver == "direct"
@@ -871,7 +924,7 @@ def test_steady_state_takes_each_route_and_flags_a_run_out_of_blocks():
     assert not flagged.converged and flagged.state is None
     assert flagged.block_averages == err.value.result.block_averages
     assert (flagged.value, flagged.converged_block, flagged.blocks_used, flagged.block_dim) == (
-        flagged.block_averages[-1], -1, protocol.max_blocks, 19)
+        flagged.block_averages[-1], -1, protocol.max_blocks, 18)
     assert steady_state(undriven, bath_current_functional(undriven, "right"), protocol).converged
 
 
@@ -916,7 +969,7 @@ def test_averaged_rejects_a_trajectory_count_that_is_not_a_positive_integer(poin
 def test_hermitian_basis_transform_is_unitary_and_real():
     rng = np.random.default_rng(17)
     for d in (2, 3, 5):
-        t = hermitian_basis_transform(d, np.ones((d, d), bool))
+        t = hermitian_basis_transform(d)
         dense = t.toarray()
         np.testing.assert_allclose(dense @ dense.conj().T, np.eye(d * d), atol=1e-12)
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -1065,7 +1118,8 @@ def test_unit_map_matches_allocating_two_product_rk4():
     spec, (_, lower) = bridge_halves(3)
     obs = net_bath_current_functional(lower.layout, ["D4"], bridge_rate_tables(spec))
     transform, l0, drives = lower.real_superops()
-    basis_order(transform, hermitian_basis_transform(lower.dim, order_zero_pairs(lower.layout)))
+    rows = basis_rows(transform, hermitian_basis_transform(lower.dim))
+    np.testing.assert_array_equal(np.sort(rows), order_zero_rows(lower.layout))
     c_row = _real_observable(transform, obs.observable)
     grid = _unit_grid(lower, ConvergenceProtocol())
     assert len(drives) == 1 and grid.n_steps == 20
@@ -1117,17 +1171,14 @@ def assert_real_close(got, want):
 @pytest.mark.parametrize("case", sorted(_REAL_TABLE_CASES))
 def test_real_table_matches_assembled_generator(case):
     for gen in _REAL_TABLE_CASES[case]():
-        d = gen.dim
         transform, l0, drives = gen.real_superops()
-        # the cached block is the trace block of the assembled superoperators
-        # in the block's order
-        t_ref = hermitian_basis_transform(d, unvectorize(assembled_trace_block(gen), d))
-        t_ref = t_ref[basis_order(transform, t_ref)]
+        # the cached block is a row subset of the full Hermitian basis
+        basis_rows(transform, hermitian_basis_transform(gen.dim))
         static, complex_drives = gen.superops()
-        assert_real_close(l0, _to_real_superop(t_ref, static, "static"))
+        assert_real_close(l0, _to_real_superop(transform, static, "static"))
         assert [nu for nu, _ in drives] == [nu for nu, _ in complex_drives]
         for (_, got), (_, s) in zip(drives, complex_drives):
-            assert_real_close(got, _to_real_superop(t_ref, s, "drive"))
+            assert_real_close(got, _to_real_superop(transform, s, "drive"))
 
 
 def _live_terms(gen) -> tuple:
@@ -1143,9 +1194,9 @@ def _table_arrays(table) -> list:
 
 
 def _count_real_table_builds(monkeypatch) -> Counter:
-    """Calls of the three steps that build a real table, counted by name."""
+    """Calls of the two steps that build a real table, counted by name."""
     calls = Counter()
-    for name in ("_trace_block", "hermitian_basis_transform", "_to_real_superop"):
+    for name in ("hermitian_basis_transform", "_to_real_superop"):
         def counted(*args, _original=getattr(lindblad, name), _name=name):
             calls[_name] += 1
             return _original(*args)
@@ -1172,7 +1223,7 @@ def test_real_tables_are_built_once_per_layout_and_stay_unchanged(monkeypatch):
         # the first point builds one real table and one operator table per
         # half, later points none
         if k == 0:
-            assert calls["_trace_block"] == calls["hermitian_basis_transform"] == 2
+            assert calls["hermitian_basis_transform"] == 2
             assert calls["_to_real_superop"] > 0
             assert lindblad._operator_table.cache_info().misses == 2
         else:
