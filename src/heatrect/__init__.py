@@ -44,7 +44,6 @@ from .spaces import (
     raising_op,
 )
 from .steady import (
-    ConvergenceError,
     ConvergenceProtocol,
     DegenerateSteadyStateError,
     SteadyStateResult,

@@ -157,7 +157,6 @@ class ModeReport:
 
     mean_n: float
     effective_T: float
-    effective_T_defined: bool
     populations: np.ndarray
     reduced: DensityMatrix
 
@@ -166,11 +165,9 @@ def mode_report(rho: DensityMatrix, label: str) -> ModeReport:
     reduced = partial_trace(rho, [label])
     mean_n = float(np.real(reduced.expectation(_mode_operator(reduced.layout, number_op, label))))
     pops = np.real(np.diag(reduced.data)).copy()
-    defined = mean_n > 0
     return ModeReport(
         mean_n=mean_n,
         effective_T=effective_temperature(mean_n),
-        effective_T_defined=defined,
         populations=pops,
         reduced=reduced,
     )

@@ -46,7 +46,6 @@ from .observables import (
 from .spaces import DensityMatrix, projector
 from .steady import (
     CONVERGENCE_ABS_FLOOR,
-    ConvergenceError,
     ConvergenceProtocol,
     SteadyStateResult,
     steady_state,
@@ -207,10 +206,7 @@ def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
         obs = bath_current_functional(gen, "right")
         sign = 1.0
     points = resolved.extras["trajectory_points_per_block"]
-    try:
-        run = steady_state_averaged(gen, obs, resolved.protocol, trajectory_points_per_block=points)
-    except ConvergenceError as err:
-        run = err.result
+    run = steady_state_averaged(gen, obs, resolved.protocol, trajectory_points_per_block=points)
     out.block_dims.add(run.block_dim)
     rows = [{
         "circuit": circuit,

@@ -3,10 +3,10 @@
 ``steady_state`` is the one entry to a steady state: it applies the route
 rule, the direct solve for a generator without drive terms and the
 windowed average for a driven one, and returns one ``SteadyStateResult``
-either way; a windowed average that ran out of blocks comes back flagged,
-with no state.  ``steady_state_direct`` solves the null space of a
-time-independent generator in real arithmetic with NumPy alone: the real
-block comes ordered by the levels of a walk from the populations, in
+either way; a windowed average that ran out of blocks is returned too,
+flagged and with no state.  ``steady_state_direct`` solves the null space
+of a time-independent generator in real arithmetic with NumPy alone: the
+real block comes ordered by the levels of a walk from the populations, in
 which it is block-tridiagonal, its coherence levels are eliminated from
 the outermost inward with one dense solve each, and the d x d population
 system that remains is solved twice, with the trace constraint in place
@@ -15,7 +15,8 @@ detects a degenerate null space.  ``steady_state_averaged`` runs the
 windowed-average convergence protocol for driven generators: the state is
 evolved in blocks of length T, after each block the observable is averaged
 over the trailing window T_av, and the run stops once the relative change
-of consecutive block averages falls below the threshold.
+of consecutive block averages falls below the threshold, or after
+``max_blocks`` blocks.
 
 Both steady-state routes work on the generator's real block
 (``lindblad._real_table``): the real Hermitian coordinates that a walk
@@ -77,15 +78,6 @@ TRACE_DRIFT_TOL = 1e-10
 CONVERGENCE_ABS_FLOOR = 1e-8
 
 
-class ConvergenceError(RuntimeError):
-    """Windowed-average protocol ran out of blocks; ``result`` is the flagged
-    ``SteadyStateResult``, which carries every block average."""
-
-    def __init__(self, message: str, result: SteadyStateResult):
-        super().__init__(message)
-        self.result = result
-
-
 class DegenerateSteadyStateError(RuntimeError):
     """The generator's null space has dimension > 1; no state is singled out."""
 
@@ -125,11 +117,13 @@ class SteadyStateResult:
     """One steady-state solve: its ``solver`` (``"direct"`` or
     ``"windowed-average"``), the observable's ``value``, the ``state``
     (``None`` when a windowed average ran out of blocks; its value is then
-    the last block average) and the real dimension ``block_dim`` of the
-    invariant block the solve ran on.  The windowed average's own fields
-    are ``None`` for a direct solve: the converged block and the blocks
-    used (-1 and ``max_blocks`` when it ran out), every block average, the
-    step, the snapped block and window lengths, and the sampled trajectory."""
+    the last block average, and ``converged`` is false) and the real
+    dimension ``block_dim`` of the invariant block the solve ran on.  The
+    windowed average's own fields are ``None`` for a direct solve: the
+    converged block and the blocks used (-1 and ``max_blocks`` when it ran
+    out), every block average, the step, the snapped block and window
+    lengths, and the sampled trajectory (when requested, on either
+    outcome)."""
 
     solver: str
     value: float
@@ -152,16 +146,13 @@ def steady_state(generator: Liouvillian, observable: CurrentFunctional,
                  protocol: ConvergenceProtocol | None = None) -> SteadyStateResult:
     """The steady state by the route rule: ``steady_state_direct`` for a
     generator without drive terms, ``steady_state_averaged`` under
-    ``protocol`` for a driven one, whose ``ConvergenceError`` comes back as
-    its flagged result.  An observable on another layout than the
-    generator's raises ``ValueError`` before either route runs."""
+    ``protocol`` for a driven one, flagged when it ran out of blocks.  An
+    observable on another layout than the generator's raises ``ValueError``
+    before either route runs."""
     if observable.observable.layout != generator.layout:
         raise ValueError("observable layout does not match generator layout")
     if generator.drive_frequencies:
-        try:
-            return steady_state_averaged(generator, observable, protocol)
-        except ConvergenceError as err:
-            return err.result
+        return steady_state_averaged(generator, observable, protocol)
     state = steady_state_direct(generator)
     return SteadyStateResult("direct", observable.value(state), state, generator._real()[1].terms.side)
 
@@ -559,9 +550,10 @@ def steady_state_averaged(
     ``observable`` over the trailing window of each block, and stops at the
     first block n whose average differs from block n-1 by less than rel_tol
     in relative terms (with an absolute floor so exactly-zero currents
-    converge too).  When ``max_blocks`` is exhausted, raises
-    :class:`ConvergenceError` carrying the flagged result, without the
-    trajectory.
+    converge too).  When ``max_blocks`` is exhausted, the result comes back
+    flagged: ``converged`` is false, ``state`` is ``None``, ``value`` is the
+    last block average and ``converged_block`` is -1.  The trajectory, when
+    requested, is kept on both outcomes.
 
     The blocks are advanced with a precomputed dense map over one period of
     the lowest drive frequency (over one step without drives), and block and
@@ -605,7 +597,7 @@ def steady_state_averaged(
     averages: list[float] = []
     times: list[float] = []
     samples: list[float] = []
-    converged = None
+    converged = -1
     for block in range(protocol.max_blocks):
         averages.append(float(window_row @ u))
         if block >= 1 and _stop(averages[-2], averages[-1], protocol.rel_tol):
@@ -622,28 +614,22 @@ def steady_state_averaged(
         if abs(trace - 1.0) > TRACE_DRIFT_TOL:
             logger.info("trace drift %.3e at block %d; renormalizing", trace - 1.0, block)
             u = u / trace
-        if converged is not None:
+        if converged >= 0:
             break
 
-    common = dict(solver="windowed-average", block_dim=l0.shape[0], block_averages=tuple(averages),
-                  dt=grid.dt, block_length_effective=grid.units_per_block * grid.duration,
-                  window_effective=grid.window_units * grid.duration)
-    if converged is None:
-        raise ConvergenceError(
-            f"current did not converge within {protocol.max_blocks} blocks "
-            f"(last averages {averages[-2]:.6e}, {averages[-1]:.6e})",
-            SteadyStateResult(value=averages[-1], state=None, converged_block=-1,
-                              blocks_used=protocol.max_blocks, **common),
-        )
-
-    # the loop left u's trace within TRACE_DRIFT_TOL, and T^dagger copies u[:d]
-    # onto the diagonal; T^dagger u is exactly Hermitian for every real u
-    rho = unvectorize(real_block.lift @ u.astype(np.complex128), d)
+    state = None
+    if converged >= 0:
+        # the loop left u's trace within TRACE_DRIFT_TOL, and T^dagger copies u[:d]
+        # onto the diagonal; T^dagger u is exactly Hermitian for every real u
+        rho = unvectorize(real_block.lift @ u.astype(np.complex128), d)
+        state = DensityMatrix.from_matrix(generator.layout, rho)
     trajectory = None
     if points is not None:
         trajectory = Trajectory(observable.name, np.asarray(times, dtype=np.float64),
                                 np.asarray(samples, dtype=np.float64))
-    return SteadyStateResult(value=averages[converged],
-                             state=DensityMatrix.from_matrix(generator.layout, rho),
-                             converged_block=converged, blocks_used=converged + 1,
-                             trajectory=trajectory, **common)
+    return SteadyStateResult("windowed-average", averages[-1], state, l0.shape[0],
+                             converged_block=converged, blocks_used=len(averages),
+                             block_averages=tuple(averages), dt=grid.dt,
+                             block_length_effective=grid.units_per_block * grid.duration,
+                             window_effective=grid.window_units * grid.duration,
+                             trajectory=trajectory)

@@ -48,11 +48,7 @@ from heatrect.steady import (
     steady_state_direct,
 )
 
-
-def random_density(rng, d):
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho)
+from helpers import qutrit_rate_generator, random_density
 
 
 def random_operator(rng, layout):
@@ -87,15 +83,6 @@ def dense_generator_action(gen, rho, t):
     for weight, op in gen.jumps:
         out += weight * dense_lindblad_term(op.matrix.toarray(), rho)
     return out
-
-
-def qutrit_rate_generator(tables) -> Liouvillian:
-    """A qutrit under summed rate tables, built from operators: one
-    |to><from| jump per positive rate, table by table."""
-    layout = SpaceLayout.of(("D1", Qutrit()))
-    return Liouvillian(layout, None, tuple(
-        (table.get(*t), transition_op(layout, "D1", *t))
-        for table in tables for t in lindblad._ALLOWED_TRANSITIONS if table.get(*t) > 0))
 
 
 def dissipator(op, weight=1.0):

@@ -695,10 +695,18 @@ def test_nonconvergent_rows_are_flagged(tmp_path, capsys, cfg, flagged, nan_colu
         assert all(math.isnan(row[key]) for key in nan_columns)
     if cfg["name"] == "bridge-anharmonicity":
         assert all(math.isfinite(result.rows[0][key]) for key in ("temp_m1", "fid_left_m1"))
-    if cfg["name"] == "convergence-study":
-        assert all(row["method"] == "compiled-block-map" for row in result.rows)
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["flagged_rows"] == flagged
+    if cfg["name"] == "convergence-study":
+        assert all(row["method"] == "compiled-block-map" for row in result.rows)
+        # a run out of blocks keeps its trajectory, sampled through its last
+        # block: 2 blocks of 60 periods (block_length_effective) at 300
+        trajectories = [f"trajectory_{c}_{b}.csv" for c in ("series", "bridge-lower")
+                        for b in ("forward", "reverse")]
+        assert set(trajectories) <= set(result.files) and set(trajectories) <= set(meta["files"])
+        for name in trajectories:
+            times = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, 0]
+            assert times[-1] == pytest.approx(120 * T_DRIVE, rel=1e-11), name
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -18,6 +18,8 @@ from heatrect.spaces import (
     transition_op,
 )
 
+from helpers import random_density
+
 SQ2 = np.sqrt(2.0)
 
 
@@ -157,12 +159,6 @@ def test_construction_is_deterministic():
     assert m1.data.tobytes() == m2.data.tobytes()
     assert m1.indices.tobytes() == m2.indices.tobytes()
     assert m1.indptr.tobytes() == m2.indptr.tobytes()
-
-
-def random_density(rng, d):
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = x @ x.conj().T
-    return rho / np.trace(rho)
 
 
 def test_partial_trace_product_state():
