@@ -32,9 +32,6 @@ from .observables import (
 )
 from .spaces import (
     DensityMatrix,
-    HarmonicOscillator,
-    ModeKind,
-    Qutrit,
     SpaceLayout,
     SparseOperator,
     lowering_op,

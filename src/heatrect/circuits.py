@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .spaces import HarmonicOscillator, Qutrit, SpaceLayout, SparseOperator
+from .spaces import SpaceLayout, SparseOperator
 
 ANHARMONICITY_WARN_RATIO = 20.0
 
@@ -187,11 +187,10 @@ class CircuitTopology:
         return self.contacts + derived
 
     def block_layouts(self, ho_truncation: int) -> tuple[SpaceLayout, ...]:
-        """One layout per block; oscillators keep ``ho_truncation`` levels."""
-        def kind(name):
-            return Qutrit() if name == QUTRIT else HarmonicOscillator(ho_truncation)
-
-        return tuple(SpaceLayout(tuple((label, kind(k)) for label, k in block))
+        """One layout per block: 3 levels per qutrit, ``ho_truncation`` per
+        oscillator.  The only place where a mode's kind becomes its levels."""
+        return tuple(SpaceLayout(tuple((label, 3 if kind == QUTRIT else ho_truncation)
+                                       for label, kind in block))
                      for block in self.blocks)
 
 

@@ -1,4 +1,4 @@
-"""Qutrit rate tables and the Liouvillian generators of every circuit.
+"""Rate tables of the qutrit diodes and the Liouvillian generators of every circuit.
 
 One builder makes every Hamiltonian, rate table and generator from the
 wiring table ``circuits.TOPOLOGIES``, the reduced models included: a bath

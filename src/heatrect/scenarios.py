@@ -11,6 +11,7 @@ plots never participate in golden comparisons.
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
 import functools
 import itertools
@@ -626,10 +627,11 @@ def _format_cell(value) -> str:
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[dict]):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(col, "")) for col in columns))
-    path.write_text("\n".join(lines) + "\n")
+    """Cells that hold a comma, a quote or a line break are quoted."""
+    with path.open("w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_cell(row.get(col, "")) for col in columns] for row in rows)
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Tensor-product Hilbert spaces, sparse mode operators, and density matrices.
 
-The mode order of a :class:`SpaceLayout` fixes the Kronecker convention:
-the leftmost mode is the slowest-varying index of the product basis.  All
-operators built here are embedded in the full product space (identity on
-every other mode) and stored as canonical CSR matrices, so identical
-inputs always produce bit-identical sparse structures.
+A mode is a label and its number of levels; a qutrit diode is a three-level
+mode with the oscillator's lowering operator.  The mode order of a
+:class:`SpaceLayout` fixes the Kronecker convention: the leftmost mode is
+the slowest-varying index of the product basis.  All operators built here
+are embedded in the full product space (identity on every other mode) and
+stored as canonical CSR matrices, so identical inputs always produce
+bit-identical sparse structures.
 """
 
 from __future__ import annotations
@@ -22,33 +24,11 @@ EIGENVALUE_FLOOR = -1e-8
 
 
 @dataclass(frozen=True)
-class HarmonicOscillator:
-    """Harmonic oscillator truncated to ``dim`` Fock states."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"harmonic oscillator needs dim >= 2, got {self.dim}")
-
-
-@dataclass(frozen=True)
-class Qutrit:
-    """Three-level anharmonic mode; its lowering operator, |0><1| + sqrt(2)|1><2|, is the oscillator's."""
-
-    @property
-    def dim(self) -> int:
-        return 3
-
-
-ModeKind = HarmonicOscillator | Qutrit
-
-
-@dataclass(frozen=True)
 class SpaceLayout:
-    """Ordered list of labelled modes spanning a tensor-product space."""
+    """Ordered ``(label, number of levels)`` pairs spanning a tensor-product
+    space, e.g. ``SpaceLayout.of(("L", 2), ("D1", 3))``."""
 
-    modes: tuple[tuple[str, ModeKind], ...]
+    modes: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         if not self.modes:
@@ -56,9 +36,12 @@ class SpaceLayout:
         labels = [label for label, _ in self.modes]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels in layout: {labels}")
+        for label, dim in self.modes:
+            if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 2:
+                raise ValueError(f"mode {label!r} needs an integer dim >= 2, got {dim!r}")
 
     @classmethod
-    def of(cls, *modes: tuple[str, ModeKind]) -> "SpaceLayout":
+    def of(cls, *modes: tuple[str, int]) -> "SpaceLayout":
         return cls(tuple(modes))
 
     @property
@@ -67,7 +50,7 @@ class SpaceLayout:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(kind.dim for _, kind in self.modes)
+        return tuple(dim for _, dim in self.modes)
 
     @property
     def total_dim(self) -> int:
@@ -80,7 +63,7 @@ class SpaceLayout:
         raise ValueError(f"unknown mode label {label!r}; layout has {list(self.labels)}")
 
     def dim_of(self, label: str) -> int:
-        return self.modes[self.index_of(label)][1].dim
+        return self.modes[self.index_of(label)][1]
 
     def sub_layout(self, keep) -> "SpaceLayout":
         """Layout restricted to the modes in ``keep``, in layout order."""
@@ -287,21 +270,19 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     keep = list(keep)
     if not keep:
         raise ValueError("keep set must not be empty")
+    for label in keep:
+        if keep.count(label) > 1:
+            raise ValueError(f"keep names mode {label!r} more than once")
     layout = rho.layout
     keep_indices = sorted(layout.index_of(label) for label in keep)
     dims = layout.dims
     n = len(dims)
 
     tensor = rho.data.reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:n])
-    col = list(letters[n:2 * n])
-    for i in range(n):
-        if i not in keep_indices:
-            col[i] = row[i]
-    out = "".join(row[i] for i in keep_indices) + "".join(letters[n + i] for i in keep_indices)
-    reduced = np.einsum("".join(row + col) + "->" + out, tensor)
+    # row index i, column index n + i; a traced mode's column index is its row index
+    col = [n + i if i in keep_indices else i for i in range(n)]
+    reduced = np.einsum(tensor, [*range(n), *col], [*keep_indices, *(n + i for i in keep_indices)])
 
-    sub = layout.sub_layout(layout.labels[i] for i in keep_indices)
+    sub = layout.sub_layout(keep)
     d = sub.total_dim
     return DensityMatrix(sub, reduced.reshape((d, d)))

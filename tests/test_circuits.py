@@ -13,10 +13,8 @@ from heatrect.circuits import (
     Topology,
     bose_occupation,
 )
-from heatrect.lindblad import build_bridge_half_generators, build_generator
+from heatrect.lindblad import build_bridge_half_generators, build_generator, build_reduced_generator
 from heatrect.spaces import (
-    HarmonicOscillator,
-    Qutrit,
     SpaceLayout,
     lowering_op,
     number_op,
@@ -170,7 +168,7 @@ def test_series_retained_coherent_term_against_full_construction():
     reduced = build_generator(spec).hamiltonian
 
     full = SpaceLayout.of(
-        ("L", HarmonicOscillator(2)), ("D1", Qutrit()), ("D2", Qutrit()), ("R", HarmonicOscillator(2))
+        ("L", 2), ("D1", 3), ("D2", 3), ("R", 2)
     )
     d1, d2 = spec.diodes["D1"], spec.diodes["D2"]
     static_full = (
@@ -202,10 +200,10 @@ def test_bridge_retained_couplings_against_full_construction():
     assert len(reduced.drive_terms) == 1
 
     full = SpaceLayout.of(
-        ("L", HarmonicOscillator(2)),
-        ("D1", Qutrit()), ("M1", HarmonicOscillator(2)), ("D2", Qutrit()),
-        ("D3", Qutrit()), ("M2", HarmonicOscillator(2)), ("D4", Qutrit()),
-        ("R", HarmonicOscillator(2)),
+        ("L", 2),
+        ("D1", 3), ("M1", 2), ("D2", 3),
+        ("D3", 3), ("M2", 2), ("D4", 3),
+        ("R", 2),
     )
     d = spec.diodes
     J = d["D1"].J
@@ -255,6 +253,26 @@ def test_single_diode_full_model_layout():
     assert gen.layout.labels == ("L", "D1", "R")
     assert gen.layout.dims == (4, 3, 4)
     assert len(gen.hamiltonian.drive_terms) == 1
+
+    # every topology's generators: each qutrit has 3 levels, each oscillator N
+    oscillators = {"L", "R", "M1", "M2"}
+    full_labels = {
+        Topology.SINGLE_DIODE: ("L", "D1", "R"),
+        Topology.PARALLEL: ("D1", "D2"),
+        Topology.SERIES: ("D1", "D2"),
+        Topology.BRIDGE: ("D1", "M1", "D2", "D3", "M2", "D4"),
+    }
+    assert set(full_labels) == set(Topology)
+    for topology, labels in full_labels.items():
+        for n in (2, 5):
+            spec = CircuitSpec.build(topology, n_left=0.5, n_right=0.0, ho_truncation=n)
+            reduced = tuple(label for label in labels if label not in {"L", "R"})
+            expected = [(labels, build_generator(spec)), (reduced, build_reduced_generator(spec))]
+            if topology is Topology.BRIDGE:
+                expected += zip((labels[:3], labels[3:]), build_bridge_half_generators(spec))
+            for want, gen in expected:
+                assert gen.layout.labels == want
+                assert gen.layout.dims == tuple(n if label in oscillators else 3 for label in want)
 
 
 def test_excitation_conservation_all_topologies():

@@ -29,8 +29,6 @@ from heatrect.lindblad import (
 )
 from heatrect.spaces import (
     DensityMatrix,
-    HarmonicOscillator,
-    Qutrit,
     SpaceLayout,
     SparseOperator,
     lowering_op,
@@ -91,7 +89,7 @@ def dissipator(op, weight=1.0):
 
 
 def test_dissipator_two_level_example():
-    layout = SpaceLayout.of(("A", HarmonicOscillator(2)))
+    layout = SpaceLayout.of(("A", 2))
     a = SparseOperator.wrap(layout, np.array([[0, 1], [0, 0]], dtype=complex))
     rho = np.diag([0.0, 1.0]).astype(complex)
     out = unvectorize(dissipator(a) @ vectorize(rho), 2)
@@ -100,7 +98,7 @@ def test_dissipator_two_level_example():
 
 def test_dissipator_matches_dense_formula():
     rng = np.random.default_rng(11)
-    layout = SpaceLayout.of(("A", HarmonicOscillator(3)))
+    layout = SpaceLayout.of(("A", 3))
     # the annihilation operator on I/3, then random operators on random states
     a = lowering_op(layout, "A")
     rho = np.eye(3, dtype=complex) / 3
@@ -163,7 +161,7 @@ def test_bath_dissipator_pure_decay_at_zero_occupation():
     for (_, op), label in zip(gen.jumps, ("L", "R")):
         assert (op.matrix != lowering_op(gen.layout, label).matrix).nnz == 0
 
-    layout = SpaceLayout.of(("L", HarmonicOscillator(4)))
+    layout = SpaceLayout.of(("L", 4))
     a = lowering_op(layout, "L")
     rho = random_density(np.random.default_rng(3), 4)
     out = unvectorize(dissipator(a, 2.0) @ vectorize(rho), 4)
@@ -178,7 +176,7 @@ def test_bath_dissipator_requires_oscillator():
 def test_bath_dissipator_thermal_fixed_point():
     # the truncated ladder satisfies detailed balance exactly, so its fixed
     # point is the truncated (renormalized) geometric distribution
-    layout = SpaceLayout.of(("L", HarmonicOscillator(8)))
+    layout = SpaceLayout.of(("L", 8))
     bath = BathParams(0.5, Gamma=10.0)
 
     def thermal_bath(layout):
@@ -197,7 +195,7 @@ def test_bath_dissipator_thermal_fixed_point():
     assert abs(mean_n - 0.5) < 2e-3  # truncation tail of the N=8 ladder
 
     # untruncated two-level case: the thermal state is annihilated exactly
-    d2 = thermal_bath(SpaceLayout.of(("L", HarmonicOscillator(2)))).superops()[0]
+    d2 = thermal_bath(SpaceLayout.of(("L", 2))).superops()[0]
     th = np.diag([1.0, r]).astype(complex)
     th /= np.trace(th)
     assert np.max(np.abs(d2 @ vectorize(th))) < 1e-15
@@ -374,7 +372,7 @@ def test_single_diode_equilibrium_state_is_stationary():
 
 
 def test_transition_op_and_jump_terms():
-    layout = SpaceLayout.of(("D1", Qutrit()))
+    layout = SpaceLayout.of(("D1", 3))
     op = transition_op(layout, "D1", 1, 0).matrix.toarray()
     assert op[0, 1] == 1.0 and np.count_nonzero(op) == 1
     # an empty right bath zeroes D1's 0->1 and 1->2 rates there: the reduced
@@ -449,7 +447,7 @@ def assert_matches_kron_reference(gen):
 
 
 def _two_drives_at_one_frequency():
-    layout = SpaceLayout.of(("D", Qutrit()), ("L", HarmonicOscillator(3)))
+    layout = SpaceLayout.of(("D", 3), ("L", 3))
     exchange = lindblad._exchange_op(layout, "D", "L")
     hamiltonian = TimeDependentOperator(
         -300.0 * projector(layout, "D", 0) + 0.5 * exchange,
@@ -459,7 +457,7 @@ def _two_drives_at_one_frequency():
 
 def _static_and_drive():
     # the drive's pattern lies outside the static part's
-    layout = SpaceLayout.of(("A", Qutrit()), ("B", Qutrit()))
+    layout = SpaceLayout.of(("A", 3), ("B", 3))
     hamiltonian = TimeDependentOperator(
         -200.0 * projector(layout, "A", 0) - 150.0 * projector(layout, "B", 0)
         + lindblad._exchange_op(layout, "A", "B"),
@@ -468,7 +466,7 @@ def _static_and_drive():
 
 
 def _zero_weight_jump():
-    layout = SpaceLayout.of(("A", Qutrit()))
+    layout = SpaceLayout.of(("A", 3))
     return layout, TimeDependentOperator(-250.0 * projector(layout, "A", 0)), (
         (1.0, lowering_op(layout, "A")), (0.0, raising_op(layout, "A")), (0.3, number_op(layout, "A")))
 
@@ -511,9 +509,9 @@ def test_operator_built_generator_keeps_its_operators(name):
 
 
 def test_operators_from_another_layout_are_rejected():
-    layout = SpaceLayout.of(("A", Qutrit()), ("B", Qutrit()))
-    oscillator = SpaceLayout.of(("L", HarmonicOscillator(4)))
-    swapped = SpaceLayout.of(("B", Qutrit()), ("A", Qutrit()))  # one dimension, other modes
+    layout = SpaceLayout.of(("A", 3), ("B", 3))
+    oscillator = SpaceLayout.of(("L", 4))
+    swapped = SpaceLayout.of(("B", 3), ("A", 3))  # one dimension, other modes
     for hamiltonian, jumps in (
         (None, ((1.0, lowering_op(oscillator, "L")),)),
         (None, ((1.0, lowering_op(layout, "A")), (0.5, lowering_op(swapped, "A")))),

@@ -27,8 +27,6 @@ from heatrect.observables import (
 )
 from heatrect.spaces import (
     DensityMatrix,
-    HarmonicOscillator,
-    Qutrit,
     SpaceLayout,
     SparseOperator,
     lowering_op,
@@ -41,7 +39,7 @@ from helpers import random_density
 
 
 def two_qutrits():
-    return SpaceLayout.of(("D1", Qutrit()), ("D2", Qutrit()))
+    return SpaceLayout.of(("D1", 3), ("D2", 3))
 
 
 def single_diode(n_left, truncation):
@@ -198,7 +196,7 @@ def test_excitation_balance_of_a_driven_steady_state():
 def test_bath_current_needs_a_contact_of_the_bath():
     spec = CircuitSpec.build("series", n_left=0.5, n_right=0.0)
     # D1 alone carries the left contact of the series circuit and no right one
-    d1_only = lindblad._generator(spec, SpaceLayout.of(("D1", Qutrit())))
+    d1_only = lindblad._generator(spec, SpaceLayout.of(("D1", 3)))
     assert bath_current_functional(d1_only, "left").name == "net_bath_current_D1"
     with pytest.raises(ValueError, match="no contact of the 'right' bath"):
         bath_current_functional(d1_only, "right")
@@ -305,7 +303,7 @@ def test_thermal_state_matrix_normalized():
 
 
 def test_fidelity_basic_cases():
-    layout = SpaceLayout.of(("A", HarmonicOscillator(2)))
+    layout = SpaceLayout.of(("A", 2))
     ground = DensityMatrix.ground_state(layout)
     excited = DensityMatrix.from_matrix(layout, np.diag([0.0, 1.0]).astype(complex))
     mixed = DensityMatrix.from_matrix(layout, np.eye(2, dtype=complex) / 2)
@@ -315,7 +313,7 @@ def test_fidelity_basic_cases():
 
 
 def test_fidelity_symmetry_and_range():
-    layout = SpaceLayout.of(("A", Qutrit()))
+    layout = SpaceLayout.of(("A", 3))
     rng = np.random.default_rng(9)
     for _ in range(10):
         r1 = DensityMatrix.from_matrix(layout, random_density(rng, 3))
@@ -327,7 +325,7 @@ def test_fidelity_symmetry_and_range():
 
 
 def test_mode_report_thermal_product():
-    layout = SpaceLayout.of(("M1", HarmonicOscillator(8)), ("Q", Qutrit()))
+    layout = SpaceLayout.of(("M1", 8), ("Q", 3))
     mean_n = 0.4
     rho = DensityMatrix.from_mode_states(
         layout, [thermal_state_matrix(8, mean_n), np.diag([1.0, 0, 0]).astype(complex)]

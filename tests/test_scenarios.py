@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import inspect
 import json
@@ -325,12 +326,19 @@ def test_files_list_only_what_the_run_wrote(tmp_path):
 
 
 def test_single_diode_validation_report(tmp_path):
+    # further bias labels that hold a comma and a quote are quoted in the CSV
+    odd = ("hot, left", 'say "q"')
     cfg = {
         "name": "single-diode-validation",
         "circuit": {"ho_truncation": 2, "Gamma": 20.0},
+        "bias": {odd[0]: [0.5, 0.1], odd[1]: [0.1, 0.5]},
     }
     rows = {row["bias"]: row for row in run_scenario(cfg, out_dir=tmp_path).rows}
-    assert set(rows) == {"forward", "reverse", "equilibrium"}
+    assert set(rows) == {"forward", "reverse", "equilibrium", *odd}
+    with (tmp_path / "single-diode-validation.csv").open(newline="") as f:
+        header, *table = csv.reader(f)
+    assert all(len(line) == len(header) for line in table)
+    assert [line[header.index("bias")] for line in table] == list(rows)
     assert all(row["truncation"] == 2 for row in rows.values())
     assert abs(rows["forward"]["current_full"] / rows["reverse"]["current_full"]) > 1.0
     # both equilibrium currents are round-off of zero, below the stopping

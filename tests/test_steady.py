@@ -35,8 +35,6 @@ from heatrect.observables import (
 )
 from heatrect.spaces import (
     DensityMatrix,
-    HarmonicOscillator,
-    Qutrit,
     SpaceLayout,
     SparseOperator,
     lowering_op,
@@ -68,7 +66,7 @@ T_DRIVE = 2.0 * math.pi / 300.0
 
 
 def decay_generator(dim=8, Gamma=1.0, n=0.0):
-    layout = SpaceLayout.of(("L", HarmonicOscillator(dim)))
+    layout = SpaceLayout.of(("L", dim))
     jumps = [(Gamma * (n + 1.0), lowering_op(layout, "L"))]
     if n > 0:
         jumps.append((Gamma * n, raising_op(layout, "L")))
@@ -82,7 +80,7 @@ def series_generator(n_left=0.5, n_right=0.0, dw2=300.0):
 
 
 def test_evolve_zero_generator_is_identity():
-    layout = SpaceLayout.of(("A", Qutrit()))
+    layout = SpaceLayout.of(("A", 3))
     gen = Liouvillian(layout, None, ())
     rho0 = DensityMatrix.ground_state(layout)
     out = evolve(gen, rho0, 0.0, 2.0, dt=0.1)
@@ -204,7 +202,7 @@ def test_evolve_and_rk4_steps_leave_their_input_unchanged():
 def drive_outside_static_generator() -> Liouvillian:
     """A generator whose 300 drive is an exchange that the static Hamiltonian
     lacks (every wiring-table drive lies inside its static pattern)."""
-    layout = SpaceLayout.of(("A", Qutrit()), ("B", HarmonicOscillator(2)))
+    layout = SpaceLayout.of(("A", 3), ("B", 2))
     exchange = (lowering_op(layout, "A") @ raising_op(layout, "B")
                 + raising_op(layout, "A") @ lowering_op(layout, "B"))
     hamiltonian = TimeDependentOperator(
@@ -361,7 +359,7 @@ def test_direct_rejects_driven_generator():
 
 
 def coherent_generator(h: np.ndarray) -> Liouvillian:
-    layout = SpaceLayout.of(("A", HarmonicOscillator(h.shape[0])))
+    layout = SpaceLayout.of(("A", h.shape[0]))
     return Liouvillian(layout, TimeDependentOperator(SparseOperator.wrap(layout, h)), ())
 
 
@@ -400,7 +398,7 @@ def test_direct_reports_degenerate_null_space(make_generator):
 
 def jump_only_generator(*entries) -> Liouvillian:
     """A qutrit with no Hamiltonian and the one jump sum |k><l| over ``entries``."""
-    layout = SpaceLayout.of(("A", Qutrit()))
+    layout = SpaceLayout.of(("A", 3))
     jump = np.zeros((3, 3))
     for k, l in entries:
         jump[k, l] = 1.0
@@ -459,7 +457,7 @@ def refined_dense_reference(gen: Liouvillian, steps: int = 3) -> np.ndarray:
 def pumped_two_level_generator() -> Liouvillian:
     """A two-level oscillator pumped out of its ground state by a+ at rate 1:
     the steady state |1><1| leaves the ground population empty."""
-    layout = SpaceLayout.of(("L", HarmonicOscillator(2)))
+    layout = SpaceLayout.of(("L", 2))
     return Liouvillian(layout, None, ((1.0, raising_op(layout, "L")),))
 
 
@@ -524,7 +522,7 @@ def test_direct_reports_a_singular_population_slice():
     # joins to the populations, is outside the block; |2> is left alone, so
     # its population is free and the 3 x 3 population system is singular in
     # both trace slices
-    layout = SpaceLayout.of(("A", Qutrit()))
+    layout = SpaceLayout.of(("A", 3))
     swap = transition_op(layout, "A", 0, 1) + transition_op(layout, "A", 1, 0)
     gen = Liouvillian(layout, TimeDependentOperator(swap), ((1.0, transition_op(layout, "A", 1, 0)),))
     assert gen._real()[1].bounds == (0, 3, 4)
@@ -853,7 +851,7 @@ def test_direct_residual_check_guards_the_real_block_solve(monkeypatch):
 def test_averaged_rejects_drives_that_are_not_integer_multiples():
     # a qutrit driven at 300 and 450: commensurate, but 450 is not an integer
     # multiple of 300, so no one-period map of the lowest drive exists
-    layout = SpaceLayout.of(("D1", Qutrit()))
+    layout = SpaceLayout.of(("D1", 3))
     drive = projector(layout, "D1", 1)
     hamiltonian = TimeDependentOperator(projector(layout, "D1", 2), ((300.0, drive), (450.0, drive)))
     gen = Liouvillian(layout, hamiltonian, ((1.0, lowering_op(layout, "D1")),))
@@ -1149,7 +1147,7 @@ _REAL_TABLE_CASES = {
 def _zero_weight_jump_generator() -> Liouvillian:
     # the jump (|0> + |1>)<1| would join the coherences of |0> and |1> to
     # the populations; at weight zero the block is the populations alone
-    layout = SpaceLayout.of(("A", Qutrit()))
+    layout = SpaceLayout.of(("A", 3))
     joining = np.zeros((3, 3))
     joining[:2, 1] = 1.0
     return Liouvillian(layout, None, ((1.0, lowering_op(layout, "A")),
@@ -1267,7 +1265,7 @@ def test_operator_built_generator_builds_its_real_table_once(monkeypatch):
     np.array([[0.0, 1j, 0.0], [1j, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # complex symmetric
 ], ids=["upper-triangular", "complex-symmetric"])
 def test_non_hermitian_hamiltonian_fails_the_hermiticity_check(h):
-    layout = SpaceLayout.of(("A", Qutrit()))
+    layout = SpaceLayout.of(("A", 3))
     gen = Liouvillian(layout, TimeDependentOperator(SparseOperator.wrap(layout, h)),
                       ((1.0, lowering_op(layout, "A")),))
     with pytest.raises(ArithmeticError, match="not Hermiticity-preserving"):
