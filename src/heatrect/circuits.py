@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -254,8 +255,9 @@ class CircuitSpec:
         _require_finite(self, "gamma_dec")
         if self.gamma_dec < 0:
             raise ValueError(f"gamma_dec must be nonnegative, got {self.gamma_dec}")
-        if self.ho_truncation < 2:
-            raise ValueError(f"ho_truncation must be >= 2, got {self.ho_truncation}")
+        n = self.ho_truncation
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+            raise ValueError(f"ho_truncation must be an integer >= 2, got {n!r}")
 
     @classmethod
     def build(

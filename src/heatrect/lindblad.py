@@ -12,16 +12,18 @@ its sparse superoperator matrices, which are built up to dimension
 ``SUPEROP_MATERIALIZE_DIM``; larger layouts (the six-mode bridge at N >= 3)
 are refused.
 
-Every generator is one weight vector per part (static, and each drive)
-over a tuple of term keys, and every superoperator is one weighted sum of
-term superoperators: the commutator term -i[H_j, rho] of each Hamiltonian
-piece, weighted by its coefficient (-delta_omega on a coupled diode's
-|0><0|, J on an exchange, J' in a drive), and the dissipator of each jump
-operator, weighted by its rate.  A key names its operator by (layout,
-constructor, arguments); an operator handed to ``Liouvillian`` directly is
-its own key, and operators hash by identity.  The terms' union CSR
-pattern and a sparse (nnz x terms) coefficient matrix form a term table,
-so a superoperator is one sparse product of that matrix with the weights.
+A generator is its layout and its weights: a tuple of term keys, one
+weight vector over them per part (static, and each drive) and the bath
+side of each key, all held by ``Liouvillian`` itself.  Every
+superoperator is one weighted sum of term superoperators: the commutator
+term -i[H_j, rho] of each Hamiltonian piece, weighted by its coefficient
+(-delta_omega on a coupled diode's |0><0|, J on an exchange, J' in a
+drive), and the dissipator of each jump operator, weighted by its rate.
+A key names its operator by (layout, constructor, arguments); an operator
+handed to ``Liouvillian`` directly is its own key, and operators hash by
+identity.  The terms' union CSR pattern and a sparse (nnz x terms)
+coefficient matrix form a term table, so a superoperator is one sparse
+product of that matrix with the weights.
 A generator built from the wiring table lists every jump its wiring
 allows, zero rates included, so every point of a sweep at one truncation
 shares one table.  Four LRU caches, each bounded to a few layouts' worth
@@ -339,23 +341,6 @@ def _real_table(table: _TermTable, live: tuple) -> _RealBlock:
                       _TermTable.of_entries(flats, datas, side, np.float64), tuple(bounds.tolist()))
 
 
-@dataclass(frozen=True)
-class _WeightedTerms:
-    """A generator as weights on the cached term table of its layout: one
-    weight vector over ``keys`` for the static part and one per drive, and
-    the bath side of each key ("left", "right", or None off the baths)."""
-
-    keys: tuple
-    static: np.ndarray
-    drives: tuple[tuple[float, np.ndarray], ...]
-    sides: tuple
-
-    def superops(self, table: _TermTable):
-        """(L0, ((nu, L_nu), ...)): the static and drive weights assembled on
-        ``table``, explicit zeros kept; each matrix owns its arrays."""
-        return table.assemble(self.static), tuple((nu, table.assemble(w)) for nu, w in self.drives)
-
-
 def _given(layout: SpaceLayout, op: SparseOperator) -> SparseOperator:
     """The operator itself: the key (_given, op) of an operator handed to
     ``Liouvillian`` holds it, and operators hash by identity, so a cached
@@ -384,25 +369,14 @@ def _operator_table(layout: SpaceLayout, keys: tuple) -> _TermTable:
     return _TermTable.of((pairs(*key) for key in keys), layout.total_dim)
 
 
-def _coherent_part(layout: SpaceLayout, terms: _WeightedTerms) -> TimeDependentOperator | None:
-    """H(t) of a generator, or None without coherent terms: H_0, then V_nu
-    of each drive, are the coherent operators weighted by the static
-    weights, or by that drive's, and summed in key order, which gives every
-    entry the value that the sparse sum of the weighted operators gives it."""
-    coherent = np.array([term is _coherent_term for term, _ in terms.keys])
-    if not coherent.any():
-        return None
-    table = _operator_table(layout, terms.keys)
-    h0, *vs = (SparseOperator.wrap(layout, table.assemble(w))
-               for w in (np.where(coherent, terms.static, 0.0), *(w for _, w in terms.drives)))
-    return TimeDependentOperator(h0, tuple((nu, v) for (nu, _), v in zip(terms.drives, vs)))
-
-
 class Liouvillian:
     """Generator of a Lindblad master equation on a layout.
 
-    Every generator is weights on the cached term table of its layout
-    (``_WeightedTerms``), and each view of it has one accessor:
+    Every generator is its ``layout`` and weights on the cached term table
+    of that layout: the term keys ``_keys``, one weight vector over them for
+    the static part (``_static``) and one per drive (``_drives``, as
+    (nu, weights) pairs), and the bath side of each key (``_sides``: "left",
+    "right", or None off the baths).  Each view of it has one accessor:
     ``superops()`` gives the complex sparse superoperators (static part
     plus one cosine-modulated part per drive) and ``real_superops()`` their
     real forms on the block that a walk from the populations reaches, both
@@ -430,25 +404,34 @@ class Liouvillian:
         unit = np.eye(len(keys))
         static = np.array([1.0] * len(static_part) + [0.0] * len(drive_terms) + [w for w, _ in jumps])
         drives = tuple((nu, unit[len(static_part) + k]) for k, (nu, _) in enumerate(drive_terms))
-        self.layout, self._terms = layout, _WeightedTerms(keys, static, drives, (None,) * len(keys))
+        self._init(layout, keys, static, drives, (None,) * len(keys))
 
-    @classmethod
-    def _of(cls, layout: SpaceLayout, terms: _WeightedTerms) -> "Liouvillian":
-        """The generator of ``terms`` on ``layout``, as the wiring-table builder gives it."""
-        gen = cls.__new__(cls)
-        gen.layout, gen._terms = layout, terms
-        return gen
+    def _init(self, layout: SpaceLayout, keys: tuple, static: np.ndarray,
+              drives: tuple[tuple[float, np.ndarray], ...], sides: tuple) -> "Liouvillian":
+        """Set the generator's layout and weights; both builders end here."""
+        self.layout, self._keys, self._static, self._drives, self._sides = layout, keys, static, drives, sides
+        return self
 
     @functools.cached_property
     def hamiltonian(self) -> TimeDependentOperator | None:
-        """Coherent part H(t) = static + sum_nu cos(nu t) V_nu, or None."""
-        return _coherent_part(self.layout, self._terms)
+        """Coherent part H(t) = static + sum_nu cos(nu t) V_nu, or None:
+        H_0, then V_nu of each drive, are the coherent operators weighted by
+        the static weights, or by that drive's, and summed in key order,
+        which gives every entry the value that the sparse sum of the
+        weighted operators gives it."""
+        coherent = np.array([term is _coherent_term for term, _ in self._keys])
+        if not coherent.any():
+            return None
+        table = _operator_table(self.layout, self._keys)
+        h0, *vs = (SparseOperator.wrap(self.layout, table.assemble(w))
+                   for w in (np.where(coherent, self._static, 0.0), *(w for _, w in self._drives)))
+        return TimeDependentOperator(h0, tuple((nu, v) for (nu, _), v in zip(self._drives, vs)))
 
     @functools.cached_property
     def jumps(self) -> tuple[tuple[float, SparseOperator], ...]:
         """(weight, A) of every dissipator term with a nonzero weight, in key order."""
         return tuple((float(w), _mode_operator(self.layout, *op))
-                     for (term, op), w in zip(self._terms.keys, self._terms.static)
+                     for (term, op), w in zip(self._keys, self._static)
                      if term is _dissipator_term and w != 0)
 
     @property
@@ -457,7 +440,7 @@ class Liouvillian:
 
     @property
     def drive_frequencies(self) -> tuple[float, ...]:
-        return tuple(nu for nu, _ in self._terms.drives)
+        return tuple(nu for nu, _ in self._drives)
 
     def _table(self) -> _TermTable:
         if self.dim > SUPEROP_MATERIALIZE_DIM:
@@ -465,7 +448,12 @@ class Liouvillian:
                 f"refusing to materialize a {self.dim ** 2} x {self.dim ** 2} superoperator "
                 f"(dim {self.dim} > SUPEROP_MATERIALIZE_DIM = {SUPEROP_MATERIALIZE_DIM})"
             )
-        return _term_table(self.layout, self._terms.keys)
+        return _term_table(self.layout, self._keys)
+
+    def _assemble(self, table: _TermTable):
+        """(L0, ((nu, L_nu), ...)): the static and drive weights assembled on
+        ``table``, explicit zeros kept; each matrix owns its arrays."""
+        return table.assemble(self._static), tuple((nu, table.assemble(w)) for nu, w in self._drives)
 
     def superops(self) -> tuple[sp.csr_array, tuple[tuple[float, sp.csr_array], ...]]:
         """(L0, ((nu, L_nu), ...)): the static superoperator
@@ -473,7 +461,7 @@ class Liouvillian:
         cosine drive's -i[V_nu, rho], on the one CSR pattern of the
         generator's term table, explicit zeros kept.  Each call assembles
         them anew, and each returned matrix owns its arrays."""
-        return self._terms.superops(self._table())
+        return self._assemble(self._table())
 
     def real_superops(self):
         """(T, L0, ((nu, L_nu), ...)): the isometry T onto the real
@@ -485,16 +473,16 @@ class Liouvillian:
         ``hermitian_basis_transform``: the populations first and in order,
         then the other reached coordinates level by level (``_real_table``).
         """
-        _, block = self._real()
-        return (block.transform.copy(), *self._terms.superops(block.terms))
+        block = self._real()
+        return (block.transform.copy(), *self._assemble(block.terms))
 
-    def _real(self) -> tuple[_TermTable, _RealBlock]:
-        """(term table, real block): the cached tables of the generator, the
-        real block for its terms of nonzero weight."""
-        table, nonzero = self._table(), self._terms.static != 0
-        for _, w in self._terms.drives:
+    def _real(self) -> _RealBlock:
+        """The cached real block of the generator's term table for its terms
+        of nonzero weight."""
+        nonzero = self._static != 0
+        for _, w in self._drives:
             nonzero = nonzero | (w != 0)
-        return table, _real_table(table, tuple(int(t) for t in np.flatnonzero(nonzero)))
+        return _real_table(self._table(), tuple(int(t) for t in np.flatnonzero(nonzero)))
 
 
 def _contact_table(spec: CircuitSpec, contact: Contact) -> RateTable:
@@ -566,7 +554,7 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
         drive_weights.append((nu, weights))
     static = np.array([c for c, _ in pieces] + [rate for rate, _, _ in rates])
     sides = (None,) * len(pieces) + tuple(side for _, _, side in rates)
-    return Liouvillian._of(layout, _WeightedTerms(keys, static, tuple(drive_weights), sides))
+    return Liouvillian.__new__(Liouvillian)._init(layout, keys, static, tuple(drive_weights), sides)
 
 
 def build_generator(spec: CircuitSpec) -> Liouvillian:

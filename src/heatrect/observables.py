@@ -88,14 +88,14 @@ def bath_current_functional(generator: Liouvillian, side: str) -> CurrentFunctio
     through a kept filter.  It is named after the modes of those jumps; a
     generator with none, as an operator-built one, raises ``ValueError``.
     """
-    layout, terms = generator.layout, generator._terms
-    tagged = np.array([s == side for s in terms.sides], dtype=bool)
+    layout, keys = generator.layout, generator._keys
+    tagged = np.array([s == side for s in generator._sides], dtype=bool)
     if not tagged.any():
         raise ValueError(f"generator on {list(layout.labels)} has no contact of the {side!r} bath")
-    labels = dict.fromkeys(op[1] for (_, op), t in zip(terms.keys, tagged) if t)
-    table = _operator_table(layout, terms.keys)
+    labels = dict.fromkeys(op[1] for (_, op), t in zip(keys, tagged) if t)
+    table = _operator_table(layout, keys)
     return CurrentFunctional("net_bath_current_" + "_".join(labels),
-                             SparseOperator.wrap(layout, table.assemble(np.where(tagged, terms.static, 0.0))))
+                             SparseOperator.wrap(layout, table.assemble(np.where(tagged, generator._static, 0.0))))
 
 
 def rectification(j_forward: float, j_reverse: float) -> float:

@@ -26,13 +26,13 @@ No real entry leaves that block.  Every generator here conserves the
 total excitation number up to a fixed shift per jump, so a bridge half's
 block is its coherence-order-0 sector (544 of the 5184 real coordinates
 at N=8); a generator without such a symmetry gets the whole space through
-the same code.  Both routes read the block's real Hermitian basis and the
-generator's real superoperators on it from the generator's cached real
-block (``Liouvillian._real``), so a point recomputes neither the block nor
-the basis.  The block also carries
-the lift T^dagger, through which both routes turn real coordinates into a
-state, which ``DensityMatrix.from_matrix`` validates, as it does the state
-of ``evolve``.
+the same code.  Both routes take that block from ``Liouvillian._real``,
+which returns the cached real block alone: the block's real Hermitian
+basis T, its lift T^dagger, through which both routes turn real
+coordinates into a state, and the real terms, on which each route
+assembles the generator's own weights, so a point recomputes neither the
+block nor the basis.  ``DensityMatrix.from_matrix`` validates each state,
+as it does the state of ``evolve``.
 
 Both ``evolve`` and the protocol integrate with a fixed-step classical
 4th-order scheme; each stage is one sparse product with
@@ -154,7 +154,7 @@ def steady_state(generator: Liouvillian, observable: CurrentFunctional,
     if generator.drive_frequencies:
         return steady_state_averaged(generator, observable, protocol)
     state = steady_state_direct(generator)
-    return SteadyStateResult("direct", observable.value(state), state, generator._real()[1].terms.side)
+    return SteadyStateResult("direct", observable.value(state), state, generator._real().terms.side)
 
 
 # fixed-step RK4 is stable for |lambda * dt| up to ~2.8; stay well inside
@@ -354,17 +354,17 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
     refinement step against M_0, L with tau in place of row 0: its residual,
     one product with L, is folded inward through the same S_k.  The state,
     lifted by the block's T^dagger, must pass a 1e-10 residual against the
-    term table's complex entries, and the state validation.
+    complex static superoperator, ``generator.superops()[0]``, and the state
+    validation.
     Above ``SUPEROP_MATERIALIZE_DIM`` ``ValueError`` is raised.
     """
     if generator.drive_frequencies:
         raise ValueError("direct solve requires a generator without drive terms")
-    d, weights = generator.dim, generator._terms.static
-    table, block = generator._real()
+    d, block = generator.dim, generator._real()
     terms, bounds = block.terms, block.bounds
     # the block L, dense in the block's level order, every row scaled by its
     # largest entry
-    entries, counts = terms.coefficients @ weights, np.diff(terms.indptr)
+    entries, counts = terms.coefficients @ generator._static, np.diff(terms.indptr)
     scale = np.maximum.reduceat(np.abs(entries), terms.indptr[:-1][counts > 0])
     m = np.zeros((terms.side, terms.side))
     m[np.repeat(np.arange(terms.side), counts), terms.indices] = (
@@ -419,7 +419,7 @@ def steady_state_direct(generator: Liouvillian) -> DensityMatrix:
         dx.append(y[k] - couple[k] @ dx[-1])
     x = x + np.concatenate(dx)
     vec = block.lift @ (x / x[:d].sum()).astype(np.complex128)
-    residual = float(np.max(np.abs(table.assemble(weights) @ vec)))
+    residual = float(np.max(np.abs(generator.superops()[0] @ vec)))
     if not residual <= 1e-10:  # a nan residual fails too
         raise ArithmeticError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     return DensityMatrix.from_matrix(generator.layout, unvectorize(vec, d))
@@ -579,8 +579,8 @@ def steady_state_averaged(
         protocol = ConvergenceProtocol()
     grid = _unit_grid(generator, protocol)
     d = generator.dim
-    _, real_block = generator._real()
-    l0, drives = generator._terms.superops(real_block.terms)
+    real_block = generator._real()
+    l0, drives = generator._assemble(real_block.terms)
     # the ground state |0><0|: vec index 0, so its real coordinates are column 0 of T
     u = real_block.transform[:, [0]].toarray().real.ravel()
     c_row = _real_observable(real_block.transform, observable.observable)

@@ -135,6 +135,12 @@ def test_circuit_spec_validation():
             bias = {"n_left": 0.5} if "T_left" not in kwargs else {}
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 CircuitSpec.build("bridge", n_right=0.0, **{**bias, **kwargs})
+    # a truncation that is not an integer >= 2 is refused by name; a NumPy
+    # integer is an integer
+    for bad in (1, True, 2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="ho_truncation must be an integer >= 2"):
+            CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=bad)
+    assert CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=np.int64(3)).ho_truncation == 3
 
 
 def test_delta_omega_for_unknown_diode_is_rejected():

@@ -378,7 +378,7 @@ def test_transition_op_and_jump_terms():
     # an empty right bath zeroes D1's 0->1 and 1->2 rates there: the reduced
     # model keeps all eight transitions as terms but only six as jumps
     gen = build_reduced_generator(CircuitSpec.build("single-diode", n_left=0.5, n_right=0.0))
-    assert gen.layout == layout and len(gen._terms.keys) == 8
+    assert gen.layout == layout and len(gen._keys) == 8
     assert len(gen.jumps) == 6 and all(rate > 0 for rate, _ in gen.jumps)
 
 
@@ -620,7 +620,7 @@ def test_layout_cache_stays_bounded_over_truncations():
     for g in _bridge_point(200.0, 1e-2, 1.0, 0.1, ho_truncation=7):
         g.superops()
         # a table keeps no structural zero of a term
-        assert np.all(lindblad._term_table(g.layout, g._terms.keys).coefficients.data != 0)
+        assert np.all(lindblad._term_table(g.layout, g._keys).coefficients.data != 0)
     assert lindblad._term_table.cache_info().hits == hits + 4
 
 

@@ -87,6 +87,22 @@ def test_evolve_zero_generator_is_identity():
     np.testing.assert_array_equal(out.data, rho0.data)
 
 
+def test_evolve_over_an_empty_interval_returns_a_copy():
+    # t1 == t0 takes no step: the result is rho0, but not rho0's array
+    _, gen = series_generator()
+    weights = np.random.default_rng(5).random(gen.dim)
+    rho0 = DensityMatrix.from_matrix(gen.layout, np.diag(weights / weights.sum()).astype(complex))
+    before = rho0.data.copy()
+    out = evolve(gen, rho0, 1.5, 1.5)
+    assert out.layout == rho0.layout
+    np.testing.assert_array_equal(out.data, before)
+    out.data[0, 0] = 7.0
+    np.testing.assert_array_equal(rho0.data, before)
+    # a state on another layout is refused before the empty interval returns
+    with pytest.raises(ValueError, match="initial state layout does not match"):
+        evolve(gen, DensityMatrix.ground_state(SpaceLayout.of(("A", 3))), 1.5, 1.5)
+
+
 def test_evolve_decay_matches_analytic():
     gen = decay_generator(dim=8, Gamma=1.0)
     layout = gen.layout
@@ -409,7 +425,7 @@ def test_direct_reports_a_singular_coherence_level():
     # the jump feeds Re rho_01 from |2>, so it is the one coherence level, and
     # nothing drains it, so its diagonal block is zero
     gen = jump_only_generator((0, 2), (1, 2))
-    assert gen._real()[1].bounds == (0, 3, 4)
+    assert gen._real().bounds == (0, 3, 4)
     with pytest.raises(DegenerateSteadyStateError, match="a coherence level is singular"):
         steady_state_direct(gen)
 
@@ -481,12 +497,18 @@ def direct_solve_cases():
     return [*bridge, parallel, series, single, pumped_two_level_generator()]
 
 
-def test_direct_route_builds_no_complex_superoperator(monkeypatch):
-    # the residual reads the term table's entries, never superops()
-    def refused(self):
-        raise AssertionError("superops() called on the direct route")
+def test_direct_route_assembles_one_complex_superoperator(monkeypatch):
+    # the residual reads superops()[0], once a solve, and nothing else on the
+    # direct route assembles a complex superoperator; a degenerate generator
+    # fails before its residual
+    calls = []
+    superops = Liouvillian.superops
 
-    monkeypatch.setattr(Liouvillian, "superops", refused)
+    def counted(self):
+        calls.append(self)
+        return superops(self)
+
+    monkeypatch.setattr(Liouvillian, "superops", counted)
     lindblad._real_table.cache_clear()
     # a delta_omega sweep of one layout shares one real table
     for delta_omega in np.geomspace(50.0, 500.0, 6):
@@ -494,12 +516,15 @@ def test_direct_route_builds_no_complex_superoperator(monkeypatch):
             "bridge", T_left=1.0, T_right=0.1, delta_omega=delta_omega, ho_truncation=3))
         steady_state_direct(upper)
     assert lindblad._real_table.cache_info().currsize == 1
-    for gen in direct_solve_cases():
+    cases = direct_solve_cases()
+    for gen in cases:
         rho = steady_state_direct(gen)
         assert abs(np.trace(rho.data) - 1.0) < 1e-12
+    assert len(calls) == 6 + len(cases)
     for make_generator in DEGENERATE_CASES:
         with pytest.raises(DegenerateSteadyStateError):
             steady_state_direct(make_generator())
+    assert len(calls) == 6 + len(cases)
 
 
 def test_direct_matches_two_factorization_reference():
@@ -525,25 +550,24 @@ def test_direct_reports_a_singular_population_slice():
     layout = SpaceLayout.of(("A", 3))
     swap = transition_op(layout, "A", 0, 1) + transition_op(layout, "A", 1, 0)
     gen = Liouvillian(layout, TimeDependentOperator(swap), ((1.0, transition_op(layout, "A", 1, 0)),))
-    assert gen._real()[1].bounds == (0, 3, 4)
+    assert gen._real().bounds == (0, 3, 4)
     with pytest.raises(DegenerateSteadyStateError, match="trace slice of the population system is singular"):
         steady_state_direct(gen)
 
 
 def test_normalization_rejects_a_nan_residual(monkeypatch):
     # a nan residual compares False with the 1e-10 bound, so it must be
-    # rejected explicitly; the residual reads the complex term table
+    # rejected explicitly; the residual reads the complex static superoperator
     gen = decay_generator(dim=2, Gamma=1.0)
     assert steady_state_direct(gen).data[0, 0] == 1.0
-    real_tables = Liouvillian._real
+    superops = Liouvillian.superops
 
     def poisoned(self):
-        table, block = real_tables(self)
-        coefficients = table.coefficients.copy()
-        coefficients.data[0] = np.nan
-        return lindblad._TermTable(table.side, table.indptr, table.indices, coefficients), block
+        static, drives = superops(self)
+        static.data[0] = np.nan
+        return static, drives
 
-    monkeypatch.setattr(Liouvillian, "_real", poisoned)
+    monkeypatch.setattr(Liouvillian, "superops", poisoned)
     with pytest.raises(ArithmeticError, match="residual nan"):
         steady_state_direct(gen)
 
@@ -698,7 +722,7 @@ def basis_rows(transform, reference) -> np.ndarray:
 def real_term_patterns(gen) -> list:
     """|T S_t T^dagger| of every live term on the full real Hermitian basis,
     explicit zeros dropped, as COO matrices."""
-    table, full = gen._real()[0], hermitian_basis_transform(gen.dim)
+    table, full = gen._table(), hermitian_basis_transform(gen.dim)
     patterns = []
     for t in _live_terms(gen):
         s = table.assemble(np.eye(1, table.coefficients.shape[1], t).ravel())
@@ -718,7 +742,7 @@ def real_term_patterns(gen) -> list:
 ], ids=["bridge-halves-N2-N4", "series", "parallel", "reduced-single-diode", "operator-built"])
 def test_levels_make_the_real_block_block_tridiagonal(make_generators, sector):
     for gen in make_generators():
-        d, block = gen.dim, gen._real()[1]
+        d, block = gen.dim, gen._real()
         terms, bounds = block.terms, block.bounds
         full = hermitian_basis_transform(d)
         # T is a row subset of the full Hermitian basis, the populations
@@ -784,7 +808,7 @@ def test_lifted_real_basis_states_are_exactly_hermitian(truncation):
     rng = np.random.default_rng(truncation)
     halves = bridge_halves(truncation)[1]
     for gen in halves:
-        _, block = gen._real()
+        block = gen._real()
         assert (block.lift != block.transform.conj().T).nnz == 0
         u = rng.standard_normal(block.transform.shape[0])
         rho = unvectorize(block.lift @ u.astype(complex), gen.dim)
@@ -820,7 +844,7 @@ def full_space_steady_state(gen) -> np.ndarray:
 )
 def test_direct_block_solve_matches_full_space_oracle(make_generator):
     gen = make_generator()
-    assert gen._real()[1].transform.shape[0] < gen.dim ** 2
+    assert gen._real().transform.shape[0] < gen.dim ** 2
     rho = steady_state_direct(gen)
     np.testing.assert_allclose(rho.data, full_space_steady_state(gen), rtol=0, atol=1e-12)
 
@@ -832,7 +856,7 @@ def test_direct_residual_check_guards_the_real_block_solve(monkeypatch):
     real_tables = Liouvillian._real
 
     def perturbed(self):
-        table, block = real_tables(self)
+        block = real_tables(self)
         real = block.terms
         row = gen.dim
         entry = real.indptr[row] + np.searchsorted(real.indices[real.indptr[row]:real.indptr[row + 1]], row)
@@ -841,7 +865,7 @@ def test_direct_residual_check_guards_the_real_block_solve(monkeypatch):
         scale[entry] = 1.001
         coefficients = sp.csc_array(sp.diags_array(scale) @ real.coefficients)
         terms = lindblad._TermTable(real.side, real.indptr, real.indices, coefficients)
-        return table, dataclasses.replace(block, terms=terms)
+        return dataclasses.replace(block, terms=terms)
 
     monkeypatch.setattr(Liouvillian, "_real", perturbed)
     with pytest.raises(ArithmeticError, match="residual"):
@@ -1173,8 +1197,8 @@ def test_real_table_matches_assembled_generator(case):
 
 
 def _live_terms(gen) -> tuple:
-    nonzero = gen._terms.static != 0
-    for _, w in gen._terms.drives:
+    nonzero = gen._static != 0
+    for _, w in gen._drives:
         nonzero = nonzero | (w != 0)
     return tuple(np.flatnonzero(nonzero).tolist())
 
@@ -1233,7 +1257,7 @@ def test_real_tables_are_built_once_per_layout_and_stay_unchanged(monkeypatch):
     monkeypatch.undo()
 
     for gen in (upper, lower):
-        keys, live = gen._terms.keys, _live_terms(gen)
+        keys, live = gen._keys, _live_terms(gen)
         fresh = lindblad._term_table.__wrapped__(gen.layout, keys)
         table = lindblad._term_table(gen.layout, keys)
         hits = lindblad._real_table.cache_info().hits
