@@ -6,7 +6,6 @@ from .circuits import (
     DiodeParams,
     RateMode,
     TimeDependentOperator,
-    Topology,
     bose_occupation,
 )
 from .lindblad import (
@@ -19,7 +18,6 @@ from .lindblad import (
     qutrit_rate_table,
 )
 from .observables import (
-    BiasSetting,
     CurrentFunctional,
     ModeReport,
     bath_current_functional,

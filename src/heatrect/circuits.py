@@ -9,11 +9,11 @@ is the anharmonicity term -delta_omega |0><0| plus the static couplings,
 and a cosine drive at frequency delta_omega on a modulated coupling with
 amplitude J_prime.
 
-``TOPOLOGIES`` declares each circuit once: its modes grouped into
+``TOPOLOGIES`` declares each circuit once, under its name: its modes in
 independent blocks, its retained couplings, its bath contacts and whether
 it decoheres.  ``lindblad`` builds every Hamiltonian, rate table and
-generator from that table.  A bath is its occupation n (``BathParams``);
-``CircuitSpec.build`` also takes a temperature in its place.
+generator from that table.  A bath is its occupation n (``BathParams``); a
+bias is ``CircuitSpec.build``'s ``n_left``/``n_right`` or ``T_left``/``T_right``.
 """
 
 from __future__ import annotations
@@ -36,12 +36,17 @@ def bose_occupation(omega_over_T: float) -> float:
     return 1.0 / math.expm1(omega_over_T)
 
 
+def _finite_real(name: str, v) -> float:
+    """``v`` as a float; ``ValueError`` naming ``name`` unless it is a finite real (a bool is none)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be finite and a real number, got {v!r}")
+    return float(v)
+
+
 def _require_finite(params, *names: str):
-    """Raise ``ValueError`` for a named field of ``params`` that is nan or infinite."""
+    """Check each named field of ``params`` with ``_finite_real``."""
     for name in names:
-        v = getattr(params, name)
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+        _finite_real(name, getattr(params, name))
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,9 @@ class DiodeParams:
 
 def thermal_occupation(name: str, T: float) -> float:
     """Bose occupation at temperature ``T`` (units of the filter frequency);
-    a ``T`` that is not finite and positive raises ``ValueError`` naming ``name``."""
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"{name} must be finite and positive, got {T}")
+    a ``T`` that is not a finite positive real raises ``ValueError`` naming ``name``."""
+    if isinstance(T, bool) or not isinstance(T, numbers.Real) or not (math.isfinite(T) and T > 0):
+        raise ValueError(f"{name} must be finite and positive, got {T!r}")
     return bose_occupation(1.0 / T)
 
 
@@ -90,13 +95,6 @@ class BathParams:
             raise ValueError(f"Gamma must be positive, got {self.Gamma}")
         if self.n < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
-
-
-class Topology(str, enum.Enum):
-    SINGLE_DIODE = "single-diode"
-    PARALLEL = "parallel"
-    SERIES = "series"
-    BRIDGE = "bridge"
 
 
 class RateMode(str, enum.Enum):
@@ -198,26 +196,26 @@ class CircuitTopology:
 TOPOLOGIES = {
     # the full model: both filter oscillators kept; D1 reaches the left
     # filter through its modulated coupling and the right one statically
-    Topology.SINGLE_DIODE: CircuitTopology(
+    "single-diode": CircuitTopology(
         blocks=((("L", OSCILLATOR), ("D1", QUTRIT), ("R", OSCILLATOR)),),
         couplings=(Coupling("L", "D1", "D1", modulated=True),
                    Coupling("D1", "R", "D1", modulated=False)),
         filters=(("L", "left"), ("R", "right")),
     ),
     # the reduced models: each bath-facing coupling becomes a rate contact
-    Topology.PARALLEL: CircuitTopology(
+    "parallel": CircuitTopology(
         blocks=((("D1", QUTRIT), ("D2", QUTRIT)),),
         contacts=(Contact("D1", "left", modulated=True), Contact("D1", "right", modulated=False),
                   Contact("D2", "left", modulated=True), Contact("D2", "right", modulated=False)),
     ),
-    Topology.SERIES: CircuitTopology(
+    "series": CircuitTopology(
         blocks=((("D1", QUTRIT), ("D2", QUTRIT)),),
         couplings=(Coupling("D1", "D2", "D2", modulated=True),),
         contacts=(Contact("D1", "left", modulated=True), Contact("D2", "right", modulated=False)),
     ),
     # the upper trio D1-M1-D2 keeps the static couplings of D1 and D2 to
     # M1, the lower trio D3-M2-D4 the modulated couplings of D3 and D4 to M2
-    Topology.BRIDGE: CircuitTopology(
+    "bridge": CircuitTopology(
         blocks=((("D1", QUTRIT), ("M1", OSCILLATOR), ("D2", QUTRIT)),
                 (("D3", QUTRIT), ("M2", OSCILLATOR), ("D4", QUTRIT))),
         couplings=(Coupling("D1", "M1", "D1", modulated=False),
@@ -231,11 +229,18 @@ TOPOLOGIES = {
 }
 
 
+def _wiring(topology: str) -> CircuitTopology:
+    """The ``TOPOLOGIES`` entry named ``topology``; an unknown name raises ``ValueError``."""
+    if not isinstance(topology, str) or topology not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {topology!r}; known: {list(TOPOLOGIES)}")
+    return TOPOLOGIES[topology]
+
+
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Declarative description of one circuit topology plus all parameters."""
+    """One circuit, named by its key of ``TOPOLOGIES``, and all its parameters."""
 
-    topology: Topology
+    topology: str
     diodes: dict[str, DiodeParams]
     left_bath: BathParams
     right_bath: BathParams
@@ -244,12 +249,11 @@ class CircuitSpec:
     bridge_rate_mode: RateMode = RateMode.PHYSICAL_MODULATED
 
     def __post_init__(self):
-        object.__setattr__(self, "topology", Topology(self.topology))
         object.__setattr__(self, "bridge_rate_mode", RateMode(self.bridge_rate_mode))
-        required = TOPOLOGIES[self.topology].diodes
+        required = _wiring(self.topology).diodes
         if sorted(self.diodes) != sorted(required):
             raise ValueError(
-                f"topology {self.topology.value!r} needs diodes {list(required)}, "
+                f"topology {self.topology!r} needs diodes {list(required)}, "
                 f"got {sorted(self.diodes)}"
             )
         _require_finite(self, "gamma_dec")
@@ -262,7 +266,7 @@ class CircuitSpec:
     @classmethod
     def build(
         cls,
-        topology: Topology | str,
+        topology: str,
         *,
         n_left: float | None = None,
         n_right: float | None = None,
@@ -280,19 +284,18 @@ class CircuitSpec:
         per-diode mapping like {"D1": 300.0, "D2": 150.0}.  Each bath takes
         exactly one of its occupation ``n_<side>`` or its temperature
         ``T_<side>`` (``thermal_occupation``)."""
-        topology = Topology(topology)
-        labels = TOPOLOGIES[topology].diodes
+        labels = _wiring(topology).diodes
         if isinstance(delta_omega, dict):
             per_diode = dict(delta_omega)
         else:
-            per_diode = {label: float(delta_omega) for label in labels}
+            per_diode = dict.fromkeys(labels, _finite_real("delta_omega", delta_omega))
         missing = set(labels) - set(per_diode)
         if missing:
             raise ValueError(f"missing delta_omega for diodes {sorted(missing)}")
         unknown = set(per_diode) - set(labels)
         if unknown:
             raise ValueError(f"delta_omega for unknown diodes {sorted(unknown)}; "
-                             f"topology {topology.value!r} has {list(labels)}")
+                             f"topology {topology!r} has {list(labels)}")
         diodes = {
             label: DiodeParams(delta_omega=per_diode[label], J=J, J_prime=J_prime)
             for label in labels

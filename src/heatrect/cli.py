@@ -74,7 +74,7 @@ def main(argv=None) -> int:
             "circuit": resolved.circuit,
             "axes": {k: len(v) for k, v in resolved.axes.items()},
             "grid_points": len(SCENARIOS[resolved.name].points(resolved)),
-            "biases": {k: [b.n_left, b.n_right] for k, b in resolved.biases.items()},
+            "biases": {k: list(b.values()) for k, b in resolved.biases.items()},
         }
         print(json.dumps(summary, indent=2, sort_keys=True))
         print("config ok")

@@ -69,7 +69,6 @@ from .circuits import (
     DiodeParams,
     RateMode,
     TimeDependentOperator,
-    Topology,
 )
 from .spaces import (
     SpaceLayout,
@@ -495,7 +494,7 @@ def _contact_table(spec: CircuitSpec, contact: Contact) -> RateTable:
 
 def bridge_rate_tables(spec: CircuitSpec) -> dict[str, RateTable]:
     """Rate table of each bridge diode's one bath contact, by diode."""
-    if spec.topology is not Topology.BRIDGE:
+    if spec.topology != "bridge":
         raise ValueError("bridge rate tables are only defined for the bridge topology")
     return {c.diode: _contact_table(spec, c) for c in TOPOLOGIES[spec.topology].reduced_contacts}
 
@@ -581,7 +580,7 @@ def build_bridge_half_generators(spec: CircuitSpec) -> tuple[Liouvillian, Liouvi
     the tensor product of their steady states is the steady state of the
     full bridge generator.
     """
-    if spec.topology is not Topology.BRIDGE:
+    if spec.topology != "bridge":
         raise ValueError("bridge halves are only defined for the bridge topology")
     upper, lower = (_generator(spec, layout)
                     for layout in TOPOLOGIES[spec.topology].block_layouts(spec.ho_truncation))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import thermal_occupation
 from .lindblad import (
     _ALLOWED_TRANSITIONS,
     Liouvillian,
@@ -28,22 +27,6 @@ from .lindblad import (
 from .spaces import DensityMatrix, SpaceLayout, SparseOperator, number_op, partial_trace
 
 RECTIFICATION_CURRENT_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class BiasSetting:
-    """Bath occupations of one bias direction."""
-
-    n_left: float
-    n_right: float
-
-    @classmethod
-    def from_temperatures(cls, T_left: float, T_right: float) -> "BiasSetting":
-        """Occupations from temperatures in units of the filter frequency (``thermal_occupation``)."""
-        return cls(thermal_occupation("T_left", T_left), thermal_occupation("T_right", T_right))
-
-    def swapped(self) -> "BiasSetting":
-        return BiasSetting(self.n_right, self.n_left)
 
 
 @dataclass(frozen=True)

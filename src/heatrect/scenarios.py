@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .circuits import TOPOLOGIES, CircuitSpec, RateMode, Topology
+from .circuits import TOPOLOGIES, CircuitSpec, RateMode, thermal_occupation
 from .lindblad import (
     SUPEROP_MATERIALIZE_DIM,
     _mode_operator,
@@ -37,7 +37,6 @@ from .lindblad import (
     build_reduced_generator,
 )
 from .observables import (
-    BiasSetting,
     bath_current_functional,
     fidelity,
     mode_report,
@@ -86,7 +85,7 @@ class ResolvedConfig:
     circuit: dict
     protocol: ConvergenceProtocol
     axes: dict[str, list[float]]
-    biases: dict[str, BiasSetting]
+    biases: dict[str, dict[str, float]]
     plot: bool
     extras: dict
 
@@ -94,12 +93,6 @@ class ResolvedConfig:
 # ---------------------------------------------------------------------------
 # per-scenario computations
 # ---------------------------------------------------------------------------
-
-def _spec_for(circuit: dict, topology: str, bias: BiasSetting, delta_omega) -> CircuitSpec:
-    # the circuit section's keys are CircuitSpec.build's keyword arguments
-    return CircuitSpec.build(topology, n_left=bias.n_left, n_right=bias.n_right,
-                             delta_omega=delta_omega, **circuit)
-
 
 def _block_columns(run: SteadyStateResult, converged_block: str = "converged_block",
                    blocks: str = "blocks_used") -> dict:
@@ -116,7 +109,8 @@ _BIAS_SIDES = {"forward": ("right", 1.0), "reverse": ("left", -1.0)}
 
 def _two_way_setup(resolved: ResolvedConfig, topology: str, bias: str, dw1: float, dw2: float):
     """Generator, bath-current observable and its sign at one two-diode bias."""
-    spec = _spec_for(resolved.circuit, topology, resolved.biases[bias], {"D1": dw1, "D2": dw2})
+    spec = CircuitSpec.build(topology, delta_omega={"D1": dw1, "D2": dw2},
+                             **resolved.biases[bias], **resolved.circuit)
     gen = build_generator(spec)
     side, sign = _BIAS_SIDES[bias]
     return gen, bath_current_functional(gen, side), sign
@@ -154,16 +148,14 @@ _BRIDGE_TRIOS = (("upper", "M1", "left"), ("lower", "M2", "right"))
 
 def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
                  gamma_dec: float | None = None) -> list[dict]:
-    if gamma_dec is None:
-        gamma_dec = resolved.circuit["gamma_dec"]
     bias = resolved.biases["temperatures"]
-    spec = _spec_for({**resolved.circuit, "gamma_dec": gamma_dec}, "bridge", bias, delta_omega)
+    circuit = resolved.circuit if gamma_dec is None else {**resolved.circuit, "gamma_dec": gamma_dec}
+    spec = CircuitSpec.build("bridge", delta_omega=delta_omega, **bias, **circuit)
     n_mid = spec.ho_truncation
     row = {
         "delta_omega": delta_omega,
-        "gamma_dec": gamma_dec,
-        "n_left": bias.n_left,
-        "n_right": bias.n_right,
+        "gamma_dec": spec.gamma_dec,
+        **bias,
         "truncation": n_mid,
         "rate_mode": spec.bridge_rate_mode.value,
     }
@@ -180,7 +172,7 @@ def _bridge_rows(resolved: ResolvedConfig, out, delta_omega: float,
         if run.converged:
             rep = mode_report(run.state, mode)
             thermal = DensityMatrix.from_matrix(
-                rep.reduced.layout, thermal_state_matrix(n_mid, getattr(bias, f"n_{side}")))
+                rep.reduced.layout, thermal_state_matrix(n_mid, bias[f"n_{side}"]))
             nbar, temp, pops = rep.mean_n, rep.effective_T, rep.populations
             fid = fidelity(thermal, rep.reduced)
         m = mode.lower()
@@ -200,9 +192,10 @@ def _convergence_rows(resolved: ResolvedConfig, out: _Output, circuit: str,
         gen, obs, sign = _two_way_setup(resolved, "series", bias, dw1, dw2)
     else:  # the bridge's driven lower half, under the temperature bias and its swap
         dw1 = dw2 = resolved.extras["bridge_point"]["delta_omega"]
-        temps = resolved.biases["temperatures"]
-        spec = _spec_for(resolved.circuit, "bridge",
-                         temps if bias == "forward" else temps.swapped(), dw1)
+        n = resolved.biases["temperatures"]
+        if bias == "reverse":
+            n = {"n_left": n["n_right"], "n_right": n["n_left"]}
+        spec = CircuitSpec.build("bridge", delta_omega=dw1, **n, **resolved.circuit)
         _, gen = build_bridge_half_generators(spec)
         obs = bath_current_functional(gen, "right")
         sign = 1.0
@@ -235,7 +228,7 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
     """Full three-mode model against the reduced single-qutrit rate model at one bias."""
     setting = resolved.biases[bias]
     delta_omega = resolved.extras["delta_omega"]
-    spec = _spec_for(resolved.circuit, "single-diode", setting, delta_omega)
+    spec = CircuitSpec.build("single-diode", delta_omega=delta_omega, **setting, **resolved.circuit)
     full, reduced = (steady_state(gen, bath_current_functional(gen, "right"), resolved.protocol)
                      for gen in (build_generator(spec), build_reduced_generator(spec)))
     out.block_dims.update((full.block_dim, reduced.block_dim))
@@ -247,8 +240,7 @@ def _single_diode_rows(resolved: ResolvedConfig, out, bias: str) -> list[dict]:
     round_off = max(abs(full.value), abs(reduced.value)) < CONVERGENCE_ABS_FLOOR
     return [{
         "bias": bias,
-        "n_left": setting.n_left,
-        "n_right": setting.n_right,
+        **setting,
         "current_full": full.value,
         "current_reduced": reduced.value,
         "rel_deviation": 0.0 if round_off else abs(reduced.value - full.value) / scale,
@@ -310,16 +302,17 @@ def _grid_points(resolved: ResolvedConfig) -> list[dict]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One built-in scenario, building the circuits ``topologies``.  ``bias``,
-    ``axes`` (outer-to-inner grid order), ``extras`` (its own top-level keys)
-    and ``circuit`` (departures from the common circuit) hold defaults; with
-    ``open_bias`` any further bias label is one more point.
+    """One built-in scenario, building the circuits named ``topologies``.
+    ``bias``, ``axes`` (outer-to-inner grid order), ``extras`` (its own
+    top-level keys) and ``circuit`` (departures from the common circuit) hold
+    defaults; a resolved bias is ``CircuitSpec.build``'s ``n_left``/``n_right``
+    keywords.  With ``open_bias`` any further bias label is one more point.
     ``rows(resolved, out, **point)`` computes the CSV rows of each of
     ``points(resolved)`` and may write side files through ``out.write_csv``;
     ``plot(ax, rows)`` draws the quick-look figure."""
 
     summary: str
-    topologies: tuple[Topology, ...]
+    topologies: tuple[str, ...]
     bias: dict
     rows: Callable[..., list[dict]]
     plot: Callable
@@ -336,7 +329,7 @@ _BRIDGE_BIAS = {"temperatures": [1.0, 0.1]}
 SCENARIOS = {
     "parallel-sweep": Scenario(
         summary="two diodes in parallel: currents and rectification over both anharmonicities",
-        topologies=(Topology.PARALLEL,),
+        topologies=("parallel",),
         bias=_TWO_WAY_BIAS, rows=functools.partial(_two_way_rows, topology="parallel"),
         plot=_plot_rectification,
         axes={"delta_omega_d1": [100.0, 200.0, 300.0],
@@ -344,21 +337,21 @@ SCENARIOS = {
     ),
     "series-sweep": Scenario(
         summary="two diodes in series: currents, rectification, and ground-state populations",
-        topologies=(Topology.SERIES,),
+        topologies=("series",),
         bias=_TWO_WAY_BIAS, rows=functools.partial(_two_way_rows, topology="series"),
         plot=_plot_rectification,
         axes={"delta_omega_d1": [100.0, 200.0, 300.0], "delta_omega_d2": _series_default_grid()},
     ),
     "bridge-anharmonicity": Scenario(
         summary="bridge rectifier: output temperatures and fidelities vs anharmonicity",
-        topologies=(Topology.BRIDGE,),
+        topologies=("bridge",),
         bias=_BRIDGE_BIAS, rows=_bridge_rows,
         plot=functools.partial(_plot_bridge_temperatures, x_key="delta_omega", series_key="gamma_dec"),
         axes={"delta_omega": {"log_range": [50.0, 500.0], "points": 40}},
     ),
     "bridge-decoherence": Scenario(
         summary="bridge rectifier: output temperatures and fidelities vs decoherence rate",
-        topologies=(Topology.BRIDGE,),
+        topologies=("bridge",),
         bias=_BRIDGE_BIAS, rows=_bridge_rows,
         plot=functools.partial(_plot_bridge_temperatures, x_key="gamma_dec", series_key="delta_omega"),
         axes={"delta_omega": [100.0, 200.0, 300.0],
@@ -366,7 +359,7 @@ SCENARIOS = {
     ),
     "convergence-study": Scenario(
         summary="block-averaged current convergence of the series and bridge circuits",
-        topologies=(Topology.SERIES, Topology.BRIDGE),
+        topologies=("series", "bridge"),
         bias={**_TWO_WAY_BIAS, **_BRIDGE_BIAS}, rows=_convergence_rows, plot=_plot_block_averages,
         points=lambda resolved: [{"circuit": circuit, "bias": bias}
                                  for circuit in ("series", "bridge-lower")
@@ -377,7 +370,7 @@ SCENARIOS = {
     ),
     "single-diode-validation": Scenario(
         summary="full three-mode diode model against the reduced rate model",
-        topologies=(Topology.SINGLE_DIODE,),
+        topologies=("single-diode",),
         bias={**_TWO_WAY_BIAS, "equilibrium": [0.5, 0.5]}, open_bias=True,
         rows=_single_diode_rows, plot=_plot_full_vs_reduced,
         points=lambda resolved: [{"bias": label} for label in resolved.biases],
@@ -552,7 +545,7 @@ def validate_config(cfg: dict) -> ResolvedConfig:
         dim = max(layout.total_dim for layout in TOPOLOGIES[topology].block_layouts(truncation))
         if dim > SUPEROP_MATERIALIZE_DIM:
             raise ConfigError("circuit.ho_truncation",
-                              f"N = {truncation} gives the {topology.value} circuit a block of "
+                              f"N = {truncation} gives the {topology} circuit a block of "
                               f"dimension {dim} > SUPEROP_MATERIALIZE_DIM = {SUPEROP_MATERIALIZE_DIM}")
 
     protocol_defaults = dataclasses.asdict(ConvergenceProtocol())
@@ -577,16 +570,16 @@ def validate_config(cfg: dict) -> ResolvedConfig:
                               _CIRCUIT_REALS.get(key, True))
             for key, default in scenario.axes.items()}
 
-    biases: dict[str, BiasSetting] = {}
+    biases = {}
     for label, raw in {**scenario.bias, **_section(cfg, "bias")}.items():
         if label not in scenario.bias and not scenario.open_bias:
             raise ConfigError(f"bias.{label}", f"scenario {name!r} reads biases {sorted(scenario.bias)}")
         if label == "temperatures":
             t_left, t_right = _pair(raw, f"bias.{label}", "[T_left, T_right]")
-            biases[label] = BiasSetting.from_temperatures(t_left, t_right)
+            n_left, n_right = thermal_occupation("T_left", t_left), thermal_occupation("T_right", t_right)
         else:
             n_left, n_right = _pair(raw, f"bias.{label}", "[n_left, n_right]", positive=False)
-            biases[label] = BiasSetting(n_left, n_right)
+        biases[label] = {"n_left": n_left, "n_right": n_right}
 
     if not isinstance(cfg.get("out_dir", ""), str):
         raise ConfigError("out_dir", f"need a string, got {cfg['out_dir']!r}")
@@ -693,7 +686,7 @@ def run_scenario(config, out_dir=None) -> SweepResult:
             "circuit": resolved.circuit,
             "protocol": dataclasses.asdict(resolved.protocol),
             "axes": resolved.axes,
-            "biases": {k: [b.n_left, b.n_right] for k, b in resolved.biases.items()},
+            "biases": {k: list(b.values()) for k, b in resolved.biases.items()},
             "extras": resolved.extras,
         },
         "rate_mode": resolved.circuit["bridge_rate_mode"],

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from heatrect.circuits import CircuitSpec, DiodeParams, bose_occupation
+from heatrect.circuits import CircuitSpec, DiodeParams, bose_occupation, thermal_occupation
 from heatrect.lindblad import (
     bridge_rate_tables,
     build_bridge_half_generators,
@@ -19,7 +19,6 @@ from heatrect.lindblad import (
     vectorize,
 )
 from heatrect.observables import (
-    BiasSetting,
     bath_current_functional,
     effective_temperature,
     fidelity,
@@ -33,7 +32,7 @@ from heatrect.spaces import DensityMatrix, partial_trace
 from heatrect.steady import evolve, steady_state_averaged, steady_state_direct
 
 GAMMA = 10.0
-BRIDGE_BIAS = BiasSetting.from_temperatures(1.0, 0.1)
+BRIDGE_BIAS = {"n_left": thermal_occupation("T_left", 1.0), "n_right": thermal_occupation("T_right", 0.1)}
 GAMMA_DEC_GRID = [10 ** e for e in (-4.0, -3.5, -3.0, -2.5, -2.0, -1.5, -1.0)]
 
 
@@ -60,19 +59,19 @@ def bridge_gamma_rows():
     rows = []
     for gamma_dec in GAMMA_DEC_GRID:
         spec8 = CircuitSpec.build(
-            "bridge", n_left=BRIDGE_BIAS.n_left, n_right=BRIDGE_BIAS.n_right,
+            "bridge", **BRIDGE_BIAS,
             gamma_dec=gamma_dec, ho_truncation=8,
         )
         upper, _ = build_bridge_half_generators(spec8)
         rho_upper = steady_state_direct(upper)
         rep_m1 = mode_report(rho_upper, "M1")
         ref_left = DensityMatrix.from_matrix(
-            rep_m1.reduced.layout, thermal_state_matrix(8, BRIDGE_BIAS.n_left)
+            rep_m1.reduced.layout, thermal_state_matrix(8, BRIDGE_BIAS["n_left"])
         )
         fid_left = fidelity(ref_left, rep_m1.reduced)
 
         spec6 = CircuitSpec.build(
-            "bridge", n_left=BRIDGE_BIAS.n_left, n_right=BRIDGE_BIAS.n_right,
+            "bridge", **BRIDGE_BIAS,
             gamma_dec=gamma_dec, ho_truncation=6,
         )
         _, lower = build_bridge_half_generators(spec6)
@@ -81,7 +80,7 @@ def bridge_gamma_rows():
         res = steady_state_averaged(lower, observable=obs)
         rep_m2 = mode_report(res.state, "M2")
         ref_right = DensityMatrix.from_matrix(
-            rep_m2.reduced.layout, thermal_state_matrix(6, BRIDGE_BIAS.n_right)
+            rep_m2.reduced.layout, thermal_state_matrix(6, BRIDGE_BIAS["n_right"])
         )
         fid_right = fidelity(ref_right, rep_m2.reduced)
         rows.append({
@@ -130,11 +129,8 @@ def test_criterion_2_parallel_decoupling(parallel_sweep):
     grid = {(row["delta_omega_d1"], row["delta_omega_d2"]) for row in parallel_sweep.rows}
     worst = 1.0
     for dw1, dw2 in sorted(grid):
-        for bias in (BiasSetting(0.5, 0.0), BiasSetting(0.0, 0.5)):
-            spec = CircuitSpec.build(
-                "parallel", n_left=bias.n_left, n_right=bias.n_right,
-                delta_omega={"D1": dw1, "D2": dw2},
-            )
+        for bias in ({"n_left": 0.5, "n_right": 0.0}, {"n_left": 0.0, "n_right": 0.5}):
+            spec = CircuitSpec.build("parallel", **bias, delta_omega={"D1": dw1, "D2": dw2})
             rho = steady_state_direct(build_generator(spec))
             product = DensityMatrix.from_mode_states(
                 rho.layout,
@@ -195,13 +191,13 @@ def test_criterion_5_series_resonance_dips(series_sweep):
 
 def test_criterion_6_bridge_hot_output():
     spec = CircuitSpec.build(
-        "bridge", n_left=BRIDGE_BIAS.n_left, n_right=BRIDGE_BIAS.n_right,
+        "bridge", **BRIDGE_BIAS,
         gamma_dec=1e-3, ho_truncation=8,
     )
     upper, _ = build_bridge_half_generators(spec)
     rho = steady_state_direct(upper)
     rep = mode_report(rho, "M1")
-    ref = DensityMatrix.from_matrix(rep.reduced.layout, thermal_state_matrix(8, BRIDGE_BIAS.n_left))
+    ref = DensityMatrix.from_matrix(rep.reduced.layout, thermal_state_matrix(8, BRIDGE_BIAS["n_left"]))
     fid = fidelity(ref, rep.reduced)
     assert abs(rep.effective_T - 1.0) < 0.10
     assert fid > 0.95

@@ -1,16 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from heatrect.circuits import (
+    TOPOLOGIES,
     BathParams,
     CircuitSpec,
     CircuitTopology,
     Contact,
     Coupling,
     DiodeParams,
-    Topology,
     bose_occupation,
 )
 from heatrect.lindblad import build_bridge_half_generators, build_generator, build_reduced_generator
@@ -123,7 +124,7 @@ def test_circuit_spec_validation():
 
     with pytest.raises(ValueError, match="needs diodes"):
         CircuitSpec(
-            topology=Topology.PARALLEL,
+            topology="parallel",
             diodes={"D1": DiodeParams()},
             left_bath=BathParams(0.5),
             right_bath=BathParams(0.0),
@@ -141,6 +142,32 @@ def test_circuit_spec_validation():
         with pytest.raises(ValueError, match="ho_truncation must be an integer >= 2"):
             CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=bad)
     assert CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, ho_truncation=np.int64(3)).ho_truncation == 3
+    # a bool or a non-number is refused by the name of its field, neither as a
+    # bare TypeError nor through float(); NumPy reals pass
+    for name, kwargs in (("J", {"J": True}), ("Gamma", {"Gamma": True}), ("gamma_dec", {"gamma_dec": True}),
+                         ("n", {"n_left": True}), ("J", {"J": "1"}), ("J_prime", {"J_prime": None}),
+                         ("delta_omega", {"delta_omega": {"D1": "300", "D2": 300.0}}),
+                         ("delta_omega", {"delta_omega": "300"})):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and a real number"):
+            CircuitSpec.build("series", **{"n_left": 0.5, "n_right": 0.0, **kwargs})
+    for bad in (True, "1.0"):
+        with pytest.raises(ValueError, match="^T_left must be finite and positive"):
+            CircuitSpec.build("series", T_left=bad, n_right=0.0)
+    spec = CircuitSpec.build("series", n_left=np.float64(0.5), T_right=np.float32(1.0), J=np.int64(1),
+                             delta_omega=np.float64(300.0), gamma_dec=np.float64(0.0))
+    assert spec.left_bath.n == 0.5 and spec.right_bath.n == bose_occupation(1.0)
+    for match, kwargs in (("^J must be positive", {"J": 0.0}),
+                          ("^gamma_dec must be nonnegative", {"gamma_dec": -1e-3}),
+                          (r"^missing delta_omega for diodes \['D2'\]", {"delta_omega": {"D1": 300.0}})):
+        with pytest.raises(ValueError, match=match):
+            CircuitSpec.build("series", **{"n_left": 0.5, "n_right": 0.0, **kwargs})
+    # a topology is a key of TOPOLOGIES
+    known = r"known: \['single-diode', 'parallel', 'series', 'bridge'\]"
+    for bad in ("Bridge", ["bridge"]):
+        with pytest.raises(ValueError, match=rf"^unknown topology {re.escape(repr(bad))}; {known}"):
+            CircuitSpec.build(bad, n_left=0.5, n_right=0.0)
+    with pytest.raises(ValueError, match=rf"^unknown topology 'diode'; {known}"):
+        CircuitSpec("diode", {"D1": DiodeParams()}, BathParams(0.5), BathParams(0.0))
 
 
 def test_delta_omega_for_unknown_diode_is_rejected():
@@ -263,18 +290,18 @@ def test_single_diode_full_model_layout():
     # every topology's generators: each qutrit has 3 levels, each oscillator N
     oscillators = {"L", "R", "M1", "M2"}
     full_labels = {
-        Topology.SINGLE_DIODE: ("L", "D1", "R"),
-        Topology.PARALLEL: ("D1", "D2"),
-        Topology.SERIES: ("D1", "D2"),
-        Topology.BRIDGE: ("D1", "M1", "D2", "D3", "M2", "D4"),
+        "single-diode": ("L", "D1", "R"),
+        "parallel": ("D1", "D2"),
+        "series": ("D1", "D2"),
+        "bridge": ("D1", "M1", "D2", "D3", "M2", "D4"),
     }
-    assert set(full_labels) == set(Topology)
+    assert set(full_labels) == set(TOPOLOGIES)
     for topology, labels in full_labels.items():
         for n in (2, 5):
             spec = CircuitSpec.build(topology, n_left=0.5, n_right=0.0, ho_truncation=n)
             reduced = tuple(label for label in labels if label not in {"L", "R"})
             expected = [(labels, build_generator(spec)), (reduced, build_reduced_generator(spec))]
-            if topology is Topology.BRIDGE:
+            if topology == "bridge":
                 expected += zip((labels[:3], labels[3:]), build_bridge_half_generators(spec))
             for want, gen in expected:
                 assert gen.layout.labels == want

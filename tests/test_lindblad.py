@@ -37,7 +37,7 @@ from heatrect.spaces import (
     raising_op,
 )
 from heatrect.observables import bath_current_functional, net_bath_current_functional
-from heatrect.scenarios import _grid_points, _spec_for, validate_config
+from heatrect.scenarios import _grid_points, validate_config
 from heatrect.steady import (
     _generator_norm_bound,
     evolve,
@@ -520,6 +520,13 @@ def test_operators_from_another_layout_are_rejected():
     ):
         with pytest.raises(ValueError, match="layout"):
             Liouvillian(layout, hamiltonian, jumps)
+    # a time-dependent operator keeps its drives on its static part's layout,
+    # at positive frequencies
+    with pytest.raises(ValueError, match="drive term layout differs"):
+        TimeDependentOperator(projector(layout, "A", 0), ((1.0, projector(swapped, "A", 0)),))
+    for nu in (0.0, -1.0):
+        with pytest.raises(ValueError, match="drive frequency must be positive"):
+            TimeDependentOperator(projector(layout, "A", 0), ((nu, projector(layout, "B", 0)),))
 
 
 # every topology, with the zero-weight corners: an empty receiving bath
@@ -651,7 +658,7 @@ def eager_hamiltonian(spec, layout) -> TimeDependentOperator | None:
 
 
 def _generators_of(spec):
-    if spec.topology.value == "bridge":
+    if spec.topology == "bridge":
         return list(build_bridge_half_generators(spec))
     return [build_generator(spec)]
 
@@ -672,7 +679,7 @@ def test_hamiltonian_is_built_on_first_read(monkeypatch):
     ]
     for spec in cases:
         gens = _generators_of(spec)
-        if spec.topology.value == "bridge":
+        if spec.topology == "bridge":
             # building both halves assembles no Hamiltonian, nor does solving
             # a static half; averaging a driven half builds its Hamiltonian
             # once, for the RK4 step bound, and keeps it
@@ -713,12 +720,13 @@ def test_step_bound_is_bit_identical_to_the_built_hamiltonians_on_default_grids(
     specs = []
     for point in _grid_points(resolved):
         if name == "series-sweep":
-            specs += [_spec_for(resolved.circuit, "series", resolved.biases[bias],
-                                {"D1": point["delta_omega_d1"], "D2": point["delta_omega_d2"]})
+            specs += [CircuitSpec.build("series", **resolved.biases[bias], **resolved.circuit,
+                                        delta_omega={"D1": point["delta_omega_d1"],
+                                                     "D2": point["delta_omega_d2"]})
                       for bias in ("forward", "reverse")]
         else:
-            specs.append(_spec_for(resolved.circuit, "bridge", resolved.biases["temperatures"],
-                                   point["delta_omega"]))
+            specs.append(CircuitSpec.build("bridge", **resolved.biases["temperatures"], **resolved.circuit,
+                                           delta_omega=point["delta_omega"]))
     driven = 0
     for spec in specs:
         for gen in _generators_of(spec):

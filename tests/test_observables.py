@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatrect import lindblad
-from heatrect.circuits import CircuitSpec, DiodeParams, bose_occupation
+from heatrect.circuits import CircuitSpec, DiodeParams, bose_occupation, thermal_occupation
 from heatrect.lindblad import (
     Liouvillian,
     bridge_rate_tables,
@@ -14,7 +14,6 @@ from heatrect.lindblad import (
     qutrit_rate_table,
 )
 from heatrect.observables import (
-    BiasSetting,
     CurrentFunctional,
     bath_current_functional,
     effective_temperature,
@@ -346,13 +345,16 @@ def test_mode_report_thermal_product():
 
 
 def test_bias_setting_helpers():
-    temps = BiasSetting.from_temperatures(1.0, 0.1)
-    assert temps.n_left == pytest.approx(bose_occupation(1.0))
-    assert temps.n_right == pytest.approx(bose_occupation(10.0))
-    swapped = temps.swapped()
-    assert swapped.n_left == temps.n_right and swapped.n_right == temps.n_left
+    # a bias is the n_left/n_right of CircuitSpec.build; temperatures become
+    # occupations through thermal_occupation
+    n_left, n_right = thermal_occupation("T_left", 1.0), thermal_occupation("T_right", 0.1)
+    assert n_left == pytest.approx(bose_occupation(1.0))
+    assert n_right == pytest.approx(bose_occupation(10.0))
+    swapped = CircuitSpec.build("bridge", T_left=0.1, T_right=1.0)
+    assert swapped.left_bath.n == n_right and swapped.right_bath.n == n_left
     # a zero temperature used to end in a bare ZeroDivisionError
     for t_left, t_right, name in ((1.0, 0.0, "T_right"), (0.0, 1.0, "T_left"), (-1.0, 0.1, "T_left"),
                                   (1.0, math.inf, "T_right"), (math.nan, 0.1, "T_left")):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-            BiasSetting.from_temperatures(t_left, t_right)
+            for side, T in (("T_left", t_left), ("T_right", t_right)):
+                thermal_occupation(side, T)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatrect.circuits import BathParams, CircuitSpec, DiodeParams
+from heatrect.circuits import BathParams, CircuitSpec, DiodeParams, bose_occupation
 from heatrect.cli import main
 from heatrect.lindblad import build_generator, qutrit_rate_table
 from heatrect.observables import bath_current_functional
@@ -148,6 +148,10 @@ def test_config_errors_carry_key_paths():
         validate_config(tiny_parallel_config(protocol={"block_length": math.inf}))
     with pytest.raises(ConfigError, match=r"protocol\.bogus"):
         validate_config(tiny_parallel_config(protocol={"bogus": 1.0}))
+    # values that pass one by one but not as a protocol
+    for protocol in ({"average_window": 6000.0}, {"max_blocks": 1}):
+        with pytest.raises(ConfigError, match=r"^protocol: (average_window|max_blocks) must"):
+            validate_config(tiny_parallel_config(protocol=protocol))
     # bias entries: occupations finite and nonnegative, temperatures finite and positive
     for bias in ({"forward": [True, 0.0]}, {"forward": [0.5, "0.5"]},
                  {"reverse": [-0.5, 0.0]}, {"forward": [0.5, math.inf]}):
@@ -164,6 +168,12 @@ def test_config_errors_carry_key_paths():
     with pytest.raises(ConfigError, match=r"^axes\.delta_omega_d2\.range: need a finite positive"):
         validate_config(tiny_parallel_config(
             axes={"delta_omega_d2": {"range": [-300, 100], "points": 3}}))
+    for axis, message in (({"log_range": [100.0, 50.0], "points": 3}, r"\.log_range: need 0 < lo < hi"),
+                          ({"log_range": [100.0, 100.0], "points": 3}, r"\.log_range: need 0 < lo < hi"),
+                          ({"points": 3}, ": axis dict needs 'log_range' or 'range'"),
+                          ("300", ": cannot interpret axis value '300'")):
+        with pytest.raises(ConfigError, match=rf"^axes\.delta_omega_d2{message}"):
+            validate_config(tiny_parallel_config(axes={"delta_omega_d2": axis}))
     with pytest.raises(ConfigError, match=r"^axes\.gamma_dec: need a finite nonnegative"):
         validate_config({"name": "bridge-decoherence", "axes": {"gamma_dec": [-1e-3]}})
     assert validate_config(
@@ -281,7 +291,10 @@ def test_bridge_point_small(tmp_path):
     assert pytest.approx(sum(pops), abs=1e-9) == 1.0
     # the direct upper trio and the windowed-average lower trio share one block size
     assert row["solver_lower"] == "windowed-average"
-    assert json.loads((tmp_path / "metadata.json").read_text())["block_dims"] == [141]
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["block_dims"] == [141]
+    # each bias as [n_left, n_right]
+    assert meta["resolved_config"]["biases"] == {"temperatures": [bose_occupation(1.0), bose_occupation(10.0)]}
 
 
 def test_convergence_study_writes_trajectories(tmp_path):
@@ -402,6 +415,9 @@ def test_cli_scenarios_and_validate(capsys):
         assert main(["validate", name]) == 0
         summary = json.loads(capsys.readouterr().out.rsplit("config ok", 1)[0])
         assert summary["grid_points"] == points, name
+    assert main(["validate", "bridge-anharmonicity"]) == 0
+    summary = json.loads(capsys.readouterr().out.rsplit("config ok", 1)[0])
+    assert summary["biases"] == {"temperatures": [bose_occupation(1.0), bose_occupation(10.0)]}
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -435,7 +451,8 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     (tiny_parallel_config(out_dir=5), "out_dir"),
     (None, "(file)"),  # the config path names a directory
     (b"\xff", "(file)"),  # the config file is not UTF-8
-], ids=["truncation", "out-dir", "directory", "not-utf8"])
+    (b"{not json", "(file)"),
+], ids=["truncation", "out-dir", "directory", "not-utf8", "not-json"])
 def test_cli_reports_bad_truncation_out_dir_and_config_path_as_config_errors(
         tmp_path, capsys, command, config, path):
     source = tmp_path / "config"
