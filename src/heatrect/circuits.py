@@ -76,7 +76,7 @@ class DiodeParams:
 def thermal_occupation(name: str, T: float) -> float:
     """Bose occupation at temperature ``T`` (units of the filter frequency);
     a ``T`` that is not a finite positive real raises ``ValueError`` naming ``name``."""
-    if isinstance(T, bool) or not isinstance(T, numbers.Real) or not (math.isfinite(T) and T > 0):
+    if _finite_real(name, T) <= 0:
         raise ValueError(f"{name} must be finite and positive, got {T!r}")
     return bose_occupation(1.0 / T)
 

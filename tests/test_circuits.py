@@ -151,7 +151,7 @@ def test_circuit_spec_validation():
         with pytest.raises(ValueError, match=f"^{name} must be finite and a real number"):
             CircuitSpec.build("series", **{"n_left": 0.5, "n_right": 0.0, **kwargs})
     for bad in (True, "1.0"):
-        with pytest.raises(ValueError, match="^T_left must be finite and positive"):
+        with pytest.raises(ValueError, match="^T_left must be finite and a real number"):
             CircuitSpec.build("series", T_left=bad, n_right=0.0)
     spec = CircuitSpec.build("series", n_left=np.float64(0.5), T_right=np.float32(1.0), J=np.int64(1),
                              delta_omega=np.float64(300.0), gamma_dec=np.float64(0.0))

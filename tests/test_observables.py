@@ -353,8 +353,9 @@ def test_bias_setting_helpers():
     swapped = CircuitSpec.build("bridge", T_left=0.1, T_right=1.0)
     assert swapped.left_bath.n == n_right and swapped.right_bath.n == n_left
     # a zero temperature used to end in a bare ZeroDivisionError
-    for t_left, t_right, name in ((1.0, 0.0, "T_right"), (0.0, 1.0, "T_left"), (-1.0, 0.1, "T_left"),
-                                  (1.0, math.inf, "T_right"), (math.nan, 0.1, "T_left")):
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+    for t_left, t_right, name, message in (
+            (1.0, 0.0, "T_right", "positive"), (0.0, 1.0, "T_left", "positive"), (-1.0, 0.1, "T_left", "positive"),
+            (1.0, math.inf, "T_right", "a real number"), (math.nan, 0.1, "T_left", "a real number")):
+        with pytest.raises(ValueError, match=f"{name} must be finite and {message}"):
             for side, T in (("T_left", t_left), ("T_right", t_right)):
                 thermal_occupation(side, T)

@@ -149,8 +149,8 @@ def test_config_errors_carry_key_paths():
     with pytest.raises(ConfigError, match=r"protocol\.bogus"):
         validate_config(tiny_parallel_config(protocol={"bogus": 1.0}))
     # values that pass one by one but not as a protocol
-    for protocol in ({"average_window": 6000.0}, {"max_blocks": 1}):
-        with pytest.raises(ConfigError, match=r"^protocol: (average_window|max_blocks) must"):
+    for protocol, field in (({"average_window": 6000.0}, "average_window"), ({"max_blocks": 1}, "max_blocks")):
+        with pytest.raises(ConfigError, match=rf"^protocol: {field} must"):
             validate_config(tiny_parallel_config(protocol=protocol))
     # bias entries: occupations finite and nonnegative, temperatures finite and positive
     for bias in ({"forward": [True, 0.0]}, {"forward": [0.5, "0.5"]},
@@ -411,13 +411,12 @@ def test_cli_scenarios_and_validate(capsys):
     assert "config ok" in out
 
     for name, points in (("parallel-sweep", 120), ("convergence-study", 4),
-                         ("single-diode-validation", 3)):
+                         ("single-diode-validation", 3), ("bridge-anharmonicity", 40)):
         assert main(["validate", name]) == 0
         summary = json.loads(capsys.readouterr().out.rsplit("config ok", 1)[0])
         assert summary["grid_points"] == points, name
-    assert main(["validate", "bridge-anharmonicity"]) == 0
-    summary = json.loads(capsys.readouterr().out.rsplit("config ok", 1)[0])
-    assert summary["biases"] == {"temperatures": [bose_occupation(1.0), bose_occupation(10.0)]}
+        if name == "bridge-anharmonicity":
+            assert summary["biases"] == {"temperatures": [bose_occupation(1.0), bose_occupation(10.0)]}
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
