@@ -3,7 +3,6 @@
 from .circuits import (
     BathParams,
     CircuitSpec,
-    DiodeParams,
     RateMode,
     TimeDependentOperator,
     bose_occupation,

@@ -12,8 +12,10 @@ amplitude J_prime.
 ``TOPOLOGIES`` declares each circuit once, under its name: its modes in
 independent blocks, its retained couplings, its bath contacts and whether
 it decoheres.  ``lindblad`` builds every Hamiltonian, rate table and
-generator from that table.  A bath is its occupation n (``BathParams``); a
-bias is ``CircuitSpec.build``'s ``n_left``/``n_right`` or ``T_left``/``T_right``.
+generator from that table.  A circuit has one anharmonicity delta_omega
+per diode and one J, one J_prime and one filter linewidth Gamma.  A bath
+is its occupation n (``BathParams``); a bias is ``CircuitSpec.build``'s
+``n_left``/``n_right`` or ``T_left``/``T_right``.
 """
 
 from __future__ import annotations
@@ -43,56 +45,23 @@ def _finite_real(name: str, v) -> float:
     return float(v)
 
 
-def _require_finite(params, *names: str):
-    """Check each named field of ``params`` with ``_finite_real``."""
-    for name in names:
-        _finite_real(name, getattr(params, name))
-
-
-@dataclass(frozen=True)
-class DiodeParams:
-    """Physical parameters of one qutrit diode (in units of J)."""
-
-    delta_omega: float = 300.0
-    J: float = 1.0
-    J_prime: float = 0.5
-
-    def __post_init__(self):
-        _require_finite(self, "delta_omega", "J", "J_prime")
-        if self.delta_omega <= 0:
-            raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
-        if self.J <= 0:
-            raise ValueError(f"J must be positive, got {self.J}")
-        if self.J_prime < 0:
-            raise ValueError(f"J_prime must be nonnegative, got {self.J_prime}")
-        if self.delta_omega < ANHARMONICITY_WARN_RATIO * self.J:
-            warnings.warn(
-                f"delta_omega = {self.delta_omega} is below {ANHARMONICITY_WARN_RATIO} J; "
-                "the weak-coupling rate formulas assume delta_omega >> J",
-                stacklevel=2,
-            )
-
-
 def thermal_occupation(name: str, T: float) -> float:
     """Bose occupation at temperature ``T`` (units of the filter frequency);
     a ``T`` that is not a finite positive real raises ``ValueError`` naming ``name``."""
-    if _finite_real(name, T) <= 0:
+    T = _finite_real(name, T)
+    if T <= 0:
         raise ValueError(f"{name} must be finite and positive, got {T!r}")
     return bose_occupation(1.0 / T)
 
 
 @dataclass(frozen=True)
 class BathParams:
-    """Thermal bath of mean occupation ``n``, attached through a filter
-    oscillator of linewidth ``Gamma``."""
+    """Thermal bath of mean occupation ``n``."""
 
     n: float
-    Gamma: float = 10.0
 
     def __post_init__(self):
-        _require_finite(self, "n", "Gamma")
-        if self.Gamma <= 0:
-            raise ValueError(f"Gamma must be positive, got {self.Gamma}")
+        object.__setattr__(self, "n", _finite_real("n", self.n))
         if self.n < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
 
@@ -118,8 +87,8 @@ OSCILLATOR = "oscillator"
 class Coupling:
     """Retained exchange J (a_a a_b† + a_a† a_b) between modes ``a`` and ``b``.
 
-    ``diode`` is the qutrit whose J, J' and delta_omega set the coupling; a
-    ``modulated`` coupling also carries the drive J' cos(delta_omega t).
+    ``diode`` is the qutrit whose delta_omega sets the coupling's drive
+    frequency: a ``modulated`` coupling also carries J' cos(delta_omega t).
     """
 
     a: str
@@ -238,27 +207,53 @@ def _wiring(topology: str) -> CircuitTopology:
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """One circuit, named by its key of ``TOPOLOGIES``, and all its parameters."""
+    """One circuit, named by its key of ``TOPOLOGIES``, and all its
+    parameters: each diode's anharmonicity ``delta_omega``, by label, and
+    the circuit's static coupling ``J``, drive amplitude ``J_prime`` and
+    filter linewidth ``Gamma``.  Every number is stored as a Python float."""
 
     topology: str
-    diodes: dict[str, DiodeParams]
+    delta_omega: dict[str, float]
     left_bath: BathParams
     right_bath: BathParams
+    J: float = 1.0
+    J_prime: float = 0.5
+    Gamma: float = 10.0
     gamma_dec: float = 1e-3
     ho_truncation: int = 8
     bridge_rate_mode: RateMode = RateMode.PHYSICAL_MODULATED
 
     def __post_init__(self):
         object.__setattr__(self, "bridge_rate_mode", RateMode(self.bridge_rate_mode))
-        required = _wiring(self.topology).diodes
-        if sorted(self.diodes) != sorted(required):
-            raise ValueError(
-                f"topology {self.topology!r} needs diodes {list(required)}, "
-                f"got {sorted(self.diodes)}"
-            )
-        _require_finite(self, "gamma_dec")
+        labels = _wiring(self.topology).diodes
+        missing = set(labels) - set(self.delta_omega)
+        if missing:
+            raise ValueError(f"missing delta_omega for diodes {sorted(missing)}")
+        unknown = set(self.delta_omega) - set(labels)
+        if unknown:
+            raise ValueError(f"delta_omega for unknown diodes {sorted(unknown)}; "
+                             f"topology {self.topology!r} has {list(labels)}")
+        delta_omega = {label: _finite_real("delta_omega", self.delta_omega[label]) for label in labels}
+        object.__setattr__(self, "delta_omega", delta_omega)
+        for name in ("J", "J_prime", "Gamma", "gamma_dec"):
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
+        if self.J <= 0:
+            raise ValueError(f"J must be positive, got {self.J}")
+        if self.Gamma <= 0:
+            raise ValueError(f"Gamma must be positive, got {self.Gamma}")
+        if self.J_prime < 0:
+            raise ValueError(f"J_prime must be nonnegative, got {self.J_prime}")
         if self.gamma_dec < 0:
             raise ValueError(f"gamma_dec must be nonnegative, got {self.gamma_dec}")
+        for value in delta_omega.values():
+            if value <= 0:
+                raise ValueError(f"delta_omega must be positive, got {value}")
+            if value < ANHARMONICITY_WARN_RATIO * self.J:
+                warnings.warn(
+                    f"delta_omega = {value} is below {ANHARMONICITY_WARN_RATIO} J; "
+                    "the weak-coupling rate formulas assume delta_omega >> J",
+                    stacklevel=3,
+                )
         n = self.ho_truncation
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
             raise ValueError(f"ho_truncation must be an integer >= 2, got {n!r}")
@@ -284,36 +279,16 @@ class CircuitSpec:
         per-diode mapping like {"D1": 300.0, "D2": 150.0}.  Each bath takes
         exactly one of its occupation ``n_<side>`` or its temperature
         ``T_<side>`` (``thermal_occupation``)."""
-        labels = _wiring(topology).diodes
-        if isinstance(delta_omega, dict):
-            per_diode = dict(delta_omega)
-        else:
-            per_diode = dict.fromkeys(labels, _finite_real("delta_omega", delta_omega))
-        missing = set(labels) - set(per_diode)
-        if missing:
-            raise ValueError(f"missing delta_omega for diodes {sorted(missing)}")
-        unknown = set(per_diode) - set(labels)
-        if unknown:
-            raise ValueError(f"delta_omega for unknown diodes {sorted(unknown)}; "
-                             f"topology {topology!r} has {list(labels)}")
-        diodes = {
-            label: DiodeParams(delta_omega=per_diode[label], J=J, J_prime=J_prime)
-            for label in labels
-        }
+        if not isinstance(delta_omega, dict):
+            delta_omega = dict.fromkeys(_wiring(topology).diodes, delta_omega)
         baths = {}
         for side, n, T in (("left", n_left, T_left), ("right", n_right, T_right)):
             if (n is None) == (T is None):
                 raise ValueError(f"give exactly one of n_{side} or T_{side}")
-            baths[side] = BathParams(thermal_occupation(f"T_{side}", T) if n is None else n, Gamma)
-        return cls(
-            topology=topology,
-            diodes=diodes,
-            left_bath=baths["left"],
-            right_bath=baths["right"],
-            gamma_dec=gamma_dec,
-            ho_truncation=ho_truncation,
-            bridge_rate_mode=RateMode(bridge_rate_mode),
-        )
+            baths[side] = BathParams(thermal_occupation(f"T_{side}", T) if n is None else n)
+        return cls(topology, delta_omega, baths["left"], baths["right"], J=J, J_prime=J_prime,
+                   Gamma=Gamma, gamma_dec=gamma_dec, ho_truncation=ho_truncation,
+                   bridge_rate_mode=bridge_rate_mode)
 
     def bath(self, side: str) -> BathParams:
         """The bath on ``side`` ("left" or "right")."""

@@ -66,7 +66,6 @@ from .circuits import (
     TOPOLOGIES,
     CircuitSpec,
     Contact,
-    DiodeParams,
     RateMode,
     TimeDependentOperator,
 )
@@ -82,6 +81,11 @@ from .spaces import (
 
 # largest dimension for which d^2 x d^2 superoperator matrices are built
 SUPEROP_MATERIALIZE_DIM = 512
+# largest excitation-number sector (``sector_dim``) that a scenario config may
+# give a block: the sector bounds the real block, and the direct solve and
+# the windowed average each hold dense block x block float64 arrays, 32 MiB
+# apiece at this size
+SECTOR_DIM_LIMIT = 2048
 
 _ALLOWED_TRANSITIONS = ((0, 1), (1, 0), (1, 2), (2, 1))
 
@@ -104,8 +108,11 @@ class RateTable:
         return self.rates.get((from_level, to_level), 0.0)
 
 
-def qutrit_rate_table(params: DiodeParams, n: float, Gamma: float, modulated: bool) -> RateTable:
-    """Effective bath-induced transition rates of one qutrit diode.
+def qutrit_rate_table(delta_omega: float, J: float, J_prime: float, n: float, Gamma: float,
+                      modulated: bool) -> RateTable:
+    """Effective bath-induced transition rates of one qutrit diode of
+    anharmonicity ``delta_omega``, static coupling ``J`` and drive amplitude
+    ``J_prime``.
 
     The diode sees a bath of occupation ``n`` through a strongly damped
     filter oscillator of linewidth ``Gamma``.  The 1<->2 transition is
@@ -118,15 +125,26 @@ def qutrit_rate_table(params: DiodeParams, n: float, Gamma: float, modulated: bo
         raise ValueError(f"occupation must be nonnegative, got {n}")
     if Gamma <= 0:
         raise ValueError(f"Gamma must be positive, got {Gamma}")
-    lorentz = params.J ** 2 * Gamma / (params.delta_omega ** 2 + Gamma ** 2 / 4.0)
-    drive = params.J_prime ** 2 / Gamma if modulated else 0.0
-    resonant = 8.0 * params.J ** 2 / Gamma
+    lorentz = J ** 2 * Gamma / (delta_omega ** 2 + Gamma ** 2 / 4.0)
+    drive = J_prime ** 2 / Gamma if modulated else 0.0
+    resonant = 8.0 * J ** 2 / Gamma
     return RateTable({
         (0, 1): n * (drive + lorentz),
         (1, 0): (1.0 + n) * (drive + lorentz),
         (1, 2): n * resonant,
         (2, 1): (1.0 + n) * resonant,
     })
+
+
+def sector_dim(layout: SpaceLayout) -> int:
+    """Number of pairs of product states of ``layout`` with equal total
+    excitation: sum over k of c_k^2, where c_k states have excitation k.
+    Every coupling and jump keeps the bra's and the ket's excitations
+    equal, so this bounds the real block reached from the populations."""
+    counts = np.ones(1, dtype=np.int64)
+    for dim in layout.dims:
+        counts = np.convolve(counts, np.ones(dim, dtype=np.int64))
+    return int(counts @ counts)
 
 
 def vectorize(matrix: np.ndarray) -> np.ndarray:
@@ -488,8 +506,8 @@ def _contact_table(spec: CircuitSpec, contact: Contact) -> RateTable:
     # paper-literal reads the right-bath rate symbol at face value: no J' term
     modulated = contact.modulated and not (
         contact.side == "right" and spec.bridge_rate_mode is RateMode.PAPER_LITERAL)
-    bath = spec.bath(contact.side)
-    return qutrit_rate_table(spec.diodes[contact.diode], bath.n, bath.Gamma, modulated)
+    return qutrit_rate_table(spec.delta_omega[contact.diode], spec.J, spec.J_prime,
+                             spec.bath(contact.side).n, spec.Gamma, modulated)
 
 
 def bridge_rate_tables(spec: CircuitSpec) -> dict[str, RateTable]:
@@ -517,14 +535,13 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
     # (coefficient, operator key) of every Hamiltonian piece, and of every drive piece by frequency
     couplings = [c for c in topology.couplings if c.a in labels and c.b in labels]
     coupled = {mode for c in couplings for mode in (c.a, c.b)}
-    pieces = [(-spec.diodes[label].delta_omega, (projector, label, 0))
-              for label in labels if label in coupled and label in spec.diodes]
+    pieces = [(-spec.delta_omega[label], (projector, label, 0))
+              for label in labels if label in coupled and label in spec.delta_omega]
     drives: dict[float, list] = {}
     for c in couplings:
-        params = spec.diodes[c.diode]
-        pieces.append((params.J, (_exchange_op, c.a, c.b)))
-        if c.modulated and params.J_prime > 0:
-            drives.setdefault(params.delta_omega, []).append((params.J_prime, (_exchange_op, c.a, c.b)))
+        pieces.append((spec.J, (_exchange_op, c.a, c.b)))
+        if c.modulated and spec.J_prime > 0:
+            drives.setdefault(spec.delta_omega[c.diode], []).append((spec.J_prime, (_exchange_op, c.a, c.b)))
 
     # (rate, operator key, bath side) of every jump the wiring allows, zero
     # rates included, so that every point of a sweep shares one term table
@@ -535,9 +552,9 @@ def _generator(spec: CircuitSpec, layout: SpaceLayout) -> Liouvillian:
             rates += [(table.get(*t), (transition_op, contact.diode, *t), contact.side)
                       for t in _ALLOWED_TRANSITIONS]
     for side, label in kept.items():
-        bath = spec.bath(side)
-        rates += [(bath.Gamma * (bath.n + 1.0), (lowering_op, label), side),
-                  (bath.Gamma * bath.n, (raising_op, label), side)]
+        n = spec.bath(side).n
+        rates += [(spec.Gamma * (n + 1.0), (lowering_op, label), side),
+                  (spec.Gamma * n, (raising_op, label), side)]
     if topology.decoherence:
         for label in labels:
             rates += [(spec.gamma_dec, (lowering_op, label), None), (spec.gamma_dec, (number_op, label), None)]

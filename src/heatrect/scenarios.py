@@ -30,11 +30,12 @@ import numpy as np
 from . import __version__
 from .circuits import TOPOLOGIES, CircuitSpec, RateMode, thermal_occupation
 from .lindblad import (
-    SUPEROP_MATERIALIZE_DIM,
+    SECTOR_DIM_LIMIT,
     _mode_operator,
     build_bridge_half_generators,
     build_generator,
     build_reduced_generator,
+    sector_dim,
 )
 from .observables import (
     bath_current_functional,
@@ -542,11 +543,11 @@ def validate_config(cfg: dict) -> ResolvedConfig:
     if truncation < 2:  # CircuitSpec's bound: an oscillator keeps at least two levels
         raise ConfigError("circuit.ho_truncation", f"need an integer >= 2, got {truncation}")
     for topology in scenario.topologies:
-        dim = max(layout.total_dim for layout in TOPOLOGIES[topology].block_layouts(truncation))
-        if dim > SUPEROP_MATERIALIZE_DIM:
+        sector = max(sector_dim(layout) for layout in TOPOLOGIES[topology].block_layouts(truncation))
+        if sector > SECTOR_DIM_LIMIT:
             raise ConfigError("circuit.ho_truncation",
-                              f"N = {truncation} gives the {topology} circuit a block of "
-                              f"dimension {dim} > SUPEROP_MATERIALIZE_DIM = {SUPEROP_MATERIALIZE_DIM}")
+                              f"N = {truncation} gives the {topology} circuit a block whose "
+                              f"excitation sector is {sector} > SECTOR_DIM_LIMIT = {SECTOR_DIM_LIMIT}")
 
     protocol_defaults = dataclasses.asdict(ConvergenceProtocol())
     protocol_values = {}

@@ -581,8 +581,9 @@ def steady_state_averaged(
     d = generator.dim
     real_block = generator._real()
     l0, drives = generator._assemble(real_block.terms)
-    # the ground state |0><0|: vec index 0, so its real coordinates are column 0 of T
-    u = real_block.transform[:, [0]].toarray().real.ravel()
+    # the ground state |0><0|: the block's populations come first and in order
+    u = np.zeros(l0.shape[0])
+    u[0] = 1.0
     c_row = _real_observable(real_block.transform, observable.observable)
     unit, c_avg = _build_unit_map(l0, drives, c_row, grid)
     block_map, window_row = _block_map_and_window_row(

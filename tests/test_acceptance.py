@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from heatrect.circuits import CircuitSpec, DiodeParams, bose_occupation, thermal_occupation
+from heatrect.circuits import CircuitSpec, bose_occupation, thermal_occupation
 from heatrect.lindblad import (
     bridge_rate_tables,
     build_bridge_half_generators,
@@ -115,9 +115,7 @@ def test_criterion_1_rate_table_exactness():
         Gamma = float(rng.uniform(2.0, 40.0))
         n = float(rng.uniform(0.0, 3.0))
         modulated = bool(rng.integers(0, 2))
-        table = qutrit_rate_table(
-            DiodeParams(delta_omega=delta_omega, J=J, J_prime=J_prime), n, Gamma, modulated
-        )
+        table = qutrit_rate_table(delta_omega, J, J_prime, n, Gamma, modulated)
         expected = _independent_rates(delta_omega, J, J_prime, Gamma, n, modulated)
         got = (table.get(0, 1), table.get(1, 0), table.get(1, 2), table.get(2, 1))
         worst = max(worst, max(abs(a - b) for a, b in zip(got, expected)))
@@ -277,11 +275,11 @@ def test_criterion_10_structural_invariants():
     rng = np.random.default_rng(7)
     for _ in range(25):
         n = float(rng.uniform(0.01, 3.0))
-        params = DiodeParams(delta_omega=float(rng.uniform(50, 500)))
+        delta_omega, J, J_prime = float(rng.uniform(50, 500)), 1.0, 0.5
         for modulated in (True, False):
-            t = qutrit_rate_table(params, n, GAMMA, modulated)
-            drive = params.J_prime ** 2 / GAMMA if modulated else 0.0
-            lorentz = params.J ** 2 * GAMMA / (params.delta_omega ** 2 + GAMMA ** 2 / 4.0)
+            t = qutrit_rate_table(delta_omega, J, J_prime, n, GAMMA, modulated)
+            drive = J_prime ** 2 / GAMMA if modulated else 0.0
+            lorentz = J ** 2 * GAMMA / (delta_omega ** 2 + GAMMA ** 2 / 4.0)
             assert t.get(0, 1) == n * (drive + lorentz)
             assert t.get(1, 0) == (1.0 + n) * (drive + lorentz)
             assert t.get(1, 2) / t.get(2, 1) == pytest.approx(n / (1.0 + n), rel=1e-14)

@@ -11,7 +11,6 @@ from heatrect.circuits import (
     CircuitTopology,
     Contact,
     Coupling,
-    DiodeParams,
     bose_occupation,
 )
 from heatrect.lindblad import build_bridge_half_generators, build_generator, build_reduced_generator
@@ -38,15 +37,15 @@ def test_bose_occupation_values():
         bose_occupation(-1.0)
 
 
-def test_diode_params_defaults_and_warning():
-    p = DiodeParams()
-    assert (p.delta_omega, p.J, p.J_prime) == (300.0, 1.0, 0.5)
+def test_circuit_parameter_defaults_and_warning():
+    spec = CircuitSpec.build("series", n_left=0.5, n_right=0.0)
+    assert (spec.delta_omega, spec.J, spec.J_prime, spec.Gamma) == ({"D1": 300.0, "D2": 300.0}, 1.0, 0.5, 10.0)
     with pytest.warns(UserWarning, match="delta_omega"):
-        DiodeParams(delta_omega=10.0)
-    with pytest.raises(ValueError):
-        DiodeParams(delta_omega=-5.0)
-    with pytest.raises(ValueError):
-        DiodeParams(J_prime=-0.1)
+        CircuitSpec.build("series", n_left=0.5, n_right=0.0, delta_omega={"D1": 300.0, "D2": 10.0})
+    with pytest.raises(ValueError, match="^delta_omega must be positive"):
+        CircuitSpec.build("series", n_left=0.5, n_right=0.0, delta_omega=-5.0)
+    with pytest.raises(ValueError, match="^J_prime must be nonnegative"):
+        CircuitSpec.build("series", n_left=0.5, n_right=0.0, J_prime=-0.1)
 
 
 def test_bath_params_occupation_or_temperature():
@@ -65,8 +64,8 @@ def test_bath_params_occupation_or_temperature():
             CircuitSpec.build("parallel", T_left=T, n_right=0.0)
     with pytest.raises(ValueError, match="n must be nonnegative"):
         BathParams(-0.5)
-    with pytest.raises(ValueError):
-        BathParams(0.5, Gamma=0.0)
+    with pytest.raises(ValueError, match="^Gamma must be positive"):
+        CircuitSpec.build("parallel", n_left=0.5, n_right=0.0, Gamma=0.0)
 
 
 def single_diode(**kwargs):
@@ -78,14 +77,13 @@ def single_diode(**kwargs):
 def test_diode_hamiltonian_matrix_element():
     # <0_L, 2_D | H(t) | 1_L, 1_D> = sqrt(2) * (J + J' cos(dw t)), R in its ground state
     gen = single_diode()
-    params = DiodeParams()
     h = gen.hamiltonian
     d_r = 3
     bra = (0 * 3 + 2) * d_r + 0   # |0_L, 2_D, 0_R>
     ket = (1 * 3 + 1) * d_r + 0   # |1_L, 1_D, 0_R>
     for t in (0.0, 0.3, 1.7):
         dense = h.at(t).matrix.toarray()
-        expected = SQ2 * (params.J + params.J_prime * math.cos(params.delta_omega * t))
+        expected = SQ2 * (1.0 + 0.5 * math.cos(300.0 * t))
         assert dense[bra, ket] == pytest.approx(expected, abs=1e-12)
 
 
@@ -120,12 +118,12 @@ def test_no_drive_term_for_zero_modulation():
 
 def test_circuit_spec_validation():
     spec = CircuitSpec.build("bridge", T_left=1.0, T_right=0.1)
-    assert sorted(spec.diodes) == ["D1", "D2", "D3", "D4"]
+    assert sorted(spec.delta_omega) == ["D1", "D2", "D3", "D4"]
 
-    with pytest.raises(ValueError, match="needs diodes"):
+    with pytest.raises(ValueError, match=r"^missing delta_omega for diodes \['D2'\]"):
         CircuitSpec(
             topology="parallel",
-            diodes={"D1": DiodeParams()},
+            delta_omega={"D1": 300.0},
             left_bath=BathParams(0.5),
             right_bath=BathParams(0.0),
         )
@@ -156,6 +154,12 @@ def test_circuit_spec_validation():
     spec = CircuitSpec.build("series", n_left=np.float64(0.5), T_right=np.float32(1.0), J=np.int64(1),
                              delta_omega=np.float64(300.0), gamma_dec=np.float64(0.0))
     assert spec.left_bath.n == 0.5 and spec.right_bath.n == bose_occupation(1.0)
+    # and every number is stored as a Python float
+    spec = CircuitSpec.build("series", n_left=np.float32(0.5), n_right=np.int64(0), J_prime=np.float32(0.5),
+                             Gamma=np.int64(10), delta_omega={"D1": np.float32(300.0), "D2": np.int64(150)})
+    numbers = (spec.left_bath.n, spec.right_bath.n, spec.J, spec.J_prime, spec.Gamma, spec.gamma_dec,
+               *spec.delta_omega.values())
+    assert all(type(v) is float for v in numbers), numbers
     for match, kwargs in (("^J must be positive", {"J": 0.0}),
                           ("^gamma_dec must be nonnegative", {"gamma_dec": -1e-3}),
                           (r"^missing delta_omega for diodes \['D2'\]", {"delta_omega": {"D1": 300.0}})):
@@ -167,7 +171,7 @@ def test_circuit_spec_validation():
         with pytest.raises(ValueError, match=rf"^unknown topology {re.escape(repr(bad))}; {known}"):
             CircuitSpec.build(bad, n_left=0.5, n_right=0.0)
     with pytest.raises(ValueError, match=rf"^unknown topology 'diode'; {known}"):
-        CircuitSpec("diode", {"D1": DiodeParams()}, BathParams(0.5), BathParams(0.0))
+        CircuitSpec("diode", {"D1": 300.0}, BathParams(0.5), BathParams(0.0))
 
 
 def test_delta_omega_for_unknown_diode_is_rejected():
@@ -203,20 +207,20 @@ def test_series_retained_coherent_term_against_full_construction():
     full = SpaceLayout.of(
         ("L", 2), ("D1", 3), ("D2", 3), ("R", 2)
     )
-    d1, d2 = spec.diodes["D1"], spec.diodes["D2"]
+    dw, J = spec.delta_omega, spec.J
     static_full = (
-        (-d1.delta_omega) * projector(full, "D1", 0)
-        + (-d2.delta_omega) * projector(full, "D2", 0)
-        + d2.J * _hop(full, "D1", "D2")
-        + d1.J * _hop(full, "L", "D1")
-        + d2.J * _hop(full, "D2", "R")
+        (-dw["D1"]) * projector(full, "D1", 0)
+        + (-dw["D2"]) * projector(full, "D2", 0)
+        + J * _hop(full, "D1", "D2")
+        + J * _hop(full, "L", "D1")
+        + J * _hop(full, "D2", "R")
     )
-    h_sb_static = d1.J * _hop(full, "L", "D1") + d2.J * _hop(full, "D2", "R")
+    h_sb_static = J * _hop(full, "L", "D1") + J * _hop(full, "D2", "R")
     # drive terms: J'_D1 on L-D1 (removed with H_SB), J'_D2 on D1-D2 (kept)
     for t in (0.0, 0.11, 0.74):
         kept = (
             static_full - h_sb_static
-            + (d2.J_prime * math.cos(d2.delta_omega * t)) * _hop(full, "D1", "D2")
+            + (spec.J_prime * math.cos(dw["D2"] * t)) * _hop(full, "D1", "D2")
         )
         reduced_embedded = np.kron(
             np.kron(np.eye(2), reduced.at(t).matrix.toarray()), np.eye(2)
@@ -238,10 +242,9 @@ def test_bridge_retained_couplings_against_full_construction():
         ("D3", 3), ("M2", 2), ("D4", 3),
         ("R", 2),
     )
-    d = spec.diodes
-    J = d["D1"].J
+    dw, J = spec.delta_omega, spec.J
     static_circuit = sum(
-        ((-d[k].delta_omega) * projector(full, k, 0) for k in d),
+        ((-dw[k]) * projector(full, k, 0) for k in dw),
         start=J * _hop(full, "L", "D1"),
     )
     static_circuit = (
@@ -256,13 +259,13 @@ def test_bridge_retained_couplings_against_full_construction():
         + J * _hop(full, "L", "D3") + J * _hop(full, "D4", "R")
     )
     for t in (0.0, 0.45):
-        cos = math.cos(d["D1"].delta_omega * t)
+        cos = math.cos(dw["D1"] * t)
         # drives on the bath-facing couplings of D1/D2 are removed with H_SB;
         # the modulated couplings of D3/D4 to M2 are retained
         kept = (
             static_circuit - h_sb_static
-            + (d["D3"].J_prime * cos) * _hop(full, "M2", "D3")
-            + (d["D4"].J_prime * cos) * _hop(full, "M2", "D4")
+            + (spec.J_prime * cos) * _hop(full, "M2", "D3")
+            + (spec.J_prime * cos) * _hop(full, "M2", "D4")
         )
         reduced_embedded = np.kron(np.kron(np.eye(2), reduced.at(t).matrix.toarray()), np.eye(2))
         np.testing.assert_allclose(kept.matrix.toarray(), reduced_embedded, atol=1e-12)

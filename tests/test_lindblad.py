@@ -9,10 +9,8 @@ import scipy.sparse as sp
 from heatrect import lindblad
 from heatrect.circuits import (
     TOPOLOGIES,
-    BathParams,
     CircuitSpec,
     CircuitTopology,
-    DiodeParams,
     TimeDependentOperator,
 )
 from heatrect.lindblad import (
@@ -23,6 +21,7 @@ from heatrect.lindblad import (
     build_generator,
     build_reduced_generator,
     qutrit_rate_table,
+    sector_dim,
     transition_op,
     unvectorize,
     vectorize,
@@ -114,7 +113,7 @@ def test_dissipator_matches_dense_formula():
 
 
 def test_rate_table_values_modulated():
-    t = qutrit_rate_table(DiodeParams(), n=0.5, Gamma=10.0, modulated=True)
+    t = qutrit_rate_table(300.0, 1.0, 0.5, n=0.5, Gamma=10.0, modulated=True)
     assert t.get(0, 1) == pytest.approx(0.0125 + 5.0 / 90025.0, abs=1e-15)
     assert t.get(1, 2) == pytest.approx(0.4, abs=1e-15)
     assert t.get(2, 1) == pytest.approx(1.2, abs=1e-15)
@@ -122,13 +121,13 @@ def test_rate_table_values_modulated():
 
 
 def test_rate_table_values_static():
-    t = qutrit_rate_table(DiodeParams(), n=0.0, Gamma=10.0, modulated=False)
+    t = qutrit_rate_table(300.0, 1.0, 0.5, n=0.0, Gamma=10.0, modulated=False)
     assert t.get(0, 1) == 0.0
     assert t.get(1, 2) == 0.0
     assert t.get(2, 1) == pytest.approx(0.8, abs=1e-15)
     assert t.get(1, 0) == pytest.approx(10.0 / 90025.0, abs=1e-18)
 
-    empty = qutrit_rate_table(DiodeParams(), n=0.0, Gamma=10.0, modulated=True)
+    empty = qutrit_rate_table(300.0, 1.0, 0.5, n=0.0, Gamma=10.0, modulated=True)
     assert empty.get(0, 1) == 0.0  # nothing pumps from an empty bath
 
 
@@ -136,17 +135,16 @@ def test_rate_table_detailed_balance():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = float(rng.uniform(0.01, 3.0))
-        params = DiodeParams(delta_omega=float(rng.uniform(50, 500)),
-                             J_prime=float(rng.uniform(0.0, 1.0)))
+        delta_omega, J_prime = float(rng.uniform(50, 500)), float(rng.uniform(0.0, 1.0))
         for modulated in (True, False):
-            t = qutrit_rate_table(params, n, 10.0, modulated)
+            t = qutrit_rate_table(delta_omega, 1.0, J_prime, n, 10.0, modulated)
             assert t.get(0, 1) / t.get(1, 0) == pytest.approx(n / (1 + n), rel=1e-14)
             assert t.get(1, 2) / t.get(2, 1) == pytest.approx(n / (1 + n), rel=1e-14)
 
 
 def test_rate_table_validation():
     with pytest.raises(ValueError):
-        qutrit_rate_table(DiodeParams(), n=-0.1, Gamma=10.0, modulated=True)
+        qutrit_rate_table(300.0, 1.0, 0.5, n=-0.1, Gamma=10.0, modulated=True)
     with pytest.raises(ValueError, match="not allowed"):
         RateTable({(0, 2): 1.0})
     with pytest.raises(ValueError, match="negative"):
@@ -177,16 +175,16 @@ def test_bath_dissipator_thermal_fixed_point():
     # the truncated ladder satisfies detailed balance exactly, so its fixed
     # point is the truncated (renormalized) geometric distribution
     layout = SpaceLayout.of(("L", 8))
-    bath = BathParams(0.5, Gamma=10.0)
+    n, Gamma = 0.5, 10.0
 
     def thermal_bath(layout):
         return Liouvillian(layout, None, (
-            (bath.Gamma * (bath.n + 1.0), lowering_op(layout, "L")),
-            (bath.Gamma * bath.n, raising_op(layout, "L")),
+            (Gamma * (n + 1.0), lowering_op(layout, "L")),
+            (Gamma * n, raising_op(layout, "L")),
         ))
 
     rho = steady_state_direct(thermal_bath(layout))
-    r = bath.n / (1.0 + bath.n)
+    r = n / (1.0 + n)
     geometric = r ** np.arange(8)
     geometric /= geometric.sum()
     np.testing.assert_allclose(np.real(np.diag(rho.data)), geometric, atol=1e-10)
@@ -202,7 +200,7 @@ def test_bath_dissipator_thermal_fixed_point():
 
 
 def test_single_qutrit_fixed_point_populations():
-    table = qutrit_rate_table(DiodeParams(), n=0.5, Gamma=10.0, modulated=True)
+    table = qutrit_rate_table(300.0, 1.0, 0.5, n=0.5, Gamma=10.0, modulated=True)
     rho = steady_state_direct(qutrit_rate_generator([table]))
     r = 0.5 / 1.5
     expected = np.array([1.0, r, r ** 2])
@@ -264,8 +262,8 @@ def test_parallel_generator_acts_factor_by_factor():
 
     def one_qutrit(label):
         tabs = [
-            qutrit_rate_table(spec.diodes[label], spec.left_bath.n, 10.0, True),
-            qutrit_rate_table(spec.diodes[label], spec.right_bath.n, 10.0, False),
+            qutrit_rate_table(spec.delta_omega[label], spec.J, spec.J_prime, spec.left_bath.n, 10.0, True),
+            qutrit_rate_table(spec.delta_omega[label], spec.J, spec.J_prime, spec.right_bath.n, 10.0, False),
         ]
         return qutrit_rate_generator(tabs)
 
@@ -307,6 +305,32 @@ def test_bridge_rate_mode_changes_only_d2():
     assert phys["D2"].get(0, 1) - lit["D2"].get(0, 1) == pytest.approx(
         n_r * 0.25 / 10.0, rel=1e-12
     )
+
+
+def test_per_diode_numpy_scalars_give_the_scalar_forms_rates():
+    # every circuit parameter is stored as a Python float, so a per-diode
+    # mapping of float32 values gives the scalar form's rates bit for bit
+    dw = np.float32(300.1)
+    mapped, scalar = (bridge_rate_tables(CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, delta_omega=value))
+                      for value in (dict.fromkeys(("D1", "D2", "D3", "D4"), dw), dw))
+    for label, table in mapped.items():
+        assert all(type(rate) is float for rate in table.rates.values())
+        assert table.rates == scalar[label].rates
+
+
+@pytest.mark.parametrize("ho_truncation", [2, 3, 4, 6])
+def test_sector_dim_bounds_every_real_block(ho_truncation):
+    # the config guard's bound: no block outgrows its excitation-number
+    # sector, and the bridge trios and the full single diode fill it
+    for topology in TOPOLOGIES:
+        spec = CircuitSpec.build(topology, n_left=0.5, n_right=0.1, ho_truncation=ho_truncation)
+        generators = build_bridge_half_generators(spec) if topology == "bridge" else (build_generator(spec),)
+        for gen in generators:
+            side, sector = gen._real().terms.side, sector_dim(gen.layout)
+            assert side == sector if topology in ("bridge", "single-diode") else side <= sector
+    reduced = build_reduced_generator(CircuitSpec.build("single-diode", n_left=0.5, n_right=0.1,
+                                                        ho_truncation=ho_truncation))
+    assert reduced._real().terms.side == sector_dim(reduced.layout) == 3
 
 
 def test_rate_mode_leaves_other_circuits_unchanged():
@@ -388,7 +412,8 @@ def test_reduced_single_diode_matches_the_rate_table_assembly(n_left, n_right):
     # positive rate, the left table's then the right one's
     spec = CircuitSpec.build("single-diode", n_left=n_left, n_right=n_right, Gamma=20.0, ho_truncation=4)
     # D1 reaches the left filter through its modulated coupling
-    tables = [qutrit_rate_table(spec.diodes["D1"], spec.bath(side).n, 20.0, side == "left")
+    tables = [qutrit_rate_table(spec.delta_omega["D1"], spec.J, spec.J_prime, spec.bath(side).n, 20.0,
+                                side == "left")
               for side in ("left", "right")]
     reference = qutrit_rate_generator(tables)
     gen = build_reduced_generator(spec)
@@ -639,15 +664,14 @@ def eager_hamiltonian(spec, layout) -> TimeDependentOperator | None:
     labels = layout.labels
     couplings = [c for c in topology.couplings if c.a in labels and c.b in labels]
     coupled = {mode for c in couplings for mode in (c.a, c.b)}
-    pieces = [(-spec.diodes[label].delta_omega, projector(layout, label, 0))
-              for label in labels if label in coupled and label in spec.diodes]
+    pieces = [(-spec.delta_omega[label], projector(layout, label, 0))
+              for label in labels if label in coupled and label in spec.delta_omega]
     drives = {}
     for c in couplings:
-        params = spec.diodes[c.diode]
-        pieces.append((params.J, lindblad._exchange_op(layout, c.a, c.b)))
-        if c.modulated and params.J_prime > 0:
-            drives.setdefault(params.delta_omega, []).append(
-                (params.J_prime, lindblad._exchange_op(layout, c.a, c.b)))
+        pieces.append((spec.J, lindblad._exchange_op(layout, c.a, c.b)))
+        if c.modulated and spec.J_prime > 0:
+            drives.setdefault(spec.delta_omega[c.diode], []).append(
+                (spec.J_prime, lindblad._exchange_op(layout, c.a, c.b)))
     if not pieces:
         return None
 

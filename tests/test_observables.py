@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatrect import lindblad
-from heatrect.circuits import CircuitSpec, DiodeParams, bose_occupation, thermal_occupation
+from heatrect.circuits import CircuitSpec, bose_occupation, thermal_occupation
 from heatrect.lindblad import (
     Liouvillian,
     bridge_rate_tables,
@@ -109,14 +109,14 @@ def hand_current(spec, layout, side, labels, contact) -> np.ndarray:
     """Dense operator of the net excitation current into the ``side`` bath,
     written out by hand: Gamma (n+1) a†a - Gamma n a a† on a kept filter,
     diag(-r01, r10 - r12, r21) on each qutrit of a rate contact."""
-    bath = spec.bath(side)
+    n, Gamma = spec.bath(side).n, spec.Gamma
     if contact == "filter":
         (label,) = labels
         a = lowering_op(layout, label).matrix.toarray()
-        return bath.Gamma * (bath.n + 1.0) * (a.conj().T @ a) - bath.Gamma * bath.n * (a @ a.conj().T)
+        return Gamma * (n + 1.0) * (a.conj().T @ a) - Gamma * n * (a @ a.conj().T)
     w = np.zeros((layout.total_dim,) * 2, dtype=complex)
     for label in labels:
-        t = qutrit_rate_table(spec.diodes[label], bath.n, bath.Gamma, contact == "modulated")
+        t = qutrit_rate_table(spec.delta_omega[label], spec.J, spec.J_prime, n, Gamma, contact == "modulated")
         for level, rate in enumerate((-t.get(0, 1), t.get(1, 0) - t.get(1, 2), t.get(2, 1))):
             w += rate * projector(layout, label, level).matrix.toarray()
     return w
@@ -226,8 +226,8 @@ def test_net_bath_current_needs_a_rate_table_for_every_label():
 
 def _tables(n, modulated):
     return {
-        "D1": qutrit_rate_table(DiodeParams(), n, 10.0, modulated),
-        "D2": qutrit_rate_table(DiodeParams(), n, 10.0, modulated),
+        "D1": qutrit_rate_table(300.0, 1.0, 0.5, n, 10.0, modulated),
+        "D2": qutrit_rate_table(300.0, 1.0, 0.5, n, 10.0, modulated),
     }
 
 

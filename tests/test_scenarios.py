@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatrect.circuits import BathParams, CircuitSpec, DiodeParams, bose_occupation
+from heatrect.circuits import CircuitSpec, bose_occupation
 from heatrect.cli import main
 from heatrect.lindblad import build_generator, qutrit_rate_table
 from heatrect.observables import bath_current_functional
@@ -57,23 +57,13 @@ def test_all_default_configs_validate():
 
 def test_paper_defaults_agree_wherever_they_are_stated():
     # the scenarios' common circuit, the keyword defaults of CircuitSpec.build
-    # and the dataclass defaults each state the paper's parameters
+    # and the dataclass defaults of CircuitSpec each state the paper's parameters
     build = {name: p.default for name, p in inspect.signature(CircuitSpec.build).parameters.items()
              if p.default is not inspect.Parameter.empty}
     spec = {f.name: f.default for f in dataclasses.fields(CircuitSpec) if f.default is not dataclasses.MISSING}
-    diode = DiodeParams()
-    stated = {
-        "Gamma": (build["Gamma"], BathParams(n=0.0).Gamma),
-        "J": (build["J"], diode.J),
-        "J_prime": (build["J_prime"], diode.J_prime),
-        "gamma_dec": (build["gamma_dec"], spec["gamma_dec"]),
-        "ho_truncation": (build["ho_truncation"], spec["ho_truncation"]),
-        "bridge_rate_mode": (build["bridge_rate_mode"], spec["bridge_rate_mode"]),
-    }
-    assert sorted(stated) == sorted(_COMMON_CIRCUIT)
-    for key, values in stated.items():
-        assert values == (_COMMON_CIRCUIT[key],) * 2, key
-    assert build["delta_omega"] == diode.delta_omega
+    for key, default in _COMMON_CIRCUIT.items():
+        assert (build[key], spec[key]) == (default, default), key
+    assert build["delta_omega"] == 300.0
 
 
 def test_config_errors_carry_key_paths():
@@ -184,20 +174,22 @@ def test_config_errors_carry_key_paths():
         load_config(Path(__file__).parent)
 
 
-def test_truncation_above_the_superoperator_guard_is_a_config_error(tmp_path, capsys):
-    # a bridge trio at N has dimension 9 N; the guard admits dimension 512
+def test_truncation_above_the_sector_guard_is_a_config_error(tmp_path, capsys):
+    # the guard bounds each block's excitation-number sector, which bounds the
+    # real block that the dense routes hold; a bridge trio's is 81 N - 104 from N = 4
     for name in ("bridge-anharmonicity", "bridge-decoherence", "convergence-study"):
-        assert validate_config({"name": name, "circuit": {"ho_truncation": 56}}).circuit["ho_truncation"] == 56
-        with pytest.raises(ConfigError, match=r"^circuit\.ho_truncation: .*dimension 513 > "):
-            validate_config({"name": name, "circuit": {"ho_truncation": 57}})
-    # the single diode has dimension 3 N^2: the guard is its only size rule
-    for n in (5, 13):
-        assert validate_config({"name": "single-diode-validation",
-                                "circuit": {"ho_truncation": n}}).circuit["ho_truncation"] == n
-    with pytest.raises(ConfigError, match=r"^circuit\.ho_truncation: .*dimension 588 > "):
-        validate_config({"name": "single-diode-validation", "circuit": {"ho_truncation": 14}})
+        assert validate_config({"name": name, "circuit": {"ho_truncation": 26}}).circuit["ho_truncation"] == 26
+        with pytest.raises(ConfigError, match=r"^circuit\.ho_truncation: .*excitation sector is 2083 > "):
+            validate_config({"name": name, "circuit": {"ho_truncation": 27}})
+    # the full single diode's sector is 2001 at N = 7; at N = 13 its dimension
+    # 3 N^2 = 507 is below SUPEROP_MATERIALIZE_DIM, but its sector is 13071
+    assert validate_config({"name": "single-diode-validation",
+                            "circuit": {"ho_truncation": 7}}).circuit["ho_truncation"] == 7
+    for n, sector in ((8, 3006), (13, 13071)):
+        with pytest.raises(ConfigError, match=rf"^circuit\.ho_truncation: .*excitation sector is {sector} > "):
+            validate_config({"name": "single-diode-validation", "circuit": {"ho_truncation": n}})
     # refused before anything runs
-    for truncation in ("57", "1"):
+    for truncation in ("27", "1"):
         assert main(["run", "bridge-anharmonicity", "--truncation", truncation,
                      "--out", str(tmp_path / "out")]) == 2
         assert "config error at circuit.ho_truncation" in capsys.readouterr().err
@@ -361,7 +353,7 @@ def test_single_diode_validation_report(tmp_path):
     assert eq["rel_deviation"] == 0.0
     # the reduced qutrit's direct solve and the full model's windowed average
     assert json.loads((tmp_path / "metadata.json").read_text())["block_dims"] == [3, 36]
-    # N = 14 gives the full model dimension 588, above the superoperator guard
+    # N = 14 gives the full model an excitation sector of 16344, above the guard
     with pytest.raises(ConfigError, match="ho_truncation"):
         validate_config({
             "name": "single-diode-validation",
@@ -394,8 +386,8 @@ def test_parallel_currents_are_net_at_a_warm_receiving_bath(tmp_path):
         spec = CircuitSpec.build("parallel", n_left=n_left, n_right=n_right, delta_omega=dw)
         rho = steady_state_direct(build_generator(spec))
         # each diode meets the left bath through a modulated coupling
-        bath = spec.bath(source)
-        fed = _current_from_bath(rho, {label: qutrit_rate_table(spec.diodes[label], bath.n, bath.Gamma,
+        n = spec.bath(source).n
+        fed = _current_from_bath(rho, {label: qutrit_rate_table(spec.delta_omega[label], spec.J, spec.J_prime, n, spec.Gamma,
                                                                  source == "left") for label in ("D1", "D2")})
         assert row[f"current_{label}"] == pytest.approx(sign * fed, rel=1e-12)
 

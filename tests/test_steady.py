@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from heatrect import lindblad, steady
-from heatrect.circuits import CircuitSpec, DiodeParams, TimeDependentOperator
+from heatrect.circuits import CircuitSpec, TimeDependentOperator
 from heatrect.lindblad import (
     Liouvillian,
     RateTable,
@@ -117,7 +117,7 @@ def test_evolve_decay_matches_analytic():
 
 
 def test_evolve_reaches_qutrit_fixed_point():
-    table = qutrit_rate_table(DiodeParams(), n=0.5, Gamma=10.0, modulated=True)
+    table = qutrit_rate_table(300.0, 1.0, 0.5, n=0.5, Gamma=10.0, modulated=True)
     gen = qutrit_rate_generator([table])
     rho0 = DensityMatrix.ground_state(gen.layout)
     out = evolve(gen, rho0, 0.0, 400.0)
@@ -361,8 +361,8 @@ def test_direct_parallel_factorizes():
     singles = []
     for label in ("D1", "D2"):
         tabs = [
-            qutrit_rate_table(spec.diodes[label], 0.5, 10.0, True),
-            qutrit_rate_table(spec.diodes[label], 0.0, 10.0, False),
+            qutrit_rate_table(spec.delta_omega[label], spec.J, spec.J_prime, 0.5, 10.0, True),
+            qutrit_rate_table(spec.delta_omega[label], spec.J, spec.J_prime, 0.0, 10.0, False),
         ]
         singles.append(steady_state_direct(qutrit_rate_generator(tabs)).data)
     np.testing.assert_allclose(rho.data, np.kron(singles[0], singles[1]), atol=1e-10)
@@ -573,7 +573,7 @@ def test_normalization_rejects_a_nan_residual(monkeypatch):
 
 
 def test_direct_agrees_with_long_time_evolution():
-    table = qutrit_rate_table(DiodeParams(), n=0.3, Gamma=10.0, modulated=True)
+    table = qutrit_rate_table(300.0, 1.0, 0.5, n=0.3, Gamma=10.0, modulated=True)
     gen = qutrit_rate_generator([table])
     direct = steady_state_direct(gen)
     evolved = evolve(gen, DensityMatrix.ground_state(gen.layout), 0.0, 2000.0)
@@ -944,7 +944,7 @@ def test_steady_state_takes_each_route_and_flags_a_run_out_of_blocks():
 
 
 def test_averaged_matches_direct_for_time_independent_generator():
-    table = qutrit_rate_table(DiodeParams(), n=0.4, Gamma=10.0, modulated=True)
+    table = qutrit_rate_table(300.0, 1.0, 0.5, n=0.4, Gamma=10.0, modulated=True)
     gen = qutrit_rate_generator([table])
     direct = steady_state_direct(gen)
     obs = CurrentFunctional("p2", projector(gen.layout, "D1", 2))
