@@ -40,9 +40,18 @@ def bose_occupation(omega_over_T: float) -> float:
 
 def _finite_real(name: str, v) -> float:
     """``v`` as a float; ``ValueError`` naming ``name`` unless it is a finite real (a bool is none)."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+    # a float skips the slower ABC check; a bool is an int, so it never does
+    if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)) or not math.isfinite(v):
         raise ValueError(f"{name} must be finite and a real number, got {v!r}")
     return float(v)
+
+
+def _bounded(name: str, v, *, positive: bool) -> float:
+    """``_finite_real(name, v)`` that is also positive, or nonnegative."""
+    v = _finite_real(name, v)
+    if v < 0 or (positive and v == 0):
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'}, got {v}")
+    return v
 
 
 def thermal_occupation(name: str, T: float) -> float:
@@ -61,9 +70,7 @@ class BathParams:
     n: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _finite_real("n", self.n))
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
+        object.__setattr__(self, "n", _bounded("n", self.n, positive=False))
 
 
 class RateMode(str, enum.Enum):
@@ -233,21 +240,11 @@ class CircuitSpec:
         if unknown:
             raise ValueError(f"delta_omega for unknown diodes {sorted(unknown)}; "
                              f"topology {self.topology!r} has {list(labels)}")
-        delta_omega = {label: _finite_real("delta_omega", self.delta_omega[label]) for label in labels}
+        for name, positive in (("J", True), ("J_prime", False), ("Gamma", True), ("gamma_dec", False)):
+            object.__setattr__(self, name, _bounded(name, getattr(self, name), positive=positive))
+        delta_omega = {label: _bounded("delta_omega", self.delta_omega[label], positive=True) for label in labels}
         object.__setattr__(self, "delta_omega", delta_omega)
-        for name in ("J", "J_prime", "Gamma", "gamma_dec"):
-            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
-        if self.J <= 0:
-            raise ValueError(f"J must be positive, got {self.J}")
-        if self.Gamma <= 0:
-            raise ValueError(f"Gamma must be positive, got {self.Gamma}")
-        if self.J_prime < 0:
-            raise ValueError(f"J_prime must be nonnegative, got {self.J_prime}")
-        if self.gamma_dec < 0:
-            raise ValueError(f"gamma_dec must be nonnegative, got {self.gamma_dec}")
         for value in delta_omega.values():
-            if value <= 0:
-                raise ValueError(f"delta_omega must be positive, got {value}")
             if value < ANHARMONICITY_WARN_RATIO * self.J:
                 warnings.warn(
                     f"delta_omega = {value} is below {ANHARMONICITY_WARN_RATIO} J; "

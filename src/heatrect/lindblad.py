@@ -68,6 +68,7 @@ from .circuits import (
     Contact,
     RateMode,
     TimeDependentOperator,
+    _bounded,
 )
 from .spaces import (
     SpaceLayout,
@@ -119,12 +120,13 @@ def qutrit_rate_table(delta_omega: float, J: float, J_prime: float, n: float, Ga
     resonant with the filter, giving rates 8 J^2 / Gamma scaled by n or
     1+n.  The 0<->1 transition is detuned by the anharmonicity and keeps a
     Lorentzian tail of the static coupling; with ``modulated`` the cosine
-    drive re-resonates it and adds J'^2 / Gamma.
+    drive re-resonates it and adds J'^2 / Gamma.  A number that is not
+    finite and real, or breaks its sign bound, raises ``ValueError`` naming it.
     """
-    if n < 0:
-        raise ValueError(f"occupation must be nonnegative, got {n}")
-    if Gamma <= 0:
-        raise ValueError(f"Gamma must be positive, got {Gamma}")
+    delta_omega, J, J_prime, n, Gamma = (
+        _bounded(name, v, positive=positive) for name, v, positive in (
+            ("delta_omega", delta_omega, True), ("J", J, True), ("J_prime", J_prime, False),
+            ("n", n, False), ("Gamma", Gamma, True)))
     lorentz = J ** 2 * Gamma / (delta_omega ** 2 + Gamma ** 2 / 4.0)
     drive = J_prime ** 2 / Gamma if modulated else 0.0
     resonant = 8.0 * J ** 2 / Gamma

@@ -13,7 +13,7 @@ from heatrect.circuits import (
     Coupling,
     bose_occupation,
 )
-from heatrect.lindblad import build_bridge_half_generators, build_generator, build_reduced_generator
+from heatrect.lindblad import build_bridge_half_generators, bridge_rate_tables, build_generator, build_reduced_generator
 from heatrect.spaces import (
     SpaceLayout,
     lowering_op,
@@ -160,6 +160,13 @@ def test_circuit_spec_validation():
     numbers = (spec.left_bath.n, spec.right_bath.n, spec.J, spec.J_prime, spec.Gamma, spec.gamma_dec,
                *spec.delta_omega.values())
     assert all(type(v) is float for v in numbers), numbers
+    # so a per-diode mapping of float32 values gives the scalar form's rates bit for bit
+    dw = np.float32(300.1)
+    mapped, scalar = (bridge_rate_tables(CircuitSpec.build("bridge", T_left=1.0, T_right=0.1, delta_omega=value))
+                      for value in (dict.fromkeys(("D1", "D2", "D3", "D4"), dw), dw))
+    for label, table in mapped.items():
+        assert all(type(rate) is float for rate in table.rates.values())
+        assert table.rates == scalar[label].rates
     for match, kwargs in (("^J must be positive", {"J": 0.0}),
                           ("^gamma_dec must be nonnegative", {"gamma_dec": -1e-3}),
                           (r"^missing delta_omega for diodes \['D2'\]", {"delta_omega": {"D1": 300.0}})):

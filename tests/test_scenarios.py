@@ -61,6 +61,7 @@ def test_paper_defaults_agree_wherever_they_are_stated():
     build = {name: p.default for name, p in inspect.signature(CircuitSpec.build).parameters.items()
              if p.default is not inspect.Parameter.empty}
     spec = {f.name: f.default for f in dataclasses.fields(CircuitSpec) if f.default is not dataclasses.MISSING}
+    assert sorted(_COMMON_CIRCUIT) == sorted(spec)
     for key, default in _COMMON_CIRCUIT.items():
         assert (build[key], spec[key]) == (default, default), key
     assert build["delta_omega"] == 300.0
